@@ -476,15 +476,6 @@ def _classify_region(pts: list):
         return None  # collapsed to a segment: measure zero
 
 
-def intersect_convex(p: ConvexPolygon, q: ConvexPolygon):
-    """Exact intersection of two convex polygons; None when it has no
-    interior and is not a single point."""
-    pts = _clip_points(list(p.vertices), list(q.vertices))
-    if not pts:
-        return None
-    return _classify_region(pts)
-
-
 def _line_intersection(a, b, p, q):
     # point of segment pq on the line through ab (caller guarantees crossing)
     d1 = _cross(a, b, p)

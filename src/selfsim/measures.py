@@ -15,7 +15,10 @@ integral of exp(-2 pi i k x) dm(x).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -28,6 +31,28 @@ from .errors import ConvergenceError, ResourceCapError
 _ATOM_MERGE_EPS = 1e-12
 _LATTICE_SNAP_EPS = 1e-9
 _SUPPORT_REL_EPS = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# points: a float on the line, an (x, y) tuple in the plane
+
+
+def _axes(p) -> tuple:
+    """A point or origin as a per-axis tuple, x first: float -> (x,)."""
+    if isinstance(p, (tuple, list, np.ndarray)):
+        return tuple(map(float, p))
+    return (float(p),)
+
+
+def _point(axes):
+    """Inverse of ``_axes``: a float on the line, a tuple in the plane."""
+    return axes[0] if len(axes) == 1 else tuple(axes)
+
+
+def _mesh(axes) -> list:
+    """Per-axis coordinate arrays (x first) of the product grid of ``axes``,
+    each shaped like a values array (last axis x)."""
+    return np.meshgrid(*axes[::-1], indexing="ij")[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -45,17 +70,12 @@ class DiscreteMeasure:
             w = float(w)
             if w <= 0:
                 raise ValueError(f"atom weight must be positive, got {w}")
-            if isinstance(loc, (tuple, list)):
-                raw.append(((float(loc[0]), float(loc[1])), w))
-            else:
-                raw.append((float(loc), w))
+            raw.append((_point(_axes(loc)), w))
         if not raw:
             raise ValueError("measure needs at least one atom")
-        dims = {2 if isinstance(loc, tuple) else 1 for loc, _ in raw}
-        if len(dims) > 1:
+        if len({type(loc) for loc, _ in raw}) > 1:
             raise ValueError("atoms mix 1D and 2D locations")
-        key = (lambda a: a[0]) if dims == {1} else (lambda a: (a[0][0], a[0][1]))
-        raw.sort(key=key)
+        raw.sort(key=lambda a: a[0])
         merged = [raw[0]]
         for loc, w in raw[1:]:
             last_loc, last_w = merged[-1]
@@ -101,7 +121,8 @@ def _loc_close(a, b) -> bool:
 
 class GridDensity:
     """Density sampled at the nodes origin + i*h (1D) or the product grid
-    (2D, values indexed [iy, ix]).
+    (2D, values indexed [iy, ix]; any dimension works the same way, with
+    the values indexed last axis first).
 
     Node i carries the cell [x_i - h/2, x_i + h/2], so the measure's mass
     is h**dim times the value sum.  Origins are kept on the lattice h*Z
@@ -116,12 +137,10 @@ class GridDensity:
         if self.step <= 0:
             raise ValueError("step must be positive")
         vals = np.asarray(values, dtype=float)
-        if vals.ndim == 1:
-            self.origin = float(origin)
-        elif vals.ndim == 2:
-            self.origin = (float(origin[0]), float(origin[1]))
-        else:
-            raise ValueError("values must be a 1D or 2D array")
+        axes = _axes(origin)
+        if vals.ndim == 0 or len(axes) != vals.ndim:
+            raise ValueError("values need one array axis per origin coordinate")
+        self.origin = _point(axes)
         if vals.size == 0:
             raise ValueError("empty value array")
         if np.any(vals < 0):
@@ -139,13 +158,14 @@ class GridDensity:
     def mass(self) -> float:
         return float(self.values.sum()) * self.step**self.dim
 
+    def _node_axes(self, extra: int = 0) -> list:
+        """Node coordinates along each axis (x first), ``extra`` nodes longer."""
+        h = self.step
+        counts = self.values.shape[::-1]
+        return [o + h * np.arange(n + extra) for o, n in zip(_axes(self.origin), counts)]
+
     def nodes(self):
-        if self.dim == 1:
-            return self.origin + self.step * np.arange(len(self.values))
-        ny, nx = self.values.shape
-        xs = self.origin[0] + self.step * np.arange(nx)
-        ys = self.origin[1] + self.step * np.arange(ny)
-        return xs, ys
+        return _point(self._node_axes())
 
     def renormalized(self, target_mass: float) -> "GridDensity":
         m = self.mass
@@ -153,148 +173,111 @@ class GridDensity:
             raise ValueError("cannot renormalize a zero-mass density")
         return GridDensity(self.origin, self.step, self.values * (target_mass / m))
 
+    def sample(self, coords) -> np.ndarray:
+        """Multilinear interpolation, zero outside the grid, at the points
+        whose coordinates ``coords`` gives per axis (x first, arrays of one
+        shape); the result has that shape."""
+        h = self.step
+        inside, nodes, weights = True, [], []
+        for c, o, n in zip(coords, _axes(self.origin), self.values.shape[::-1]):
+            u = np.asarray(c, dtype=float) - o
+            u /= h
+            b = np.floor(u)
+            u -= b
+            weights.append((1 - u, u))
+            b = b.astype(int)
+            inside = inside & (b >= -1) & (b <= n - 1)
+            i = np.clip(b + 1, 0, n)  # index into the zero-bordered values
+            nodes.append((i, i + 1))
+        padded = np.pad(self.values, 1)
+        out = None
+        # values and corners run last axis first, weights x first
+        for corner in itertools.product((0, 1), repeat=len(nodes)):
+            term = padded[tuple(i[c] for i, c in zip(nodes[::-1], corner))]
+            for w, c in zip(weights, corner[::-1]):
+                term *= w[c]
+            out = term if out is None else operator.iadd(out, term)
+        return np.where(inside, out, 0.0)
+
     def interpolate(self, x) -> float:
-        """Linear (1D) or bilinear (2D) interpolation, zero outside."""
-        if self.dim == 1:
-            u = (x - self.origin) / self.step
-            i = math.floor(u)
-            f = u - i
-            return self._at(i) * (1 - f) + self._at(i + 1) * f
-        u = (x[0] - self.origin[0]) / self.step
-        v = (x[1] - self.origin[1]) / self.step
-        i, j = math.floor(u), math.floor(v)
-        fu, fv = u - i, v - j
-        return (
-            self._at2(j, i) * (1 - fu) * (1 - fv)
-            + self._at2(j, i + 1) * fu * (1 - fv)
-            + self._at2(j + 1, i) * (1 - fu) * fv
-            + self._at2(j + 1, i + 1) * fu * fv
-        )
-
-    def _at(self, i: int) -> float:
-        return float(self.values[i]) if 0 <= i < len(self.values) else 0.0
-
-    def _at2(self, j: int, i: int) -> float:
-        ny, nx = self.values.shape
-        return float(self.values[j, i]) if 0 <= j < ny and 0 <= i < nx else 0.0
+        """Linear (1D) or bilinear (2D) interpolation at one point, zero outside."""
+        return float(self.sample(_axes(x)))
 
     def support(self, rel_eps: float = _SUPPORT_REL_EPS):
         """Support footprint (cells above rel_eps * max) as an interval
         (1D) or bounding box (2D), padded by the half-cell each node owns."""
         thr = rel_eps * float(self.values.max())
         h = self.step
-        if self.dim == 1:
-            idx = np.nonzero(self.values > thr)[0]
-            if len(idx) == 0:
-                raise ValueError("density has empty support")
-            lo = self.origin + h * idx[0] - h / 2
-            hi = self.origin + h * idx[-1] + h / 2
-            return (lo, hi)
-        jj, ii = np.nonzero(self.values > thr)
-        if len(ii) == 0:
+        idx = np.nonzero(self.values > thr)[::-1]
+        if len(idx[0]) == 0:
             raise ValueError("density has empty support")
-        return (
-            self.origin[0] + h * ii.min() - h / 2,
-            self.origin[1] + h * jj.min() - h / 2,
-            self.origin[0] + h * ii.max() + h / 2,
-            self.origin[1] + h * jj.max() + h / 2,
-        )
+        origin = _axes(self.origin)
+        lo = tuple(o + h * i.min() - h / 2 for o, i in zip(origin, idx))
+        hi = tuple(o + h * i.max() + h / 2 for o, i in zip(origin, idx))
+        return lo + hi
 
     def __repr__(self) -> str:
         shape = "x".join(str(s) for s in self.values.shape)
         return f"GridDensity({shape} @ h={self.step:g}, mass {self.mass:.6g})"
 
 
-def _snap(x: float, h: float) -> float:
-    return round(x / h) * h
-
-
 def snap_to_lattice(g: GridDensity) -> GridDensity:
     """Move the origin onto h*Z; resamples only if the shift is material."""
     h = g.step
-    if g.dim == 1:
-        o = _snap(g.origin, h)
-        if abs(o - g.origin) <= _LATTICE_SNAP_EPS * h:
-            return GridDensity(o, h, g.values)
-        n = len(g.values) + 1
-        xs = o + h * np.arange(n)
-        vals = np.array([g.interpolate(x) for x in xs])
-        out = GridDensity(o, h, vals)
-        return out.renormalized(g.mass)
-    ox, oy = _snap(g.origin[0], h), _snap(g.origin[1], h)
-    if (
-        abs(ox - g.origin[0]) <= _LATTICE_SNAP_EPS * h
-        and abs(oy - g.origin[1]) <= _LATTICE_SNAP_EPS * h
-    ):
-        return GridDensity((ox, oy), h, g.values)
-    ny, nx = g.values.shape
-    xs = ox + h * np.arange(nx + 1)
-    ys = oy + h * np.arange(ny + 1)
-    vals = np.array([[g.interpolate((x, y)) for x in xs] for y in ys])
-    return GridDensity((ox, oy), h, vals).renormalized(g.mass)
+    old = _axes(g.origin)
+    new = tuple(round(x / h) * h for x in old)
+    snapped = GridDensity(_point(new), h, g.values)
+    if all(abs(o - x) <= _LATTICE_SNAP_EPS * h for o, x in zip(new, old)):
+        return snapped
+    vals = g.sample(_mesh(snapped._node_axes(extra=1)))
+    return GridDensity(_point(new), h, vals).renormalized(g.mass)
+
+
+def _common_step(a: GridDensity, b: GridDensity) -> float:
+    """The step two grids share; they must agree to 1e-12 relative and in
+    dimension."""
+    if abs(a.step - b.step) > 1e-12 * max(a.step, b.step):
+        raise ValueError(f"grids have different steps {a.step!r} and {b.step!r}")
+    if a.dim != b.dim:
+        raise ValueError("grids have different dimensions")
+    return a.step
+
+
+def _align(a: GridDensity, b: GridDensity):
+    """Both grids' values zero-padded onto their common index box, with
+    the box's lattice index along each axis (x first)."""
+    h = _common_step(a, b)
+    ia = [round(o / h) for o in _axes(a.origin)[::-1]]
+    ib = [round(o / h) for o in _axes(b.origin)[::-1]]
+    lo = [min(p, q) for p, q in zip(ia, ib)]
+    hi = [max(p + n, q + m) for p, q, n, m in zip(ia, ib, a.values.shape, b.values.shape)]
+    padded = []
+    for g, start in ((a, ia), (b, ib)):
+        vals = np.zeros([u - l for u, l in zip(hi, lo)])
+        vals[tuple(slice(s - l, s - l + n) for s, l, n in zip(start, lo, g.values.shape))] = g.values
+        padded.append(vals)
+    return padded[0], padded[1], lo[::-1]
 
 
 def add_grids(a: GridDensity, b: GridDensity) -> GridDensity:
     """Sum of two lattice-aligned densities with a common step."""
-    if abs(a.step - b.step) > 1e-15:
-        raise ValueError("grids have different steps")
-    h = a.step
-    if a.dim != b.dim:
-        raise ValueError("grids have different dimensions")
-    if a.dim == 1:
-        ia, ib = round(a.origin / h), round(b.origin / h)
-        lo = min(ia, ib)
-        hi = max(ia + len(a.values), ib + len(b.values))
-        vals = np.zeros(hi - lo)
-        vals[ia - lo : ia - lo + len(a.values)] += a.values
-        vals[ib - lo : ib - lo + len(b.values)] += b.values
-        return GridDensity(lo * h, h, vals)
-    (ax, ay), (bx, by) = a.origin, b.origin
-    iax, iay = round(ax / h), round(ay / h)
-    ibx, iby = round(bx / h), round(by / h)
-    lox, loy = min(iax, ibx), min(iay, iby)
-    hix = max(iax + a.values.shape[1], ibx + b.values.shape[1])
-    hiy = max(iay + a.values.shape[0], iby + b.values.shape[0])
-    vals = np.zeros((hiy - loy, hix - lox))
-    vals[iay - loy : iay - loy + a.values.shape[0], iax - lox : iax - lox + a.values.shape[1]] += a.values
-    vals[iby - loy : iby - loy + b.values.shape[0], ibx - lox : ibx - lox + b.values.shape[1]] += b.values
-    return GridDensity((lox * h, loy * h), h, vals)
+    va, vb, lo = _align(a, b)
+    va += vb
+    return GridDensity(_point([i * a.step for i in lo]), a.step, va)
 
 
 def l1_distance(a: GridDensity, b: GridDensity) -> float:
     """Integral of |a - b| for lattice-aligned densities."""
-    if abs(a.step - b.step) > 1e-15 or a.dim != b.dim:
-        raise ValueError("grids are not comparable")
-    h = a.step
-    if a.dim == 1:
-        ia, ib = round(a.origin / h), round(b.origin / h)
-        lo = min(ia, ib)
-        hi = max(ia + len(a.values), ib + len(b.values))
-        va = np.zeros(hi - lo)
-        vb = np.zeros(hi - lo)
-        va[ia - lo : ia - lo + len(a.values)] = a.values
-        vb[ib - lo : ib - lo + len(b.values)] = b.values
-        return float(np.abs(va - vb).sum()) * h
-    iax, iay = round(a.origin[0] / h), round(a.origin[1] / h)
-    ibx, iby = round(b.origin[0] / h), round(b.origin[1] / h)
-    lox, loy = min(iax, ibx), min(iay, iby)
-    hix = max(iax + a.values.shape[1], ibx + b.values.shape[1])
-    hiy = max(iay + a.values.shape[0], iby + b.values.shape[0])
-    va = np.zeros((hiy - loy, hix - lox))
-    vb = np.zeros_like(va)
-    va[iay - loy : iay - loy + a.values.shape[0], iax - lox : iax - lox + a.values.shape[1]] = a.values
-    vb[iby - loy : iby - loy + b.values.shape[0], ibx - lox : ibx - lox + b.values.shape[1]] = b.values
-    return float(np.abs(va - vb).sum()) * h * h
+    va, vb, _ = _align(a, b)
+    va -= vb
+    # times h once per axis, left to right
+    return math.prod([float(np.abs(va, out=va).sum()), *[a.step] * a.dim])
 
 
 def shift_grid(g: GridDensity, t) -> GridDensity:
     """Translate a density; lattice multiples move by index, others resample."""
-    h = g.step
-    if g.dim == 1:
-        shifted = GridDensity(g.origin + float(t), h, g.values)
-    else:
-        shifted = GridDensity((g.origin[0] + float(t[0]), g.origin[1] + float(t[1])), h, g.values)
-    return snap_to_lattice(shifted)
+    origin = [o + s for o, s in zip(_axes(g.origin), _axes(t))]
+    return snap_to_lattice(GridDensity(_point(origin), g.step, g.values))
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +365,13 @@ def raster_polygon(poly: ConvexPolygon, h: float, mass: float) -> GridDensity:
     return GridDensity((i0 * h, j0 * h), h, vals)
 
 
-def point_mass_grid(location, h: float, mass: float, dim: int = 1) -> GridDensity:
+def point_mass_grid(location, h: float, mass: float) -> GridDensity:
     """A delta approximant: the whole mass in the one cell whose node is
     nearest to ``location`` (exact when location lies on the lattice)."""
-    if dim == 1:
-        i = round(float(location) / h)
-        return GridDensity(i * h, h, np.array([mass / h]))
-    i = round(float(location[0]) / h)
-    j = round(float(location[1]) / h)
-    return GridDensity((i * h, j * h), h, np.array([[mass / (h * h)]]))
+    axes = _axes(location)
+    node = [round(x / h) * h for x in axes]
+    cell = math.prod([h] * len(axes))
+    return GridDensity(_point(node), h, np.full((1,) * len(axes), mass / cell))
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +404,6 @@ class UniformFamily:
     def dim(self) -> int:
         return 1 if isinstance(self.region, IntervalSet) else 2
 
-    def density_value(self) -> float:
-        size = (
-            self.region.as_float().measure()
-            if isinstance(self.region, IntervalSet)
-            else self.region.as_float().area
-        )
-        if size <= 0:
-            raise ValueError("uniform family needs a region of positive measure")
-        return self.total_mass / size
-
 
 @dataclass(frozen=True)
 class PointMassFamily:
@@ -449,24 +420,23 @@ class PointMassFamily:
 TranslationFamily = Union[FiniteFamily, UniformFamily, PointMassFamily]
 
 
+def _atoms(family) -> tuple:
+    """(location, weight) pairs of a point-mass or finite family; none for
+    other families."""
+    if isinstance(family, PointMassFamily):
+        return ((family.location, family.total_mass),)
+    if isinstance(family, FiniteFamily):
+        return family.measure.atoms
+    return ()
+
+
 def family_as_grid(family: TranslationFamily, h: float) -> GridDensity:
     """Rasterize a family as a density of its own total mass at step h."""
     if isinstance(family, UniformFamily):
         if isinstance(family.region, IntervalSet):
             return raster_interval_set(family.region, h, family.total_mass)
         return raster_polygon(family.region, h, family.total_mass)
-    if isinstance(family, PointMassFamily):
-        loc = family.location
-        dim = family.dim
-        return point_mass_grid(loc, h, family.total_mass, dim=dim)
-    grids = [
-        point_mass_grid(loc, h, w, dim=family.dim)
-        for loc, w in family.measure.atoms
-    ]
-    out = grids[0]
-    for g in grids[1:]:
-        out = add_grids(out, g)
-    return out
+    return functools.reduce(add_grids, [point_mass_grid(loc, h, w) for loc, w in _atoms(family)])
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +479,30 @@ def _as_linear(A) -> AffineMap:
     return AffineMap(float(A), 0.0)
 
 
+def _linear_part(fmap: AffineMap) -> tuple:
+    """Matrix, translation, adjugate and determinant of a float map, as
+    per-axis tuples (a 1x1 matrix on the line)."""
+    if fmap.dim == 1:
+        return ((fmap.a,),), (fmap.t,), ((1.0,),), fmap.a
+    (a, b), (c, d) = fmap.a
+    return fmap.a, fmap.t, ((d, -b), (-c, a)), a * d - b * c
+
+
+def _dot(row, vec):
+    """Sum of the products, left to right from the first one (as a*x + b*y,
+    which keeps the sign of a zero that 0 + a*x would drop)."""
+    return functools.reduce(operator.add, map(operator.mul, row, vec))
+
+
 def pushforward(f, m):
     """Image measure under an affine map; same representation kind out.
 
     Atom lists map exactly.  Grid densities are resampled at the preimage
     of each target node, scaled by the modulus, and renormalized to the
     source mass (Prop.-style mass preservation is exact by construction).
+    A source narrower than the preimage spacing can fall between the
+    sample points; its whole mass then lands on the node nearest to the
+    image of its centre of mass.
     """
     fmap = f.as_float() if isinstance(f, AffineMap) else _as_linear(f)
     if isinstance(m, DiscreteMeasure):
@@ -522,68 +510,22 @@ def pushforward(f, m):
     if not isinstance(m, GridDensity):
         raise TypeError(f"cannot push forward {type(m).__name__}")
     h = m.step
-    alpha = float(fmap.modulus)
-    if m.dim == 1:
-        a, t = fmap.a, fmap.t
-        xs_lo = a * m.origin + t
-        xs_hi = a * (m.origin + h * (len(m.values) - 1)) + t
-        lo, hi = min(xs_lo, xs_hi), max(xs_lo, xs_hi)
-        i0 = math.floor(lo / h) - 1
-        i1 = math.ceil(hi / h) + 1
-        xs = h * np.arange(i0, i1 + 1)
-        pre = (xs - t) / a
-        u = (pre - m.origin) / h
-        base = np.floor(u).astype(int)
-        frac = u - base
-        padded = np.concatenate([[0.0], m.values, [0.0]])
-        idx = np.clip(base + 1, 0, len(padded) - 2)
-        valid = (base >= -1) & (base <= len(m.values) - 1)
-        vals = np.where(
-            valid, padded[idx] * (1 - frac) + padded[idx + 1] * frac, 0.0
-        )
-        out = GridDensity(i0 * h, h, np.clip(vals * alpha, 0.0, None))
-        return out.renormalized(m.mass)
-    (a, b), (c, d) = fmap.a
-    tx, ty = fmap.t
-    det = a * d - b * c
-    ny, nx = m.values.shape
-    corners_x = [m.origin[0], m.origin[0] + h * (nx - 1)]
-    corners_y = [m.origin[1], m.origin[1] + h * (ny - 1)]
-    img_x, img_y = [], []
-    for x in corners_x:
-        for y in corners_y:
-            img_x.append(a * x + b * y + tx)
-            img_y.append(c * x + d * y + ty)
-    i0 = math.floor(min(img_x) / h) - 1
-    i1 = math.ceil(max(img_x) / h) + 1
-    j0 = math.floor(min(img_y) / h) - 1
-    j1 = math.ceil(max(img_y) / h) + 1
-    xs = h * np.arange(i0, i1 + 1)
-    ys = h * np.arange(j0, j1 + 1)
-    gx, gy = np.meshgrid(xs - tx, ys - ty)
-    # inverse of [[a, b], [c, d]] applied to (x - t)
-    pre_x = (d * gx - b * gy) / det
-    pre_y = (-c * gx + a * gy) / det
-    u = (pre_x - m.origin[0]) / h
-    v = (pre_y - m.origin[1]) / h
-    bu = np.floor(u).astype(int)
-    bv = np.floor(v).astype(int)
-    fu = u - bu
-    fv = v - bv
-    padded = np.zeros((ny + 2, nx + 2))
-    padded[1:-1, 1:-1] = m.values
-    iu = np.clip(bu + 1, 0, nx)
-    iv = np.clip(bv + 1, 0, ny)
-    inside = (bu >= -1) & (bu <= nx - 1) & (bv >= -1) & (bv <= ny - 1)
-    vals = (
-        padded[iv, iu] * (1 - fu) * (1 - fv)
-        + padded[iv, iu + 1] * fu * (1 - fv)
-        + padded[iv + 1, iu] * (1 - fu) * fv
-        + padded[iv + 1, iu + 1] * fu * fv
-    )
-    vals = np.where(inside, vals, 0.0) * alpha
-    out = GridDensity((i0 * h, j0 * h), h, np.clip(vals, 0.0, None))
-    return out.renormalized(m.mass)
+    mat, t, adj, det = _linear_part(fmap)
+    ends = [(x[0], x[-1]) for x in m._node_axes()]
+    images = [
+        [_dot(row, corner) + tk for row, tk in zip(mat, t)]
+        for corner in itertools.product(*ends)
+    ]
+    lo = [math.floor(min(p[k] for p in images) / h) - 1 for k in range(len(t))]
+    hi = [math.ceil(max(p[k] for p in images) / h) + 1 for k in range(len(t))]
+    offsets = _mesh([h * np.arange(i0, i1 + 1) - tk for i0, i1, tk in zip(lo, hi, t)])
+    pre = [_dot(row, offsets) / det for row in adj]
+    vals = np.clip(m.sample(pre) * float(fmap.modulus), 0.0, None)
+    if not vals.any() and m.values.any():
+        weights = m.values / m.values.sum()
+        centre = [float((weights * x).sum()) for x in _mesh(m._node_axes())]
+        return point_mass_grid(fmap(_point(centre)), h, m.mass)
+    return GridDensity(_point([i * h for i in lo]), h, vals).renormalized(m.mass)
 
 
 # ---------------------------------------------------------------------------
@@ -592,58 +534,47 @@ def pushforward(f, m):
 
 def convolve_grids(a: GridDensity, b: GridDensity) -> GridDensity:
     """Density of the convolution (sum of independent draws)."""
-    if abs(a.step - b.step) > 1e-15 or a.dim != b.dim:
-        raise ValueError("grids are not compatible for convolution")
-    h = a.step
+    h = _common_step(a, b)
     vals = fftconvolve(a.values, b.values) * h**a.dim
     vals = np.clip(vals, 0.0, None)
-    if a.dim == 1:
-        return GridDensity(a.origin + b.origin, h, vals)
-    return GridDensity(
-        (a.origin[0] + b.origin[0], a.origin[1] + b.origin[1]), h, vals
-    )
+    origin = [p + q for p, q in zip(_axes(a.origin), _axes(b.origin))]
+    return GridDensity(_point(origin), h, vals)
+
+
+def _apply_family(family, g: GridDensity) -> GridDensity:
+    """The convolution family * g on the grid of g: summed shifted copies
+    for an atomic family, an FFT convolution for a uniform one.  ``family``
+    may also be a GridDensity, a family already rastered at g's step."""
+    if isinstance(family, UniformFamily):
+        family = family_as_grid(family, g.step)
+    if isinstance(family, GridDensity):
+        return convolve_grids(family, g)
+    pieces = []
+    for loc, w in _atoms(family):
+        piece = shift_grid(g, loc)
+        pieces.append(GridDensity(piece.origin, piece.step, piece.values * w))
+    return functools.reduce(add_grids, pieces)
 
 
 def average_step(family: TranslationFamily, A, m):
     """One application of the averaging operator: family * (A.m)."""
     Am = pushforward(_as_linear(A), m)
-    if isinstance(m, DiscreteMeasure):
-        if isinstance(family, PointMassFamily):
-            shift = family.location
-            f = AffineMap(1.0, float(shift)) if m.dim == 1 else AffineMap(
-                ((1.0, 0.0), (0.0, 1.0)), (float(shift[0]), float(shift[1]))
-            )
-            return pushforward(f, Am).scaled(family.total_mass)
-        if isinstance(family, FiniteFamily):
-            atoms = []
-            for floc, fw in family.measure.atoms:
-                for loc, w in Am.atoms:
-                    if isinstance(loc, tuple):
-                        atoms.append(((loc[0] + floc[0], loc[1] + floc[1]), w * fw))
-                    else:
-                        atoms.append((loc + floc, w * fw))
-            return DiscreteMeasure(atoms)
+    if isinstance(m, GridDensity):
+        return _apply_family(family, Am).renormalized(family.total_mass * m.mass)
+    if isinstance(family, UniformFamily):
         raise TypeError(
             "a uniform family smears atoms into a continuous measure; "
             "use a GridDensity argument instead"
         )
-    if not isinstance(m, GridDensity):
-        raise TypeError(f"cannot average {type(m).__name__}")
-    Am = snap_to_lattice(Am)
-    if isinstance(family, PointMassFamily):
-        shifted = shift_grid(Am, family.location)
-        return GridDensity(shifted.origin, shifted.step, shifted.values * family.total_mass)
-    if isinstance(family, FiniteFamily):
-        target = family.total_mass * m.mass
-        out = None
-        for loc, w in family.measure.atoms:
-            piece = shift_grid(Am, loc)
-            piece = GridDensity(piece.origin, piece.step, piece.values * w)
-            out = piece if out is None else add_grids(out, piece)
-        return out.renormalized(target)
-    kernel = family_as_grid(family, Am.step)
-    out = convolve_grids(kernel, Am)
-    return out.renormalized(family.total_mass * m.mass)
+    atoms = []
+    for floc, fw in _atoms(family):
+        floc = _point(_axes(floc))
+        for loc, w in Am.atoms:
+            if isinstance(loc, tuple):
+                atoms.append(((loc[0] + floc[0], loc[1] + floc[1]), w * fw))
+            else:
+                atoms.append((loc + floc, w * fw))
+    return DiscreteMeasure(atoms)
 
 
 def solve_invariant_atoms(
@@ -698,24 +629,44 @@ def solve_density(
     if not 0 < r < 1:
         raise ValueError(f"need a contraction, got factor {r}")
     seed = snap_to_lattice(h)
-    if h.dim == 1:
-        slo, shi = seed.support()
-        diam = (shi - slo) / (1 - r)
-    else:
-        xlo, ylo, xhi, yhi = seed.support()
-        diam = max(xhi - xlo, yhi - ylo) / (1 - r)
+    box = seed.support()
+    half = len(box) // 2
+    diam = max(b - a for a, b in zip(box[:half], box[half:])) / (1 - r)
     analytic_steps = max(1, math.ceil(math.log(tol / max(diam, tol)) / math.log(r))) + 5
-    g = seed
+    (g,) = grid_fixed_point(
+        fmap, [[seed]], [1.0], [seed], tol, max_iter, "density iteration", analytic_steps
+    )
+    return g
+
+
+def grid_fixed_point(
+    fmap, sigma, masses, start, tol, max_iter, what, max_steps=math.inf, on_iterate=None
+) -> tuple:
+    """Iterate omega_i <- sum_j sigma_ij * fmap.omega_j on grids from
+    ``start``, renormalizing component i to ``masses[i]`` every step.
+
+    ``sigma`` entries are families, rastered families (GridDensity) or
+    None.  Stops when the largest per-component L1 change drops below
+    tol, or after ``max_steps`` iterations; ``on_iterate(l, components)``
+    is called after every iteration when given.  Raises ConvergenceError,
+    naming ``what``, after ``max_iter`` iterations.
+    """
+    comps = tuple(start)
     delta = None
-    for k in range(1, max_iter + 1):
-        g_next = convolve_grids(seed, snap_to_lattice(pushforward(fmap, g)))
-        g_next = g_next.renormalized(1.0)
-        delta = l1_distance(g_next, g)
-        g = g_next
-        if delta < tol or k >= analytic_steps:
-            return g
+    for it in range(1, max_iter + 1):
+        pushed = [pushforward(fmap, g) for g in comps]
+        new = []
+        for row, mass in zip(sigma, masses):
+            pieces = [_apply_family(e, g) for e, g in zip(row, pushed) if e is not None]
+            new.append(functools.reduce(add_grids, pieces).renormalized(mass))
+        delta = max(l1_distance(a, b) for a, b in zip(new, comps))
+        comps = tuple(new)
+        if on_iterate is not None:
+            on_iterate(it, comps)
+        if delta < tol or it >= max_steps:
+            return comps
     raise ConvergenceError(
-        f"density iteration did not reach tol={tol} in {max_iter} steps",
+        f"{what} did not reach tol={tol} in {max_iter} steps",
         last_delta=delta,
     )
 

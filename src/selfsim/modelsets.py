@@ -75,10 +75,6 @@ class CutProjectScheme:
         )
 
 
-def covolume(scheme: CutProjectScheme) -> float:
-    return scheme.covolume
-
-
 def project_points(scheme: CutProjectScheme, window, radius) -> list:
     """All ring elements within the closed ball of the given radius whose
     star image lies in the window, sorted by physical position.
@@ -357,7 +353,7 @@ def weyl_average(
                         f"ball of radius {r} at {c} exceeds the enumerated patch"
                     )
                 mask = np.abs(pos - c) <= r + 1e-12
-                values = [g.interpolate(s) for s in star[mask]]
+                values = g.sample((star[mask],)).tolist()
             else:
                 cx, cy = float(center[0]), float(center[1])
                 if math.hypot(cx, cy) + r > patch + 1e-9:
@@ -366,7 +362,7 @@ def weyl_average(
                     )
                 d = np.hypot(pos[:, 0] - cx, pos[:, 1] - cy)
                 mask = d <= r + 1e-12
-                values = [g.interpolate((sx, sy)) for sx, sy in star[mask]]
+                values = g.sample(star[mask].T).tolist()
             vol = 2 * r if scheme.phys_dim == 1 else math.pi * r * r
             avg = math.fsum(values) / vol
             rows.append(WeylRow(r, center, avg, limit, abs(avg - limit)))

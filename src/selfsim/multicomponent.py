@@ -14,39 +14,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import null_space
 
-from .compactsets import IntervalSet
-from .errors import CompatibilityError, ConvergenceError
+from .compactsets import IntervalSet, _is_exact
+from .errors import CompatibilityError
 from .measures import (
     FiniteFamily,
-    GridDensity,
-    PointMassFamily,
     UniformFamily,
     _as_linear,
+    _atoms,
+    _axes,
     _family_hat,
     add_grids,
-    convolve_grids,
     family_as_grid,
+    grid_fixed_point,
     l1_distance,
     point_mass_grid,
-    pushforward,
     raster_interval_set,
-    shift_grid,
-    snap_to_lattice,
 )
-from .numberfields import QuadInt, QuadRat
 
 _CA_TOL = 1e-10
-
-
-def _exactish(x) -> bool:
-    return isinstance(x, (int, Fraction, QuadInt, QuadRat)) and not isinstance(x, bool)
-
 
 def mass_vector(s) -> np.ndarray:
     """Positive vector m with s m = m, normalized to m[0] = 1.
@@ -126,10 +116,6 @@ class MCSystem:
                 for row in exact_offsets
             )
 
-    @property
-    def contraction_factor(self) -> float:
-        return _as_linear(self.a).factor
-
 
 @dataclass(frozen=True)
 class MCDensity:
@@ -145,13 +131,7 @@ class MCDensity:
 
 def _choose_step(system: MCSystem, requested: float) -> float:
     """Refine the step so point-mass shift locations sit on the lattice."""
-    locs = []
-    for row in system.sigma:
-        for entry in row:
-            if isinstance(entry, PointMassFamily):
-                locs.append(abs(float(entry.location)))
-            elif isinstance(entry, FiniteFamily):
-                locs.extend(abs(l) for l in entry.measure.locations())
+    locs = [abs(x) for row in system.sigma for e in row for loc, _ in _atoms(e) for x in _axes(loc)]
     locs = [l for l in locs if l > 1e-12]
     if not locs:
         return requested
@@ -160,20 +140,6 @@ def _choose_step(system: MCSystem, requested: float) -> float:
     if all(abs(l / h - round(l / h)) < 1e-9 for l in locs):
         return h
     return requested  # incommensurable shifts: fall back to resampling
-
-
-def _apply_entry(entry, pushed: GridDensity, kernel=None) -> GridDensity:
-    if isinstance(entry, PointMassFamily):
-        out = shift_grid(pushed, float(entry.location))
-        return GridDensity(out.origin, out.step, out.values * entry.total_mass)
-    if isinstance(entry, FiniteFamily):
-        acc = None
-        for loc, w in entry.measure.atoms:
-            piece = shift_grid(pushed, loc)
-            piece = GridDensity(piece.origin, piece.step, piece.values * w)
-            acc = piece if acc is None else add_grids(acc, piece)
-        return acc
-    return convolve_grids(kernel, pushed)
 
 
 def solve_mc_density(
@@ -196,40 +162,16 @@ def solve_mc_density(
     r = fmap.factor
     if not 0 < r < 1:
         raise ValueError(f"automorphism must contract, got factor {r}")
-    kernels = [
-        [
-            family_as_grid(entry, h) if isinstance(entry, UniformFamily) else None
-            for entry in row
-        ]
+    sigma = [
+        [family_as_grid(e, h) if isinstance(e, UniformFamily) else e for e in row]
         for row in system.sigma
     ]
-    if fmap.dim == 1:
-        comps = [point_mass_grid(0.0, h, float(mi)) for mi in system.m]
-    else:
-        comps = [point_mass_grid((0.0, 0.0), h, float(mi), dim=2) for mi in system.m]
-    delta = None
-    for it in range(1, max_iter + 1):
-        pushed = [snap_to_lattice(pushforward(fmap, g)) for g in comps]
-        new = []
-        for i in range(system.n):
-            acc = None
-            for j in range(system.n):
-                entry = system.sigma[i][j]
-                if entry is None:
-                    continue
-                piece = _apply_entry(entry, pushed[j], kernels[i][j])
-                acc = piece if acc is None else add_grids(acc, piece)
-            new.append(acc.renormalized(float(system.m[i])))
-        delta = max(l1_distance(a, b) for a, b in zip(new, comps))
-        comps = new
-        if on_iterate is not None:
-            on_iterate(it, tuple(comps))
-        if delta < tol:
-            return MCDensity(tuple(comps), tuple(float(x) for x in system.m))
-    raise ConvergenceError(
-        f"matrix convolution did not reach tol={tol} in {max_iter} steps",
-        last_delta=delta,
+    masses = tuple(float(x) for x in system.m)
+    spikes = [point_mass_grid((0.0,) * fmap.dim, h, mi) for mi in masses]
+    comps = grid_fixed_point(
+        fmap, sigma, masses, spikes, tol, max_iter, "matrix convolution", on_iterate=on_iterate
     )
+    return MCDensity(comps, masses)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +236,7 @@ def verify_nonoverlap(system: MCSystem, windows, m=None) -> NonoverlapReport:
     for w in windows:
         if not isinstance(w, IntervalSet) or not w.is_exact:
             raise ValueError("windows must be exact IntervalSets")
-    if not _exactish(system.a):
+    if not _is_exact(system.a):
         failures.append("NO1: automorphism is not exact")
     for i, row in enumerate(system.sigma):
         for j, entry in enumerate(row):

@@ -143,6 +143,18 @@ class TestMeasure:
         for name in manifest["files"]:
             assert (tmp_path / name).exists()
 
+    def test_mc_max_fine_step_keeps_both_masses(self, tmp_path):
+        # at this step the pushed one-cell spike falls between the sample
+        # points of the pushforward; its mass must not be lost
+        result = run(
+            "measure", "--system", "silver-mc-max", "--out", tmp_path,
+            "--grid-step", 3e-5,
+        )
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "measure.json").read_text())
+        assert abs(manifest["masses"][0] - 1.0) < 1e-6
+        assert abs(manifest["masses"][1] - R) < 1e-6
+
     def test_mc_min_has_no_density(self, tmp_path):
         result = run("measure", "--system", "silver-mc-min", "--out", tmp_path)
         assert result.exit_code == 1

@@ -21,8 +21,10 @@ from selfsim.measures import (
     fourier_hat,
     hutchinson_distance,
     l1_distance,
+    point_mass_grid,
     pushforward,
     raster_interval_set,
+    shift_grid,
     solve_density,
     solve_invariant_atoms,
 )
@@ -153,6 +155,94 @@ class TestPushforward:
         assert out.mass == pytest.approx(g.mass, abs=1e-9)
         assert out.interpolate((1.0, 2.0)) > 0
         assert out.interpolate((0.0, 0.0)) == pytest.approx(0.0, abs=1e-9)
+
+    def test_one_cell_grid_keeps_its_mass(self):
+        # preimages of the target nodes lie ~2.41 h apart, so a single cell
+        # at 6 h (image at -2.49 h) falls between two of them
+        h = 0.01
+        diag = ((AC, 0.0), (0.0, AC))
+        cases = ((6 * h, AC, AC * 6 * h), ((6 * h, 6 * h), diag, (AC * 6 * h,) * 2))
+        for origin, a, image in cases:
+            out = pushforward(a, point_mass_grid(origin, h, 1.0))
+            assert out.mass == pytest.approx(1.0, abs=1e-12)
+            assert out.values.size == 1
+            assert np.allclose(out.origin, image, rtol=0, atol=h / 2)
+
+
+def reference_sample(g, point):
+    """Scalar linear (1D) or bilinear (2D) interpolation, zero outside."""
+    h = g.step
+
+    def at(*idx):
+        inside = all(0 <= i < n for i, n in zip(idx, g.values.shape))
+        return float(g.values[idx]) if inside else 0.0
+
+    if g.dim == 1:
+        u = (point - g.origin) / h
+        i = math.floor(u)
+        f = u - i
+        return at(i) * (1 - f) + at(i + 1) * f
+    u = (point[0] - g.origin[0]) / h
+    v = (point[1] - g.origin[1]) / h
+    i, j = math.floor(u), math.floor(v)
+    fu, fv = u - i, v - j
+    return (
+        at(j, i) * (1 - fu) * (1 - fv)
+        + at(j, i + 1) * fu * (1 - fv)
+        + at(j + 1, i) * (1 - fu) * fv
+        + at(j + 1, i + 1) * fu * fv
+    )
+
+
+class TestSample:
+    """``GridDensity.sample`` must reproduce the scalar reference bit for
+    bit: the CLI's output bytes rest on it."""
+
+    def points_1d(self, g, rng):
+        h, n = g.step, len(g.values)
+        last = g.origin + h * (n - 1)
+        return np.concatenate([
+            rng.uniform(g.origin - 3 * h, last + 3 * h, size=200),  # incl. outside
+            g.origin - h * rng.uniform(0, 1, size=10),  # padding cell before
+            last + h * rng.uniform(0, 1, size=10),  # padding cell after
+            [g.origin, last, last + h, g.origin - h],  # nodes and pad edges
+        ])
+
+    def test_1d_matches_scalar_reference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n = rng.integers(1, 30)
+            g = GridDensity(rng.uniform(-2, 2), rng.uniform(0.01, 0.3), rng.uniform(0, 3, size=n))
+            xs = self.points_1d(g, rng)
+            got = g.sample((xs,))
+            want = [reference_sample(g, float(x)) for x in xs]
+            assert got.tolist() == want
+            assert [g.interpolate(float(x)) for x in xs] == want
+
+    def test_2d_matches_scalar_reference(self):
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            ny, nx = rng.integers(1, 15, size=2)
+            origin = tuple(rng.uniform(-2, 2, size=2))
+            g = GridDensity(origin, rng.uniform(0.01, 0.3), rng.uniform(0, 3, size=(ny, nx)))
+            gx = GridDensity(g.origin[0], g.step, np.ones(nx))
+            gy = GridDensity(g.origin[1], g.step, np.ones(ny))
+            xs = self.points_1d(gx, rng)
+            ys = self.points_1d(gy, rng)
+            # pair every x with a shuffled y, and add the grid's corner nodes
+            pts = list(zip(xs, rng.permutation(ys)))
+            last = (g.origin[0] + g.step * (nx - 1), g.origin[1] + g.step * (ny - 1))
+            pts += [g.origin, last, (g.origin[0], last[1]), (last[0], g.origin[1])]
+            pts = np.array(pts, dtype=float)
+            got = g.sample(pts.T)
+            want = [reference_sample(g, (float(x), float(y))) for x, y in pts]
+            assert got.tolist() == want
+            assert [g.interpolate((float(x), float(y))) for x, y in pts] == want
+
+    def test_sample_keeps_the_shape_of_the_points(self):
+        g = GridDensity((0.0, 0.0), 1.0, np.arange(6.0).reshape(2, 3))
+        xs, ys = np.meshgrid([0.0, 0.5, 2.0], [0.0, 1.0])
+        assert g.sample((xs, ys)).tolist() == [[0.0, 0.5, 2.0], [3.0, 3.5, 5.0]]
 
 
 class TestAverageStep:
@@ -383,10 +473,50 @@ class TestGridPlumbing:
         assert g.mass == pytest.approx(1.0, abs=1e-12)
 
     def test_convolve_point_masses(self):
-        from selfsim.measures import point_mass_grid
-
         a = point_mass_grid(0.5, 0.25, 1.0)
         b = point_mass_grid(-0.25, 0.25, 1.0)
         out = convolve_grids(a, b)
         assert out.mass == pytest.approx(1.0)
         assert out.interpolate(0.25) == pytest.approx(4.0)  # 1/h at the sum
+
+    def test_add_grids_alignment_2d(self):
+        # b sits one node right of and two nodes above a's origin
+        a = GridDensity((0.5, -1.0), 0.5, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        b = GridDensity((1.0, 0.0), 0.5, np.array([[10.0, 20.0]]))
+        out = add_grids(a, b)
+        assert out.origin == (0.5, -1.0)
+        assert out.values.tolist() == [
+            [1.0, 2.0, 0.0],
+            [3.0, 4.0, 0.0],
+            [0.0, 10.0, 20.0],
+        ]
+        assert add_grids(b, a).values.tolist() == out.values.tolist()
+
+    def test_l1_distance_offset_2d(self):
+        a = GridDensity((0.5, -1.0), 0.5, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        b = GridDensity((1.0, -0.5), 0.5, np.array([[5.0]]))
+        # cells: 1, 2, 3 unmatched; 4 against 5
+        assert l1_distance(a, b) == pytest.approx((1 + 2 + 3 + 1) * 0.25)
+        assert l1_distance(a, b) == l1_distance(b, a)
+        assert l1_distance(a, a) == 0.0
+
+    def test_three_dimensional_grid(self):
+        a = GridDensity((0.0, 0.0, 0.0), 0.5, np.ones((2, 2, 2)))
+        b = shift_grid(a, (0.5, 0.0, 0.0))
+        assert b.origin == (0.5, 0.0, 0.0)
+        # one x-slab of 4 cells on each side differs by 1
+        assert l1_distance(a, b) == 8 * 0.5**3
+        assert add_grids(a, b).mass == 2 * a.mass
+        assert a.sample(([0.25], [0.5], [0.5])).tolist() == [1.0]
+        assert a.sample(([-0.25], [0.0], [0.0])).tolist() == [0.5]
+        assert a.support() == (-0.25, -0.25, -0.25, 0.75, 0.75, 0.75)
+
+    def test_steps_compared_relatively(self):
+        a = GridDensity(0.0, 1e-18, np.array([1.0]))
+        b = GridDensity(0.0, 2e-18, np.array([1.0]))
+        for op in (add_grids, l1_distance, convolve_grids):
+            with pytest.raises(ValueError):
+                op(a, b)
+        # a relative rounding difference is still the same step
+        c = GridDensity(0.0, 1e-18 * (1 + 1e-15), np.array([1.0]))
+        assert l1_distance(a, c) == 0.0

@@ -11,7 +11,6 @@ from selfsim.measures import raster_interval_set
 from selfsim.modelsets import (
     CutProjectScheme,
     SubstitutionRule,
-    covolume,
     crosscheck_modelset,
     gram_covolume,
     maximal_translation_region,

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from selfsim.compactsets import IntervalSet
+from selfsim.compactsets import ConvexPolygon, IntervalSet
 from selfsim.errors import CompatibilityError, ConvergenceError
 from selfsim.measures import (
     DiscreteMeasure,
@@ -225,6 +225,20 @@ class TestSolveMCDensity:
             comps = new
         for got, ref in zip(comps, sol.components):
             assert l1_distance(got, ref) < 4 * tol
+
+    def test_planar_point_mass_entry(self):
+        # omega_1 solves the uniform square family; omega_2 is A.omega_1
+        # moved by the point mass at (0.1, 0.2)
+        square = ConvexPolygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
+        a = ((-0.4, 0.0), (0.0, -0.4))
+        sigma = [[UniformFamily(square, 1.0), None], [PointMassFamily((0.1, 0.2), 1.0), None]]
+        sol = solve_mc_density(MCSystem(a, sigma, m=(1.0, 1.0)), step=0.02, tol=1e-8)
+        g1, g2 = sol.components
+        assert g1.mass == pytest.approx(1.0, abs=1e-9)
+        assert g2.mass == pytest.approx(1.0, abs=1e-9)
+        x1lo, y1lo, x1hi, y1hi = g1.support()
+        want = (-0.4 * x1hi + 0.1, -0.4 * y1hi + 0.2, -0.4 * x1lo + 0.1, -0.4 * y1lo + 0.2)
+        assert np.allclose(g2.support(), want, rtol=0, atol=2 * g2.step)
 
     def test_single_component_matches_scalar_solver(self):
         window = IntervalSet.closed(QuadInt(1, -1), QuadInt(-1, 1))
