@@ -31,6 +31,9 @@ from .measures import (
     GridDensity,
     PointMassFamily,
     UniformFamily,
+    _axes,
+    _mesh,
+    _point,
     family_as_grid,
     fourier_hat,
     raster_interval_set,
@@ -76,6 +79,8 @@ class ExperimentConfig:
         if self.radii is not None:
             if not self.radii or any(not float(r) > 0 for r in self.radii):
                 raise ConfigError("radii must be positive")
+        if not self.centers:
+            raise ConfigError("centers must not be empty")
         if self.terms < 1:
             raise ConfigError("terms must be at least 1")
         if self.precision < 2:
@@ -110,10 +115,13 @@ def build_config(config_path: Optional[str], defaults=None, **flags) -> Experime
     if merged.get("radii") is not None:
         merged["radii"] = tuple(float(v) for v in merged["radii"])
     if merged.get("centers") is not None:
-        merged["centers"] = tuple(
-            tuple(float(u) for u in v) if isinstance(v, (list, tuple)) else float(v)
-            for v in merged["centers"]
-        )
+        try:
+            merged["centers"] = tuple(
+                tuple(float(u) for u in v) if isinstance(v, (list, tuple)) else float(v)
+                for v in merged["centers"]
+            )
+        except (TypeError, ValueError):
+            raise ConfigError(f"centers must be numbers or lists of numbers: {merged['centers']!r}")
     try:
         return ExperimentConfig(**merged)
     except TypeError as exc:
@@ -258,20 +266,14 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _grid_rows(g: GridDensity):
-    if g.dim == 1:
-        xs = g.nodes()
-        return [(float(x), float(v)) for x, v in zip(xs, g.values)]
-    xs, ys = g.nodes()
-    rows = []
-    for j, y in enumerate(ys):
-        for i, x in enumerate(xs):
-            rows.append((float(x), float(y), float(g.values[j, i])))
-    return rows
+    """One (x, [y,] density) row per node, x varying fastest, as an iterator."""
+    columns = [*_mesh(g._node_axes()), g.values]
+    return zip(*(c.ravel().tolist() for c in columns))
 
 
 def _grid_json(g: GridDensity) -> dict:
     return {
-        "origin": g.origin if g.dim == 1 else list(g.origin),
+        "origin": g.origin,
         "step": g.step,
         "counts": list(g.values.shape),
         "weights": g.values.tolist(),
@@ -282,7 +284,7 @@ def _grid_json(g: GridDensity) -> dict:
 def _write_grid(g: GridDensity, path_base: Path, fmt: str) -> Path:
     if fmt == "csv":
         path = path_base.with_suffix(".csv")
-        header = "x,density" if g.dim == 1 else "x,y,density"
+        header = ",".join([*"xyz"[: g.dim], "density"])
         _write_csv(path, header, _grid_rows(g))
     else:
         path = path_base.with_suffix(".json")
@@ -542,18 +544,15 @@ def cmd_weyl(system, config_path, out, fmt, radius, radii_text, grid_step) -> No
         raise ConfigError(f"system {b.name!r} has no cut-and-project scheme")
     radii = cfg.radii if cfg.radii is not None else b.default_radii
     step = cfg.grid_step if cfg.grid_step is not None else b.weyl_step
-    planar = b.scheme.phys_dim == 2
-    if planar:
-        # scalar centers shift along the first axis
-        centers = tuple(
-            c if isinstance(c, tuple) else (float(c), 0.0) for c in cfg.centers
-        )
-        norms = [math.hypot(*c) for c in centers]
-    else:
-        centers = tuple(
-            float(c[0]) if isinstance(c, tuple) else float(c) for c in cfg.centers
-        )
-        norms = [abs(c) for c in centers]
+    d = b.scheme.phys_dim
+    centers = []
+    for c in cfg.centers:
+        # a number shifts along the first axis
+        c = c if isinstance(c, tuple) else (c,) + (0.0,) * (d - 1)
+        if len(c) != d:
+            raise ConfigError(f"a Weyl center must be a number or a list of {d}, got {list(c)}")
+        centers.append(_point(c))
+    norms = [math.hypot(*_axes(c)) for c in centers]
     reach = max(r + n for r in radii for n in norms)
     patch_radius = int(math.ceil(reach)) + 4  # margin so the rim is populated
     points = project_points(b.scheme, b.window, patch_radius)
@@ -562,18 +561,11 @@ def cmd_weyl(system, config_path, out, fmt, radius, radii_text, grid_step) -> No
     else:
         g = raster_polygon(b.window, step, float(b.window.area))
     table = weyl_average(b.scheme, points, g, radii, centers=centers)
-    if planar:
-        header = "radius,center_x,center_y,average,limit,abs_error"
-        rows = [
-            (row.radius, row.center[0], row.center[1], row.average, row.limit, row.abs_error)
-            for row in table
-        ]
-    else:
-        header = "radius,center,average,limit,abs_error"
-        rows = [
-            (row.radius, row.center, row.average, row.limit, row.abs_error)
-            for row in table
-        ]
+    header = f"radius,{('center', 'center_x,center_y')[d - 1]},average,limit,abs_error"
+    rows = [
+        (row.radius, *_axes(row.center), row.average, row.limit, row.abs_error)
+        for row in table
+    ]
     out_dir = _out_dir(cfg)
     if cfg.fmt == "csv":
         path = out_dir / "weyl.csv"
@@ -588,7 +580,7 @@ def cmd_weyl(system, config_path, out, fmt, radius, radii_text, grid_step) -> No
                 "rows": [
                     {
                         "radius": row.radius,
-                        "center": list(row.center) if planar else row.center,
+                        "center": row.center,
                         "average": row.average,
                         "limit": row.limit,
                         "abs_error": row.abs_error,
@@ -599,8 +591,7 @@ def cmd_weyl(system, config_path, out, fmt, radius, radii_text, grid_step) -> No
         )
     _echo_wrote(path)
     for row in table:
-        c = row.center if planar else (row.center,)
-        ctext = ",".join(f"{v:g}" for v in c)
+        ctext = ",".join(f"{v:g}" for v in _axes(row.center))
         click.echo(
             f"r={row.radius:g} center={ctext}: average {row.average:.6f}, "
             f"limit {row.limit:.6f}, error {row.abs_error:.2e}"

@@ -3,11 +3,15 @@
 Two concrete representations are provided: ``IntervalSet`` (a finite union
 of closed intervals, endpoints exact or float) and ``ConvexPolygon`` (a
 convex region with exact or float vertices; plane sets that are not convex
-are handled as tuples of convex parts).  Affine maps act on both, a
+are handled as tuples of convex parts).  Affine maps act on both and
+expose their linear part as per-axis rows (1x1 on the line); a
 translation-family map realizes a whole compact family of translates at
 once via a Minkowski sum, and ``iterate_attractor`` drives the union map
-of an ``IFSSystem`` to its fixed point.  ``verify_exact_fixed_point``
-re-checks a candidate attractor in exact arithmetic.
+of an ``IFSSystem`` to its fixed point, stopping on the Hausdorff
+distance between iterates (exact for intervals and for single convex
+polygons, a vertex-based lower bound for unions of polygons).
+``verify_exact_fixed_point`` re-checks a candidate attractor in exact
+arithmetic.
 """
 
 from __future__ import annotations
@@ -366,21 +370,6 @@ class ConvexPolygon:
     def as_float(self) -> "ConvexPolygon":
         return ConvexPolygon([(float(x), float(y)) for x, y in self.vertices])
 
-    def boundary_samples(self, per_edge: int = 256) -> list:
-        """Float sample points along the boundary, vertices included."""
-        verts = [(float(x), float(y)) for x, y in self.vertices]
-        if len(verts) == 1:
-            return verts
-        pts = []
-        n = len(verts)
-        for k in range(n):
-            x0, y0 = verts[k]
-            x1, y1 = verts[(k + 1) % n]
-            for s in range(per_edge):
-                t = s / per_edge
-                pts.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
-        return pts
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConvexPolygon):
             return NotImplemented
@@ -503,17 +492,29 @@ class AffineMap:
     a: object
     t: object
 
+    @classmethod
+    def linear(cls, a) -> "AffineMap":
+        """The map x |-> a x, with a zero translation of the right shape."""
+        return cls(a, (0,) * len(a) if isinstance(a, (tuple, list)) else 0)
+
     @property
     def dim(self) -> int:
         return 2 if isinstance(self.a, (tuple, list)) else 1
 
     @property
+    def rows(self) -> tuple:
+        """The linear part as per-axis rows, x first (1x1 on the line)."""
+        return tuple(map(tuple, self.a)) if self.dim == 2 else ((self.a,),)
+
+    @property
+    def translation(self) -> tuple:
+        """The translation per axis, x first."""
+        return tuple(self.t) if self.dim == 2 else (self.t,)
+
+    @property
     def factor(self) -> float:
         """Lipschitz constant in the sup norm."""
-        if self.dim == 1:
-            return abs(float(self.a))
-        (a, b), (c, d) = self.a
-        return max(abs(float(a)) + abs(float(b)), abs(float(c)) + abs(float(d)))
+        return max(sum(abs(float(v)) for v in row) for row in self.rows)
 
     def determinant(self):
         if self.dim == 1:
@@ -537,20 +538,15 @@ class AffineMap:
         return (a * x[0] + b * x[1] + self.t[0], c * x[0] + d * x[1] + self.t[1])
 
     def as_float(self) -> "AffineMap":
-        if self.dim == 1:
-            return AffineMap(float(self.a), float(self.t))
-        (a, b), (c, d) = self.a
-        return AffineMap(
-            ((float(a), float(b)), (float(c), float(d))),
-            (float(self.t[0]), float(self.t[1])),
-        )
+        return AffineMap(_floats(self.a), _floats(self.t))
 
     def is_exact(self) -> bool:
-        if self.dim == 1:
-            return _is_exact(self.a) and _is_exact(self.t)
-        return all(_is_exact(v) for row in self.a for v in row) and all(
-            _is_exact(v) for v in self.t
-        )
+        return all(map(_is_exact, itertools.chain(*self.rows, self.translation)))
+
+
+def _floats(x):
+    """A scalar, or nested tuples of scalars, converted to floats."""
+    return tuple(map(_floats, x)) if isinstance(x, (tuple, list)) else float(x)
 
 
 @dataclass(frozen=True)
@@ -566,20 +562,14 @@ class TranslationFamilyMap:
     family: object
 
     @property
-    def dim(self) -> int:
-        return 2 if isinstance(self.a, (tuple, list)) else 1
-
-    @property
     def factor(self) -> float:
-        return AffineMap(self.a, 0 if self.dim == 1 else (0, 0)).factor
+        return AffineMap.linear(self.a).factor
 
     def as_float(self) -> "TranslationFamilyMap":
-        base = AffineMap(self.a, 0 if self.dim == 1 else (0, 0)).as_float()
-        return TranslationFamilyMap(base.a, self.family.as_float())
+        return TranslationFamilyMap(_floats(self.a), self.family.as_float())
 
     def is_exact(self) -> bool:
-        lin = AffineMap(self.a, 0 if self.dim == 1 else (0, 0))
-        return lin.is_exact() and self.family.is_exact
+        return AffineMap.linear(self.a).is_exact() and self.family.is_exact
 
 
 MapLike = Union[AffineMap, TranslationFamilyMap]
@@ -660,13 +650,18 @@ def _as_parts(S) -> tuple:
     return tuple(S)
 
 
-def hausdorff_distance(U: CompactSet, V: CompactSet, samples_per_edge: int = 256) -> float:
+def hausdorff_distance(U: CompactSet, V: CompactSet) -> float:
     """Hausdorff distance between two nonempty compact sets of equal dimension.
 
     1D unions of intervals are resolved through their endpoints and gap
     midpoints (where the distance-to-set function peaks), so the result is
-    exact up to float rounding.  2D sets are compared through polygon
-    vertices plus ``samples_per_edge`` boundary samples per edge.
+    exact up to float rounding.  2D sets are compared through the vertices
+    of their convex parts.  The distance to a convex set is a convex
+    function, so over a convex polygon it peaks at a vertex (Schneider,
+    *Convex Bodies*, 1.8): for two convex polygons the result is exact up
+    to float rounding.  For unions of parts it is a lower bound, because
+    the distance to a union is not convex and can peak away from the
+    vertices.
     """
     if isinstance(U, IntervalSet) != isinstance(V, IntervalSet):
         raise TypeError("cannot mix 1D and 2D compact sets")
@@ -680,13 +675,11 @@ def hausdorff_distance(U: CompactSet, V: CompactSet, samples_per_edge: int = 256
         raise ValueError("empty compact set")
 
     def directed(parts_a, parts_b):
-        worst = 0.0
-        for part in parts_a:
-            for p in part.boundary_samples(samples_per_edge):
-                d = min(_dist_point_polygon(p, q) for q in parts_b)
-                if d > worst:
-                    worst = d
-        return worst
+        return max(
+            min(_dist_point_polygon(p, q) for q in parts_b)
+            for part in parts_a
+            for p in part.vertices
+        )
 
     return max(directed(uparts, vparts), directed(vparts, uparts))
 

@@ -472,20 +472,7 @@ def hutchinson_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 
 
 def _as_linear(A) -> AffineMap:
-    if isinstance(A, AffineMap):
-        return A.as_float()
-    if isinstance(A, (tuple, list)):
-        return AffineMap(A, (0.0, 0.0)).as_float()
-    return AffineMap(float(A), 0.0)
-
-
-def _linear_part(fmap: AffineMap) -> tuple:
-    """Matrix, translation, adjugate and determinant of a float map, as
-    per-axis tuples (a 1x1 matrix on the line)."""
-    if fmap.dim == 1:
-        return ((fmap.a,),), (fmap.t,), ((1.0,),), fmap.a
-    (a, b), (c, d) = fmap.a
-    return fmap.a, fmap.t, ((d, -b), (-c, a)), a * d - b * c
+    return (A if isinstance(A, AffineMap) else AffineMap.linear(A)).as_float()
 
 
 def _dot(row, vec):
@@ -504,13 +491,15 @@ def pushforward(f, m):
     sample points; its whole mass then lands on the node nearest to the
     image of its centre of mass.
     """
-    fmap = f.as_float() if isinstance(f, AffineMap) else _as_linear(f)
+    fmap = _as_linear(f)
     if isinstance(m, DiscreteMeasure):
         return DiscreteMeasure([(fmap(loc), w) for loc, w in m.atoms])
     if not isinstance(m, GridDensity):
         raise TypeError(f"cannot push forward {type(m).__name__}")
     h = m.step
-    mat, t, adj, det = _linear_part(fmap)
+    mat, t, det = fmap.rows, fmap.translation, fmap.determinant()
+    # adjugate: mat^-1 = adj / det
+    adj = ((1.0,),) if len(mat) == 1 else ((mat[1][1], -mat[0][1]), (-mat[1][0], mat[0][0]))
     ends = [(x[0], x[-1]) for x in m._node_axes()]
     images = [
         [_dot(row, corner) + tk for row, tk in zip(mat, t)]

@@ -18,11 +18,12 @@ from typing import Sequence
 import numpy as np
 
 from .compactsets import ConvexPolygon, IntervalSet
-from .measures import GridDensity
+from .measures import GridDensity, _axes
 from .numberfields import (
     CycloInt,
     QuadInt,
     QuadRat,
+    _as_quadrat,
     enumerate_cyclo_box,
     enumerate_quad_range,
 )
@@ -47,16 +48,15 @@ class CutProjectScheme:
             raise ValueError(f"unknown scheme kind: {kind!r}")
         self.kind = kind
         self.basis = tuple(basis)
-        if kind == "quad":
-            self.phys_dim = self.internal_dim = 1
-            rows = [[x.embed(), x.embed_star()] for x in self.basis]
-        else:
-            self.phys_dim = self.internal_dim = 2
-            rows = []
-            for x in self.basis:
-                z, zs = x.embed(), x.embed_star()
-                rows.append([z.real, z.imag, zs.real, zs.imag])
-        self.covolume = gram_covolume(rows)
+        self.phys_dim = self.internal_dim = 1 if kind == "quad" else 2
+        self.covolume = gram_covolume([self.coordinates(x) for x in self.basis])
+
+    def coordinates(self, x) -> list:
+        """Physical then internal coordinates of a ring element, per axis."""
+        if self.kind == "quad":
+            return [x.embed(), x.embed_star()]
+        z, zs = x.embed(), x.embed_star()
+        return [z.real, z.imag, zs.real, zs.imag]
 
     @classmethod
     def silver(cls) -> "CutProjectScheme":
@@ -159,15 +159,10 @@ class SubstitutionRule:
 
 
 def _as_exact(x) -> QuadRat:
-    if isinstance(x, QuadRat):
-        return x
-    if isinstance(x, QuadInt):
-        return QuadRat(x, 1)
-    if isinstance(x, int):
-        return QuadRat(QuadInt(x, 0), 1)
-    if isinstance(x, Fraction):
-        return QuadRat(QuadInt(x.numerator, 0), x.denominator)
-    raise TypeError(f"tile lengths must be exact scalars, got {type(x).__name__}")
+    q = _as_quadrat(x)
+    if q is NotImplemented:
+        raise TypeError(f"tile lengths must be exact scalars, got {type(x).__name__}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -323,47 +318,34 @@ def weyl_average(
 ) -> list:
     """Ball averages of g evaluated at the star images of the points.
 
-    For each radius r and center a, sums g(x*) over points in the closed
-    ball B_r(a) and divides by its volume (length 2r in 1D, area pi r^2
-    in 2D); the limit column holds mass(g)/covolume.  The points must
+    For each radius r and center a (a number on the line, a coordinate
+    tuple in the plane), sums g(x*) over points in the closed ball B_r(a)
+    and divides by its volume (length 2r in 1D, area pi r^2 in 2D); the
+    limit column holds mass(g)/covolume.  The points must
     come from the window supporting g; each requested ball must fit in
     the enumerated patch.
     """
     if len(points) == 0:
         raise ValueError("no points to average over")
-    if scheme.phys_dim == 1:
-        pos = np.array([x.embed() for x in points])
-        star = np.array([x.embed_star() for x in points])
-        patch = float(np.max(np.abs(pos)))
-    else:
-        z = [x.embed() for x in points]
-        pos = np.array([(w.real, w.imag) for w in z])
-        zs = [x.embed_star() for x in points]
-        star = np.array([(w.real, w.imag) for w in zs])
-        patch = float(np.max(np.hypot(pos[:, 0], pos[:, 1])))
+    d = scheme.phys_dim
+    coords = np.array([scheme.coordinates(x) for x in points])
+    pos, star = coords[:, :d], coords[:, d:]
+    patch = float(np.max(np.hypot.reduce(np.abs(pos), axis=1)))
     limit = g.mass / scheme.covolume
     rows = []
     for r in radii:
         r = float(r)
         for center in centers:
-            if scheme.phys_dim == 1:
-                c = float(center)
-                if abs(c) + r > patch + 1e-9:
-                    raise ValueError(
-                        f"ball of radius {r} at {c} exceeds the enumerated patch"
-                    )
-                mask = np.abs(pos - c) <= r + 1e-12
-                values = g.sample((star[mask],)).tolist()
-            else:
-                cx, cy = float(center[0]), float(center[1])
-                if math.hypot(cx, cy) + r > patch + 1e-9:
-                    raise ValueError(
-                        f"ball of radius {r} at {center} exceeds the enumerated patch"
-                    )
-                d = np.hypot(pos[:, 0] - cx, pos[:, 1] - cy)
-                mask = d <= r + 1e-12
-                values = g.sample(star[mask].T).tolist()
-            vol = 2 * r if scheme.phys_dim == 1 else math.pi * r * r
+            c = _axes(center)
+            if len(c) != d:
+                raise ValueError(f"center {center} needs {d} coordinates")
+            if math.hypot(*c) + r > patch + 1e-9:
+                raise ValueError(
+                    f"ball of radius {r} at {center} exceeds the enumerated patch"
+                )
+            mask = np.hypot.reduce(np.abs(pos - c), axis=1) <= r + 1e-12
+            values = g.sample(star[mask].T).tolist()
+            vol = (2 * r, math.pi * r * r)[d - 1]
             avg = math.fsum(values) / vol
             rows.append(WeylRow(r, center, avg, limit, abs(avg - limit)))
     return rows

@@ -475,19 +475,3 @@ def enumerate_cyclo_box(phys_bound, star_bound,
     out.sort(key=lambda x: (x.embed().real, x.embed().imag, x.coeffs()))
     return out
 
-
-def enumerate_in_box(kind: str, physical_bound, star_bound,
-                     max_candidates: int = DEFAULT_ENUM_CAP):
-    """Complete list of ring elements in a symmetric physical/star box.
-
-    kind "quad" works in Z[sqrt2] (dimension 1), kind "cyclo" in Z[xi]
-    (dimension 2, sup-norm boxes).  Raises ResourceCapError when the
-    candidate search region is larger than max_candidates.
-    """
-    if kind == "quad":
-        bound = _frac(physical_bound)
-        sbound = _frac(star_bound)
-        return enumerate_quad_range(-bound, bound, -sbound, sbound, max_candidates)
-    if kind == "cyclo":
-        return enumerate_cyclo_box(physical_bound, star_bound, max_candidates)
-    raise ValueError(f"unknown ring kind: {kind!r}")

@@ -2,10 +2,11 @@
 
 Each builtin bundles the facets a command can ask for: a set-level IFS
 with its exact attractor (attractor command), a translation family or a
-coupled-component system (measure and fourier commands), a
-cut-and-project scheme with its window (weyl command), or the 3-adic
-component system (padic command).  Commands look up the facet they need
-and refuse cleanly when a system does not carry it.
+coupled-component system (measure and fourier commands), or a
+cut-and-project scheme with its window (weyl command).  Commands
+look up the facet they need and refuse cleanly when a system does not
+carry it.  The 3-adic component system has no facet: the padic command
+builds it itself.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ class BuiltinSystem:
     has_density: bool = True
     scheme: Optional[CutProjectScheme] = None
     window: object = None
-    padic: bool = False
     default_step: float = 1e-3
     default_radii: tuple = (100.0, 500.0, 2000.0)
     weyl_step: float = 1e-3
@@ -212,14 +212,6 @@ def _ammann_beenker() -> BuiltinSystem:
     )
 
 
-def _ternary_padic() -> BuiltinSystem:
-    return BuiltinSystem(
-        name="ternary-padic",
-        summary="three coupled 3-adic windows with an exact coset solution",
-        padic=True,
-    )
-
-
 _FACTORIES = {
     "point": _point,
     "silver-min": _silver_min,
@@ -228,7 +220,6 @@ _FACTORIES = {
     "silver-mc-max": _silver_mc_max,
     "silver": _silver_points,
     "ammann-beenker": _ammann_beenker,
-    "ternary-padic": _ternary_padic,
 }
 
 _ALIASES = {"silver-mc": "silver-mc-min"}

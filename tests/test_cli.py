@@ -99,8 +99,9 @@ class TestAttractor:
         assert "unknown system" in result.stderr
 
     def test_system_without_attractor(self, tmp_path):
-        result = run("attractor", "--system", "ternary-padic", "--out", tmp_path)
+        result = run("attractor", "--system", "silver", "--out", tmp_path)
         assert result.exit_code == 1
+        assert "no attractor variant" in result.stderr
 
     def test_max_iter_exhausted(self, tmp_path):
         result = run(
@@ -232,6 +233,54 @@ class TestWeyl:
 
     def test_needs_a_scheme(self, tmp_path):
         assert run("weyl", "--system", "silver-max", "--out", tmp_path).exit_code == 1
+
+    def run_with_centers(self, tmp_path, system, radii, centers, fmt):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"centers": centers}))
+        return run(
+            "weyl", "--system", system, "--radii", radii, "--config", cfg,
+            "--format", fmt, "--out", tmp_path / fmt,
+        )
+
+    def test_line_centers_from_config(self, tmp_path):
+        centers = [0, -7.5, [12.25]]
+        for fmt in ("csv", "json"):
+            result = self.run_with_centers(tmp_path, "silver", "100", centers, fmt)
+            assert result.exit_code == 0
+        header, rows = read_csv(tmp_path / "csv" / "weyl.csv")
+        assert header == ["radius", "center", "average", "limit", "abs_error"]
+        assert [r[1] for r in rows] == [0.0, -7.5, 12.25]
+        data = json.loads((tmp_path / "json" / "weyl.json").read_text())
+        assert [row["center"] for row in data["rows"]] == [0.0, -7.5, 12.25]
+
+    def test_plane_centers_from_config(self, tmp_path):
+        centers = [[0, 0], [1.5, -0.75], 2.0]
+        for fmt in ("csv", "json"):
+            result = self.run_with_centers(tmp_path, "ammann-beenker", "8", centers, fmt)
+            assert result.exit_code == 0
+        header, rows = read_csv(tmp_path / "csv" / "weyl.csv")
+        assert header == ["radius", "center_x", "center_y", "average", "limit", "abs_error"]
+        assert [r[1:3] for r in rows] == [[0.0, 0.0], [1.5, -0.75], [2.0, 0.0]]
+        data = json.loads((tmp_path / "json" / "weyl.json").read_text())
+        assert [row["center"] for row in data["rows"]] == [[0.0, 0.0], [1.5, -0.75], [2.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "system, center",
+        [("ammann-beenker", [1.0]), ("ammann-beenker", [1.0, 2.0, 3.0]), ("silver", [1.0, 2.0])],
+    )
+    def test_center_of_wrong_length_rejected(self, tmp_path, system, center):
+        result = self.run_with_centers(tmp_path, system, "8", [center], "csv")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: a Weyl center must be a number or a list of" in result.stderr
+        assert not (tmp_path / "csv").exists()
+
+    @pytest.mark.parametrize("centers", [[], [None], 5, [[1.0, "x"]]])
+    def test_malformed_centers_rejected(self, tmp_path, centers):
+        result = self.run_with_centers(tmp_path, "silver", "8", centers, "csv")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: centers must" in result.stderr
 
     def test_bad_radii_text(self, tmp_path):
         result = run(

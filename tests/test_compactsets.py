@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selfsim.compactsets import (
@@ -51,6 +52,50 @@ def silver_two_component_system():
             [[A, AffineMap(ALPHA_CONJ, ALPHA_CONJ + 1)], [A]],
             [[AffineMap(ALPHA_CONJ, ALPHA_CONJ)], []],
         ]
+    )
+
+
+def convex_hull(points):
+    """Vertices of the convex hull of float points (monotone chain)."""
+    pts = sorted(set(points))
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return half(pts) + half(pts[::-1])
+
+
+def sampled_hausdorff(p, q, per_edge=256):
+    """Reference 2D Hausdorff distance of two convex polygons: the directed
+    distances are maximized over the vertices plus ``per_edge`` evenly
+    spaced boundary samples per edge."""
+
+    def boundary(poly):
+        v = np.array(poly.vertices, dtype=float)
+        w = np.roll(v, -1, axis=0)
+        t = (np.arange(per_edge) / per_edge)[None, :, None]
+        return (v[:, None, :] + t * (w - v)[:, None, :]).reshape(-1, 2)
+
+    def distance_to(pts, poly):
+        a = np.array(poly.vertices, dtype=float)
+        e = np.roll(a, -1, axis=0) - a
+        rel = pts[:, None, :] - a[None, :, :]
+        cross = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
+        t = np.clip((rel * e[None]).sum(axis=2) / (e * e).sum(axis=1)[None], 0.0, 1.0)
+        gap = rel - t[:, :, None] * e[None]
+        d = np.sqrt((gap * gap).sum(axis=2)).min(axis=1)
+        return np.where((cross >= 0).all(axis=1), 0.0, d)
+
+    return max(
+        float(distance_to(boundary(p), q).max()), float(distance_to(boundary(q), p).max())
     )
 
 
@@ -377,6 +422,28 @@ class TestHausdorff2D:
         circumradius = math.sqrt((float(ALPHA) / 2) ** 2 + 0.25)
         expected = (1 - s) * circumradius
         assert hausdorff_distance(w, inner) == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=3, max_size=10),
+        st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=3, max_size=10),
+        st.sampled_from(["free", "nested", "disjoint"]),
+        st.floats(0.05, 0.95),
+    )
+    def test_convex_pairs_match_boundary_sampling(self, pts, other, relation, shrink):
+        try:
+            p = ConvexPolygon(convex_hull(pts))
+            if relation == "nested":
+                cx, cy = np.mean(p.vertices, axis=0)
+                other = [(cx + shrink * (x - cx), cy + shrink * (y - cy)) for x, y in p.vertices]
+            elif relation == "disjoint":
+                other = [(x + 25.0, y - 3.0) for x, y in other]
+            q = ConvexPolygon(convex_hull(other))
+        except ValueError:
+            assume(False)  # collinear or rounding-degenerate points bound no area
+        ref = sampled_hausdorff(p, q)
+        assert hausdorff_distance(p, q) == pytest.approx(ref, rel=1e-12)
+        assert hausdorff_distance(q, p) == pytest.approx(ref, rel=1e-12)
 
     def test_union_of_parts(self):
         a = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])

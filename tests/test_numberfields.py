@@ -14,7 +14,6 @@ from selfsim.numberfields import (
     QuadInt,
     QuadRat,
     enumerate_cyclo_box,
-    enumerate_in_box,
     enumerate_quad_range,
 )
 
@@ -159,7 +158,8 @@ class TestEnumeration:
     def test_quad_window_half_sqrt2(self):
         # |x| <= 5 and |x*| <= 1/sqrt2 leaves exactly 0, +-alpha, +-(alpha+1);
         # Fraction(float) keeps the bound reproducible and exactly comparable
-        got = enumerate_in_box("quad", 5, Fraction(1 / SQRT2))
+        bound = Fraction(1 / SQRT2)
+        got = enumerate_quad_range(-5, 5, -bound, bound)
         expected = {QuadInt(0, 0), QuadInt(1, 1), QuadInt(-1, -1),
                     QuadInt(2, 1), QuadInt(-2, -1)}
         assert set(got) == expected
@@ -167,7 +167,8 @@ class TestEnumeration:
         assert set(got) == set(brute_quad_box(5, 1 / SQRT2))
 
     def test_quad_tiny_bound_only_origin(self):
-        assert enumerate_in_box("quad", Fraction(1, 2), Fraction(1, 2)) == [QuadInt(0, 0)]
+        half = Fraction(1, 2)
+        assert enumerate_quad_range(-half, half, -half, half) == [QuadInt(0, 0)]
 
     def test_quad_asymmetric_range_against_oracle(self):
         got = enumerate_quad_range(-10, 10, Fraction(-1, 3), Fraction(4, 5))
@@ -196,15 +197,11 @@ class TestEnumeration:
 
     def test_resource_cap(self):
         with pytest.raises(ResourceCapError):
-            enumerate_in_box("quad", 10**9, 10**9, max_candidates=1000)
+            enumerate_quad_range(-10**9, 10**9, -10**9, 10**9, max_candidates=1000)
         with pytest.raises(ResourceCapError):
             enumerate_cyclo_box(10**4, 10**4, max_candidates=1000)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            enumerate_in_box("cubic", 1, 1)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 12))
     def test_quad_box_matches_oracle(self, p, s):
-        assert enumerate_in_box("quad", p, s) == brute_quad_box(p, s)
+        assert enumerate_quad_range(-p, p, -s, s) == brute_quad_box(p, s)

@@ -1,9 +1,10 @@
 """Golden-output fingerprint of the CLI: exit code and file hashes per run.
 
 Runs every builtin system (aliases left out) through ``attractor``, ``measure``, ``fourier``
-and ``weyl`` in both output formats, plus ``padic --K 5`` in both, each as
-a fresh ``python -m selfsim.cli`` process against this checkout's ``src``
-in its own temporary directory.  Prints one JSON document listing, per
+and ``weyl`` in both output formats, plus ``padic --K 5`` and ``weyl`` with
+Weyl centres from a ``--config`` file (written into the run's directory) in
+both, each as a fresh ``python -m selfsim.cli`` process against this
+checkout's ``src`` in its own temporary directory.  Prints one JSON document listing, per
 run, the command, its exit code and the sha256 of every file it wrote.
 No paths appear in the output, so two checkouts can be compared with
 ``diff``:
@@ -37,28 +38,43 @@ SYSTEMS = (
     "silver-mc-max",
     "silver-mc-min",
     "silver-min",
-    "ternary-padic",
 )
 COMMANDS = ("attractor", "measure", "fourier", "weyl")
 FORMATS = ("csv", "json")
+# (arguments, config file contents): Weyl centres only reach the CLI by config
+CONFIG_RUNS = (
+    (["weyl", "--system", "silver", "--radii", "100,500"], {"centers": [0, -7.5, 12.25]}),
+    (
+        ["weyl", "--system", "ammann-beenker", "--radii", "8,12"],
+        {"centers": [[0, 0], [1.5, -0.75], 2.0]},
+    ),
+)
 
 
 def default_runs() -> list:
+    """(arguments, config or None) for every run of the default set."""
     runs = [
-        [cmd, "--system", system, "--format", fmt]
+        ([cmd, "--system", system, "--format", fmt], None)
         for system in SYSTEMS
         for cmd in COMMANDS
         for fmt in FORMATS
     ]
-    runs.extend(["padic", "--K", "5", "--format", fmt] for fmt in FORMATS)
+    runs.extend((["padic", "--K", "5", "--format", fmt], None) for fmt in FORMATS)
+    runs.extend(
+        ([*args, "--format", fmt], config) for args, config in CONFIG_RUNS for fmt in FORMATS
+    )
     return runs
 
 
-def fingerprint(args: list) -> dict:
+def fingerprint(args: list, config=None) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
+        if config is not None:
+            text = json.dumps(config)
+            (Path(tmp) / "config.json").write_text(text)
+            args = [*args, "--config", "config.json"]
         proc = subprocess.run(
             [sys.executable, "-m", "selfsim.cli", *args, "--out", str(out)],
             cwd=tmp,
@@ -72,14 +88,15 @@ def fingerprint(args: list) -> dict:
                 if path.is_file():
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()
                     files[path.relative_to(out).as_posix()] = digest
-    return {"command": " ".join(args), "exit": proc.returncode, "files": files}
+    command = " ".join(args) if config is None else f"{' '.join(args)} = {text}"
+    return {"command": command, "exit": proc.returncode, "files": files}
 
 
 def main(argv: list) -> int:
-    runs = [argv] if argv else default_runs()
+    runs = [(argv, None)] if argv else default_runs()
     results = []
-    for args in runs:
-        results.append(fingerprint(args))
+    for args, config in runs:
+        results.append(fingerprint(args, config))
         print(f"{results[-1]['exit']}  {results[-1]['command']}", file=sys.stderr)
     print(json.dumps(results, indent=2, sort_keys=True))
     return 0
