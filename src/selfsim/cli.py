@@ -83,8 +83,8 @@ class ExperimentConfig:
             raise ConfigError("centers must not be empty")
         if self.terms < 1:
             raise ConfigError("terms must be at least 1")
-        if self.precision < 2:
-            raise ConfigError("K must be at least 2")
+        if self.precision < 4:
+            raise ConfigError("K must be at least 4")
         if self.max_iter is not None and self.max_iter < 1:
             raise ConfigError("max-iter must be at least 1")
         if not self.k_step > 0:
@@ -249,10 +249,14 @@ def _cell(v) -> str:
     return _g17(v)
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _csv_lines(rows):
+    """Mixed int/float rows as CSV lines."""
+    return (",".join(_cell(v) for v in row) for row in rows)
+
+
+def _write_csv(path: Path, header: str, lines) -> None:
+    """Write a header and lines already formatted as CSV."""
+    path.write_text("\n".join([header, *lines]) + "\n")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -285,7 +289,9 @@ def _write_grid(g: GridDensity, path_base: Path, fmt: str) -> Path:
     if fmt == "csv":
         path = path_base.with_suffix(".csv")
         header = ",".join([*"xyz"[: g.dim], "density"])
-        _write_csv(path, header, _grid_rows(g))
+        # one template per row: "%.17g" % x is format(x, ".17g")
+        template = ",".join(["%.17g"] * (g.dim + 1))
+        _write_csv(path, header, (template % row for row in _grid_rows(g)))
     else:
         path = path_base.with_suffix(".json")
         _write_json(path, _grid_json(g))
@@ -390,10 +396,10 @@ def cmd_attractor(system, config_path, out, fmt, tol, max_iter) -> None:
         for i, s in enumerate(sets):
             header, rows = _set_rows(s)
             path = out_dir / f"attractor_component_{i + 1}.csv"
-            _write_csv(path, header, rows)
+            _write_csv(path, header, _csv_lines(rows))
             _echo_wrote(path)
         path = out_dir / "convergence.csv"
-        _write_csv(path, "iteration,delta", log)
+        _write_csv(path, "iteration,delta", _csv_lines(log))
         _echo_wrote(path)
     else:
         path = out_dir / "attractor.json"
@@ -502,7 +508,7 @@ def cmd_fourier(system, config_path, out, fmt, terms) -> None:
     out_dir = _out_dir(cfg)
     if cfg.fmt == "csv":
         path = out_dir / "fourier.csv"
-        _write_csv(path, "k,re,im", rows)
+        _write_csv(path, "k,re,im", _csv_lines(rows))
     else:
         path = out_dir / "fourier.json"
         _write_json(
@@ -569,7 +575,7 @@ def cmd_weyl(system, config_path, out, fmt, radius, radii_text, grid_step) -> No
     out_dir = _out_dir(cfg)
     if cfg.fmt == "csv":
         path = out_dir / "weyl.csv"
-        _write_csv(path, header, rows)
+        _write_csv(path, header, _csv_lines(rows))
     else:
         path = out_dir / "weyl.json"
         _write_json(
@@ -631,7 +637,7 @@ def cmd_padic(config_path, out, fmt, precision, max_iter) -> None:
                 (r, w.numerator, w.denominator) for r, w in enumerate(c.weights)
             ]
             path = out_dir / f"padic_component_{i + 1}.csv"
-            _write_csv(path, "residue,weight_num,weight_den", rows)
+            _write_csv(path, "residue,weight_num,weight_den", _csv_lines(rows))
             _echo_wrote(path)
     else:
         path = out_dir / "padic.json"

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .compactsets import AffineMap, ConvexPolygon, IntervalSet
 from .errors import ConvergenceError, ResourceCapError
@@ -340,7 +339,17 @@ def _cell_polygon_overlap(poly_verts, cell) -> float:
 
 def raster_polygon(poly: ConvexPolygon, h: float, mass: float) -> GridDensity:
     """Uniform density of the given mass on a convex polygon, by exact
-    cell-overlap areas (cells clipped against the polygon)."""
+    cell-overlap areas.
+
+    All cells are classified at once by the clipper's edge test
+    (``_cell_polygon_overlap``) at their four corners: a cell with every
+    corner on the inner side of every edge is whole and gets the shoelace
+    area of its corners; a cell with every corner outside one edge, by
+    more than the rounding the clipper can make, is empty.  Only the
+    remaining cells, those the boundary crosses, are clipped.  Every float
+    operation is the one clipping the cell would do, so the grid is
+    bitwise the one clipping every cell gives.
+    """
     poly = poly.as_float()
     area = poly.area
     if area <= 0:
@@ -352,16 +361,32 @@ def raster_polygon(poly: ConvexPolygon, h: float, mass: float) -> GridDensity:
     j0 = math.floor((ylo - h / 2) / h + 0.5)
     j1 = math.ceil((yhi + h / 2) / h - 0.5)
     verts = list(poly.vertices)
-    vals = np.zeros((j1 - j0 + 1, i1 - i0 + 1))
-    for j in range(j0, j1 + 1):
-        cy = j * h
-        for i in range(i0, i1 + 1):
-            cx = i * h
-            frac = _cell_polygon_overlap(
-                verts, (cx - h / 2, cy - h / 2, cx + h / 2, cy + h / 2)
-            )
-            if frac > 0:
-                vals[j - j0, i - i0] = frac / (h * h) * density
+    x = np.arange(i0, i1 + 1) * h
+    y = np.arange(j0, j1 + 1)[:, None] * h
+    x0, x1, y0, y1 = x - h / 2, x + h / 2, y - h / 2, y + h / 2
+    corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+    # each clip can move the clipper's points off the cell by a few eps *
+    # reach, so a cell whose corners are barely outside an edge is clipped
+    # rather than called empty
+    reach = max(abs(x0[0]), abs(x1[-1]), abs(y0[0, 0]), abs(y1[-1, 0]))
+    slack = 16 * (len(verts) + 2) * np.finfo(float).eps * reach
+    inside, outside = True, False
+    for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+        sides = [(bx - ax) * (cy - ay) - (by - ay) * (cx - ax) for cx, cy in corners]
+        inside = inside & (functools.reduce(np.minimum, sides) >= 0)
+        margin = slack * (abs(bx - ax) + abs(by - ay))
+        outside = outside | (functools.reduce(np.maximum, sides) < -margin)
+    area = 0.0
+    for (cx, cy), (nx, ny) in zip(corners, corners[1:] + corners[:1]):
+        area = area + (cx * ny - nx * cy)
+    vals = np.where(inside, np.abs(area) / 2 / (h * h) * density, 0.0)
+    for j, i in zip(*(k.tolist() for k in np.nonzero(~(inside | outside)))):
+        cx, cy = (i0 + i) * h, (j0 + j) * h
+        frac = _cell_polygon_overlap(
+            verts, (cx - h / 2, cy - h / 2, cx + h / 2, cy + h / 2)
+        )
+        if frac > 0:
+            vals[j, i] = frac / (h * h) * density
     return GridDensity((i0 * h, j0 * h), h, vals)
 
 
@@ -521,10 +546,35 @@ def pushforward(f, m):
 # averaging step and solvers
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth number (2^a 3^b 5^c) at least n, a fast real FFT
+    length."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def convolve_grids(a: GridDensity, b: GridDensity) -> GridDensity:
-    """Density of the convolution (sum of independent draws)."""
+    """Density of the convolution (sum of independent draws).
+
+    The full linear convolution of the value arrays, by real FFTs padded
+    along each axis to the fast length ``_fast_len`` of the full size.
+    """
     h = _common_step(a, b)
-    vals = fftconvolve(a.values, b.values) * h**a.dim
+    full = [n + m - 1 for n, m in zip(a.values.shape, b.values.shape)]
+    fast = [_fast_len(n) for n in full]
+    axes = tuple(range(len(full)))
+    spectrum = np.fft.rfftn(a.values, fast, axes) * np.fft.rfftn(b.values, fast, axes)
+    vals = np.fft.irfftn(spectrum, fast, axes)[tuple(map(slice, full))] * h**a.dim
     vals = np.clip(vals, 0.0, None)
     origin = [p + q for p, q in zip(_axes(a.origin), _axes(b.origin))]
     return GridDensity(_point(origin), h, vals)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .compactsets import IntervalSet, _is_exact
 from .errors import CompatibilityError
@@ -38,6 +37,16 @@ from .measures import (
 
 _CA_TOL = 1e-10
 
+
+def _null_space(a, rcond: float) -> np.ndarray:
+    """Orthonormal basis, as columns, of the null space of a: the right
+    singular vectors whose singular values are at most rcond times the
+    largest."""
+    _, sv, vh = np.linalg.svd(a)
+    rank = int(np.sum(sv > np.amax(sv, initial=0.0) * rcond))
+    return vh[rank:].T
+
+
 def mass_vector(s) -> np.ndarray:
     """Positive vector m with s m = m, normalized to m[0] = 1.
 
@@ -50,7 +59,7 @@ def mass_vector(s) -> np.ndarray:
     if np.any(s < 0):
         raise ValueError("s must be nonnegative")
     n = s.shape[0]
-    kernel = null_space(s - np.eye(n), rcond=1e-10)
+    kernel = _null_space(s - np.eye(n), 1e-10)
     candidates = []
     for col in range(kernel.shape[1]):
         candidates.append(kernel[:, col])

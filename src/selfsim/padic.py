@@ -18,10 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ResourceCapError
 
 SUBSTITUTION_COUNTS = ((1, 1, 1), (1, 1, 1), (0, 1, 2))
 DEFAULT_PRECISION = 5
+# the pair-product estimate at K = 8, a solve of about half a minute; each
+# step of K costs about nine times more
+_PAIR_PRODUCT_CAP = 8 * 9**8
 
 
 class PadicDensity:
@@ -262,6 +265,13 @@ def _add(u: PadicDensity, v: PadicDensity) -> PadicDensity:
     return PadicDensity(u.precision, [a + b for a, b in zip(u.weights, v.weights)])
 
 
+def _pair_products(precision: int) -> int:
+    """Estimated exact weight products of ``solve_padic_system`` at this
+    precision: up to ``precision`` steps, each convolving 3^K-coset
+    densities pairwise, K * 9^K in all."""
+    return precision * 9**precision
+
+
 def solve_padic_system(precision: int = DEFAULT_PRECISION, max_iter=None) -> tuple:
     """Stationary density vector of the three-component coset system.
 
@@ -270,9 +280,17 @@ def solve_padic_system(precision: int = DEFAULT_PRECISION, max_iter=None) -> tup
     (1, 1, 1).  Iteration starts from unit point masses at 0 and stops
     as soon as a full step reproduces its input exactly, which happens
     within ``precision`` steps.  Returns the three component densities.
+    Raises ResourceCapError, before any work, when the estimated cost
+    ``_pair_products`` exceeds its value at precision 8.
     """
     if precision < 4:
         raise ValueError("precision must be at least 4")
+    cost = _pair_products(precision)
+    if cost > _PAIR_PRODUCT_CAP:
+        raise ResourceCapError(
+            f"precision K={precision} needs about {cost} exact pair products, "
+            f"over the cap of {_PAIR_PRODUCT_CAP}"
+        )
     if max_iter is None:
         max_iter = precision
     entries = [[None] * 3 for _ in range(3)]

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from selfsim import padic
 from selfsim.cli import ExperimentConfig, build_config, main, system_from_spec
 from selfsim.errors import ConfigError
 from selfsim.measures import fourier_hat
@@ -308,7 +313,27 @@ class TestPadic:
         assert comp["weights"][0] == [0, 1]
 
     def test_depth_too_small(self, tmp_path):
-        assert run("padic", "--K", 3, "--out", tmp_path).exit_code == 1
+        result = run("padic", "--K", 3, "--out", tmp_path)
+        assert result.exit_code == 1
+        assert "K must be at least 4" in result.stderr
+
+    def test_depth_over_cost_cap(self, tmp_path, monkeypatch):
+        # the solve's building blocks fail if called, so K = 9 cannot start
+        def started(*args):
+            raise RuntimeError("solve started")
+
+        monkeypatch.setattr(padic, "padic_maximal_family", started)
+        monkeypatch.setattr(padic, "padic_convolve", started)
+        result = run("padic", "--K", 9, "--out", tmp_path)
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: precision K=9")
+        assert not list(tmp_path.iterdir())
+
+    def test_lowered_cost_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(padic, "_PAIR_PRODUCT_CAP", padic._pair_products(5) - 1)
+        result = run("padic", "--K", 5, "--out", tmp_path)
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error:")
 
     def test_iteration_budget_exhausted(self, tmp_path):
         result = run("padic", "--K", 5, "--max-iter", 1, "--out", tmp_path)
@@ -457,3 +482,11 @@ class TestDeterminism:
                     "--grid-step", 2e-3, "--format", "json")
             assert run(*args).exit_code == 0
         assert (out1 / "density.json").read_bytes() == (out2 / "density.json").read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, selfsim.cli; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
+from scipy.spatial import ConvexHull, QhullError
 from scipy.stats import wasserstein_distance
 
-from selfsim.compactsets import AffineMap, IntervalSet
+from selfsim.compactsets import AffineMap, ConvexPolygon, IntervalSet
 from selfsim.errors import ConvergenceError, ResourceCapError
 from selfsim.measures import (
     DiscreteMeasure,
@@ -14,6 +16,8 @@ from selfsim.measures import (
     GridDensity,
     PointMassFamily,
     UniformFamily,
+    _cell_polygon_overlap,
+    _fast_len,
     add_grids,
     average_step,
     convolve_grids,
@@ -24,6 +28,7 @@ from selfsim.measures import (
     point_mass_grid,
     pushforward,
     raster_interval_set,
+    raster_polygon,
     shift_grid,
     solve_density,
     solve_invariant_atoms,
@@ -520,3 +525,133 @@ class TestGridPlumbing:
         # a relative rounding difference is still the same step
         c = GridDensity(0.0, 1e-18 * (1 + 1e-15), np.array([1.0]))
         assert l1_distance(a, c) == 0.0
+
+
+def direct_convolve(a, b):
+    """Full linear convolution as a sum of shifted copies of a."""
+    out = np.zeros([n + m - 1 for n, m in zip(a.shape, b.shape)])
+    for idx in np.ndindex(b.shape):
+        out[tuple(slice(i, i + n) for i, n in zip(idx, a.shape))] += b[idx] * a
+    return out
+
+
+class TestConvolve:
+    SHAPES = (
+        ((1,), (1,)),
+        ((1,), (137,)),
+        ((2,), (7,)),
+        ((13,), (101,)),
+        ((500,), (311,)),
+        ((1, 1), (5, 7)),
+        ((13, 17), (3, 11)),
+        ((31, 29), (29, 31)),
+        ((2, 53), (41, 1)),
+    )
+
+    @pytest.mark.parametrize("sa, sb", SHAPES)
+    def test_matches_shifted_sum(self, sa, sb):
+        rng = np.random.default_rng(len(sa) * 1000 + sum(sa) + sum(sb))
+        h = 0.05
+        a = GridDensity(tuple(rng.uniform(-1, 1, len(sa))), h, rng.uniform(0, 5, sa))
+        b = GridDensity(tuple(rng.uniform(-1, 1, len(sb))), h, rng.uniform(0, 5, sb))
+        out = convolve_grids(a, b)
+        expected = direct_convolve(a.values, b.values) * h ** len(sa)
+        assert out.values.shape == expected.shape
+        assert np.abs(out.values - expected).max() <= 1e-12 * expected.max()
+
+    def test_fast_len_is_the_next_five_smooth_number(self):
+        def smooth(n):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        for n in range(1, 2001):
+            f = _fast_len(n)
+            assert f >= n and smooth(f)
+            assert not any(smooth(k) for k in range(n, f))
+            assert f == next_fast_len(n, real=True)
+
+
+def reference_raster_polygon(poly, h, mass):
+    """Every cell clipped against the polygon: the grid ``raster_polygon``
+    must reproduce bit for bit."""
+    poly = poly.as_float()
+    density = mass / poly.area
+    xlo, ylo, xhi, yhi = poly.bbox()
+    i0 = math.floor((xlo - h / 2) / h + 0.5)
+    i1 = math.ceil((xhi + h / 2) / h - 0.5)
+    j0 = math.floor((ylo - h / 2) / h + 0.5)
+    j1 = math.ceil((yhi + h / 2) / h - 0.5)
+    verts = list(poly.vertices)
+    vals = np.zeros((j1 - j0 + 1, i1 - i0 + 1))
+    for j in range(j0, j1 + 1):
+        cy = j * h
+        for i in range(i0, i1 + 1):
+            cx = i * h
+            frac = _cell_polygon_overlap(
+                verts, (cx - h / 2, cy - h / 2, cx + h / 2, cy + h / 2)
+            )
+            if frac > 0:
+                vals[j - j0, i - i0] = frac / (h * h) * density
+    return GridDensity((i0 * h, j0 * h), h, vals)
+
+
+def assert_raster_matches_reference(poly, h, mass):
+    g = raster_polygon(poly, h, mass)
+    ref = reference_raster_polygon(poly, h, mass)
+    assert g.origin == ref.origin
+    assert np.array_equal(g.values, ref.values)
+    return g
+
+
+class TestRasterPolygon:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=3, max_size=12),
+        st.floats(0.1, 1.5),
+        st.sampled_from(["free", "half-cells", "half-cells-off-by-ulps"]),
+    )
+    def test_hulls_match_clipping_every_cell(self, pts, h, placement):
+        if placement != "free":
+            # vertices on cell corners and edges, (k/2) h, or an ulp or two off
+            pts = [(round(2 * x / h) * h / 2, round(2 * y / h) * h / 2) for x, y in pts]
+            if placement == "half-cells-off-by-ulps":
+                pts = [
+                    (np.nextafter(x, math.copysign(math.inf, k)), y + k * math.ulp(y))
+                    for k, (x, y) in zip(range(-2, len(pts)), pts)
+                ]
+        try:
+            hull = ConvexHull(np.array(pts, dtype=float))
+            poly = ConvexPolygon([tuple(pts[k]) for k in hull.vertices])
+        except (QhullError, ValueError):
+            assume(False)
+        assume(poly.area > 1e-9)
+        g = assert_raster_matches_reference(poly, h, 1.0)
+        assert g.mass == pytest.approx(1.0, abs=1e-9)
+
+    def test_polygon_inside_one_cell(self):
+        tri = ConvexPolygon([(0.01, 0.02), (0.04, 0.01), (0.03, 0.04)])
+        g = assert_raster_matches_reference(tri, 0.1, 2.0)
+        assert np.count_nonzero(g.values) == 1
+        assert g.mass == pytest.approx(2.0)
+
+    def test_polygon_inside_one_cell_across_a_corner(self):
+        tri = ConvexPolygon([(0.04, 0.04), (0.07, 0.05), (0.05, 0.08)])
+        g = assert_raster_matches_reference(tri, 0.1, 1.0)
+        assert np.count_nonzero(g.values) == 4
+
+    def test_square_on_cell_edges(self):
+        h = 0.1
+        lo, hi = -2.5 * h, 3.5 * h
+        square = ConvexPolygon([(lo, lo), (hi, lo), (hi, hi), (lo, hi)])
+        g = assert_raster_matches_reference(square, h, 1.0)
+        assert g.mass == pytest.approx(1.0)
+        assert np.count_nonzero(g.values) == 36
+
+    def test_builtin_windows_at_default_steps(self):
+        from selfsim.systems import builtin
+
+        b = builtin("ammann-beenker")
+        assert_raster_matches_reference(b.window, b.weyl_step, float(b.window.area))
+        assert_raster_matches_reference(b.family.region, b.default_step, b.family.total_mass)

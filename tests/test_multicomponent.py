@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from selfsim.compactsets import ConvexPolygon, IntervalSet
 from selfsim.errors import CompatibilityError, ConvergenceError
@@ -25,6 +26,7 @@ from selfsim.measures import (
 )
 from selfsim.multicomponent import (
     MCSystem,
+    _null_space,
     indicator_density_identity,
     mass_vector,
     mc_fourier_matrix,
@@ -103,6 +105,23 @@ class TestMassVector:
             s = (target / (b @ target))[:, None] * b
             m = mass_vector(s)
             assert np.allclose(m, target / target[0], atol=1e-8)
+
+    def test_kernel_spans_the_scipy_null_space(self):
+        rng = np.random.default_rng(11)
+        cases = [np.eye(3) - np.eye(3), np.eye(3)]
+        for _ in range(50):
+            n = int(rng.integers(2, 7))
+            rank = int(rng.integers(0, n + 1))
+            cases.append(rng.normal(size=(n, rank)) @ rng.normal(size=(rank, n)))
+            target = rng.uniform(0.2, 3.0, size=n)
+            b = rng.uniform(0.1, 2.0, size=(n, n))
+            cases.append((target / (b @ target))[:, None] * b - np.eye(n))
+        for a in cases:
+            kernel = _null_space(a, 1e-10)
+            oracle = null_space(a, rcond=1e-10)
+            assert kernel.shape == oracle.shape
+            # same orthogonal projector, so the same space
+            assert np.allclose(kernel @ kernel.T, oracle @ oracle.T, atol=1e-9)
 
     def test_no_positive_fixed_vector(self):
         with pytest.raises(CompatibilityError):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfsim import padic
 from selfsim.errors import ConvergenceError
 from selfsim.padic import (
     SUBSTITUTION_COUNTS,
@@ -351,3 +352,8 @@ class TestSolve:
     def test_iteration_budget_enforced(self):
         with pytest.raises(ConvergenceError):
             solve_padic_system(5, max_iter=1)
+
+    def test_cost_cap_admits_depth_eight_only(self):
+        # checked through the estimate alone: no solve at K >= 9 runs
+        assert padic._pair_products(8) == 8 * 9**8 == padic._PAIR_PRODUCT_CAP
+        assert padic._pair_products(9) > padic._PAIR_PRODUCT_CAP
