@@ -20,10 +20,15 @@ import numpy as np
 from .compactsets import ConvexPolygon, IntervalSet
 from .measures import GridDensity, _axes
 from .numberfields import (
+    SQRT2,
     CycloInt,
     QuadInt,
     QuadRat,
     _as_quadrat,
+    _certain_sign,
+    _float_pair,
+    _quad_sign,
+    _settle,
     enumerate_cyclo_box,
     enumerate_quad_range,
 )
@@ -81,7 +86,15 @@ def project_points(scheme: CutProjectScheme, window, radius) -> list:
 
     Ball and window membership are both decided exactly: the radius is
     taken at its binary-float value and windows with exact endpoints or
-    vertices keep their boundary points.
+    vertices keep their boundary points.  The candidates come from
+    ``enumerate_quad_range`` / ``enumerate_cyclo_box``; the disk test and
+    every window endpoint or edge test is evaluated on their coefficient
+    arrays in float64, and a sign is taken from floats only where the value
+    exceeds 16 ulps of the sum of its absolute terms (the bound is derived
+    in ``numberfields``).  Candidates inside that margin go through the
+    exact per-point test (``QuadRat`` disk, ``IntervalSet.contains`` or
+    ``ConvexPolygon.contains`` with eps=0).  Float windows keep the
+    eps=1e-12 test, evaluated as the same float expression.
     """
     if float(radius) <= 0:
         raise ValueError("radius must be positive")
@@ -92,29 +105,86 @@ def project_points(scheme: CutProjectScheme, window, radius) -> list:
         star_lo = float(window.lo) - 1e-6
         star_hi = float(window.hi) + 1e-6
         candidates = enumerate_quad_range(-r, r, star_lo, star_hi)
+        a, b = np.array([(x.a, x.b) for x in candidates], dtype=np.int64).reshape(-1, 2).T
         if window.is_exact:
-            return [x for x in candidates if window.contains(x.star(), eps=0)]
-        return [x for x in candidates if window.contains(x.embed_star(), eps=1e-12)]
+            # lo <= a - b*sqrt2 <= hi for some interval of the window
+            verdict = np.maximum.reduce([
+                np.minimum(_quad_sign(a, -b, lo), -_quad_sign(a, -b, hi))
+                for lo, hi in window.intervals
+            ])
+            keep = _settle(
+                verdict, lambda i: window.contains(QuadRat(candidates[i].star()), eps=0)
+            )
+        else:
+            star = a - b * SQRT2  # x.embed_star(), bit for bit
+            keep = np.logical_or.reduce([
+                ((star - lo) + 1e-12 >= 0) & ((hi - star) + 1e-12 >= 0)
+                for lo, hi in window.intervals
+            ])
+        return [candidates[i] for i in np.flatnonzero(keep).tolist()]
 
     if not isinstance(window, ConvexPolygon):
         raise TypeError("cyclo schemes use ConvexPolygon windows")
     xlo, ylo, xhi, yhi = (float(v) for v in window.bbox())
     star_bound = max(abs(xlo), abs(ylo), abs(xhi), abs(yhi)) + 1e-6
     candidates = enumerate_cyclo_box(r, star_bound)
+    c0, c1, c2, c3 = np.array([x.coeffs() for x in candidates], dtype=np.int64).reshape(-1, 4).T
+    u, v = c1 + c3, c1 - c3
+    s = SQRT2 / 2.0
+    # x = (c0 + v*s, c2 + u*s) and x* = (c0 - v*s, u*s - c2): the star floats
+    # are float() of x.star().embed_exact(), bit for bit, and both points have
+    # the same absolute terms
+    px, py = c0 - v * s, -c2 + u * s
+    x_size, y_size = np.abs(c0) + np.abs(v) * s, np.abs(c2) + np.abs(u) * s
+    re, im = c0 + v * s, c2 + u * s
     rsq = QuadRat(QuadInt(r.numerator**2, 0), r.denominator**2)
-    out = []
-    for x in candidates:
-        re, im = x.embed_exact()
-        if re * re + im * im > rsq:
-            continue
-        sre, sim = x.star().embed_exact()
+    rv, rs = _float_pair(rsq)
+    signs = [_certain_sign(rv - (re * re + im * im), rs + (x_size * x_size + y_size * y_size))]
+    signs += _window_signs(window, px, py, x_size, y_size)
+    keep = _settle(
+        np.minimum.reduce(signs), lambda i: _in_patch(candidates[i], window, rsq)
+    )
+    # the candidates arrive sorted by physical position
+    return [candidates[i] for i in np.flatnonzero(keep).tolist()]
+
+
+def _window_signs(window: ConvexPolygon, px, py, x_size, y_size) -> list:
+    """Per edge, the certain signs of cross(a, b, x*) for the star points
+    (px, py) with absolute terms (x_size, y_size).  A float window gives
+    its eps=1e-12 verdict outright; a point window leaves every candidate
+    to the exact test."""
+    verts = window.vertices
+    n = len(verts)
+    if n == 1:
+        return [np.zeros(len(px), dtype=np.int8)]
+    signs = []
+    for k in range(n):
+        (ax, ay), (bx, by) = verts[k], verts[(k + 1) % n]
         if window.is_exact:
-            if window.contains((sre, sim), eps=0):
-                out.append(x)
-        elif window.contains((float(sre), float(sim)), eps=1e-12):
-            out.append(x)
-    out.sort(key=lambda x: (x.embed().real, x.embed().imag))
-    return out
+            # cross(a, b, x*) = ex * (py - ay) - ey * (px - ax), e = b - a
+            (axv, axs), (ayv, ays) = _float_pair(ax), _float_pair(ay)
+            (bxv, bxs), (byv, bys) = _float_pair(bx), _float_pair(by)
+            ex, ey = bxv - axv, byv - ayv
+            signs.append(_certain_sign(
+                ex * (py - ayv) - ey * (px - axv),
+                (bxs + axs) * (y_size + ays) + (bys + ays) * (x_size + axs),
+            ))
+        else:
+            cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)  # compactsets._cross
+            signs.append(np.where(cross + 1e-12 >= 0, 1, -1).astype(np.int8))
+    return signs
+
+
+def _in_patch(x: CycloInt, window: ConvexPolygon, rsq: QuadRat) -> bool:
+    """The exact per-point test: x in the closed disk |x|**2 <= rsq and
+    x* in the window."""
+    re, im = x.embed_exact()
+    if re * re + im * im > rsq:
+        return False
+    sre, sim = x.star().embed_exact()
+    if window.is_exact:
+        return window.contains((sre, sim), eps=0)
+    return window.contains((float(sre), float(sim)), eps=1e-12)
 
 
 # ---------------------------------------------------------------------------

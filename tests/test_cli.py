@@ -236,6 +236,16 @@ class TestWeyl:
         assert header == ["radius", "center_x", "center_y", "average", "limit", "abs_error"]
         assert all(abs(r[3] - r[4]) == r[5] for r in rows)
 
+    def test_planar_radius_42_fits_the_candidate_cap(self, tmp_path):
+        # patch radius 46: ~221k candidates, once estimated at 20.4M and refused
+        result = run(
+            "weyl", "--system", "ammann-beenker", "--radii", "10,20,42",
+            "--out", tmp_path,
+        )
+        assert result.exit_code == 0
+        _, rows = read_csv(tmp_path / "weyl.csv")
+        assert [r[0] for r in rows] == [10.0, 20.0, 42.0]
+
     def test_needs_a_scheme(self, tmp_path):
         assert run("weyl", "--system", "silver-max", "--out", tmp_path).exit_code == 1
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfsim import numberfields
 from selfsim.errors import ResourceCapError
 from selfsim.numberfields import (
     SILVER,
@@ -200,6 +201,20 @@ class TestEnumeration:
             enumerate_quad_range(-10**9, 10**9, -10**9, 10**9, max_candidates=1000)
         with pytest.raises(ResourceCapError):
             enumerate_cyclo_box(10**4, 10**4, max_candidates=1000)
+
+    def test_cyclo_estimate_is_bounded_by_the_narrower_box(self, monkeypatch):
+        # With the octagon's star bound, patch radius 46 (weyl radius 42) is
+        # estimated at 8844.5 (u, v) rows of at most 5 x 5 candidates and
+        # admitted; radius 704 is refused before any candidate is made.
+        def no_work(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(numberfields, "_chunks", no_work)
+        star = (1 + SQRT2) / 2 + 1e-6
+        with pytest.raises(AssertionError, match="started"):
+            enumerate_cyclo_box(46, star)
+        with pytest.raises(ResourceCapError, match="would visit"):
+            enumerate_cyclo_box(704, star)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 12))

@@ -1,8 +1,9 @@
 """Golden-output fingerprint of the CLI: exit code and file hashes per run.
 
 Runs every builtin system (aliases left out) through ``attractor``, ``measure``, ``fourier``
-and ``weyl`` in both output formats, plus ``padic --K 5`` and ``weyl`` with
-Weyl centres from a ``--config`` file (written into the run's directory) in
+and ``weyl`` in both output formats, plus ``padic --K 5``, ``weyl`` with
+Weyl centres from a ``--config`` file (written into the run's directory) and
+``weyl`` at patch radii that take the lattice enumeration deep in
 both, each as a fresh ``python -m selfsim.cli`` process against this
 checkout's ``src`` in its own temporary directory.  Prints one JSON document listing, per
 run, the command, its exit code and the sha256 of every file it wrote.
@@ -40,6 +41,11 @@ SYSTEMS = (
     "silver-min",
 )
 COMMANDS = ("attractor", "measure", "fourier", "weyl")
+# large patches: thousands of enumerated points, many on or near window edges
+DEPTH_RUNS = (
+    ["weyl", "--system", "silver", "--radii", "100,2000,20000"],
+    ["weyl", "--system", "ammann-beenker", "--radii", "10,20,40"],
+)
 FORMATS = ("csv", "json")
 # (arguments, config file contents): Weyl centres only reach the CLI by config
 CONFIG_RUNS = (
@@ -63,6 +69,7 @@ def default_runs() -> list:
     runs.extend(
         ([*args, "--format", fmt], config) for args, config in CONFIG_RUNS for fmt in FORMATS
     )
+    runs.extend(([*args, "--format", fmt], None) for args in DEPTH_RUNS for fmt in FORMATS)
     return runs
 
 
