@@ -437,6 +437,8 @@ def cmd_measure(system, config_path, out, fmt, grid_step, tol, max_iter) -> None
         max_iter=max_iter,
     )
     b = resolve_system(cfg)
+    if b.family is None and b.mc is None:
+        raise ConfigError(f"system {b.name!r} has no measure variant")
     if not b.has_density:
         raise ConfigError(
             f"system {b.name!r} has atomic translation families and no "
@@ -467,8 +469,6 @@ def cmd_measure(system, config_path, out, fmt, grid_step, tol, max_iter) -> None
         for i, g in enumerate(result.components):
             click.echo(f"component {i + 1} mass {g.mass:.6f}")
         return
-    if b.family is None:
-        raise ConfigError(f"system {b.name!r} has no measure variant")
     h = family_as_grid(b.family, step)
     g = solve_density(h, b.contraction, tol=cfg.tol, max_iter=max_iter)
     path = _write_grid(g, out_dir / "density", cfg.fmt)

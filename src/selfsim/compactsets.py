@@ -118,6 +118,7 @@ class IntervalSet:
         return total
 
     def contains(self, x, eps=0) -> bool:
+        x = _promote(x)
         return any(
             _sign_of(x - lo + eps) >= 0 and _sign_of(hi - x + eps) >= 0
             for lo, hi in self.intervals
@@ -157,12 +158,6 @@ class IntervalSet:
 
     def as_float(self) -> "IntervalSet":
         return IntervalSet([(float(lo), float(hi)) for lo, hi in self.intervals])
-
-    def gaps(self) -> list:
-        return [
-            (self.intervals[k][1], self.intervals[k + 1][0])
-            for k in range(len(self.intervals) - 1)
-        ]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalSet):

@@ -1,12 +1,14 @@
 """Self-similar measures of a single contraction family on the line or plane.
 
 The family nu (finite atoms, a uniform density on a region, or one point
-mass) and a linear contraction A define the averaging step m -> nu * A.m.
-Iterating it from nu itself yields the invariant measure: as growing atom
-clouds (``solve_invariant_atoms``), as a grid-density fixed point
-(``solve_density``), or factor by factor in frequency space
-(``fourier_hat``).  ``hutchinson_distance`` is the line's Wasserstein
-metric, used to certify the contraction property.
+mass) and a linear contraction A define the averaging step m -> nu * A.m,
+whose fixed point is the invariant measure.  It is computed as growing
+atom clouds (``solve_invariant_atoms``, iterated from nu itself), as a
+grid density (``solve_density``, the one-component case of the coupled
+grid solver ``grid_fixed_point``, iterated from a unit spike at the
+origin), or factor by factor in frequency space (``fourier_hat``).
+``hutchinson_distance`` is the line's Wasserstein metric, used to
+certify the contraction property.
 
 All numerics here are float based; exact inputs (QuadRat endpoints and the
 like) are converted on entry.  Frequency convention: hat(m)(k) =
@@ -30,6 +32,8 @@ from .errors import ConvergenceError, ResourceCapError
 _ATOM_MERGE_EPS = 1e-12
 _LATTICE_SNAP_EPS = 1e-9
 _SUPPORT_REL_EPS = 1e-12
+# FFT round-off relative to the largest convolution value; see convolve_grids
+_FFT_FLOOR = 64 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +90,7 @@ class DiscreteMeasure:
 
     @property
     def dim(self) -> int:
-        return 2 if isinstance(self.atoms[0][0], tuple) else 1
+        return len(_axes(self.atoms[0][0]))
 
     @property
     def total_mass(self) -> float:
@@ -109,9 +113,7 @@ class DiscreteMeasure:
 
 
 def _loc_close(a, b) -> bool:
-    if isinstance(a, tuple):
-        return abs(a[0] - b[0]) <= _ATOM_MERGE_EPS and abs(a[1] - b[1]) <= _ATOM_MERGE_EPS
-    return abs(a - b) <= _ATOM_MERGE_EPS
+    return all(abs(p - q) <= _ATOM_MERGE_EPS for p, q in zip(_axes(a), _axes(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +126,11 @@ class GridDensity:
     the values indexed last axis first).
 
     Node i carries the cell [x_i - h/2, x_i + h/2], so the measure's mass
-    is h**dim times the value sum.  Origins are kept on the lattice h*Z
-    whenever ``snapped`` construction is used, which lets densities from
-    different operations be added and compared index-to-index.
+    is h**dim times the value sum, and every value must be nonnegative.
+    Grids are added and compared index-to-index, each indexed by
+    round(origin / h), so their origins belong on the lattice h*Z: every
+    grid the engine builds has its origin there, and ``snap_to_lattice``
+    moves any other grid onto it.
     """
 
     __slots__ = ("origin", "step", "values")
@@ -143,10 +147,7 @@ class GridDensity:
         if vals.size == 0:
             raise ValueError("empty value array")
         if np.any(vals < 0):
-            low = vals.min()
-            if low < -1e-12 * max(1.0, vals.max()):
-                raise ValueError(f"negative density value {low}")
-            vals = np.clip(vals, 0.0, None)
+            raise ValueError(f"negative density value {vals.min()}")
         self.values = vals
 
     @property
@@ -439,7 +440,7 @@ class PointMassFamily:
 
     @property
     def dim(self) -> int:
-        return 2 if isinstance(self.location, (tuple, list)) else 1
+        return len(_axes(self.location))
 
 
 TranslationFamily = Union[FiniteFamily, UniformFamily, PointMassFamily]
@@ -534,7 +535,7 @@ def pushforward(f, m):
     hi = [math.ceil(max(p[k] for p in images) / h) + 1 for k in range(len(t))]
     offsets = _mesh([h * np.arange(i0, i1 + 1) - tk for i0, i1, tk in zip(lo, hi, t)])
     pre = [_dot(row, offsets) / det for row in adj]
-    vals = np.clip(m.sample(pre) * float(fmap.modulus), 0.0, None)
+    vals = m.sample(pre) * float(fmap.modulus)
     if not vals.any() and m.values.any():
         weights = m.values / m.values.sum()
         centre = [float((weights * x).sum()) for x in _mesh(m._node_axes())]
@@ -568,6 +569,10 @@ def convolve_grids(a: GridDensity, b: GridDensity) -> GridDensity:
 
     The full linear convolution of the value arrays, by real FFTs padded
     along each axis to the fast length ``_fast_len`` of the full size.
+    This is the one place where the engine's grids pick up round-off
+    below zero or outside the true support: every value at or below
+    ``_FFT_FLOOR`` times the largest is set to exactly zero, so the result
+    is nonnegative and zero wherever the exact convolution is.
     """
     h = _common_step(a, b)
     full = [n + m - 1 for n, m in zip(a.values.shape, b.values.shape)]
@@ -575,7 +580,7 @@ def convolve_grids(a: GridDensity, b: GridDensity) -> GridDensity:
     axes = tuple(range(len(full)))
     spectrum = np.fft.rfftn(a.values, fast, axes) * np.fft.rfftn(b.values, fast, axes)
     vals = np.fft.irfftn(spectrum, fast, axes)[tuple(map(slice, full))] * h**a.dim
-    vals = np.clip(vals, 0.0, None)
+    vals[vals <= _FFT_FLOOR * vals.max()] = 0.0
     origin = [p + q for p, q in zip(_axes(a.origin), _axes(b.origin))]
     return GridDensity(_point(origin), h, vals)
 
@@ -607,12 +612,9 @@ def average_step(family: TranslationFamily, A, m):
         )
     atoms = []
     for floc, fw in _atoms(family):
-        floc = _point(_axes(floc))
+        shift = _axes(floc)
         for loc, w in Am.atoms:
-            if isinstance(loc, tuple):
-                atoms.append(((loc[0] + floc[0], loc[1] + floc[1]), w * fw))
-            else:
-                atoms.append((loc + floc, w * fw))
+            atoms.append((_point([p + q for p, q in zip(_axes(loc), shift)]), w * fw))
     return DiscreteMeasure(atoms)
 
 
@@ -644,53 +646,39 @@ def solve_invariant_atoms(
     return mu
 
 
-def solve_density(
-    h: GridDensity,
-    A,
-    alpha: float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-) -> GridDensity:
-    """Grid fixed point of g = alpha * (h conv A.g), seeded with g = h.
+def solve_density(h: GridDensity, A, tol: float = 1e-8, max_iter: int = 500) -> GridDensity:
+    """Invariant density of the family rastered as ``h`` under the linear
+    contraction A: the one-component case of ``solve_mc_density``.
 
-    Each iterate is renormalized to mass 1 (quadrature drift is O(step));
-    iteration stops when the successive L1 difference drops below tol, or
-    at the analytic step count that already guarantees tol in the
-    transport metric.  ``alpha``, when given, must match the modulus of A
-    (it is implied by A and kept as an argument for explicitness).
+    ``h`` must have mass 1 (condition CA for one component).  The grid
+    iteration g <- h * A.g starts from a unit spike at the origin,
+    renormalizes to mass 1 every step, and stops once the L1 change drops
+    below tol; otherwise it raises ConvergenceError after ``max_iter``
+    steps.
     """
-    fmap = _as_linear(A)
-    if alpha is not None and abs(float(alpha) - float(fmap.modulus)) > 1e-9:
-        raise ValueError(f"alpha {alpha} does not match modulus {fmap.modulus}")
     if abs(h.mass - 1.0) > 1e-9:
         raise ValueError(f"family density must have mass 1, got {h.mass}")
-    r = fmap.factor
-    if not 0 < r < 1:
-        raise ValueError(f"need a contraction, got factor {r}")
-    seed = snap_to_lattice(h)
-    box = seed.support()
-    half = len(box) // 2
-    diam = max(b - a for a, b in zip(box[:half], box[half:])) / (1 - r)
-    analytic_steps = max(1, math.ceil(math.log(tol / max(diam, tol)) / math.log(r))) + 5
     (g,) = grid_fixed_point(
-        fmap, [[seed]], [1.0], [seed], tol, max_iter, "density iteration", analytic_steps
+        _as_linear(A), [[h]], [1.0], h.step, tol, max_iter, "density iteration"
     )
     return g
 
 
-def grid_fixed_point(
-    fmap, sigma, masses, start, tol, max_iter, what, max_steps=math.inf, on_iterate=None
-) -> tuple:
-    """Iterate omega_i <- sum_j sigma_ij * fmap.omega_j on grids from
-    ``start``, renormalizing component i to ``masses[i]`` every step.
+def grid_fixed_point(fmap, sigma, masses, step, tol, max_iter, what, on_iterate=None) -> tuple:
+    """Iterate omega_i <- sum_j sigma_ij * fmap.omega_j on grids of the
+    given step, from spikes of mass ``masses[i]`` in the cell containing
+    the origin, renormalizing component i to ``masses[i]`` every step.
 
-    ``sigma`` entries are families, rastered families (GridDensity) or
-    None.  Stops when the largest per-component L1 change drops below
-    tol, or after ``max_steps`` iterations; ``on_iterate(l, components)``
-    is called after every iteration when given.  Raises ConvergenceError,
-    naming ``what``, after ``max_iter`` iterations.
+    ``fmap`` must contract.  ``sigma`` entries are families, rastered
+    families (GridDensity) or None.  Stops when the largest per-component
+    L1 change drops below tol; ``on_iterate(l, components)`` is called
+    after every iteration when given.  Raises ConvergenceError, naming
+    ``what``, after ``max_iter`` iterations.
     """
-    comps = tuple(start)
+    r = fmap.factor
+    if not 0 < r < 1:
+        raise ValueError(f"need a contraction, got factor {r}")
+    comps = tuple(point_mass_grid((0.0,) * fmap.dim, step, m) for m in masses)
     delta = None
     for it in range(1, max_iter + 1):
         pushed = [pushforward(fmap, g) for g in comps]
@@ -702,7 +690,7 @@ def grid_fixed_point(
         comps = tuple(new)
         if on_iterate is not None:
             on_iterate(it, comps)
-        if delta < tol or it >= max_steps:
+        if delta < tol:
             return comps
     raise ConvergenceError(
         f"{what} did not reach tol={tol} in {max_iter} steps",

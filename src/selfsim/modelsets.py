@@ -113,7 +113,7 @@ def project_points(scheme: CutProjectScheme, window, radius) -> list:
                 for lo, hi in window.intervals
             ])
             keep = _settle(
-                verdict, lambda i: window.contains(QuadRat(candidates[i].star()), eps=0)
+                verdict, lambda i: window.contains(candidates[i].star(), eps=0)
             )
         else:
             star = a - b * SQRT2  # x.embed_star(), bit for bit

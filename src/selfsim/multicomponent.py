@@ -31,7 +31,6 @@ from .measures import (
     family_as_grid,
     grid_fixed_point,
     l1_distance,
-    point_mass_grid,
     raster_interval_set,
 )
 
@@ -163,22 +162,18 @@ def solve_mc_density(
     Starts from per-component spikes of mass m_i in the cell containing
     the origin, applies omega_i <- sum_j sigma_ij * A.omega_j until the
     largest per-component L1 change drops below tol, and renormalizes
-    each component to m_i every step.  ``on_iterate(l, components)`` is
+    each component to m_i every step; raises ConvergenceError after
+    ``max_iter`` steps otherwise.  ``on_iterate(l, components)`` is
     called after every iteration when given (used to audit invariants).
     """
     h = _choose_step(system, step)
-    fmap = _as_linear(system.a)
-    r = fmap.factor
-    if not 0 < r < 1:
-        raise ValueError(f"automorphism must contract, got factor {r}")
     sigma = [
         [family_as_grid(e, h) if isinstance(e, UniformFamily) else e for e in row]
         for row in system.sigma
     ]
     masses = tuple(float(x) for x in system.m)
-    spikes = [point_mass_grid((0.0,) * fmap.dim, h, mi) for mi in masses]
     comps = grid_fixed_point(
-        fmap, sigma, masses, spikes, tol, max_iter, "matrix convolution", on_iterate=on_iterate
+        _as_linear(system.a), sigma, masses, h, tol, max_iter, "matrix convolution", on_iterate
     )
     return MCDensity(comps, masses)
 

@@ -75,12 +75,19 @@ class BuiltinSystem:
     family: object = None
     contraction: object = None
     mc: Optional[MCSystem] = None
-    has_density: bool = True
     scheme: Optional[CutProjectScheme] = None
     window: object = None
     default_step: float = 1e-3
     default_radii: tuple = (100.0, 500.0, 2000.0)
     weyl_step: float = 1e-3
+
+    @property
+    def has_density(self) -> bool:
+        """Whether the measure (coupled, if ``mc`` is set) has a density:
+        some translation family is uniform.  Atoms alone make a singular
+        measure, which a grid cannot resolve."""
+        families = [self.family] if self.mc is None else [e for row in self.mc.sigma for e in row]
+        return any(isinstance(e, UniformFamily) for e in families)
 
 
 def _point() -> BuiltinSystem:
@@ -149,7 +156,6 @@ def _silver_mc_min() -> BuiltinSystem:
         seeds=(IntervalSet.closed(-1.0, 1.0), IntervalSet.closed(-1.0, 1.0)),
         exact_attractor=(WINDOW_1, WINDOW_2),
         mc=MCSystem(AC_EXACT, sigma, m=(1.0, R), exact_offsets=exact),
-        has_density=False,
         default_step=5e-4,
     )
 

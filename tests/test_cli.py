@@ -162,9 +162,11 @@ class TestMeasure:
         assert abs(manifest["masses"][1] - R) < 1e-6
 
     def test_mc_min_has_no_density(self, tmp_path):
-        result = run("measure", "--system", "silver-mc-min", "--out", tmp_path)
-        assert result.exit_code == 1
-        assert "-max counterpart" in result.stderr
+        for system in ("silver-mc-min", "silver-min"):
+            result = run("measure", "--system", system, "--out", tmp_path)
+            assert result.exit_code == 1
+            assert "-max counterpart" in result.stderr
+            assert not list(tmp_path.iterdir())
 
     def test_non_convergence_exit(self, tmp_path):
         result = run(

@@ -139,6 +139,11 @@ class TestIntervalSet:
         assert s.is_exact
         assert len(s.intervals) == 1
         assert s.measure() == HALF_SQRT2
+        assert s.contains(QuadInt(-1, 1)) and not s.contains(QuadInt(1, 0))
+        # a QuadInt point against Fraction endpoints
+        half = IntervalSet.closed(Fraction(-1, 2), Fraction(1, 2))
+        assert half.contains(QuadInt(0, 0)) and half.contains(QuadInt(-1, 1))
+        assert not half.contains(QuadInt(1, 0))
 
     def test_scale_flips_orientation(self):
         s = IntervalSet.closed(1, 2).scale(-1)

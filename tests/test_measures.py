@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -391,15 +392,17 @@ class TestSolveDensity:
             solve_density(h, AC, tol=1e-13, max_iter=2)
         assert exc.value.last_delta is not None
 
+    def test_unreachable_tol_raises(self):
+        # the L1 change levels off at round-off, ~1e-16, above this tol
+        h = raster_interval_set(IntervalSet.closed(AC, -AC), 1e-3, 1.0)
+        with pytest.raises(ConvergenceError) as exc:
+            solve_density(h, AC, tol=1e-17, max_iter=100)
+        assert exc.value.last_delta > 1e-17
+
     def test_bad_mass_rejected(self):
         h = raster_interval_set(IntervalSet.closed(AC, -AC), 1e-2, 0.5)
         with pytest.raises(ValueError):
             solve_density(h, AC)
-
-    def test_alpha_consistency_check(self):
-        h = raster_interval_set(IntervalSet.closed(AC, -AC), 1e-2, 1.0)
-        with pytest.raises(ValueError):
-            solve_density(h, AC, alpha=3.0)
 
 
 class TestFourier:
@@ -462,6 +465,10 @@ class TestGridPlumbing:
         out = add_grids(a, b)
         assert out.origin == 0.0
         assert list(out.values) == [1.0, 2.0, 3.0]
+
+    def test_negative_values_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            GridDensity(0.0, 0.5, np.array([1.0, -1e-15, 2.0]))
 
     def test_l1_distance_disjoint(self):
         a = GridDensity(0.0, 0.5, np.array([2.0]))
@@ -558,6 +565,22 @@ class TestConvolve:
         expected = direct_convolve(a.values, b.values) * h ** len(sa)
         assert out.values.shape == expected.shape
         assert np.abs(out.values - expected).max() <= 1e-12 * expected.max()
+
+    @pytest.mark.parametrize("sa, sb, period", [((400,), (300,), (7,)), ((40, 60), (50, 30), (5, 3))])
+    def test_exact_zeros_where_the_convolution_vanishes(self, sa, sb, period):
+        # values only at index multiples of the period, so the exact
+        # convolution vanishes at every other index
+        rng = np.random.default_rng(17)
+        grids = []
+        for shape in (sa, sb):
+            on = functools.reduce(
+                np.logical_and, [i % p == 0 for i, p in zip(np.indices(shape), period)]
+            )
+            grids.append(GridDensity((0.0,) * len(shape), 0.1, rng.uniform(0.5, 5, shape) * on))
+        out = convolve_grids(*grids)
+        support = direct_convolve(*[(g.values > 0) * 1.0 for g in grids]) > 0
+        assert np.all(out.values[~support] == 0.0)
+        assert np.all(out.values[support] > 0)
 
     def test_fast_len_is_the_next_five_smooth_number(self):
         def smooth(n):

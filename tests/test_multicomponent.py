@@ -268,6 +268,17 @@ class TestSolveMCDensity:
         scalar = solve_density(family_as_grid(UniformFamily(window, 1.0), h), AC, tol=tol)
         assert l1_distance(sol.components[0], scalar) < 2 * tol
 
+    def test_scalar_solver_is_the_one_component_case(self):
+        from selfsim.systems import builtin
+
+        b = builtin("silver-max")
+        h = b.default_step
+        scalar = solve_density(family_as_grid(b.family, h), b.contraction)
+        system = MCSystem(b.contraction, [[b.family]], m=(1.0,))
+        (coupled,) = solve_mc_density(system, h).components
+        assert (scalar.origin, scalar.step) == (coupled.origin, coupled.step)
+        assert np.array_equal(scalar.values, coupled.values)
+
     def test_convergence_error_carries_delta(self):
         system = silver_maximal_system()
         with pytest.raises(ConvergenceError) as err:

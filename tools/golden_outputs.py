@@ -1,12 +1,14 @@
 """Golden-output fingerprint of the CLI: exit code and file hashes per run.
 
-Runs every builtin system (aliases left out) through ``attractor``, ``measure``, ``fourier``
-and ``weyl`` in both output formats, plus ``padic --K 5``, ``weyl`` with
-Weyl centres from a ``--config`` file (written into the run's directory) and
-``weyl`` at patch radii that take the lattice enumeration deep in
-both, each as a fresh ``python -m selfsim.cli`` process against this
-checkout's ``src`` in its own temporary directory.  Prints one JSON document listing, per
-run, the command, its exit code and the sha256 of every file it wrote.
+Runs every builtin system (aliases left out) through ``attractor``,
+``measure``, ``fourier`` and ``weyl`` in both output formats, plus
+``padic --K 5``, ``weyl`` with Weyl centres from a ``--config`` file
+(written into the run's directory), ``weyl`` at patch radii that take the
+lattice enumeration deep in both, and ``measure`` at a tol the density
+solver cannot reach, each as a fresh ``python -m selfsim.cli`` process
+against this checkout's ``src`` in its own temporary directory.  Prints
+one JSON document listing, per run, the command, its exit code and the
+sha256 of every file it wrote.
 No paths appear in the output, so two checkouts can be compared with
 ``diff``:
 
@@ -41,10 +43,12 @@ SYSTEMS = (
     "silver-min",
 )
 COMMANDS = ("attractor", "measure", "fourier", "weyl")
-# large patches: thousands of enumerated points, many on or near window edges
-DEPTH_RUNS = (
+EXTRA_RUNS = (
+    # large patches: thousands of enumerated points, many on or near window edges
     ["weyl", "--system", "silver", "--radii", "100,2000,20000"],
     ["weyl", "--system", "ammann-beenker", "--radii", "10,20,40"],
+    # a tol below the solver's round-off floor: exit 2, not a silent stop
+    ["measure", "--system", "silver-max", "--tol", "1e-17", "--max-iter", "60"],
 )
 FORMATS = ("csv", "json")
 # (arguments, config file contents): Weyl centres only reach the CLI by config
@@ -69,7 +73,7 @@ def default_runs() -> list:
     runs.extend(
         ([*args, "--format", fmt], config) for args, config in CONFIG_RUNS for fmt in FORMATS
     )
-    runs.extend(([*args, "--format", fmt], None) for args in DEPTH_RUNS for fmt in FORMATS)
+    runs.extend(([*args, "--format", fmt], None) for args in EXTRA_RUNS for fmt in FORMATS)
     return runs
 
 
