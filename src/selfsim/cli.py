@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 import click
+import numpy as np
 
 from .compactsets import AffineMap, ConvexPolygon, IFSSystem, IntervalSet, iterate_attractor
 from .errors import ConfigError, ConvergenceError, ResourceCapError
@@ -32,7 +33,6 @@ from .measures import (
     PointMassFamily,
     UniformFamily,
     _axes,
-    _mesh,
     _point,
     family_as_grid,
     fourier_hat,
@@ -255,8 +255,12 @@ def _csv_lines(rows):
 
 
 def _write_csv(path: Path, header: str, lines) -> None:
-    """Write a header and lines already formatted as CSV."""
-    path.write_text("\n".join([header, *lines]) + "\n")
+    """Write a header, then each item of ``lines`` (CSV text of one line
+    or of several joined by newlines) followed by a newline, streamed."""
+    with path.open("w") as f:
+        f.write(header + "\n")
+        for line in lines:
+            f.write(line + "\n")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -269,10 +273,26 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _grid_rows(g: GridDensity):
-    """One (x, [y,] density) row per node, x varying fastest, as an iterator."""
-    columns = [*_mesh(g._node_axes()), g.values]
-    return zip(*(c.ravel().tolist() for c in columns))
+def _grid_csv_blocks(g: GridDensity):
+    """The grid's CSV rows, one (x, [y, ...,] density) row per node with x
+    varying fastest, as one block of lines per x-row.
+
+    Every field is ``"%.17g" % value``, but each axis coordinate and each
+    distinct density is formatted once.  Densities are told apart by bit
+    pattern, so a -0.0 keeps its own text beside 0.0.
+    """
+    axes = [["%.17g" % v for v in x.tolist()] for x in g._node_axes()]
+    bits, which = np.unique(g.values.ravel().view(np.int64), return_inverse=True)
+    texts = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
+    rows = texts[which.reshape(-1, len(axes[0]))]
+    # the pieces of one x-row: x, "," + other coordinates + ",", density, newline
+    pieces = np.empty((len(axes[0]), 4), dtype=object)
+    pieces[:, 0] = axes[0]
+    pieces[:, 3] = "\n"
+    for row, outer in zip(rows, np.ndindex(g.values.shape[:-1])):
+        pieces[:, 1] = "".join("," + a[i] for a, i in zip(axes[1:], outer[::-1])) + ","
+        pieces[:, 2] = row
+        yield "".join(pieces.ravel()[:-1].tolist())
 
 
 def _grid_json(g: GridDensity) -> dict:
@@ -289,9 +309,7 @@ def _write_grid(g: GridDensity, path_base: Path, fmt: str) -> Path:
     if fmt == "csv":
         path = path_base.with_suffix(".csv")
         header = ",".join([*"xyz"[: g.dim], "density"])
-        # one template per row: "%.17g" % x is format(x, ".17g")
-        template = ",".join(["%.17g"] * (g.dim + 1))
-        _write_csv(path, header, (template % row for row in _grid_rows(g)))
+        _write_csv(path, header, _grid_csv_blocks(g))
     else:
         path = path_base.with_suffix(".json")
         _write_json(path, _grid_json(g))
@@ -327,7 +345,8 @@ def _handled(fn):
         except ConfigError as exc:
             _die(str(exc), 1)
         except ConvergenceError as exc:
-            _die(str(exc), 2)
+            last = "" if exc.last_delta is None else f" (last {exc.metric} {exc.last_delta:.2g})"
+            _die(f"{exc}{last}", 2)
         except ResourceCapError as exc:
             _die(str(exc), 3)
         except (ValueError, TypeError) as exc:
@@ -500,11 +519,9 @@ def cmd_fourier(system, config_path, out, fmt, terms) -> None:
         raise ConfigError(f"system {b.name!r} has no one-dimensional family")
     a = float(b.contraction)
     count = int(math.floor((cfg.k_max - cfg.k_min) / cfg.k_step + 1e-9)) + 1
-    rows = []
-    for i in range(count):
-        k = cfg.k_min + i * cfg.k_step
-        val = fourier_hat(b.family, a, k, cfg.terms)
-        rows.append((k, val.real, val.imag))
+    ks = [cfg.k_min + i * cfg.k_step for i in range(count)]
+    vals = fourier_hat(b.family, a, np.array(ks), cfg.terms)
+    rows = list(zip(ks, vals.real.tolist(), vals.imag.tolist()))
     out_dir = _out_dir(cfg)
     if cfg.fmt == "csv":
         path = out_dir / "fourier.csv"

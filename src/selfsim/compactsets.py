@@ -790,6 +790,7 @@ def iterate_attractor(
     raise ConvergenceError(
         f"attractor iteration did not reach tol={tol} in {max_iter} steps",
         last_delta=delta,
+        metric="Hausdorff distance",
     )
 
 

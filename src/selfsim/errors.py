@@ -16,13 +16,15 @@ class ConfigError(SelfsimError):
 class ConvergenceError(SelfsimError):
     """An iterative solver exhausted its iteration budget before meeting tol.
 
-    Carries the last observed step size in ``last_delta`` so callers can
-    report how far from converged the run was.
+    Carries the last observed step size in ``last_delta``, and what that
+    size measures in ``metric``, so callers can report how far from
+    converged the run was.
     """
 
-    def __init__(self, message: str, last_delta: float | None = None):
+    def __init__(self, message: str, last_delta: float | None = None, metric: str = "change"):
         super().__init__(message)
         self.last_delta = last_delta
+        self.metric = metric
 
 
 class ResourceCapError(SelfsimError):

@@ -296,14 +296,12 @@ def raster_interval_set(region: IntervalSet, h: float, mass: float) -> GridDensi
     lo, hi = region.hull()
     i0 = math.floor((lo - h / 2) / h + 0.5)
     i1 = math.ceil((hi + h / 2) / h - 0.5)
+    node = np.arange(i0, i1 + 1) * h
+    cell_lo, cell_hi = node - h / 2, node + h / 2
     vals = np.zeros(i1 - i0 + 1)
     for a, b in region.intervals:
-        for i in range(i0, i1 + 1):
-            cell_lo = i * h - h / 2
-            cell_hi = i * h + h / 2
-            overlap = min(b, cell_hi) - max(a, cell_lo)
-            if overlap > 0:
-                vals[i - i0] += overlap / h * density
+        overlap = np.minimum(b, cell_hi) - np.maximum(a, cell_lo)
+        vals += np.where(overlap > 0, overlap / h * density, 0.0)
     return GridDensity(i0 * h, h, vals)
 
 
@@ -695,6 +693,7 @@ def grid_fixed_point(fmap, sigma, masses, step, tol, max_iter, what, on_iterate=
     raise ConvergenceError(
         f"{what} did not reach tol={tol} in {max_iter} steps",
         last_delta=delta,
+        metric="L1 change",
     )
 
 
@@ -702,8 +701,9 @@ def grid_fixed_point(fmap, sigma, masses, step, tol, max_iter, what, on_iterate=
 # Fourier products
 
 
-def _family_hat(family: TranslationFamily, k: float) -> complex:
-    """Mass-normalized transform of the family at frequency k."""
+def _family_hat(family: TranslationFamily, k):
+    """Mass-normalized transform of the family at frequency k: a float,
+    or an array of frequencies transformed elementwise."""
     if isinstance(family, PointMassFamily):
         return np.exp(-2j * np.pi * k * float(family.location))
     if isinstance(family, FiniteFamily):
@@ -718,28 +718,38 @@ def _family_hat(family: TranslationFamily, k: float) -> complex:
     region = region.as_float()
     total = region.measure()
     acc = 0.0 + 0.0j
+    length = 0.0  # the value at k = 0, summed and divided as floats
     for lo, hi in region.intervals:
-        if k == 0:
-            acc += hi - lo
-            continue
+        length += hi - lo
         center = (lo + hi) / 2
         half = (hi - lo) / 2
         # integral of exp(-2 pi i k x) over [lo, hi]
         acc += (hi - lo) * np.exp(-2j * np.pi * k * center) * np.sinc(2 * k * half)
-    return acc / total
+    return np.where(k == 0, length / total, acc / total)
 
 
-def fourier_hat(family: TranslationFamily, a: float, k: float, n_terms: int) -> complex:
+def fourier_hat(family: TranslationFamily, a: float, k, n_terms: int):
     """Truncated infinite product for the invariant measure's transform:
-    the product over l < n_terms of the family transform at a**l * k."""
+    the product over l < n_terms of the family transform at a**l * k.
+
+    ``k`` is a float, giving a complex, or an array of frequencies, giving
+    a complex array of the same shape with every element equal to the
+    float call's value."""
     if n_terms < 1:
         raise ValueError("n_terms must be at least 1")
     if getattr(family, "dim", 1) != 1:
         raise ValueError("fourier_hat supports 1D families only")
     a = float(a)
-    out = 1.0 + 0.0j
-    freq = float(k)
+    re, im = 1.0, 0.0
+    freq = np.asarray(k, dtype=float)
     for _ in range(n_terms):
-        out *= _family_hat(family, freq)
-        freq *= a
-    return complex(out)
+        hat = _family_hat(family, freq)
+        # the complex product written out: numpy's complex array multiply
+        # may fuse it (FMA) and round differently from the scalar one
+        re, im = re * hat.real - im * hat.imag, re * hat.imag + im * hat.real
+        freq = freq * a
+    if freq.ndim == 0:
+        return complex(re, im)
+    out = np.asarray(re, dtype=complex)
+    out.imag = im
+    return out

@@ -7,13 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from selfsim import padic
-from selfsim.cli import ExperimentConfig, build_config, main, system_from_spec
+from selfsim.cli import ExperimentConfig, _write_grid, build_config, main, system_from_spec
 from selfsim.errors import ConfigError
-from selfsim.measures import fourier_hat
+from selfsim.measures import GridDensity, fourier_hat
 from selfsim.systems import builtin
 
 AC = 1.0 - math.sqrt(2.0)
@@ -114,6 +115,10 @@ class TestAttractor:
             "--max-iter", 2,
         )
         assert result.exit_code == 2
+        line = result.stderr.strip()
+        assert line.startswith("error: attractor iteration did not reach tol=1e-12 in 2 steps")
+        last = float(line.rsplit("(last Hausdorff distance ", 1)[1].rstrip(")"))
+        assert last > 1e-12
 
 
 class TestMeasure:
@@ -174,6 +179,18 @@ class TestMeasure:
             "--grid-step", 2e-3, "--max-iter", 2,
         )
         assert result.exit_code == 2
+
+    def test_tol_below_round_off_reports_last_change(self, tmp_path):
+        result = run(
+            "measure", "--system", "silver-max", "--out", tmp_path,
+            "--tol", 1e-17, "--max-iter", 60,
+        )
+        assert result.exit_code == 2
+        line = result.stderr.strip()
+        assert line.startswith("error: density iteration did not reach tol=1e-17 in 60 steps")
+        last = float(line.rsplit("(last L1 change ", 1)[1].rstrip(")"))
+        # stuck at the round-off floor, not merely short of steps
+        assert 1e-17 <= last < 1e-14
 
     def test_json_grid_roundtrip(self, tmp_path):
         run("measure", "--system", "silver-max", "--out", tmp_path,
@@ -477,6 +494,42 @@ class TestInlineSystems:
         cfg.write_text(json.dumps({"system": {"a": 1.5, "maps": [[[{"t": 0.0}]]]}}))
         result = run("attractor", "--config", cfg, "--out", tmp_path)
         assert result.exit_code == 1
+
+
+def template_csv(g):
+    # every node's row through one "%.17g" template, x varying fastest
+    mesh = np.meshgrid(*g._node_axes()[::-1], indexing="ij")[::-1]
+    columns = [c.ravel().tolist() for c in (*mesh, g.values)]
+    template = ",".join(["%.17g"] * (g.dim + 1))
+    header = ",".join([*"xyz"[: g.dim], "density"])
+    lines = [template % row for row in zip(*columns)]
+    return ("\n".join([header, *lines]) + "\n").encode()
+
+
+def grid_cases():
+    rng = np.random.default_rng(7)
+    tiny = np.nextafter(0.0, 1.0)
+    yield "line", GridDensity(-0.25, 0.05, rng.uniform(0, 2, 37))
+    yield "plane", GridDensity((-1.0, 0.5), 0.125, rng.uniform(0, 1, (9, 13)))
+    yield "space", GridDensity((0.1, -0.2, 0.3), 1e-3, rng.uniform(0, 1, (3, 4, 5)))
+    signed = np.array([[0.0, -0.0, 1.5, -0.0], [0.0, 0.0, -0.0, 1.5]])
+    yield "signed-zeros", GridDensity((0.0, 0.0), 0.5, signed)
+    yield "repeats", GridDensity(0.0, 0.25, np.tile([0.0, 1 / 3, 2 / 3, 1 / 3], 6))
+    subnormals = np.array([tiny, 5 * tiny, 0.0, np.finfo(float).smallest_normal, tiny])
+    yield "subnormal", GridDensity(1.0, 1.0, subnormals)
+    yield "one-node-line", GridDensity(0.3, 0.1, np.array([4.5]))
+    yield "one-node-plane", GridDensity((0.3, -0.7), 0.1, np.array([[4.5]]))
+    # an origin off the lattice h*Z, and a step with no short decimal
+    yield "off-lattice", GridDensity((0.0123, -1 / 3), 1 / 7, rng.uniform(0, 1, (6, 5)))
+    yield "strided", GridDensity(0.0, 0.5, rng.uniform(0, 1, 20)[::3])
+
+
+class TestGridWriter:
+    @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in grid_cases()])
+    def test_csv_bytes_equal_row_template(self, tmp_path, g):
+        path = _write_grid(g, tmp_path / "density", "csv")
+        assert path.name == "density.csv"
+        assert path.read_bytes() == template_csv(g)
 
 
 class TestDeterminism:

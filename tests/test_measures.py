@@ -435,6 +435,62 @@ class TestFourier:
             assert abs(grid_hat - product) < 1e-4
 
 
+def reference_family_hat(family, k):
+    # the per-frequency transform as first written: Python floats, one k
+    if isinstance(family, PointMassFamily):
+        return np.exp(-2j * np.pi * k * float(family.location))
+    if isinstance(family, FiniteFamily):
+        mu = family.measure
+        return sum(w * np.exp(-2j * np.pi * k * loc) for loc, w in mu.atoms) / mu.total_mass
+    region = family.region.as_float()
+    acc = 0.0 + 0.0j
+    for lo, hi in region.intervals:
+        if k == 0:
+            acc += hi - lo
+            continue
+        center, half = (lo + hi) / 2, (hi - lo) / 2
+        acc += (hi - lo) * np.exp(-2j * np.pi * k * center) * np.sinc(2 * k * half)
+    return acc / region.measure()
+
+
+def reference_fourier_hat(family, a, k, n_terms):
+    out, freq = 1.0 + 0.0j, float(k)
+    for _ in range(n_terms):
+        out *= reference_family_hat(family, freq)
+        freq *= a
+    return complex(out)
+
+
+def bits(z):
+    return (np.float64(z.real).tobytes(), np.float64(z.imag).tobytes())
+
+
+class TestFourierVector:
+    FAMILIES = (
+        minimal_family(),
+        maximal_family(),
+        UniformFamily(IntervalSet([(-0.9, -0.2), (0.1, 0.7)]), 0.5),
+        FiniteFamily(DiscreteMeasure([(-0.3, 0.2), (0.0, 0.5), (0.45, 0.3)])),
+        PointMassFamily(0.3, 1.0),
+        PointMassFamily(0.0, 2.0),
+    )
+    KS = np.concatenate(
+        [[-5.0, -1.0, -0.0, 0.0, 0.01, 1.0, 2.5], -3.0 + 0.01 * np.arange(601)]
+    )
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: type(f).__name__)
+    @pytest.mark.parametrize("terms", [1, 40])
+    def test_array_equals_scalar_loop_bitwise(self, family, terms):
+        vals = fourier_hat(family, AC, self.KS, terms)
+        assert vals.shape == self.KS.shape
+        for k, v in zip(self.KS.tolist(), vals.tolist()):
+            want = reference_fourier_hat(family, AC, k, terms)
+            assert bits(v) == bits(want), k
+            got = fourier_hat(family, AC, k, terms)
+            assert type(got) is complex
+            assert bits(got) == bits(want), k
+
+
 class TestAveragingContraction:
     def test_contraction_on_random_pairs(self):
         rng = np.random.default_rng(2024)
@@ -594,6 +650,58 @@ class TestConvolve:
             assert f >= n and smooth(f)
             assert not any(smooth(k) for k in range(n, f))
             assert f == next_fast_len(n, real=True)
+
+
+def reference_raster_interval_set(region, h, mass):
+    # the cell-by-cell loop the vectorized raster replaced
+    region = region.as_float()
+    density = mass / region.measure()
+    lo, hi = region.hull()
+    i0 = math.floor((lo - h / 2) / h + 0.5)
+    i1 = math.ceil((hi + h / 2) / h - 0.5)
+    vals = np.zeros(i1 - i0 + 1)
+    for a, b in region.intervals:
+        for i in range(i0, i1 + 1):
+            overlap = min(b, i * h + h / 2) - max(a, i * h - h / 2)
+            if overlap > 0:
+                vals[i - i0] += overlap / h * density
+    return GridDensity(i0 * h, h, vals)
+
+
+class TestRasterIntervalSet:
+    @pytest.mark.parametrize(
+        "intervals, h",
+        [
+            # endpoints on cell edges (odd multiples of h/2) and on nodes
+            ([(-0.25, 0.25), (0.75, 1.25), (1.5, 2.75)], 0.5),
+            ([(-0.05, 0.15), (0.35, 0.45)], 0.1),
+            ([(AC, -AC)], 1e-3),
+            ([(-0.7, -0.3), (-0.1, 0.1), (0.3, 0.7)], 0.2),
+            ([(0.0, 1e-4), (3e-4, 1.0)], 1e-4),
+        ],
+    )
+    def test_matches_cell_loop_bitwise(self, intervals, h):
+        region = IntervalSet(intervals)
+        assert len(region.intervals) == len(intervals)
+        g = raster_interval_set(region, h, 0.7)
+        ref = reference_raster_interval_set(region, h, 0.7)
+        assert g.origin == ref.origin
+        assert g.values.tobytes() == ref.values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(-40, 40), min_size=2, max_size=10, unique=True),
+        st.floats(0.01, 1.0),
+    )
+    def test_half_cell_endpoints_match_loop(self, ends, h):
+        ends = sorted(ends)
+        if len(ends) % 2:
+            ends = ends[:-1]
+        region = IntervalSet([(p * h / 2, q * h / 2) for p, q in zip(ends[::2], ends[1::2])])
+        g = raster_interval_set(region, h, 1.0)
+        ref = reference_raster_interval_set(region, h, 1.0)
+        assert g.origin == ref.origin
+        assert g.values.tobytes() == ref.values.tobytes()
 
 
 def reference_raster_polygon(poly, h, mass):

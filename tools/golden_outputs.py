@@ -2,7 +2,8 @@
 
 Runs every builtin system (aliases left out) through ``attractor``,
 ``measure``, ``fourier`` and ``weyl`` in both output formats, plus
-``padic --K 5``, ``weyl`` with Weyl centres from a ``--config`` file
+``padic --K 5``, ``weyl`` with Weyl centres and ``fourier`` on inline
+families over negative frequencies, both from a ``--config`` file
 (written into the run's directory), ``weyl`` at patch radii that take the
 lattice enumeration deep in both, and ``measure`` at a tol the density
 solver cannot reach, each as a fresh ``python -m selfsim.cli`` process
@@ -57,6 +58,41 @@ CONFIG_RUNS = (
     (
         ["weyl", "--system", "ammann-beenker", "--radii", "8,12"],
         {"centers": [[0, 0], [1.5, -0.75], 2.0]},
+    ),
+    # the transform product over frequencies below and above 0, on inline
+    # families of each kind
+    (
+        ["fourier", "--terms", "40"],
+        {
+            "system": {
+                "a": -0.4142135623730951,
+                "family": {"kind": "atoms", "atoms": [[-0.3, 0.2], [0.0, 0.5], [0.45, 0.3]]},
+            },
+            "k_min": -2.5,
+            "k_max": 2.5,
+            "k_step": 0.01,
+        },
+    ),
+    (
+        ["fourier", "--terms", "25"],
+        {
+            "system": {"a": 0.5, "family": {"kind": "point", "location": 0.3, "mass": 1.0}},
+            "k_min": -1.0,
+            "k_max": 3.0,
+            "k_step": 0.02,
+        },
+    ),
+    (
+        ["fourier", "--terms", "40"],
+        {
+            "system": {
+                "a": -0.4142135623730951,
+                "family": {"kind": "uniform", "lo": -0.6, "hi": 0.25, "mass": 1.0},
+            },
+            "k_min": -4.0,
+            "k_max": 1.0,
+            "k_step": 0.005,
+        },
     ),
 )
 
