@@ -22,28 +22,18 @@ from pathlib import Path
 from typing import Optional
 
 import click
-import numpy as np
 
+from . import _lazy_module
 from .compactsets import AffineMap, ConvexPolygon, IFSSystem, IntervalSet, iterate_attractor
 from .errors import ConfigError, ConvergenceError, ResourceCapError
-from .measures import (
-    DiscreteMeasure,
-    FiniteFamily,
-    GridDensity,
-    PointMassFamily,
-    UniformFamily,
-    _axes,
-    _point,
-    family_as_grid,
-    fourier_hat,
-    raster_interval_set,
-    raster_polygon,
-    solve_density,
-)
-from .modelsets import project_points, weyl_average
-from .multicomponent import MCSystem, solve_mc_density
 from .padic import DEFAULT_PRECISION, PadicDensity, solve_padic_system
 from .systems import BUILTIN_NAMES, BuiltinSystem, builtin
+
+# loaded on first use: attractor and padic never execute numpy
+np = _lazy_module("numpy")
+measures = _lazy_module("selfsim.measures")
+modelsets = _lazy_module("selfsim.modelsets")
+multicomponent = _lazy_module("selfsim.multicomponent")
 
 
 @dataclass(frozen=True)
@@ -139,12 +129,12 @@ def _family_from_spec(spec) -> object:
     try:
         if kind == "uniform":
             region = IntervalSet.closed(float(spec["lo"]), float(spec["hi"]))
-            return UniformFamily(region, float(spec.get("mass", 1.0)))
+            return measures.UniformFamily(region, float(spec.get("mass", 1.0)))
         if kind == "atoms":
             atoms = [(float(loc), float(w)) for loc, w in spec["atoms"]]
-            return FiniteFamily(DiscreteMeasure(atoms))
+            return measures.FiniteFamily(measures.DiscreteMeasure(atoms))
         if kind == "point":
-            return PointMassFamily(float(spec["location"]), float(spec.get("mass", 1.0)))
+            return measures.PointMassFamily(float(spec["location"]), float(spec.get("mass", 1.0)))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad {kind!r} family spec: {exc}")
     raise ConfigError(f"unknown family kind {kind!r}")
@@ -198,7 +188,7 @@ def system_from_spec(spec: dict) -> BuiltinSystem:
             for row in spec["sigma"]
         ]
         try:
-            mc = MCSystem(a, sigma, m=spec.get("m"))
+            mc = multicomponent.MCSystem(a, sigma, m=spec.get("m"))
         except ValueError as exc:
             raise ConfigError(str(exc))
         if "s" in spec:
@@ -214,9 +204,7 @@ def system_from_spec(spec: dict) -> BuiltinSystem:
         summary="inline system from config",
         ifs=ifs,
         seeds=seeds,
-        family=family,
-        contraction=a,
-        mc=mc,
+        facets=lambda: dict(family=family, contraction=a, mc=mc),
     )
 
 
@@ -273,7 +261,7 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _grid_csv_blocks(g: GridDensity):
+def _grid_csv_blocks(g: measures.GridDensity):
     """The grid's CSV rows, one (x, [y, ...,] density) row per node with x
     varying fastest, as one block of lines per x-row.
 
@@ -295,7 +283,7 @@ def _grid_csv_blocks(g: GridDensity):
         yield "".join(pieces.ravel()[:-1].tolist())
 
 
-def _grid_json(g: GridDensity) -> dict:
+def _grid_json(g: measures.GridDensity) -> dict:
     return {
         "origin": g.origin,
         "step": g.step,
@@ -305,7 +293,7 @@ def _grid_json(g: GridDensity) -> dict:
     }
 
 
-def _write_grid(g: GridDensity, path_base: Path, fmt: str) -> Path:
+def _write_grid(g: measures.GridDensity, path_base: Path, fmt: str) -> Path:
     if fmt == "csv":
         path = path_base.with_suffix(".csv")
         header = ",".join([*"xyz"[: g.dim], "density"])
@@ -467,7 +455,7 @@ def cmd_measure(system, config_path, out, fmt, grid_step, tol, max_iter) -> None
     out_dir = _out_dir(cfg)
     max_iter = cfg.max_iter or 500
     if b.mc is not None:
-        result = solve_mc_density(b.mc, step, tol=cfg.tol, max_iter=max_iter)
+        result = multicomponent.solve_mc_density(b.mc, step, tol=cfg.tol, max_iter=max_iter)
         files = []
         for i, g in enumerate(result.components):
             base = out_dir / f"density_component_{i + 1}"
@@ -488,8 +476,8 @@ def cmd_measure(system, config_path, out, fmt, grid_step, tol, max_iter) -> None
         for i, g in enumerate(result.components):
             click.echo(f"component {i + 1} mass {g.mass:.6f}")
         return
-    h = family_as_grid(b.family, step)
-    g = solve_density(h, b.contraction, tol=cfg.tol, max_iter=max_iter)
+    h = measures.family_as_grid(b.family, step)
+    g = measures.solve_density(h, b.contraction, tol=cfg.tol, max_iter=max_iter)
     path = _write_grid(g, out_dir / "density", cfg.fmt)
     manifest = {
         "system": b.name,
@@ -520,7 +508,7 @@ def cmd_fourier(system, config_path, out, fmt, terms) -> None:
     a = float(b.contraction)
     count = int(math.floor((cfg.k_max - cfg.k_min) / cfg.k_step + 1e-9)) + 1
     ks = [cfg.k_min + i * cfg.k_step for i in range(count)]
-    vals = fourier_hat(b.family, a, np.array(ks), cfg.terms)
+    vals = measures.fourier_hat(b.family, a, np.array(ks), cfg.terms)
     rows = list(zip(ks, vals.real.tolist(), vals.imag.tolist()))
     out_dir = _out_dir(cfg)
     if cfg.fmt == "csv":
@@ -574,19 +562,19 @@ def cmd_weyl(system, config_path, out, fmt, radius, radii_text, grid_step) -> No
         c = c if isinstance(c, tuple) else (c,) + (0.0,) * (d - 1)
         if len(c) != d:
             raise ConfigError(f"a Weyl center must be a number or a list of {d}, got {list(c)}")
-        centers.append(_point(c))
-    norms = [math.hypot(*_axes(c)) for c in centers]
+        centers.append(measures._point(c))
+    norms = [math.hypot(*measures._axes(c)) for c in centers]
     reach = max(r + n for r in radii for n in norms)
     patch_radius = int(math.ceil(reach)) + 4  # margin so the rim is populated
-    points = project_points(b.scheme, b.window, patch_radius)
+    points = modelsets.project_points(b.scheme, b.window, patch_radius)
     if isinstance(b.window, IntervalSet):
-        g = raster_interval_set(b.window, step, float(b.window.measure()))
+        g = measures.raster_interval_set(b.window, step, float(b.window.measure()))
     else:
-        g = raster_polygon(b.window, step, float(b.window.area))
-    table = weyl_average(b.scheme, points, g, radii, centers=centers)
+        g = measures.raster_polygon(b.window, step, float(b.window.area))
+    table = modelsets.weyl_average(b.scheme, points, g, radii, centers=centers)
     header = f"radius,{('center', 'center_x,center_y')[d - 1]},average,limit,abs_error"
     rows = [
-        (row.radius, *_axes(row.center), row.average, row.limit, row.abs_error)
+        (row.radius, *measures._axes(row.center), row.average, row.limit, row.abs_error)
         for row in table
     ]
     out_dir = _out_dir(cfg)
@@ -614,7 +602,7 @@ def cmd_weyl(system, config_path, out, fmt, radius, radii_text, grid_step) -> No
         )
     _echo_wrote(path)
     for row in table:
-        ctext = ",".join(f"{v:g}" for v in _axes(row.center))
+        ctext = ",".join(f"{v:g}" for v in measures._axes(row.center))
         click.echo(
             f"r={row.radius:g} center={ctext}: average {row.average:.6f}, "
             f"limit {row.limit:.6f}, error {row.abs_error:.2e}"

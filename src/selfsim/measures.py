@@ -34,6 +34,9 @@ _LATTICE_SNAP_EPS = 1e-9
 _SUPPORT_REL_EPS = 1e-12
 # FFT round-off relative to the largest convolution value; see convolve_grids
 _FFT_FLOOR = 64 * np.finfo(float).eps
+# most cells of any grid (268 MB of float64): over 100x the largest grid of
+# every builtin at its default step, and of silver-mc-max at step 5e-6
+_GRID_CELL_CAP = 2**25
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +236,19 @@ def snap_to_lattice(g: GridDensity) -> GridDensity:
     return GridDensity(_point(new), h, vals).renormalized(g.mass)
 
 
+def _check_cells(counts) -> None:
+    """Refuse a grid with these per-axis node counts, or upper estimates
+    of them, when it would hold more than _GRID_CELL_CAP cells.  Every
+    grid whose shape comes from a region and a step is checked here
+    before it is allocated."""
+    cells = math.prod(counts)
+    if not cells <= _GRID_CELL_CAP:
+        raise ResourceCapError(
+            f"a grid of about {float(cells):.3g} cells exceeds the cap of "
+            f"{_GRID_CELL_CAP}; use a coarser grid step"
+        )
+
+
 def _common_step(a: GridDensity, b: GridDensity) -> float:
     """The step two grids share; they must agree to 1e-12 relative and in
     dimension."""
@@ -251,6 +267,7 @@ def _align(a: GridDensity, b: GridDensity):
     ib = [round(o / h) for o in _axes(b.origin)[::-1]]
     lo = [min(p, q) for p, q in zip(ia, ib)]
     hi = [max(p + n, q + m) for p, q, n, m in zip(ia, ib, a.values.shape, b.values.shape)]
+    _check_cells([u - l for u, l in zip(hi, lo)])
     padded = []
     for g, start in ((a, ia), (b, ib)):
         vals = np.zeros([u - l for u, l in zip(hi, lo)])
@@ -294,6 +311,7 @@ def raster_interval_set(region: IntervalSet, h: float, mass: float) -> GridDensi
         raise ValueError("region must have positive measure for a uniform density")
     density = mass / length
     lo, hi = region.hull()
+    _check_cells([(hi - lo) / h + 3])
     i0 = math.floor((lo - h / 2) / h + 0.5)
     i1 = math.ceil((hi + h / 2) / h - 0.5)
     node = np.arange(i0, i1 + 1) * h
@@ -355,6 +373,7 @@ def raster_polygon(poly: ConvexPolygon, h: float, mass: float) -> GridDensity:
         raise ValueError("polygon must have positive area")
     density = mass / area
     xlo, ylo, xhi, yhi = poly.bbox()
+    _check_cells([(xhi - xlo) / h + 3, (yhi - ylo) / h + 3])
     i0 = math.floor((xlo - h / 2) / h + 0.5)
     i1 = math.ceil((xhi + h / 2) / h - 0.5)
     j0 = math.floor((ylo - h / 2) / h + 0.5)
@@ -529,8 +548,10 @@ def pushforward(f, m):
         [_dot(row, corner) + tk for row, tk in zip(mat, t)]
         for corner in itertools.product(*ends)
     ]
-    lo = [math.floor(min(p[k] for p in images) / h) - 1 for k in range(len(t))]
-    hi = [math.ceil(max(p[k] for p in images) / h) + 1 for k in range(len(t))]
+    spans = [(min(p[k] for p in images), max(p[k] for p in images)) for k in range(len(t))]
+    _check_cells([(b - a) / h + 5 for a, b in spans])
+    lo = [math.floor(a / h) - 1 for a, _ in spans]
+    hi = [math.ceil(b / h) + 1 for _, b in spans]
     offsets = _mesh([h * np.arange(i0, i1 + 1) - tk for i0, i1, tk in zip(lo, hi, t)])
     pre = [_dot(row, offsets) / det for row in adj]
     vals = m.sample(pre) * float(fmap.modulus)
@@ -575,6 +596,7 @@ def convolve_grids(a: GridDensity, b: GridDensity) -> GridDensity:
     h = _common_step(a, b)
     full = [n + m - 1 for n, m in zip(a.values.shape, b.values.shape)]
     fast = [_fast_len(n) for n in full]
+    _check_cells(fast)
     axes = tuple(range(len(full)))
     spectrum = np.fft.rfftn(a.values, fast, axes) * np.fft.rfftn(b.values, fast, axes)
     vals = np.fft.irfftn(spectrum, fast, axes)[tuple(map(slice, full))] * h**a.dim

@@ -19,9 +19,11 @@ from functools import total_ordering
 from math import gcd
 from typing import Union
 
-import numpy as np
-
+from . import _lazy_module
 from .errors import ResourceCapError
+
+# only the float-filtered enumeration below executes numpy
+np = _lazy_module("numpy")
 
 SQRT2 = math.sqrt(2.0)
 

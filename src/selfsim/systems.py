@@ -7,14 +7,22 @@ cut-and-project scheme with its window (weyl command).  Commands
 look up the facet they need and refuse cleanly when a system does not
 carry it.  The 3-adic component system has no facet: the padic command
 builds it itself.
+
+The set-level facets are exact and built with the system.  The numpy
+facets (family, contraction, mc, scheme, window) are built on first
+use, so ``builtin(name)`` followed by the attractor alone never loads
+numpy or the numpy layers ``measures``, ``modelsets`` and
+``multicomponent``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
+from . import _lazy_module
 from .compactsets import (
     AffineMap,
     ConvexPolygon,
@@ -23,10 +31,11 @@ from .compactsets import (
     TranslationFamilyMap,
 )
 from .errors import ConfigError
-from .measures import DiscreteMeasure, FiniteFamily, PointMassFamily, UniformFamily
-from .modelsets import CutProjectScheme
-from .multicomponent import MCSystem
 from .numberfields import HALF_SQRT2, QuadInt, QuadRat
+
+measures = _lazy_module("selfsim.measures")
+modelsets = _lazy_module("selfsim.modelsets")
+multicomponent = _lazy_module("selfsim.multicomponent")
 
 AC_EXACT = QuadInt(1, -1)  # 1 - sqrt2, the internal contraction multiplier
 AC = float(AC_EXACT)
@@ -56,15 +65,23 @@ def octagon() -> ConvexPolygon:
     )
 
 
+def _facet(name: str) -> property:
+    return property(
+        lambda self: self._built.get(name),
+        doc=f"The {name} facet, built on first use; None when absent.",
+    )
+
+
 @dataclass(frozen=True)
 class BuiltinSystem:
     """Facet bundle for one named example.
 
     Absent facets mean the corresponding command refuses the system.
-    ``exact_attractor`` pairs with ``ifs`` for the exact certificate;
-    ``family``/``contraction`` describe a single-component measure, and
-    ``mc`` a coupled-component one; ``scheme``/``window`` feed the Weyl
-    harness.
+    ``exact_attractor`` pairs with ``ifs`` for the exact certificate.
+    ``facets()`` returns the numpy facets by name, and is called once, on
+    the first read of any of them: ``family``/``contraction`` describe a
+    single-component measure, and ``mc`` a coupled-component one;
+    ``scheme``/``window`` feed the Weyl harness.
     """
 
     name: str
@@ -72,14 +89,20 @@ class BuiltinSystem:
     ifs: Optional[IFSSystem] = None
     seeds: Optional[tuple] = None
     exact_attractor: Optional[tuple] = None
-    family: object = None
-    contraction: object = None
-    mc: Optional[MCSystem] = None
-    scheme: Optional[CutProjectScheme] = None
-    window: object = None
+    facets: Callable[[], dict] = dict
     default_step: float = 1e-3
     default_radii: tuple = (100.0, 500.0, 2000.0)
     weyl_step: float = 1e-3
+
+    @functools.cached_property
+    def _built(self) -> dict:
+        return self.facets()
+
+    family = _facet("family")
+    contraction = _facet("contraction")
+    mc = _facet("mc")
+    scheme = _facet("scheme")
+    window = _facet("window")
 
     @property
     def has_density(self) -> bool:
@@ -87,7 +110,7 @@ class BuiltinSystem:
         some translation family is uniform.  Atoms alone make a singular
         measure, which a grid cannot resolve."""
         families = [self.family] if self.mc is None else [e for row in self.mc.sigma for e in row]
-        return any(isinstance(e, UniformFamily) for e in families)
+        return any(isinstance(e, measures.UniformFamily) for e in families)
 
 
 def _point() -> BuiltinSystem:
@@ -108,10 +131,12 @@ def _silver_min() -> BuiltinSystem:
         ifs=IFSSystem.single([AffineMap(AC_EXACT, t) for t in translations]),
         seeds=(IntervalSet.closed(-1.0, 1.0),),
         exact_attractor=(WINDOW,),
-        family=FiniteFamily(
-            DiscreteMeasure([(AC, 1 / 3), (0.0, 1 / 3), (-AC, 1 / 3)])
+        facets=lambda: dict(
+            family=measures.FiniteFamily(
+                measures.DiscreteMeasure([(AC, 1 / 3), (0.0, 1 / 3), (-AC, 1 / 3)])
+            ),
+            contraction=AC_EXACT,
         ),
-        contraction=AC_EXACT,
     )
 
 
@@ -123,8 +148,10 @@ def _silver_max() -> BuiltinSystem:
         ifs=IFSSystem.single([TranslationFamilyMap(AC_EXACT, region)]),
         seeds=(IntervalSet.closed(-1.0, 1.0),),
         exact_attractor=(WINDOW,),
-        family=UniformFamily(IntervalSet.closed(AC, -AC), 1.0),
-        contraction=AC_EXACT,
+        facets=lambda: dict(
+            family=measures.UniformFamily(IntervalSet.closed(AC, -AC), 1.0),
+            contraction=AC_EXACT,
+        ),
     )
 
 
@@ -139,23 +166,26 @@ def _silver_mc_min() -> BuiltinSystem:
     ]
 
     def atoms(*locs):
-        return FiniteFamily(DiscreteMeasure([(float(l), R) for l in locs]))
+        return measures.FiniteFamily(measures.DiscreteMeasure([(float(l), R) for l in locs]))
 
-    sigma = [
-        [atoms(0, shift), atoms(0)],
-        [atoms(AC_EXACT), None],
-    ]
-    exact = [
-        [(Fraction(0), shift), (Fraction(0),)],
-        [(AC_EXACT,), None],
-    ]
+    def mc():
+        sigma = [
+            [atoms(0, shift), atoms(0)],
+            [atoms(AC_EXACT), None],
+        ]
+        exact = [
+            [(Fraction(0), shift), (Fraction(0),)],
+            [(AC_EXACT,), None],
+        ]
+        return multicomponent.MCSystem(AC_EXACT, sigma, m=(1.0, R), exact_offsets=exact)
+
     return BuiltinSystem(
         name="silver-mc-min",
         summary="two coupled windows, one atom per tiling translation",
         ifs=IFSSystem(maps),
         seeds=(IntervalSet.closed(-1.0, 1.0), IntervalSet.closed(-1.0, 1.0)),
         exact_attractor=(WINDOW_1, WINDOW_2),
-        mc=MCSystem(AC_EXACT, sigma, m=(1.0, R), exact_offsets=exact),
+        facets=lambda: dict(mc=mc()),
         default_step=5e-4,
     )
 
@@ -170,20 +200,23 @@ def _silver_mc_max() -> BuiltinSystem:
         ],
         [[AffineMap(AC_EXACT, AC_EXACT)], []],
     ]
-    sigma = [
-        [
-            UniformFamily(upper.as_float(), 2 * R),
-            UniformFamily(symmetric.as_float(), R),
-        ],
-        [PointMassFamily(AC, R), None],
-    ]
+    def mc():
+        sigma = [
+            [
+                measures.UniformFamily(upper.as_float(), 2 * R),
+                measures.UniformFamily(symmetric.as_float(), R),
+            ],
+            [measures.PointMassFamily(AC, R), None],
+        ]
+        return multicomponent.MCSystem(AC_EXACT, sigma, m=(1.0, R))
+
     return BuiltinSystem(
         name="silver-mc-max",
         summary="two coupled windows with the widest translation families",
         ifs=IFSSystem(maps),
         seeds=(IntervalSet.closed(-1.0, 1.0), IntervalSet.closed(-1.0, 1.0)),
         exact_attractor=(WINDOW_1, WINDOW_2),
-        mc=MCSystem(AC_EXACT, sigma, m=(1.0, R)),
+        facets=lambda: dict(mc=mc()),
         default_step=5e-4,
     )
 
@@ -192,8 +225,7 @@ def _silver_points() -> BuiltinSystem:
     return BuiltinSystem(
         name="silver",
         summary="Z[sqrt2] cut-and-project points with the symmetric window",
-        scheme=CutProjectScheme.silver(),
-        window=WINDOW,
+        facets=lambda: dict(scheme=modelsets.CutProjectScheme.silver(), window=WINDOW),
     )
 
 
@@ -208,10 +240,12 @@ def _ammann_beenker() -> BuiltinSystem:
         ifs=IFSSystem.single([TranslationFamilyMap(matrix, region)]),
         seeds=(region.as_float(),),
         exact_attractor=(window,),
-        family=UniformFamily(region.as_float(), 1.0),
-        contraction=((AC, 0.0), (0.0, AC)),
-        scheme=CutProjectScheme.octagonal(),
-        window=window,
+        facets=lambda: dict(
+            family=measures.UniformFamily(region.as_float(), 1.0),
+            contraction=((AC, 0.0), (0.0, AC)),
+            scheme=modelsets.CutProjectScheme.octagonal(),
+            window=window,
+        ),
         default_step=5e-3,
         default_radii=(10.0, 20.0, 30.0),
         weyl_step=1e-2,

@@ -5,15 +5,17 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from selfsim import padic
+from selfsim import measures, padic
 from selfsim.cli import ExperimentConfig, _write_grid, build_config, main, system_from_spec
-from selfsim.errors import ConfigError
+from selfsim.compactsets import AffineMap, ConvexPolygon, IntervalSet
+from selfsim.errors import ConfigError, ResourceCapError
 from selfsim.measures import GridDensity, fourier_hat
 from selfsim.systems import builtin
 
@@ -369,6 +371,69 @@ class TestPadic:
         assert result.exit_code == 2
 
 
+
+class NoGridAllocation:
+    """Stands in for numpy inside ``measures``: the array constructors
+    fail if called; everything else is numpy's."""
+
+    def __getattr__(self, name):
+        if name in ("arange", "empty", "full", "meshgrid", "zeros", "fft"):
+            raise AssertionError(f"numpy.{name} used before the grid cap check")
+        return getattr(np, name)
+
+
+class TestGridCellCap:
+    @pytest.mark.parametrize("args", [
+        ("measure", "--system", "silver-max", "--grid-step", 1e-12),
+        ("measure", "--system", "silver-mc-max", "--grid-step", 1e-12),
+        ("measure", "--system", "ammann-beenker", "--grid-step", 1e-7),
+        ("weyl", "--system", "silver", "--grid-step", 1e-12),
+        ("weyl", "--system", "ammann-beenker", "--grid-step", 1e-7),
+        ("measure", "--system", "silver-max", "--grid-step", 5e-324),
+    ])
+    def test_tiny_step_exits_before_any_grid(self, args, tmp_path, monkeypatch):
+        monkeypatch.setattr(measures, "np", NoGridAllocation())
+        result = run(*args, "--out", tmp_path)
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: a grid of about")
+        assert not list(tmp_path.iterdir())
+
+    def test_lowered_cap_refuses_the_default_step(self, tmp_path, monkeypatch):
+        b = builtin("silver-max")
+        raster = measures.family_as_grid(b.family, b.default_step)
+        monkeypatch.setattr(measures, "_GRID_CELL_CAP", raster.values.size - 1)
+        monkeypatch.setattr(measures, "np", NoGridAllocation())
+        result = run("measure", "--system", "silver-max", "--out", tmp_path)
+        assert result.exit_code == 3
+        assert not list(tmp_path.iterdir())
+
+    def test_every_grid_shape_is_checked(self, monkeypatch):
+        g = GridDensity(0.0, 0.01, np.ones(10))
+        far = GridDensity(100.0, 0.01, np.ones(10))
+        wide = GridDensity(0.0, 0.01, np.ones(600))
+        square = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        monkeypatch.setattr(measures, "_GRID_CELL_CAP", 1000)
+        refused = [
+            lambda: measures.raster_interval_set(IntervalSet.closed(0.0, 1.0), 1e-4, 1.0),
+            lambda: measures.raster_polygon(square, 0.01, 1.0),
+            lambda: measures.add_grids(g, far),  # the union box: 10,001 cells
+            lambda: measures.pushforward(AffineMap(1e3, 0.0), g),  # about 9,000 cells
+            lambda: measures.convolve_grids(wide, wide),  # FFT length 1,200
+        ]
+        for call in refused:
+            with pytest.raises(ResourceCapError):
+                call()
+
+    def test_iterates_are_capped_too(self, tmp_path, monkeypatch):
+        # the raster fits, but the iterates grow toward the wider attractor
+        b = builtin("silver-max")
+        raster = measures.family_as_grid(b.family, b.default_step)
+        monkeypatch.setattr(measures, "_GRID_CELL_CAP", raster.values.size + 8)
+        result = run("measure", "--system", "silver-max", "--out", tmp_path)
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: a grid of about")
+
+
 class TestConfigHandling:
     def test_file_merges_under_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -549,9 +614,71 @@ class TestDeterminism:
         assert (out1 / "density.json").read_bytes() == (out2 / "density.json").read_bytes()
 
 
-def test_cli_import_loads_no_scipy():
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, selfsim.cli; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def fresh_modules(code: str, cwd) -> list:
+    """Names in sys.modules after running ``code`` in a fresh interpreter
+    against this checkout's src, however the code exits."""
+    script = f"import json, sys\ntry:\n{textwrap.indent(code, '    ')}\nfinally:\n" \
+             "    print(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def executed(modules, package: str) -> list:
+    """The submodules of ``package`` that were imported.  A lazily loaded
+    package may sit in sys.modules unexecuted, but executing it imports
+    its submodules (numpy._core and the like)."""
+    return [m for m in modules if m.startswith(package + ".")]
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    modules = fresh_modules("import selfsim.cli", tmp_path)
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("args", [
+    (),
+    ("attractor", "--system", "silver-max"),
+    ("attractor", "--system", "silver-mc-min"),
+    ("attractor", "--system", "ammann-beenker"),
+    ("padic", "--K", "4"),
+], ids=["import", "silver-max", "silver-mc-min", "ammann-beenker", "padic"])
+def test_exact_commands_never_execute_numpy(args, tmp_path):
+    code = "import selfsim.cli"
+    if args:
+        code += f"\nselfsim.cli.main({list(args)!r})"
+    modules = fresh_modules(code, tmp_path)
+    assert executed(modules, "numpy") == []
+    assert "click" in modules
+
+
+def test_tracer_contract_after_cli_import(tmp_path):
+    # perfbench imports selfsim.cli, then finds every traced module in
+    # sys.modules and rebinds the wrapped functions by name
+    code = f"""\
+import selfsim.cli
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+from layers import WRAPPED, install_all, summarize
+from tracing import Tracer
+names = ("cli", "systems", "numberfields", "modelsets", "compactsets",
+         "measures", "multicomponent", "padic")
+missing = [n for n in names if "selfsim." + n not in sys.modules]
+assert not missing, missing
+for module, func, _, _ in WRAPPED:
+    assert callable(getattr(sys.modules[module], func)), (module, func)
+tracer = Tracer()
+install_all(tracer)
+selfsim.cli.main.main(["measure", "--system", "silver-max", "--grid-step", "4e-3"],
+                      standalone_mode=False)
+calls = summarize(tracer)["calls"]
+assert calls["systems.builtin"] == 1, calls
+assert calls["measures.solve_density"] == 1, calls
+assert calls["measures.convolve_grids"] > 0, calls
+assert calls["cli._write_grid"] == 1, calls
+"""
+    modules = fresh_modules(code, tmp_path)
+    assert executed(modules, "numpy")
