@@ -29,6 +29,11 @@ from .errors import ConfigError, ConvergenceError, ResourceCapError
 from .padic import DEFAULT_PRECISION, PadicDensity, solve_padic_system
 from .systems import BUILTIN_NAMES, BuiltinSystem, builtin
 
+# the fourier table's size before it is built: frequencies, and frequencies
+# times product terms (about 60-130 ns each, so some 8-17 s at the cap)
+_FOURIER_FREQUENCY_CAP = 2**20
+_FOURIER_PRODUCT_CAP = 2**27
+
 # loaded on first use: attractor and padic never execute numpy
 np = _lazy_module("numpy")
 measures = _lazy_module("selfsim.measures")
@@ -325,6 +330,21 @@ def _set_rows(s):
     return "part,x,y", rows
 
 
+def _check_grid_step(step: float, region, what: str) -> None:
+    """Refuse a raster step that is not below the region's smallest
+    extent: such a grid cannot resolve the region at all."""
+    region = region.as_float()
+    if isinstance(region, IntervalSet):
+        extent = region.hi - region.lo
+    else:
+        xlo, ylo, xhi, yhi = region.bbox()
+        extent = min(xhi - xlo, yhi - ylo)
+    if not step < extent:
+        raise ConfigError(
+            f"grid step {step:g} is not below the {what}'s smallest extent {extent:g}"
+        )
+
+
 def _handled(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -452,6 +472,10 @@ def cmd_measure(system, config_path, out, fmt, grid_step, tol, max_iter) -> None
             f"density to solve; try its -max counterpart"
         )
     step = cfg.grid_step if cfg.grid_step is not None else b.default_step
+    families = [e for row in b.mc.sigma for e in row] if b.mc is not None else [b.family]
+    for family in families:
+        if isinstance(family, measures.UniformFamily):
+            _check_grid_step(step, family.region, "family region")
     out_dir = _out_dir(cfg)
     max_iter = cfg.max_iter or 500
     if b.mc is not None:
@@ -506,7 +530,13 @@ def cmd_fourier(system, config_path, out, fmt, terms) -> None:
     if b.family is None or b.family.dim != 1:
         raise ConfigError(f"system {b.name!r} has no one-dimensional family")
     a = float(b.contraction)
-    count = int(math.floor((cfg.k_max - cfg.k_min) / cfg.k_step + 1e-9)) + 1
+    span = (cfg.k_max - cfg.k_min) / cfg.k_step
+    if not (span < _FOURIER_FREQUENCY_CAP and (span + 1) * cfg.terms <= _FOURIER_PRODUCT_CAP):
+        raise ResourceCapError(
+            f"about {span + 1:.3g} frequencies of {cfg.terms} terms each exceed the "
+            f"caps of {_FOURIER_FREQUENCY_CAP} frequencies and {_FOURIER_PRODUCT_CAP} products"
+        )
+    count = int(math.floor(span + 1e-9)) + 1
     ks = [cfg.k_min + i * cfg.k_step for i in range(count)]
     vals = measures.fourier_hat(b.family, a, np.array(ks), cfg.terms)
     rows = list(zip(ks, vals.real.tolist(), vals.imag.tolist()))
@@ -555,6 +585,7 @@ def cmd_weyl(system, config_path, out, fmt, radius, radii_text, grid_step) -> No
         raise ConfigError(f"system {b.name!r} has no cut-and-project scheme")
     radii = cfg.radii if cfg.radii is not None else b.default_radii
     step = cfg.grid_step if cfg.grid_step is not None else b.weyl_step
+    _check_grid_step(step, b.window, "window")
     d = b.scheme.phys_dim
     centers = []
     for c in cfg.centers:

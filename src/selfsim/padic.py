@@ -7,9 +7,13 @@ the times-3 pushforward are exact group operations.  The three windows
 of the ternary component system are unions of one coset per depth
 k >= 2; at precision K all depths beyond K collapse onto a single tail
 residue, so the realized set carries slightly more measure than the
-window itself, and ``window_measure_bounds`` reports the gap.  The
-solver reproduces the invariant density vector of the system as an
-exact fixed point of the matrix convolution step.
+window itself, and ``window_measure_bounds`` reports the gap.
+
+The solver reproduces the invariant density vector of the system as an
+exact fixed point of the matrix convolution step.  Every entry of that
+step is uniform on one coset mod 9, so the iteration runs on each
+component's nine coset masses mod 9, at a cost independent of K, and
+only the fixed point is lifted to 3^K weights.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ from .errors import ConvergenceError, ResourceCapError
 
 SUBSTITUTION_COUNTS = ((1, 1, 1), (1, 1, 1), (0, 1, 2))
 DEFAULT_PRECISION = 5
-# the pair-product estimate at K = 8, a solve of about half a minute; each
-# step of K costs about nine times more
-_PAIR_PRODUCT_CAP = 8 * 9**8
+# weights per component at K = 12 (17-32 s to write); only the lift grows with K
+_LIFTED_WEIGHT_CAP = 3**12
 
 
 class PadicDensity:
@@ -246,8 +249,8 @@ def padic_maximal_family(i: int, j: int, precision: int, refine: bool = False) -
     translation that maps the window tail into itself; such points are
     genuine members but carry no Haar measure.  ``refine`` keeps only
     translations whose entire depth-K cylinder still qualifies one depth
-    deeper, which strips the isolated points and leaves the uniform core
-    that the fixed-point solver needs.
+    deeper, which strips the isolated points and leaves the uniform core,
+    the coset that ``_entry_table`` gives in closed form.
     """
     if precision < 3:
         raise ValueError("precision must be at least 3")
@@ -261,65 +264,61 @@ def padic_maximal_family(i: int, j: int, precision: int, refine: bool = False) -
     return frozenset(fam)
 
 
-def _add(u: PadicDensity, v: PadicDensity) -> PadicDensity:
-    return PadicDensity(u.precision, [a + b for a, b in zip(u.weights, v.weights)])
+def _entry_table() -> list:
+    """Row i lists (j, c, w) for every entry (i, j) of the system: mass
+    w = SUBSTITUTION_COUNTS[i][j] / 3 spread uniformly over the coset
+    c + 9 Z_3 of translations b with 3 W_j + b inside W_i.
 
-
-def _pair_products(precision: int) -> int:
-    """Estimated exact weight products of ``solve_padic_system`` at this
-    precision: up to ``precision`` steps, each convolving 3^K-coset
-    densities pairwise, K * 9^K in all."""
-    return precision * 9**precision
+    With b_i window i's depth-2 coset base, 3 (b_j + 9 Z_3) + c lies in
+    b_i + 9 Z_3 exactly when c = b_i - 3 b_j mod 9.  No deeper digit
+    enters, so the table is the same at every precision.
+    """
+    bases = [_coset_base(which, 2) % 9 for which in (1, 2, 3)]
+    return [
+        [(j, (bi - 3 * bases[j]) % 9, Fraction(n, 3)) for j, n in enumerate(counts) if n]
+        for bi, counts in zip(bases, SUBSTITUTION_COUNTS)
+    ]
 
 
 def solve_padic_system(precision: int = DEFAULT_PRECISION, max_iter=None) -> tuple:
     """Stationary density vector of the three-component coset system.
 
-    Entry (i, j) carries mass SUBSTITUTION_COUNTS[i][j] / 3, spread
-    uniformly over the refined maximal family; the mass vector is
-    (1, 1, 1).  Iteration starts from unit point masses at 0 and stops
-    as soon as a full step reproduces its input exactly, which happens
-    within ``precision`` steps.  Returns the three component densities.
-    Raises ResourceCapError, before any work, when the estimated cost
-    ``_pair_products`` exceeds its value at precision 8.
+    The state is each component's nine masses on the cosets mod 9.  A
+    step pushes component j's mass on s + 9 Z_3 forward to 3s and adds
+    it, times w, at 3s + c to component i for each entry (j, c, w) of
+    row i of ``_entry_table``; the mass vector is (1, 1, 1).  Iteration
+    starts from unit point masses at 0 and stops as soon as a step
+    reproduces the previous iterate exactly.  The fixed point is lifted
+    to weight 9 times its coset mass on every residue mod 3^K.  Returns
+    the three component densities at ``precision``.  Raises
+    ResourceCapError, before any work, when the 3^K weights per
+    component exceed ``_LIFTED_WEIGHT_CAP``, and ConvergenceError after
+    ``max_iter`` steps (default ``precision``) without a fixed point.
     """
     if precision < 4:
         raise ValueError("precision must be at least 4")
-    cost = _pair_products(precision)
-    if cost > _PAIR_PRODUCT_CAP:
+    if 3**precision > _LIFTED_WEIGHT_CAP:
         raise ResourceCapError(
-            f"precision K={precision} needs about {cost} exact pair products, "
-            f"over the cap of {_PAIR_PRODUCT_CAP}"
+            f"precision K={precision} needs {3**precision} weights per "
+            f"component, over the cap of {_LIFTED_WEIGHT_CAP}"
         )
     if max_iter is None:
         max_iter = precision
-    entries = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            count = SUBSTITUTION_COUNTS[i][j]
-            if count == 0:
-                continue
-            fam = padic_maximal_family(i + 1, j + 1, precision, refine=True)
-            entries[i][j] = PadicDensity.on_residues(
-                fam, precision, Fraction(count, 3)
-            )
-    comps = tuple(PadicDensity.point(0, precision) for _ in range(3))
-    for _ in range(max_iter):
-        pushed = [padic_scale(g) for g in comps]
+    table = _entry_table()
+    # unit point masses at 0: no union of cosets, so never compared with a step
+    masses = [[Fraction(1)] + [Fraction(0)] * 8 for _ in range(3)]
+    for step in range(max_iter):
         new = []
-        for i in range(3):
-            acc = None
-            for j in range(3):
-                entry = entries[i][j]
-                if entry is None:
-                    continue
-                piece = padic_convolve(entry, pushed[j])
-                acc = piece if acc is None else _add(acc, piece)
+        for row in table:
+            acc = [Fraction(0)] * 9
+            for j, c, w in row:
+                for s, x in enumerate(masses[j]):
+                    acc[(3 * s + c) % 9] += w * x
             new.append(acc)
-        new = tuple(new)
-        if new == comps:
-            return comps
-        comps = new
+        if step and new == masses:
+            repeats = 3 ** (precision - 2)
+            return tuple(PadicDensity(precision, [9 * x for x in m] * repeats) for m in new)
+        masses = new
     raise ConvergenceError(
         f"coset convolution not stationary after {max_iter} steps"
     )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from selfsim import measures, padic
+from selfsim import cli, measures, modelsets, padic
 from selfsim.cli import ExperimentConfig, _write_grid, build_config, main, system_from_spec
 from selfsim.compactsets import AffineMap, ConvexPolygon, IntervalSet
 from selfsim.errors import ConfigError, ResourceCapError
@@ -226,6 +226,33 @@ class TestFourier:
         )
 
 
+    @pytest.mark.parametrize("args, config", [
+        (("--terms", 10**8), None),
+        ((), {"k_step": 1e-300}),
+        ((), {"k_step": 1e-320}),  # the frequency count overflows to inf
+    ])
+    def test_over_the_cap_exits_before_any_work(self, args, config, tmp_path, monkeypatch):
+        def started(*a, **k):
+            raise AssertionError("fourier_hat called")
+
+        monkeypatch.setattr(measures, "fourier_hat", started)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            args = (*args, "--config", tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        result = run("fourier", "--system", "silver-max", *args, "--out", out)
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: about")
+        assert not out.exists()
+
+    def test_product_cap_admits_the_default_table_exactly(self, tmp_path, monkeypatch):
+        # 501 frequencies of 40 terms
+        monkeypatch.setattr(cli, "_FOURIER_PRODUCT_CAP", 40 * 501 - 1)
+        assert run("fourier", "--system", "silver-max", "--out", tmp_path).exit_code == 3
+        monkeypatch.setattr(cli, "_FOURIER_PRODUCT_CAP", 40 * 501)
+        assert run("fourier", "--system", "silver-max", "--out", tmp_path).exit_code == 0
+
+
 class TestWeyl:
     def test_errors_decrease_along_radii(self, tmp_path):
         result = run(
@@ -349,19 +376,19 @@ class TestPadic:
         assert "K must be at least 4" in result.stderr
 
     def test_depth_over_cost_cap(self, tmp_path, monkeypatch):
-        # the solve's building blocks fail if called, so K = 9 cannot start
+        # the coset table and the lift fail if called, so K = 13 cannot start
         def started(*args):
             raise RuntimeError("solve started")
 
-        monkeypatch.setattr(padic, "padic_maximal_family", started)
-        monkeypatch.setattr(padic, "padic_convolve", started)
-        result = run("padic", "--K", 9, "--out", tmp_path)
+        monkeypatch.setattr(padic, "_entry_table", started)
+        monkeypatch.setattr(padic, "PadicDensity", started)
+        result = run("padic", "--K", 13, "--out", tmp_path)
         assert result.exit_code == 3
-        assert result.stderr.startswith("error: precision K=9")
+        assert result.stderr.startswith("error: precision K=13")
         assert not list(tmp_path.iterdir())
 
     def test_lowered_cost_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(padic, "_PAIR_PRODUCT_CAP", padic._pair_products(5) - 1)
+        monkeypatch.setattr(padic, "_LIFTED_WEIGHT_CAP", 3**5 - 1)
         result = run("padic", "--K", 5, "--out", tmp_path)
         assert result.exit_code == 3
         assert result.stderr.startswith("error:")
@@ -396,6 +423,30 @@ class TestGridCellCap:
         result = run(*args, "--out", tmp_path)
         assert result.exit_code == 3
         assert result.stderr.startswith("error: a grid of about")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        ("weyl", "--system", "silver", "--grid-step", 1e300),
+        ("weyl", "--system", "silver", "--grid-step", "extent"),
+        ("weyl", "--system", "ammann-beenker", "--grid-step", 3),
+        ("measure", "--system", "silver-max", "--grid-step", 1e300),
+        ("measure", "--system", "silver-mc-max", "--grid-step", 1e300),
+        ("measure", "--system", "ammann-beenker", "--grid-step", 3),
+    ])
+    def test_step_not_below_the_region_is_refused(self, args, tmp_path, monkeypatch):
+        if args[-1] == "extent":
+            lo, hi = builtin(args[2]).window.as_float().hull()
+            args = (*args[:-1], repr(hi - lo))
+
+        def started(*a, **k):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(measures, "np", NoGridAllocation())
+        monkeypatch.setattr(modelsets, "project_points", started)
+        result = run(*args, "--out", tmp_path)
+        assert result.exit_code == 1
+        assert "is not below the" in result.stderr
+        assert "smallest extent" in result.stderr
         assert not list(tmp_path.iterdir())
 
     def test_lowered_cap_refuses_the_default_step(self, tmp_path, monkeypatch):

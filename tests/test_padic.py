@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfsim import padic
-from selfsim.errors import ConvergenceError
+from selfsim.errors import ConvergenceError, ResourceCapError
 from selfsim.padic import (
     SUBSTITUTION_COUNTS,
     PadicDensity,
@@ -249,12 +249,22 @@ class TestMaximalFamily:
         assert 13 not in {b % 27 for b in padic_maximal_family(1, 3, 4)}
 
     def test_refined_families_are_full_cosets(self):
-        k = 5
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                fam = padic_maximal_family(i, j, k, refine=True)
-                cls = FAMILY_CLASSES[i - 1][j - 1]
-                assert fam == frozenset(range(cls, 3**k, 9))
+        # the premise of the solve on Z/9: at every depth the brute-force
+        # family is the full coset of the frozen class and of the solver's
+        # own table, entry by entry
+        table = {
+            (i, j): (c, w) for i, row in enumerate(padic._entry_table()) for j, c, w in row
+        }
+        for k in (4, 5, 6, 7):
+            for i in (1, 2, 3):
+                for j in (1, 2, 3):
+                    fam = padic_maximal_family(i, j, k, refine=True)
+                    cls = FAMILY_CLASSES[i - 1][j - 1]
+                    assert fam == frozenset(range(cls, 3**k, 9))
+                    count = SUBSTITUTION_COUNTS[i - 1][j - 1]
+                    if count:
+                        assert table[i - 1, j - 1] == (cls, Fraction(count, 3))
+        assert len(table) == sum(n > 0 for row in SUBSTITUTION_COUNTS for n in row)
 
     def test_isolated_translations_survive_raw_only(self):
         # x -> 3x + 1 maps window 1 into itself coset by coset, and
@@ -353,7 +363,50 @@ class TestSolve:
         with pytest.raises(ConvergenceError):
             solve_padic_system(5, max_iter=1)
 
-    def test_cost_cap_admits_depth_eight_only(self):
-        # checked through the estimate alone: no solve at K >= 9 runs
-        assert padic._pair_products(8) == 8 * 9**8 == padic._PAIR_PRODUCT_CAP
-        assert padic._pair_products(9) > padic._PAIR_PRODUCT_CAP
+    @pytest.mark.parametrize("precision", [4, 5, 6])
+    def test_equals_full_depth_iteration(self, precision):
+        # the brute-force oracle from point masses at 0, stopped by the
+        # solver's rule: a step that reproduces its input
+        comps = tuple(PadicDensity.point(0, precision) for _ in range(3))
+        steps = 0
+        while True:
+            steps += 1
+            new = one_step(comps, precision)
+            if new == comps:
+                break
+            comps = new
+        assert solve_padic_system(precision, max_iter=steps) == comps
+        with pytest.raises(ConvergenceError):
+            solve_padic_system(precision, max_iter=steps - 1)
+
+    @pytest.mark.parametrize("precision", [4, 5, 6, 7, 8])
+    def test_three_steps_at_every_depth(self, precision):
+        with pytest.raises(ConvergenceError):
+            solve_padic_system(precision, max_iter=2)
+        assert solve_padic_system(precision, max_iter=3) == closed_form(precision)
+
+    def test_solve_uses_no_full_depth_operation(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("full-depth operation called by the solve")
+
+        for name in ("padic_convolve", "padic_scale", "padic_maximal_family"):
+            monkeypatch.setattr(padic, name, refused)
+        monkeypatch.setattr(PadicDensity, "on_residues", refused)
+        assert solve_padic_system(5) == closed_form(5)
+
+    def test_cost_cap_admits_depth_twelve_only(self, monkeypatch):
+        # checked without an oversized solve: the lift at K = 12 is stubbed
+        # to stop the run, and K = 13 must be refused before any work
+        class Lifted(Exception):
+            pass
+
+        def lift(*args, **kwargs):
+            raise Lifted
+
+        assert padic._LIFTED_WEIGHT_CAP == 3**12
+        monkeypatch.setattr(padic, "PadicDensity", lift)
+        with pytest.raises(Lifted):
+            solve_padic_system(12)
+        monkeypatch.setattr(padic, "_entry_table", lift)
+        with pytest.raises(ResourceCapError):
+            solve_padic_system(13)

@@ -2,14 +2,17 @@
 
 Runs every builtin system (aliases left out) through ``attractor``,
 ``measure``, ``fourier`` and ``weyl`` in both output formats, plus
-``padic --K 5``, ``weyl`` with Weyl centres and ``fourier`` on inline
-families over negative frequencies, both from a ``--config`` file
-(written into the run's directory), ``weyl`` at patch radii that take the
-lattice enumeration deep in both, and ``measure`` at a tol the density
-solver cannot reach, each as a fresh ``python -m selfsim.cli`` process
-against this checkout's ``src`` in its own temporary directory.  Prints
-one JSON document listing, per run, the command, its exit code and the
-sha256 of every file it wrote.
+``padic`` at K = 4, 5, 7 and 8, ``weyl`` with Weyl centres and
+``fourier`` on inline families over negative frequencies, both from a
+``--config`` file (written into the run's directory), ``weyl`` at patch
+radii that take the lattice enumeration deep in both, and ``measure`` at
+a tol the density solver cannot reach, each as a fresh ``python -m
+selfsim.cli`` process against this checkout's ``src`` in its own
+temporary directory.  The ``padic --K 8`` runs take under a second with
+the coset-quotient solve and about 40 s each with the full-depth solve
+it replaced, so a set recorded at such a commit takes minutes longer.
+Prints one JSON document listing, per run, the command, its exit code
+and the sha256 of every file it wrote.
 No paths appear in the output, so two checkouts can be compared with
 ``diff``:
 
@@ -44,6 +47,7 @@ SYSTEMS = (
     "silver-min",
 )
 COMMANDS = ("attractor", "measure", "fourier", "weyl")
+PADIC_DEPTHS = ("4", "5", "7", "8")
 EXTRA_RUNS = (
     # large patches: thousands of enumerated points, many on or near window edges
     ["weyl", "--system", "silver", "--radii", "100,2000,20000"],
@@ -105,7 +109,9 @@ def default_runs() -> list:
         for cmd in COMMANDS
         for fmt in FORMATS
     ]
-    runs.extend((["padic", "--K", "5", "--format", fmt], None) for fmt in FORMATS)
+    runs.extend(
+        (["padic", "--K", k, "--format", fmt], None) for k in PADIC_DEPTHS for fmt in FORMATS
+    )
     runs.extend(
         ([*args, "--format", fmt], config) for args, config in CONFIG_RUNS for fmt in FORMATS
     )
