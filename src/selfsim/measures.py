@@ -8,7 +8,9 @@ grid density (``solve_density``, the one-component case of the coupled
 grid solver ``grid_fixed_point``, iterated from a unit spike at the
 origin), or factor by factor in frequency space (``fourier_hat``).
 ``hutchinson_distance`` is the line's Wasserstein metric, used to
-certify the contraction property.
+certify the contraction property.  Every grid lives on the lattice
+h*Z^d: it stores the integer indices ``start`` of its first node, its
+node coordinates are start*h + k*h, and grids align by index arithmetic.
 
 All numerics here are float based; exact inputs (QuadRat endpoints and the
 like) are converted on entry.  Frequency convention: hat(m)(k) =
@@ -124,34 +126,36 @@ def _loc_close(a, b) -> bool:
 
 
 class GridDensity:
-    """Density sampled at the nodes origin + i*h (1D) or the product grid
-    (2D, values indexed [iy, ix]; any dimension works the same way, with
-    the values indexed last axis first).
+    """Density sampled on the lattice h*Z^d from the node with integer
+    indices ``start`` (x first): the nodes along axis k are start[k]*h +
+    i*h, and the values are indexed last axis first ([iy, ix] in the
+    plane; any dimension works the same way).  ``origin``, the first
+    node, is start*h; grids of one step align by their starts.
 
     Node i carries the cell [x_i - h/2, x_i + h/2], so the measure's mass
     is h**dim times the value sum, and every value must be nonnegative.
-    Grids are added and compared index-to-index, each indexed by
-    round(origin / h), so their origins belong on the lattice h*Z: every
-    grid the engine builds has its origin there, and ``snap_to_lattice``
-    moves any other grid onto it.
     """
 
-    __slots__ = ("origin", "step", "values")
+    __slots__ = ("start", "step", "values")
 
-    def __init__(self, origin, step: float, values):
+    def __init__(self, start, step: float, values):
         self.step = float(step)
         if self.step <= 0:
             raise ValueError("step must be positive")
         vals = np.asarray(values, dtype=float)
-        axes = _axes(origin)
-        if vals.ndim == 0 or len(axes) != vals.ndim:
-            raise ValueError("values need one array axis per origin coordinate")
-        self.origin = _point(axes)
+        self.start = tuple(map(operator.index, np.atleast_1d(start)))
+        if vals.ndim == 0 or len(self.start) != vals.ndim:
+            raise ValueError("values need one array axis per start index")
         if vals.size == 0:
             raise ValueError("empty value array")
         if np.any(vals < 0):
             raise ValueError(f"negative density value {vals.min()}")
         self.values = vals
+
+    @property
+    def origin(self):
+        """The first node: a float on the line, a tuple in the plane."""
+        return _point([i * self.step for i in self.start])
 
     @property
     def dim(self) -> int:
@@ -161,11 +165,11 @@ class GridDensity:
     def mass(self) -> float:
         return float(self.values.sum()) * self.step**self.dim
 
-    def _node_axes(self, extra: int = 0) -> list:
-        """Node coordinates along each axis (x first), ``extra`` nodes longer."""
+    def _node_axes(self) -> list:
+        """Node coordinates along each axis (x first)."""
         h = self.step
         counts = self.values.shape[::-1]
-        return [o + h * np.arange(n + extra) for o, n in zip(_axes(self.origin), counts)]
+        return [o + h * np.arange(n) for o, n in zip(_axes(self.origin), counts)]
 
     def nodes(self):
         return _point(self._node_axes())
@@ -174,7 +178,7 @@ class GridDensity:
         m = self.mass
         if m <= 0:
             raise ValueError("cannot renormalize a zero-mass density")
-        return GridDensity(self.origin, self.step, self.values * (target_mass / m))
+        return GridDensity(self.start, self.step, self.values * (target_mass / m))
 
     def sample(self, coords) -> np.ndarray:
         """Multilinear interpolation, zero outside the grid, at the points
@@ -224,16 +228,13 @@ class GridDensity:
         return f"GridDensity({shape} @ h={self.step:g}, mass {self.mass:.6g})"
 
 
-def snap_to_lattice(g: GridDensity) -> GridDensity:
-    """Move the origin onto h*Z; resamples only if the shift is material."""
-    h = g.step
-    old = _axes(g.origin)
-    new = tuple(round(x / h) * h for x in old)
-    snapped = GridDensity(_point(new), h, g.values)
-    if all(abs(o - x) <= _LATTICE_SNAP_EPS * h for o, x in zip(new, old)):
-        return snapped
-    vals = g.sample(_mesh(snapped._node_axes(extra=1)))
-    return GridDensity(_point(new), h, vals).renormalized(g.mass)
+def snap_to_lattice(point, h: float):
+    """The integer indices (x first) of the node of h*Z^d at ``point``, or
+    None when the point is off the lattice by over _LATTICE_SNAP_EPS * h
+    along some axis: the engine's one lattice test."""
+    u = [x / h for x in _axes(point)]
+    k = tuple(round(x) for x in u)
+    return k if all(abs(x - i) <= _LATTICE_SNAP_EPS for x, i in zip(u, k)) else None
 
 
 def _check_cells(counts) -> None:
@@ -262,9 +263,8 @@ def _common_step(a: GridDensity, b: GridDensity) -> float:
 def _align(a: GridDensity, b: GridDensity):
     """Both grids' values zero-padded onto their common index box, with
     the box's lattice index along each axis (x first)."""
-    h = _common_step(a, b)
-    ia = [round(o / h) for o in _axes(a.origin)[::-1]]
-    ib = [round(o / h) for o in _axes(b.origin)[::-1]]
+    _common_step(a, b)
+    ia, ib = a.start[::-1], b.start[::-1]
     lo = [min(p, q) for p, q in zip(ia, ib)]
     hi = [max(p + n, q + m) for p, q, n, m in zip(ia, ib, a.values.shape, b.values.shape)]
     _check_cells([u - l for u, l in zip(hi, lo)])
@@ -280,7 +280,7 @@ def add_grids(a: GridDensity, b: GridDensity) -> GridDensity:
     """Sum of two lattice-aligned densities with a common step."""
     va, vb, lo = _align(a, b)
     va += vb
-    return GridDensity(_point([i * a.step for i in lo]), a.step, va)
+    return GridDensity(lo, a.step, va)
 
 
 def l1_distance(a: GridDensity, b: GridDensity) -> float:
@@ -292,9 +292,13 @@ def l1_distance(a: GridDensity, b: GridDensity) -> float:
 
 
 def shift_grid(g: GridDensity, t) -> GridDensity:
-    """Translate a density; lattice multiples move by index, others resample."""
-    origin = [o + s for o, s in zip(_axes(g.origin), _axes(t))]
-    return snap_to_lattice(GridDensity(_point(origin), g.step, g.values))
+    """Translate a density: by index when t lies on the lattice, else by
+    ``pushforward`` under the translation (line and plane), resampling."""
+    k = snap_to_lattice(t, g.step)
+    if k is None:
+        eye = np.eye(g.dim).tolist() if g.dim > 1 else 1.0
+        return pushforward(AffineMap(eye, _point(_axes(t))), g)
+    return GridDensity([s + i for s, i in zip(g.start, k)], g.step, g.values)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +324,7 @@ def raster_interval_set(region: IntervalSet, h: float, mass: float) -> GridDensi
     for a, b in region.intervals:
         overlap = np.minimum(b, cell_hi) - np.maximum(a, cell_lo)
         vals += np.where(overlap > 0, overlap / h * density, 0.0)
-    return GridDensity(i0 * h, h, vals)
+    return GridDensity(i0, h, vals)
 
 
 def _cell_polygon_overlap(poly_verts, cell) -> float:
@@ -405,16 +409,15 @@ def raster_polygon(poly: ConvexPolygon, h: float, mass: float) -> GridDensity:
         )
         if frac > 0:
             vals[j, i] = frac / (h * h) * density
-    return GridDensity((i0 * h, j0 * h), h, vals)
+    return GridDensity((i0, j0), h, vals)
 
 
 def point_mass_grid(location, h: float, mass: float) -> GridDensity:
     """A delta approximant: the whole mass in the one cell whose node is
     nearest to ``location`` (exact when location lies on the lattice)."""
     axes = _axes(location)
-    node = [round(x / h) * h for x in axes]
     cell = math.prod([h] * len(axes))
-    return GridDensity(_point(node), h, np.full((1,) * len(axes), mass / cell))
+    return GridDensity([round(x / h) for x in axes], h, np.full((1,) * len(axes), mass / cell))
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +562,7 @@ def pushforward(f, m):
         weights = m.values / m.values.sum()
         centre = [float((weights * x).sum()) for x in _mesh(m._node_axes())]
         return point_mass_grid(fmap(_point(centre)), h, m.mass)
-    return GridDensity(_point([i * h for i in lo]), h, vals).renormalized(m.mass)
+    return GridDensity(lo, h, vals).renormalized(m.mass)
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +604,7 @@ def convolve_grids(a: GridDensity, b: GridDensity) -> GridDensity:
     spectrum = np.fft.rfftn(a.values, fast, axes) * np.fft.rfftn(b.values, fast, axes)
     vals = np.fft.irfftn(spectrum, fast, axes)[tuple(map(slice, full))] * h**a.dim
     vals[vals <= _FFT_FLOOR * vals.max()] = 0.0
-    origin = [p + q for p, q in zip(_axes(a.origin), _axes(b.origin))]
-    return GridDensity(_point(origin), h, vals)
+    return GridDensity([p + q for p, q in zip(a.start, b.start)], h, vals)
 
 
 def _apply_family(family, g: GridDensity) -> GridDensity:
@@ -613,10 +615,8 @@ def _apply_family(family, g: GridDensity) -> GridDensity:
         family = family_as_grid(family, g.step)
     if isinstance(family, GridDensity):
         return convolve_grids(family, g)
-    pieces = []
-    for loc, w in _atoms(family):
-        piece = shift_grid(g, loc)
-        pieces.append(GridDensity(piece.origin, piece.step, piece.values * w))
+    shifted = [(shift_grid(g, loc), w) for loc, w in _atoms(family)]
+    pieces = [GridDensity(p.start, p.step, p.values * w) for p, w in shifted]
     return functools.reduce(add_grids, pieces)
 
 

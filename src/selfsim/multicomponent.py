@@ -32,6 +32,7 @@ from .measures import (
     grid_fixed_point,
     l1_distance,
     raster_interval_set,
+    snap_to_lattice,
 )
 
 _CA_TOL = 1e-10
@@ -139,15 +140,13 @@ class MCDensity:
 
 def _choose_step(system: MCSystem, requested: float) -> float:
     """Refine the step so point-mass shift locations sit on the lattice."""
-    locs = [abs(x) for row in system.sigma for e in row for loc, _ in _atoms(e) for x in _axes(loc)]
-    locs = [l for l in locs if l > 1e-12]
-    if not locs:
+    locs = [loc for row in system.sigma for e in row for loc, _ in _atoms(e)]
+    base = min((abs(x) for loc in locs for x in _axes(loc) if abs(x) > 1e-12), default=None)
+    if base is None:
         return requested
-    base = min(locs)
     h = base / math.ceil(base / requested)
-    if all(abs(l / h - round(l / h)) < 1e-9 for l in locs):
-        return h
-    return requested  # incommensurable shifts: fall back to resampling
+    # incommensurable shifts: keep the requested step and resample
+    return h if all(snap_to_lattice(loc, h) is not None for loc in locs) else requested
 
 
 def solve_mc_density(

@@ -29,7 +29,6 @@ from selfsim.measures import (
     pushforward,
     raster_interval_set,
     raster_polygon,
-    snap_to_lattice,
     solve_density,
 )
 from selfsim.modelsets import (
@@ -149,8 +148,7 @@ def test_criterion_04_silver_maximal_density_properties():
         assert np.max(np.abs(block - block[::-1])) <= 1e-9
         family_grid = raster_interval_set(IntervalSet.closed(AC, -AC), h, 1.0)
         g_next = convolve_grids(
-            snap_to_lattice(family_grid),
-            snap_to_lattice(pushforward(AffineMap(AC, 0.0), g)),
+            family_grid, pushforward(AffineMap(AC, 0.0), g)
         ).renormalized(1.0)
         assert l1_distance(g, g_next) <= 2e-8
 

@@ -3,9 +3,11 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -393,6 +395,26 @@ class TestPadic:
         assert result.exit_code == 3
         assert result.stderr.startswith("error:")
 
+    @pytest.mark.parametrize("fault", ["swapped", "one-weight-off", "wrong-depth"])
+    def test_wrong_density_fails_the_check(self, fault, tmp_path, monkeypatch):
+        def wrong(precision, max_iter=None):
+            comps = list(padic.solve_padic_system(precision))
+            if fault == "swapped":
+                comps[0], comps[1] = comps[1], comps[0]
+            elif fault == "one-weight-off":
+                weights = list(comps[2].weights)
+                weights[9] += Fraction(1, 3**precision)
+                comps[2] = padic.PadicDensity(precision, weights)
+            else:
+                comps = list(padic.solve_padic_system(precision + 1))
+            return tuple(comps)
+
+        monkeypatch.setattr(cli, "solve_padic_system", wrong)
+        result = run("padic", "--K", 4, "--out", tmp_path)
+        assert result.exit_code == 2
+        assert "FAIL: densities differ from the mod-9 closed form" in result.stdout
+        assert "PASS" not in result.stdout
+
     def test_iteration_budget_exhausted(self, tmp_path):
         result = run("padic", "--K", 5, "--max-iter", 1, "--out", tmp_path)
         assert result.exit_code == 2
@@ -459,9 +481,9 @@ class TestGridCellCap:
         assert not list(tmp_path.iterdir())
 
     def test_every_grid_shape_is_checked(self, monkeypatch):
-        g = GridDensity(0.0, 0.01, np.ones(10))
-        far = GridDensity(100.0, 0.01, np.ones(10))
-        wide = GridDensity(0.0, 0.01, np.ones(600))
+        g = GridDensity(0, 0.01, np.ones(10))
+        far = GridDensity(10_000, 0.01, np.ones(10))
+        wide = GridDensity(0, 0.01, np.ones(600))
         square = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
         monkeypatch.setattr(measures, "_GRID_CELL_CAP", 1000)
         refused = [
@@ -612,6 +634,67 @@ class TestInlineSystems:
         assert result.exit_code == 1
 
 
+    @pytest.mark.parametrize("command", ["fourier", "measure"])
+    def test_zero_length_uniform_family_rejected(self, command, tmp_path):
+        spec = {"a": 0.5, "family": {"kind": "uniform", "lo": 0, "hi": 0}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": spec}))
+        result = run(command, "--config", cfg, "--out", tmp_path / "out")
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: a uniform family needs hi above lo")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"a": "half", "family": {"kind": "point", "location": 0.0}}, "must be a number"),
+            ({"a": [0.5], "family": {"kind": "point", "location": 0.0}}, "must be a number"),
+            ({"a": 2.0, "family": {"kind": "point", "location": 0.0}}, "needs 0 < |a| < 1"),
+            ({"a": -1.0, "family": {"kind": "point", "location": 0.0}}, "needs 0 < |a| < 1"),
+            ({"a": 0.0, "family": {"kind": "point", "location": 0.0}}, "needs 0 < |a| < 1"),
+            ({"a": 0.5, "family": {"kind": "uniform", "lo": 0, "hi": 1, "mass": 0.5}}, "mass 1"),
+            ({"a": 0.5, "family": {"kind": "atoms", "atoms": [[0, 0.5], [1, 0.4]]}}, "mass 1"),
+        ],
+    )
+    def test_inline_configuration_faults_are_config_errors(self, spec, message, tmp_path):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            system_from_spec(spec)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": spec}))
+        for command in ("measure", "fourier"):
+            result = run(command, "--config", cfg, "--out", tmp_path / "out")
+            assert result.exit_code == 1
+            assert result.stderr.startswith("error:") and message in result.stderr
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("weyl", {"system": "silver", "radii": ["x"]}),
+            ("measure", {"system": "silver-max", "max_iter": 2.5}),
+            ("fourier", {"system": "silver-max", "terms": 2.5}),
+            ("padic", {"precision": 4.5}),
+            ("measure", {"system": {"a": 0.5, "sigma": 3}}),
+            ("measure", {"system": {"a": 0.5, "sigma": [[{"kind": "point", "location": 0}]], "m": ["x"]}}),
+            ("measure", {"system": {"a": 0.5, "sigma": [[{"kind": "point", "location": 0}]], "s": 5}}),
+        ],
+    )
+    def test_malformed_config_values_are_config_errors(self, command, config, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = run(command, "--config", cfg, "--out", tmp_path / "out")
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error:")
+
+    def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("library fault")
+
+        monkeypatch.setattr(measures, "fourier_hat", broken)
+        result = run("fourier", "--system", "silver-max", "--out", tmp_path)
+        assert isinstance(result.exception, ValueError)
+        assert "error:" not in result.stderr
+
+
 def template_csv(g):
     # every node's row through one "%.17g" template, x varying fastest
     mesh = np.meshgrid(*g._node_axes()[::-1], indexing="ij")[::-1]
@@ -625,19 +708,19 @@ def template_csv(g):
 def grid_cases():
     rng = np.random.default_rng(7)
     tiny = np.nextafter(0.0, 1.0)
-    yield "line", GridDensity(-0.25, 0.05, rng.uniform(0, 2, 37))
-    yield "plane", GridDensity((-1.0, 0.5), 0.125, rng.uniform(0, 1, (9, 13)))
-    yield "space", GridDensity((0.1, -0.2, 0.3), 1e-3, rng.uniform(0, 1, (3, 4, 5)))
+    yield "line", GridDensity(-5, 0.05, rng.uniform(0, 2, 37))
+    yield "plane", GridDensity((-8, 4), 0.125, rng.uniform(0, 1, (9, 13)))
+    yield "space", GridDensity((100, -200, 300), 1e-3, rng.uniform(0, 1, (3, 4, 5)))
     signed = np.array([[0.0, -0.0, 1.5, -0.0], [0.0, 0.0, -0.0, 1.5]])
-    yield "signed-zeros", GridDensity((0.0, 0.0), 0.5, signed)
-    yield "repeats", GridDensity(0.0, 0.25, np.tile([0.0, 1 / 3, 2 / 3, 1 / 3], 6))
+    yield "signed-zeros", GridDensity((0, 0), 0.5, signed)
+    yield "repeats", GridDensity(0, 0.25, np.tile([0.0, 1 / 3, 2 / 3, 1 / 3], 6))
     subnormals = np.array([tiny, 5 * tiny, 0.0, np.finfo(float).smallest_normal, tiny])
-    yield "subnormal", GridDensity(1.0, 1.0, subnormals)
-    yield "one-node-line", GridDensity(0.3, 0.1, np.array([4.5]))
-    yield "one-node-plane", GridDensity((0.3, -0.7), 0.1, np.array([[4.5]]))
-    # an origin off the lattice h*Z, and a step with no short decimal
-    yield "off-lattice", GridDensity((0.0123, -1 / 3), 1 / 7, rng.uniform(0, 1, (6, 5)))
-    yield "strided", GridDensity(0.0, 0.5, rng.uniform(0, 1, 20)[::3])
+    yield "subnormal", GridDensity(1, 1.0, subnormals)
+    yield "one-node-line", GridDensity(3, 0.1, np.array([4.5]))
+    yield "one-node-plane", GridDensity((3, -7), 0.1, np.array([[4.5]]))
+    # a step with no short decimal, so no node coordinate has one either
+    yield "seventh-step", GridDensity((87, -2), 1 / 7, rng.uniform(0, 1, (6, 5)))
+    yield "strided", GridDensity(0, 0.5, rng.uniform(0, 1, 20)[::3])
 
 
 class TestGridWriter:

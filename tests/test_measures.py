@@ -31,6 +31,7 @@ from selfsim.measures import (
     raster_interval_set,
     raster_polygon,
     shift_grid,
+    snap_to_lattice,
     solve_density,
     solve_invariant_atoms,
 )
@@ -148,14 +149,14 @@ class TestPushforward:
         for _ in range(100):
             n = rng.integers(5, 60)
             vals = rng.uniform(0, 3, size=n)
-            g = GridDensity(rng.uniform(-2, 2), rng.uniform(0.005, 0.05), vals)
+            g = GridDensity(int(rng.integers(-400, 401)), rng.uniform(0.005, 0.05), vals)
             a = rng.uniform(0.1, 0.9) * (-1 if rng.random() < 0.5 else 1)
             out = pushforward(AffineMap(a, rng.uniform(-1, 1)), g)
             assert out.mass == pytest.approx(g.mass, abs=1e-9)
 
     def test_2d_pushforward_mass_and_position(self):
         vals = np.ones((11, 11))
-        g = GridDensity((-0.5, -0.5), 0.1, vals)
+        g = GridDensity((-5, -5), 0.1, vals)
         mat = ((0.4, 0.0), (0.0, 0.4))
         out = pushforward(AffineMap(mat, (1.0, 2.0)), g)
         assert out.mass == pytest.approx(g.mass, abs=1e-9)
@@ -218,7 +219,7 @@ class TestSample:
         rng = np.random.default_rng(5)
         for _ in range(20):
             n = rng.integers(1, 30)
-            g = GridDensity(rng.uniform(-2, 2), rng.uniform(0.01, 0.3), rng.uniform(0, 3, size=n))
+            g = GridDensity(int(rng.integers(-200, 201)), rng.uniform(0.01, 0.3), rng.uniform(0, 3, size=n))
             xs = self.points_1d(g, rng)
             got = g.sample((xs,))
             want = [reference_sample(g, float(x)) for x in xs]
@@ -229,10 +230,10 @@ class TestSample:
         rng = np.random.default_rng(6)
         for _ in range(10):
             ny, nx = rng.integers(1, 15, size=2)
-            origin = tuple(rng.uniform(-2, 2, size=2))
-            g = GridDensity(origin, rng.uniform(0.01, 0.3), rng.uniform(0, 3, size=(ny, nx)))
-            gx = GridDensity(g.origin[0], g.step, np.ones(nx))
-            gy = GridDensity(g.origin[1], g.step, np.ones(ny))
+            start = rng.integers(-200, 201, size=2)
+            g = GridDensity(start, rng.uniform(0.01, 0.3), rng.uniform(0, 3, size=(ny, nx)))
+            gx = GridDensity(g.start[0], g.step, np.ones(nx))
+            gy = GridDensity(g.start[1], g.step, np.ones(ny))
             xs = self.points_1d(gx, rng)
             ys = self.points_1d(gy, rng)
             # pair every x with a shuffled y, and add the grid's corner nodes
@@ -246,7 +247,7 @@ class TestSample:
             assert [g.interpolate((float(x), float(y))) for x, y in pts] == want
 
     def test_sample_keeps_the_shape_of_the_points(self):
-        g = GridDensity((0.0, 0.0), 1.0, np.arange(6.0).reshape(2, 3))
+        g = GridDensity((0, 0), 1.0, np.arange(6.0).reshape(2, 3))
         xs, ys = np.meshgrid([0.0, 0.5, 2.0], [0.0, 1.0])
         assert g.sample((xs, ys)).tolist() == [[0.0, 0.5, 2.0], [3.0, 3.5, 5.0]]
 
@@ -339,11 +340,7 @@ class TestSolveDensity:
         tol = 1e-8
         g = solve_silver_max(tol=tol)
         h = raster_interval_set(IntervalSet.closed(AC, -AC), g.step, 1.0)
-        from selfsim.measures import snap_to_lattice
-
-        g_next = convolve_grids(
-            snap_to_lattice(h), snap_to_lattice(pushforward(AffineMap(AC, 0.0), g))
-        ).renormalized(1.0)
+        g_next = convolve_grids(h, pushforward(AffineMap(AC, 0.0), g)).renormalized(1.0)
         assert l1_distance(g, g_next) < 2 * tol
 
     def test_seed_independence(self):
@@ -355,28 +352,19 @@ class TestSolveDensity:
             IntervalSet.closed(W_HULL[0], W_HULL[1]), step, 1.0
         )
         # run the same iteration by hand from the alternative seed
-        from selfsim.measures import snap_to_lattice
-
-        g2 = snap_to_lattice(wide)
-        hh = snap_to_lattice(h)
+        g2 = wide
         for _ in range(60):
-            g2 = convolve_grids(
-                hh, snap_to_lattice(pushforward(AffineMap(AC, 0.0), g2))
-            ).renormalized(1.0)
+            g2 = convolve_grids(h, pushforward(AffineMap(AC, 0.0), g2)).renormalized(1.0)
         assert l1_distance(g1, g2) < 4 * tol
 
     def test_support_growth_law(self):
-        from selfsim.measures import snap_to_lattice
-
         step = 1e-3
         h = raster_interval_set(IntervalSet.closed(AC, -AC), step, 1.0)
-        g = snap_to_lattice(h)
+        g = h
         fam_lo, fam_hi = g.support()
         pred_lo, pred_hi = fam_lo, fam_hi
         for _ in range(12):
-            g = convolve_grids(
-                snap_to_lattice(h), snap_to_lattice(pushforward(AffineMap(AC, 0.0), g))
-            ).renormalized(1.0)
+            g = convolve_grids(h, pushforward(AffineMap(AC, 0.0), g)).renormalized(1.0)
             # predicted next footprint: family support + AC * current
             pred_lo, pred_hi = (
                 fam_lo + min(AC * pred_lo, AC * pred_hi),
@@ -516,19 +504,19 @@ class TestAveragingContraction:
 
 class TestGridPlumbing:
     def test_add_grids_alignment(self):
-        a = GridDensity(0.0, 0.5, np.array([1.0, 2.0]))
-        b = GridDensity(1.0, 0.5, np.array([3.0]))
+        a = GridDensity(0, 0.5, np.array([1.0, 2.0]))
+        b = GridDensity(2, 0.5, np.array([3.0]))
         out = add_grids(a, b)
         assert out.origin == 0.0
         assert list(out.values) == [1.0, 2.0, 3.0]
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            GridDensity(0.0, 0.5, np.array([1.0, -1e-15, 2.0]))
+            GridDensity(0, 0.5, np.array([1.0, -1e-15, 2.0]))
 
     def test_l1_distance_disjoint(self):
-        a = GridDensity(0.0, 0.5, np.array([2.0]))
-        b = GridDensity(5.0, 0.5, np.array([2.0]))
+        a = GridDensity(0, 0.5, np.array([2.0]))
+        b = GridDensity(10, 0.5, np.array([2.0]))
         assert l1_distance(a, b) == pytest.approx(2.0)
 
     def test_raster_mass_exact(self):
@@ -549,8 +537,8 @@ class TestGridPlumbing:
 
     def test_add_grids_alignment_2d(self):
         # b sits one node right of and two nodes above a's origin
-        a = GridDensity((0.5, -1.0), 0.5, np.array([[1.0, 2.0], [3.0, 4.0]]))
-        b = GridDensity((1.0, 0.0), 0.5, np.array([[10.0, 20.0]]))
+        a = GridDensity((1, -2), 0.5, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        b = GridDensity((2, 0), 0.5, np.array([[10.0, 20.0]]))
         out = add_grids(a, b)
         assert out.origin == (0.5, -1.0)
         assert out.values.tolist() == [
@@ -561,15 +549,15 @@ class TestGridPlumbing:
         assert add_grids(b, a).values.tolist() == out.values.tolist()
 
     def test_l1_distance_offset_2d(self):
-        a = GridDensity((0.5, -1.0), 0.5, np.array([[1.0, 2.0], [3.0, 4.0]]))
-        b = GridDensity((1.0, -0.5), 0.5, np.array([[5.0]]))
+        a = GridDensity((1, -2), 0.5, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        b = GridDensity((2, -1), 0.5, np.array([[5.0]]))
         # cells: 1, 2, 3 unmatched; 4 against 5
         assert l1_distance(a, b) == pytest.approx((1 + 2 + 3 + 1) * 0.25)
         assert l1_distance(a, b) == l1_distance(b, a)
         assert l1_distance(a, a) == 0.0
 
     def test_three_dimensional_grid(self):
-        a = GridDensity((0.0, 0.0, 0.0), 0.5, np.ones((2, 2, 2)))
+        a = GridDensity((0, 0, 0), 0.5, np.ones((2, 2, 2)))
         b = shift_grid(a, (0.5, 0.0, 0.0))
         assert b.origin == (0.5, 0.0, 0.0)
         # one x-slab of 4 cells on each side differs by 1
@@ -580,14 +568,79 @@ class TestGridPlumbing:
         assert a.support() == (-0.25, -0.25, -0.25, 0.75, 0.75, 0.75)
 
     def test_steps_compared_relatively(self):
-        a = GridDensity(0.0, 1e-18, np.array([1.0]))
-        b = GridDensity(0.0, 2e-18, np.array([1.0]))
+        a = GridDensity(0, 1e-18, np.array([1.0]))
+        b = GridDensity(0, 2e-18, np.array([1.0]))
         for op in (add_grids, l1_distance, convolve_grids):
             with pytest.raises(ValueError):
                 op(a, b)
         # a relative rounding difference is still the same step
-        c = GridDensity(0.0, 1e-18 * (1 + 1e-15), np.array([1.0]))
+        c = GridDensity(0, 1e-18 * (1 + 1e-15), np.array([1.0]))
         assert l1_distance(a, c) == 0.0
+
+
+SQUARE = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+
+
+def translation(t):
+    """The map x |-> x + t on the line (t a float) or in the plane."""
+    if isinstance(t, tuple):
+        return AffineMap(((1.0, 0.0), (0.0, 1.0)), t)
+    return AffineMap(1.0, t)
+
+
+class TestLatticeShift:
+    def test_snap_to_lattice_indices(self):
+        h = 0.1
+        assert snap_to_lattice(0.3, h) == (3,)
+        assert snap_to_lattice((-0.7, 1.2), h) == (-7, 12)
+        assert snap_to_lattice(0.3 + 1e-12, h) == (3,)  # well within tolerance
+        assert snap_to_lattice(0.3 + 1e-6, h) is None
+        assert snap_to_lattice((0.2, 0.25), h) is None
+        assert all(isinstance(k, int) for k in snap_to_lattice((-0.7, 1.2), h))
+
+    def test_lattice_shift_moves_by_index(self):
+        g = GridDensity((3, -2), 0.25, np.arange(1.0, 7.0).reshape(2, 3))
+        out = shift_grid(g, (0.5, -1.0))
+        assert out.start == (5, -6)
+        assert out.values is g.values
+
+    @pytest.mark.parametrize(
+        "start, shape, t",
+        [
+            (-7, (23,), 0.37 * 0.05),
+            (12, (40,), -3.6 * 0.05),
+            ((2, -5), (9, 14), (0.31 * 0.05, -2.5 * 0.05)),
+            ((-3, 4), (17, 6), (1.0 * 0.05, 0.7 * 0.05)),  # on the lattice along x only
+        ],
+    )
+    def test_off_lattice_shift_is_the_translation_pushforward(self, start, shape, t):
+        rng = np.random.default_rng(sum(shape))
+        g = GridDensity(start, 0.05, rng.uniform(0, 3, shape))
+        assert snap_to_lattice(t, g.step) is None
+        out = shift_grid(g, t)
+        want = pushforward(translation(t), g)
+        assert out.mass == pytest.approx(g.mass, rel=1e-12)
+        assert out.start == want.start
+        assert np.array_equal(out.values, want.values)
+
+    @pytest.mark.parametrize("region, offset", [
+        (IntervalSet.closed(0.0, 1.0), lambda h: 0.3 + 0.37 * h),
+        (SQUARE, lambda h: (0.3 + 0.37 * h, -0.2 + 0.61 * h)),
+    ])
+    def test_off_lattice_shift_agrees_with_analytic_shift_to_order_h(self, region, offset):
+        # the shifted raster against the raster of the shifted region, at
+        # the same off-lattice fraction of each step: the resampling smears
+        # each edge over about one cell, an L1 gap proportional to h
+        family = UniformFamily(region, 1.0)
+        gaps = []
+        for h in (0.02, 0.01, 0.005):
+            t = offset(h)
+            shifted = shift_grid(family_as_grid(family, h), t)
+            moved = family_as_grid(UniformFamily(region.translate(t), 1.0), h)
+            gaps.append(l1_distance(shifted, moved))
+        assert gaps[0] <= 4 * 0.02
+        assert gaps[1] == pytest.approx(gaps[0] / 2, rel=0.1)
+        assert gaps[2] == pytest.approx(gaps[1] / 2, rel=0.1)
 
 
 def direct_convolve(a, b):
@@ -615,9 +668,10 @@ class TestConvolve:
     def test_matches_shifted_sum(self, sa, sb):
         rng = np.random.default_rng(len(sa) * 1000 + sum(sa) + sum(sb))
         h = 0.05
-        a = GridDensity(tuple(rng.uniform(-1, 1, len(sa))), h, rng.uniform(0, 5, sa))
-        b = GridDensity(tuple(rng.uniform(-1, 1, len(sb))), h, rng.uniform(0, 5, sb))
+        a = GridDensity(rng.integers(-20, 21, len(sa)), h, rng.uniform(0, 5, sa))
+        b = GridDensity(rng.integers(-20, 21, len(sb)), h, rng.uniform(0, 5, sb))
         out = convolve_grids(a, b)
+        assert out.start == tuple(p + q for p, q in zip(a.start, b.start))
         expected = direct_convolve(a.values, b.values) * h ** len(sa)
         assert out.values.shape == expected.shape
         assert np.abs(out.values - expected).max() <= 1e-12 * expected.max()
@@ -632,7 +686,7 @@ class TestConvolve:
             on = functools.reduce(
                 np.logical_and, [i % p == 0 for i, p in zip(np.indices(shape), period)]
             )
-            grids.append(GridDensity((0.0,) * len(shape), 0.1, rng.uniform(0.5, 5, shape) * on))
+            grids.append(GridDensity((0,) * len(shape), 0.1, rng.uniform(0.5, 5, shape) * on))
         out = convolve_grids(*grids)
         support = direct_convolve(*[(g.values > 0) * 1.0 for g in grids]) > 0
         assert np.all(out.values[~support] == 0.0)
@@ -665,7 +719,7 @@ def reference_raster_interval_set(region, h, mass):
             overlap = min(b, i * h + h / 2) - max(a, i * h - h / 2)
             if overlap > 0:
                 vals[i - i0] += overlap / h * density
-    return GridDensity(i0 * h, h, vals)
+    return GridDensity(i0, h, vals)
 
 
 class TestRasterIntervalSet:
@@ -725,7 +779,7 @@ def reference_raster_polygon(poly, h, mass):
             )
             if frac > 0:
                 vals[j - j0, i - i0] = frac / (h * h) * density
-    return GridDensity((i0 * h, j0 * h), h, vals)
+    return GridDensity((i0, j0), h, vals)
 
 
 def assert_raster_matches_reference(poly, h, mass):

@@ -21,11 +21,11 @@ from selfsim.measures import (
     pushforward,
     raster_interval_set,
     shift_grid,
-    snap_to_lattice,
     solve_density,
 )
 from selfsim.multicomponent import (
     MCSystem,
+    _choose_step,
     _null_space,
     indicator_density_identity,
     mass_vector,
@@ -226,7 +226,7 @@ class TestSolveMCDensity:
             for w, m in zip((W1X, W2X), system.m)
         ]
         for _ in range(60):
-            pushed = [snap_to_lattice(pushforward(fmap, g)) for g in comps]
+            pushed = [pushforward(fmap, g) for g in comps]
             new = []
             for i in range(2):
                 acc = None
@@ -258,6 +258,25 @@ class TestSolveMCDensity:
         x1lo, y1lo, x1hi, y1hi = g1.support()
         want = (-0.4 * x1hi + 0.1, -0.4 * y1hi + 0.2, -0.4 * x1lo + 0.1, -0.4 * y1lo + 0.2)
         assert np.allclose(g2.support(), want, rtol=0, atol=2 * g2.step)
+
+    def test_incommensurable_point_shifts_converge(self):
+        # shifts 0.1 and 0.1*sqrt2 share no lattice step, so the requested
+        # step is kept and every point-mass entry translates by resampling
+        a, shift_1, shift_2 = 0.5, 0.1, 0.1 * math.sqrt(2)
+        sigma = [
+            [UniformFamily(IntervalSet.closed(-0.5, 0.5), 0.5), PointMassFamily(shift_1, 0.5)],
+            [PointMassFamily(shift_2, 1.0), None],
+        ]
+        system = MCSystem(a, sigma)
+        assert _choose_step(system, 1e-3) == 1e-3
+        sol = solve_mc_density(system, step=1e-3, tol=1e-9)
+        assert sol.masses == pytest.approx((1.0, 1.0), abs=1e-12)
+        for g, m in zip(sol.components, sol.masses):
+            assert g.mass == pytest.approx(m, abs=1e-9)
+        # omega_2 is a.omega_1 moved by shift_2, up to the resampling's smear
+        g1, g2 = sol.components
+        lo, hi = g1.support()
+        assert np.allclose(g2.support(), (a * lo + shift_2, a * hi + shift_2), atol=3 * g2.step)
 
     def test_single_component_matches_scalar_solver(self):
         window = IntervalSet.closed(QuadInt(1, -1), QuadInt(-1, 1))

@@ -3,7 +3,8 @@
 Runs every builtin system (aliases left out) through ``attractor``,
 ``measure``, ``fourier`` and ``weyl`` in both output formats, plus
 ``padic`` at K = 4, 5, 7 and 8, ``weyl`` with Weyl centres and
-``fourier`` on inline families over negative frequencies, both from a
+``fourier`` on inline families over negative frequencies and a coupled
+inline ``measure`` whose point shifts share no lattice step, all from a
 ``--config`` file (written into the run's directory), ``weyl`` at patch
 radii that take the lattice enumeration deep in both, and ``measure`` at
 a tol the density solver cannot reach, each as a fresh ``python -m
@@ -96,6 +97,23 @@ CONFIG_RUNS = (
             "k_min": -4.0,
             "k_max": 1.0,
             "k_step": 0.005,
+        },
+    ),
+    # coupled point shifts 0.1 and 0.1*sqrt2 share no lattice step, so the
+    # solver keeps the requested step and translates by resampling
+    (
+        ["measure"],
+        {
+            "system": {
+                "a": 0.5,
+                "sigma": [
+                    [
+                        {"kind": "uniform", "lo": -0.5, "hi": 0.5, "mass": 0.5},
+                        {"kind": "point", "location": 0.1, "mass": 0.5},
+                    ],
+                    [{"kind": "point", "location": 0.14142135623730953, "mass": 1.0}, None],
+                ],
+            },
         },
     ),
 )
