@@ -15,10 +15,10 @@ __version__ = "0.1.0"
 def _lazy_module(name: str):
     """The module ``name``, registered in ``sys.modules`` (and on its parent
     package) at once but executed on its first attribute access: the
-    standard-library ``importlib.util.LazyLoader`` recipe.  The exact
-    layers reach numpy and the numpy layers this way, so commands that
-    never touch them never load them.  A module already imported is
-    returned as it is."""
+    standard-library ``importlib.util.LazyLoader`` recipe.  The CLI
+    reaches every layer this way, and the exact layers reach numpy and
+    the numpy layers this way, so a command executes only the layers it
+    runs.  A module already imported is returned as it is."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)

@@ -6,12 +6,13 @@ density (single- or multi-component), ``fourier`` tabulates the
 transform product, ``weyl`` tabulates ball averages over a
 cut-and-project point set, and ``padic`` emits the exact coset
 densities with a pass/fail check.  Exit codes: 0 success, 1 bad
-configuration, 2 non-convergence or a failed exactness check, 3 a
-resource cap.
+configuration (a usage error included), 2 non-convergence or a failed
+exactness check, 3 a resource cap.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import json
 import math
@@ -20,21 +21,23 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
-import click
-
-from . import _lazy_module
-from .compactsets import AffineMap, ConvexPolygon, IFSSystem, IntervalSet, iterate_attractor
+from . import __version__, _lazy_module
 from .errors import ConfigError, ConvergenceError, ResourceCapError
-from .padic import DEFAULT_PRECISION, solve_padic_system
-from .systems import BUILTIN_NAMES, BuiltinSystem, builtin
 
 # the fourier table's size before it is built: frequencies, and frequencies
 # times product terms (about 60-130 ns each, so some 8-17 s at the cap)
 _FOURIER_FREQUENCY_CAP = 2**20
 _FOURIER_PRODUCT_CAP = 2**27
 
-# loaded on first use: attractor and padic never execute numpy
+# every layer is loaded on first use, so a command executes only the layers
+# it runs: attractor never executes numpy, and padic executes padic alone.
+# numberfields is not used here; it is registered with the others so that
+# every layer module is in sys.modules once this module is imported.
 np = _lazy_module("numpy")
+compactsets = _lazy_module("selfsim.compactsets")
+numberfields = _lazy_module("selfsim.numberfields")
+padic = _lazy_module("selfsim.padic")
+systems = _lazy_module("selfsim.systems")
 measures = _lazy_module("selfsim.measures")
 modelsets = _lazy_module("selfsim.modelsets")
 multicomponent = _lazy_module("selfsim.multicomponent")
@@ -57,7 +60,7 @@ class ExperimentConfig:
     radii: Optional[tuple] = None
     centers: tuple = (0.0,)
     terms: int = 40
-    precision: int = DEFAULT_PRECISION
+    precision: Optional[int] = None
     max_iter: Optional[int] = None
     k_min: float = 0.0
     k_max: float = 5.0
@@ -80,7 +83,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.terms < 1:
             raise ConfigError("terms must be at least 1")
-        if self.precision < 4:
+        if self.precision is not None and self.precision < 4:
             raise ConfigError("K must be at least 4")
         if self.max_iter is not None and self.max_iter < 1:
             raise ConfigError("max-iter must be at least 1")
@@ -138,7 +141,7 @@ def _family_from_spec(spec) -> object:
     kind = spec["kind"]
     try:
         if kind == "uniform":
-            region = IntervalSet.closed(float(spec["lo"]), float(spec["hi"]))
+            region = compactsets.IntervalSet.closed(float(spec["lo"]), float(spec["hi"]))
             if not region.measure() > 0:
                 raise ConfigError(f"a uniform family needs hi above lo, got [{region.lo}, {region.hi}]")
             return measures.UniformFamily(region, float(spec.get("mass", 1.0)))
@@ -152,7 +155,7 @@ def _family_from_spec(spec) -> object:
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
-def system_from_spec(spec: dict) -> BuiltinSystem:
+def system_from_spec(spec: dict) -> systems.BuiltinSystem:
     """Build a 1D system from an inline JSON descriptor.
 
     Recognized keys: ``a`` (the shared contraction), ``maps`` (nested
@@ -174,10 +177,10 @@ def system_from_spec(spec: dict) -> BuiltinSystem:
     if "maps" in spec:
         try:
             grid = [
-                [[AffineMap(float(m.get("a", a)), float(m["t"])) for m in cell] for cell in row]
+                [[compactsets.AffineMap(float(m.get("a", a)), float(m["t"])) for m in cell] for cell in row]
                 for row in spec["maps"]
             ]
-            ifs = IFSSystem(grid)
+            ifs = compactsets.IFSSystem(grid)
         except (KeyError, TypeError, AttributeError) as exc:
             raise ConfigError(f"bad inline maps: {exc}")
         except ValueError as exc:
@@ -187,7 +190,7 @@ def system_from_spec(spec: dict) -> BuiltinSystem:
             raw_seeds = [[-1.0, 1.0]] * ifs.n
         try:
             seeds = tuple(
-                IntervalSet.closed(float(lo), float(hi)) for lo, hi in raw_seeds
+                compactsets.IntervalSet.closed(float(lo), float(hi)) for lo, hi in raw_seeds
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad inline seeds: {exc}")
@@ -212,7 +215,7 @@ def system_from_spec(spec: dict) -> BuiltinSystem:
             bad = np.argwhere(np.abs(stated - mc.s) > 1e-9).tolist()
             if bad:
                 raise ConfigError(f"stated s{bad[0]} disagrees with the family masses")
-    return BuiltinSystem(
+    return systems.BuiltinSystem(
         name="inline",
         summary="inline system from config",
         ifs=ifs,
@@ -221,14 +224,14 @@ def system_from_spec(spec: dict) -> BuiltinSystem:
     )
 
 
-def resolve_system(cfg: ExperimentConfig) -> BuiltinSystem:
+def resolve_system(cfg: ExperimentConfig) -> systems.BuiltinSystem:
     if cfg.system is None:
         raise ConfigError(
             f"no system given; pass --system or put one in the config "
-            f"(builtins: {', '.join(BUILTIN_NAMES)})"
+            f"(builtins: {', '.join(systems.BUILTIN_NAMES)})"
         )
     if isinstance(cfg.system, str):
-        return builtin(cfg.system)
+        return systems.builtin(cfg.system)
     if isinstance(cfg.system, dict):
         return system_from_spec(cfg.system)
     raise ConfigError("system must be a builtin name or an inline dict")
@@ -318,16 +321,16 @@ def _write_grid(g: measures.GridDensity, path_base: Path, fmt: str) -> Path:
 
 
 def _set_json(s) -> dict:
-    if isinstance(s, IntervalSet):
+    if isinstance(s, compactsets.IntervalSet):
         return {"intervals": [[float(lo), float(hi)] for lo, hi in s.intervals]}
-    if isinstance(s, ConvexPolygon):
+    if isinstance(s, compactsets.ConvexPolygon):
         return {"vertices": [[float(x), float(y)] for x, y in s.vertices]}
     return {"parts": [_set_json(part) for part in s]}
 
 
 def _set_rows(s):
     """part,lo,hi rows for interval sets; part,x,y vertex rows for polygons."""
-    if isinstance(s, IntervalSet):
+    if isinstance(s, compactsets.IntervalSet):
         return "part,lo,hi", [
             (k, float(lo), float(hi)) for k, (lo, hi) in enumerate(s.intervals)
         ]
@@ -342,7 +345,7 @@ def _check_grid_step(step: float, region, what: str) -> None:
     """Refuse a raster step that is not below the region's smallest
     extent: such a grid cannot resolve the region at all."""
     region = region.as_float()
-    if isinstance(region, IntervalSet):
+    if isinstance(region, compactsets.IntervalSet):
         extent = region.hi - region.lo
     else:
         xlo, ylo, xhi, yhi = region.bbox()
@@ -370,38 +373,52 @@ def _handled(fn):
 
 
 def _die(message: str, code: int) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr, flush=True)
     sys.exit(code)
 
 
+def _echo(message: str) -> None:
+    print(message, flush=True)
+
+
 def _echo_wrote(path: Path) -> None:
-    click.echo(f"wrote {path}")
+    _echo(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-
-@click.group()
-@click.version_option(package_name="selfsim", prog_name="selfsim")
-def main() -> None:
-    """Attractors, self-similar measures, and model-set experiments."""
+# name -> (handled command function, its options as (flag, add_argument keywords))
+_COMMANDS = {}
 
 
-_system_option = click.option("--system", "system", default=None, help="builtin system name")
-_config_option = click.option("--config", "config_path", default=None, type=click.Path(), help="JSON config file")
-_out_option = click.option("--out", default=None, help="output directory (default: current)")
-_format_option = click.option("--format", "fmt", default=None, help="output format: csv or json (default csv)")
+def _command(name: str, *options):
+    """Register the decorated function as command ``name``; it is called with
+    one keyword argument per option, None where the flag is not given."""
+
+    def register(fn):
+        _COMMANDS[name] = (_handled(fn), options)
+        return fn
+
+    return register
 
 
-@main.command("attractor")
-@_system_option
-@_config_option
-@_out_option
-@_format_option
-@click.option("--tol", type=float, default=None, help="Hausdorff stop tolerance (default 1e-12)")
-@click.option("--max-iter", "max_iter", type=int, default=None)
-@_handled
+_system_option = ("--system", dict(help="builtin system name"))
+_config_option = ("--config", dict(dest="config_path", metavar="FILE", help="JSON config file"))
+_out_option = ("--out", dict(help="output directory (default: current)"))
+_format_option = ("--format", dict(dest="fmt", metavar="{csv,json}", help="output format: csv or json (default csv)"))
+_max_iter_option = ("--max-iter", dict(type=int))
+
+
+@_command(
+    "attractor",
+    _system_option,
+    _config_option,
+    _out_option,
+    _format_option,
+    ("--tol", dict(type=float, help="Hausdorff stop tolerance (default 1e-12)")),
+    _max_iter_option,
+)
 def cmd_attractor(system, config_path, out, fmt, tol, max_iter) -> None:
     """Iterate a system's union map and write the attractor sets."""
     cfg = build_config(
@@ -417,7 +434,7 @@ def cmd_attractor(system, config_path, out, fmt, tol, max_iter) -> None:
     if b.ifs is None:
         raise ConfigError(f"system {b.name!r} has no attractor variant")
     log = []
-    sets, iters, delta = iterate_attractor(
+    sets, iters, delta = compactsets.iterate_attractor(
         b.ifs,
         b.seeds,
         cfg.tol,
@@ -446,18 +463,19 @@ def cmd_attractor(system, config_path, out, fmt, tol, max_iter) -> None:
             },
         )
         _echo_wrote(path)
-    click.echo(f"converged in {iters} iterations (delta {delta:.3e})")
+    _echo(f"converged in {iters} iterations (delta {delta:.3e})")
 
 
-@main.command("measure")
-@_system_option
-@_config_option
-@_out_option
-@_format_option
-@click.option("--grid-step", "grid_step", type=float, default=None)
-@click.option("--tol", type=float, default=None)
-@click.option("--max-iter", "max_iter", type=int, default=None)
-@_handled
+@_command(
+    "measure",
+    _system_option,
+    _config_option,
+    _out_option,
+    _format_option,
+    ("--grid-step", dict(type=float)),
+    ("--tol", dict(type=float)),
+    _max_iter_option,
+)
 def cmd_measure(system, config_path, out, fmt, grid_step, tol, max_iter) -> None:
     """Solve the invariant density and write it as grid data."""
     cfg = build_config(
@@ -504,7 +522,7 @@ def cmd_measure(system, config_path, out, fmt, grid_step, tol, max_iter) -> None
             _echo_wrote(f)
         _echo_wrote(path)
         for i, g in enumerate(result.components):
-            click.echo(f"component {i + 1} mass {g.mass:.6f}")
+            _echo(f"component {i + 1} mass {g.mass:.6f}")
         return
     h = measures.family_as_grid(b.family, step)
     g = measures.solve_density(h, b.contraction, tol=cfg.tol, max_iter=max_iter)
@@ -519,16 +537,17 @@ def cmd_measure(system, config_path, out, fmt, grid_step, tol, max_iter) -> None
     _write_json(mpath, manifest)
     _echo_wrote(path)
     _echo_wrote(mpath)
-    click.echo(f"mass {g.mass:.6f}")
+    _echo(f"mass {g.mass:.6f}")
 
 
-@main.command("fourier")
-@_system_option
-@_config_option
-@_out_option
-@_format_option
-@click.option("--terms", type=int, default=None, help="product truncation (default 40)")
-@_handled
+@_command(
+    "fourier",
+    _system_option,
+    _config_option,
+    _out_option,
+    _format_option,
+    ("--terms", dict(type=int, help="product truncation (default 40)")),
+)
 def cmd_fourier(system, config_path, out, fmt, terms) -> None:
     """Tabulate the transform product over a frequency range."""
     cfg = build_config(config_path, system=system, out=out, fmt=fmt, terms=terms)
@@ -561,18 +580,19 @@ def cmd_fourier(system, config_path, out, fmt, terms) -> None:
             },
         )
     _echo_wrote(path)
-    click.echo(f"{count} frequencies, {cfg.terms} terms each")
+    _echo(f"{count} frequencies, {cfg.terms} terms each")
 
 
-@main.command("weyl")
-@_system_option
-@_config_option
-@_out_option
-@_format_option
-@click.option("--radius", type=float, default=None, help="single ball radius")
-@click.option("--radii", "radii_text", default=None, help="comma-separated ball radii")
-@click.option("--grid-step", "grid_step", type=float, default=None, help="window indicator raster step")
-@_handled
+@_command(
+    "weyl",
+    _system_option,
+    _config_option,
+    _out_option,
+    _format_option,
+    ("--radius", dict(type=float, help="single ball radius")),
+    ("--radii", dict(dest="radii_text", metavar="R1,R2,...", help="comma-separated ball radii")),
+    ("--grid-step", dict(type=float, help="window indicator raster step")),
+)
 def cmd_weyl(system, config_path, out, fmt, radius, radii_text, grid_step) -> None:
     """Average the window indicator over model-set patches."""
     radii = None
@@ -604,7 +624,7 @@ def cmd_weyl(system, config_path, out, fmt, radius, radii_text, grid_step) -> No
     reach = max(r + n for r in radii for n in norms)
     patch_radius = int(math.ceil(reach)) + 4  # margin so the rim is populated
     points = modelsets.project_points(b.scheme, b.window, patch_radius)
-    if isinstance(b.window, IntervalSet):
+    if isinstance(b.window, compactsets.IntervalSet):
         g = measures.raster_interval_set(b.window, step, float(b.window.measure()))
     else:
         g = measures.raster_polygon(b.window, step, float(b.window.area))
@@ -640,7 +660,7 @@ def cmd_weyl(system, config_path, out, fmt, radius, radii_text, grid_step) -> No
     _echo_wrote(path)
     for row in table:
         ctext = ",".join(f"{v:g}" for v in measures._axes(row.center))
-        click.echo(
+        _echo(
             f"r={row.radius:g} center={ctext}: average {row.average:.6f}, "
             f"limit {row.limit:.6f}, error {row.abs_error:.2e}"
         )
@@ -654,19 +674,21 @@ def _padic_closed_form_holds(comps, precision: int) -> bool:
     )
 
 
-@main.command("padic")
-@_config_option
-@_out_option
-@_format_option
-@click.option("--K", "precision", type=int, default=None, help="coset depth (default 5)")
-@click.option("--max-iter", "max_iter", type=int, default=None)
-@_handled
+@_command(
+    "padic",
+    _config_option,
+    _out_option,
+    _format_option,
+    ("--K", dict(dest="precision", metavar="K", type=int, help="coset depth (default 5)")),
+    _max_iter_option,
+)
 def cmd_padic(config_path, out, fmt, precision, max_iter) -> None:
     """Solve the 3-adic component system and check the closed form."""
     cfg = build_config(
         config_path, out=out, fmt=fmt, precision=precision, max_iter=max_iter
     )
-    comps = solve_padic_system(cfg.precision, max_iter=cfg.max_iter)
+    precision = cfg.precision if cfg.precision is not None else padic.DEFAULT_PRECISION
+    comps = padic.solve_padic_system(precision, max_iter=cfg.max_iter)
     out_dir = _out_dir(cfg)
     if cfg.fmt == "csv":
         for i, c in enumerate(comps):
@@ -681,7 +703,7 @@ def cmd_padic(config_path, out, fmt, precision, max_iter) -> None:
         _write_json(
             path,
             {
-                "precision": cfg.precision,
+                "precision": precision,
                 "components": [
                     {
                         "component": i + 1,
@@ -693,12 +715,52 @@ def cmd_padic(config_path, out, fmt, precision, max_iter) -> None:
             },
         )
         _echo_wrote(path)
-    if _padic_closed_form_holds(comps, cfg.precision):
-        click.echo("PASS: densities equal 9 on the residues 1, 3, 0 mod 9")
+    if _padic_closed_form_holds(comps, precision):
+        _echo("PASS: densities equal 9 on the residues 1, 3, 0 mod 9")
     else:
-        click.echo("FAIL: densities differ from the mod-9 closed form")
+        _echo("FAIL: densities differ from the mod-9 closed form")
         sys.exit(2)
 
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error: one ``error:`` line, exit 1."""
+
+    def error(self, message):
+        _die(message, 1)
+
+
+def _summary(fn) -> Optional[str]:
+    """The first line of ``fn``'s docstring; None under ``python -OO``."""
+    return fn.__doc__ and fn.__doc__.splitlines()[0]
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    parser = _Parser(prog=prog, description=_summary(main), allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"{prog}, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, (fn, options) in _COMMANDS.items():
+        summary = _summary(fn)
+        sub = commands.add_parser(name, help=summary, description=summary, allow_abbrev=False)
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(run=fn)
+    return parser
+
+
+def main(argv=None, prog_name: Optional[str] = None, standalone_mode: bool = True) -> None:
+    """Attractors, self-similar measures, and model-set experiments.
+
+    Runs the command in ``argv`` (default ``sys.argv[1:]``).  Success
+    returns; every other outcome, a usage error included, raises
+    SystemExit with the exit code.  ``standalone_mode`` changes nothing:
+    it keeps the call form ``main.main(argv, prog_name=...,
+    standalone_mode=False)`` of in-process drivers working.
+    """
+    args = vars(_parser(prog_name or "selfsim").parse_args(argv))
+    args.pop("run")(**args)
+
+
+main.main = main
 
 if __name__ == "__main__":
     main()

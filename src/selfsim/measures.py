@@ -370,6 +370,12 @@ def raster_polygon(poly: ConvexPolygon, h: float, mass: float) -> GridDensity:
     remaining cells, those the boundary crosses, are clipped.  Every float
     operation is the one clipping the cell would do, so the grid is
     bitwise the one clipping every cell gives.
+
+    The edge test at corner (x, y) is fl(t - u) with the row term t =
+    (bx-ax)*(y-ay) and the column term u = (by-ay)*(x-ax).  Rounded
+    subtraction is monotone, so its least value over a cell's corners is
+    fl(min t - max u) and its greatest fl(max t - min u): one row and one
+    column of terms per edge stand for the four corner grids.
     """
     poly = poly.as_float()
     area = poly.area
@@ -394,10 +400,11 @@ def raster_polygon(poly: ConvexPolygon, h: float, mass: float) -> GridDensity:
     slack = 16 * (len(verts) + 2) * np.finfo(float).eps * reach
     inside, outside = True, False
     for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
-        sides = [(bx - ax) * (cy - ay) - (by - ay) * (cx - ax) for cx, cy in corners]
-        inside = inside & (functools.reduce(np.minimum, sides) >= 0)
+        t0, t1 = (bx - ax) * (y0 - ay), (bx - ax) * (y1 - ay)
+        u0, u1 = (by - ay) * (x0 - ax), (by - ay) * (x1 - ax)
+        inside = inside & (np.minimum(t0, t1) - np.maximum(u0, u1) >= 0)
         margin = slack * (abs(bx - ax) + abs(by - ay))
-        outside = outside | (functools.reduce(np.maximum, sides) < -margin)
+        outside = outside | (np.maximum(t0, t1) - np.minimum(u0, u1) < -margin)
     area = 0.0
     for (cx, cy), (nx, ny) in zip(corners, corners[1:] + corners[:1]):
         area = area + (cx * ny - nx * cy)
@@ -542,6 +549,12 @@ def pushforward(f, m):
         return DiscreteMeasure([(fmap(loc), w) for loc, w in m.atoms])
     if not isinstance(m, GridDensity):
         raise TypeError(f"cannot push forward {type(m).__name__}")
+    if not len(fmap.rows) == m.dim <= 2:
+        raise ValueError(
+            f"pushforward resamples grids on the line and in the plane only, under a map "
+            f"of the grid's dimension; got a {m.dim}-dimensional grid and a "
+            f"{len(fmap.rows)}-dimensional map"
+        )
     h = m.step
     mat, t, det = fmap.rows, fmap.translation, fmap.determinant()
     # adjugate: mat^-1 = adj / det

@@ -1,5 +1,7 @@
 """End-to-end runs of the command-line drivers against temp directories."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,13 +9,15 @@ import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
+import selfsim
 from selfsim import cli, measures, modelsets, padic
 from selfsim.cli import ExperimentConfig, _write_grid, build_config, main, system_from_spec
 from selfsim.compactsets import AffineMap, ConvexPolygon, IntervalSet
@@ -38,8 +42,31 @@ OCTAGON = [
 ]
 
 
-def run(*args):
-    return CliRunner().invoke(main, [str(a) for a in args])
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: Optional[BaseException]  # what ended a failed run
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def run(*args) -> Result:
+    """One command run in this process, its output captured."""
+    out, err = io.StringIO(), io.StringIO()
+    exit_code, exception = 0, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main([str(a) for a in args])
+        except SystemExit as exc:
+            exit_code = exc.code or 0
+            exception = exc if exit_code else None
+        except Exception as exc:
+            exit_code, exception = 1, exc
+    return Result(exit_code, out.getvalue(), err.getvalue(), exception)
 
 
 def read_csv(path):
@@ -397,8 +424,10 @@ class TestPadic:
 
     @pytest.mark.parametrize("fault", ["swapped", "one-weight-off", "wrong-depth"])
     def test_wrong_density_fails_the_check(self, fault, tmp_path, monkeypatch):
+        solve = padic.solve_padic_system
+
         def wrong(precision, max_iter=None):
-            comps = list(padic.solve_padic_system(precision))
+            comps = list(solve(precision))
             if fault == "swapped":
                 comps[0], comps[1] = comps[1], comps[0]
             elif fault == "one-weight-off":
@@ -406,10 +435,10 @@ class TestPadic:
                 weights[9] += Fraction(1, 3**precision)
                 comps[2] = padic.PadicDensity(precision, weights)
             else:
-                comps = list(padic.solve_padic_system(precision + 1))
+                comps = list(solve(precision + 1))
             return tuple(comps)
 
-        monkeypatch.setattr(cli, "solve_padic_system", wrong)
+        monkeypatch.setattr(padic, "solve_padic_system", wrong)
         result = run("padic", "--K", 4, "--out", tmp_path)
         assert result.exit_code == 2
         assert "FAIL: densities differ from the mod-9 closed form" in result.stdout
@@ -571,6 +600,50 @@ class TestConfigHandling:
             ExperimentConfig(tol=0.0)
         with pytest.raises(ConfigError):
             ExperimentConfig(k_min=2.0, k_max=1.0)
+
+
+class TestUsageErrors:
+    """A command line the parser refuses is a configuration error: one
+    ``error:`` line on stderr, exit 1, nothing written."""
+
+    @pytest.mark.parametrize("args", [
+        (),
+        ("nope",),
+        ("measure", "--bogus"),
+        ("measure", "--grid-step", "abc"),
+        ("padic", "--system", "silver"),
+        ("padic", "--K", "4.5"),
+        ("padic", "--K"),
+        # a leading "-" with an exponent reads as an option, so the flag has no value
+        ("measure", "--system", "silver-max", "--tol", "-1e-8"),
+        ("measure", "--system", "silver-max", "--grid-step", "-1e-3"),
+        # no prefix matching: the full option name is required
+        ("measure", "--sys", "silver-max"),
+    ])
+    def test_exits_1_with_one_error_line(self, args, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = run(*args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--tol=-1e-8", "error: tol must be positive"),
+        ("--grid-step=-1e-3", "error: grid step must be positive"),
+    ])
+    def test_negative_value_after_equals_reaches_validation(self, flag, message, tmp_path):
+        result = run("measure", "--system", "silver-max", flag, "--out", tmp_path / "out")
+        assert result.exit_code == 1
+        assert result.stderr == message + "\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_0(self):
+        result = run("padic", "--help")
+        assert result.exit_code == 0
+        assert "--K K" in result.stdout
 
 
 class TestInlineSystems:
@@ -751,11 +824,15 @@ class TestDeterminism:
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def fresh_modules(code: str, cwd) -> list:
+def fresh_modules(code: str, cwd, executed_only: bool = False) -> list:
     """Names in sys.modules after running ``code`` in a fresh interpreter
-    against this checkout's src, however the code exits."""
+    against this checkout's src, however the code exits.  With
+    ``executed_only``, a module registered by ``selfsim._lazy_module`` and
+    never used (still of the loader's lazy module type) is left out."""
+    names = "(n for n, m in sys.modules.items() if type(m).__name__ != '_LazyModule')" \
+        if executed_only else "sys.modules"
     script = f"import json, sys\ntry:\n{textwrap.indent(code, '    ')}\nfinally:\n" \
-             "    print(json.dumps(sorted(sys.modules)))"
+             f"    print(json.dumps(sorted({names})))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                          capture_output=True, text=True, check=True)
@@ -787,7 +864,46 @@ def test_exact_commands_never_execute_numpy(args, tmp_path):
         code += f"\nselfsim.cli.main({list(args)!r})"
     modules = fresh_modules(code, tmp_path)
     assert executed(modules, "numpy") == []
-    assert "click" in modules
+    assert "click" not in modules
+
+
+@pytest.mark.parametrize("args", [
+    ("measure", "--system", "silver-max", "--grid-step", "1e-2"),
+    ("fourier", "--system", "silver-max", "--terms", "5"),
+    ("weyl", "--system", "silver", "--radii", "10"),
+], ids=["measure", "fourier", "weyl"])
+def test_numpy_commands_never_import_click(args, tmp_path):
+    code = f"import selfsim.cli\nselfsim.cli.main({list(args)!r})"
+    assert "click" not in fresh_modules(code, tmp_path)
+
+
+def test_padic_executes_only_its_own_layer(tmp_path):
+    code = "import selfsim.cli\nselfsim.cli.main(['padic', '--K', '4'])"
+    ran = fresh_modules(code, tmp_path, executed_only=True)
+    assert [m for m in ran if m.startswith("selfsim.")] == [
+        "selfsim.cli", "selfsim.errors", "selfsim.padic",
+    ]
+    assert "numpy" not in ran
+    assert executed(ran, "numpy") == []
+
+
+def test_version_from_source_checkout(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", "selfsim.cli", "--version"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"selfsim, version {selfsim.__version__}\n"
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == selfsim.__version__
+
+
+def test_runs_without_docstrings(tmp_path):
+    # python -OO strips the docstrings the parser takes its help text from
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-OO", "-m", "selfsim.cli", "padic", "--K", "4"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("PASS: densities equal 9 on the residues 1, 3, 0 mod 9\n")
 
 
 def test_tracer_contract_after_cli_import(tmp_path):

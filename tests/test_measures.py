@@ -623,6 +623,20 @@ class TestLatticeShift:
         assert out.start == want.start
         assert np.array_equal(out.values, want.values)
 
+    def test_space_grid_shifts_by_index_only(self):
+        g = GridDensity((0, 0, 0), 0.5, np.ones((2, 2, 2)))
+        assert shift_grid(g, (0.5, 0, -1.0)).start == (1, 0, -2)
+        with pytest.raises(ValueError, match="on the line and in the plane only"):
+            shift_grid(g, (0.1, 0, 0))
+
+    @pytest.mark.parametrize("f, g", [
+        (AffineMap(0.5, 0.1), GridDensity((0, 0), 0.5, np.ones((2, 2)))),
+        (AffineMap(((1.0, 0.0), (0.0, 1.0)), (0.1, 0.0)), GridDensity(0, 0.5, np.ones(2))),
+    ])
+    def test_pushforward_refuses_a_map_of_another_dimension(self, f, g):
+        with pytest.raises(ValueError, match="1-dimensional"):
+            pushforward(f, g)
+
     @pytest.mark.parametrize("region, offset", [
         (IntervalSet.closed(0.0, 1.0), lambda h: 0.3 + 0.37 * h),
         (SQUARE, lambda h: (0.3 + 0.37 * h, -0.2 + 0.61 * h)),

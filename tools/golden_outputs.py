@@ -6,10 +6,10 @@ Runs every builtin system (aliases left out) through ``attractor``,
 ``fourier`` on inline families over negative frequencies and a coupled
 inline ``measure`` whose point shifts share no lattice step, all from a
 ``--config`` file (written into the run's directory), ``weyl`` at patch
-radii that take the lattice enumeration deep in both, and ``measure`` at
-a tol the density solver cannot reach, each as a fresh ``python -m
-selfsim.cli`` process against this checkout's ``src`` in its own
-temporary directory.  The ``padic --K 8`` runs take under a second with
+radii that take the lattice enumeration deep in both, ``measure`` at
+a tol the density solver cannot reach, and command lines the parser
+refuses (exit 1, no files), each as a fresh ``python -m selfsim.cli``
+process against this checkout's ``src`` in its own temporary directory.  The ``padic --K 8`` runs take under a second with
 the coset-quotient solve and about 40 s each with the full-depth solve
 it replaced, so a set recorded at such a commit takes minutes longer.
 Prints one JSON document listing, per run, the command, its exit code
@@ -55,6 +55,16 @@ EXTRA_RUNS = (
     ["weyl", "--system", "ammann-beenker", "--radii", "10,20,40"],
     # a tol below the solver's round-off floor: exit 2, not a silent stop
     ["measure", "--system", "silver-max", "--tol", "1e-17", "--max-iter", "60"],
+)
+# usage errors, run once each: a configuration error, exit 1 with no files
+USAGE_ERROR_RUNS = (
+    [],
+    ["measure", "--bogus"],
+    ["measure", "--grid-step", "abc"],
+    # a leading "-" with an exponent reads as an option: the flag gets no value
+    ["measure", "--system", "silver-max", "--tol", "-1e-8"],
+    ["measure", "--system", "silver-max", "--grid-step", "-1e-3"],
+    ["padic", "--system", "silver"],
 )
 FORMATS = ("csv", "json")
 # (arguments, config file contents): Weyl centres only reach the CLI by config
@@ -134,6 +144,7 @@ def default_runs() -> list:
         ([*args, "--format", fmt], config) for args, config in CONFIG_RUNS for fmt in FORMATS
     )
     runs.extend(([*args, "--format", fmt], None) for args in EXTRA_RUNS for fmt in FORMATS)
+    runs.extend((args, None) for args in USAGE_ERROR_RUNS)
     return runs
 
 
