@@ -11,6 +11,8 @@ origin), or factor by factor in frequency space (``fourier_hat``).
 certify the contraction property.  Every grid lives on the lattice
 h*Z^d: it stores the integer indices ``start`` of its first node, its
 node coordinates are start*h + k*h, and grids align by index arithmetic.
+One grid solve owns the FFT spectra of its rastered kernels: each is
+computed once per FFT shape and dropped when the solve returns.
 
 All numerics here are float based; exact inputs (QuadRat endpoints and the
 like) are converted on entry.  Frequency convention: hat(m)(k) =
@@ -148,8 +150,12 @@ class GridDensity:
             raise ValueError("values need one array axis per start index")
         if vals.size == 0:
             raise ValueError("empty value array")
-        if np.any(vals < 0):
-            raise ValueError(f"negative density value {vals.min()}")
+        # two reductions, no boolean temporary; NaN propagates through min
+        lo, hi = float(vals.min()), float(vals.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"non-finite density value {hi if math.isfinite(lo) else lo}")
+        if lo < 0:
+            raise ValueError(f"negative density value {lo}")
         self.values = vals
 
     @property
@@ -175,36 +181,42 @@ class GridDensity:
         return _point(self._node_axes())
 
     def renormalized(self, target_mass: float) -> "GridDensity":
+        return GridDensity(self.start, self.step, self.values.copy())._rescale(target_mass)
+
+    def _rescale(self, target_mass: float) -> "GridDensity":
+        """``renormalized`` in place, for a grid just made whose values
+        nothing else holds; returns the grid."""
         m = self.mass
         if m <= 0:
             raise ValueError("cannot renormalize a zero-mass density")
-        return GridDensity(self.start, self.step, self.values * (target_mass / m))
+        self.values *= target_mass / m
+        return self
 
     def sample(self, coords) -> np.ndarray:
         """Multilinear interpolation, zero outside the grid, at the points
         whose coordinates ``coords`` gives per axis (x first, arrays of one
         shape); the result has that shape."""
         h = self.step
-        inside, nodes, weights = True, [], []
+        nodes, weights = [], []
         for c, o, n in zip(coords, _axes(self.origin), self.values.shape[::-1]):
             u = np.asarray(c, dtype=float) - o
             u /= h
             b = np.floor(u)
             u -= b
-            weights.append((1 - u, u))
             b = b.astype(int)
-            inside = inside & (b >= -1) & (b <= n - 1)
-            i = np.clip(b + 1, 0, n)  # index into the zero-bordered values
-            nodes.append((i, i + 1))
-        padded = np.pad(self.values, 1)
+            # a neighbour off the grid is read at a clipped index with the
+            # weight zero, which makes its term an exact zero
+            on_lo, on_hi = (b >= 0) & (b < n), (b >= -1) & (b < n - 1)
+            weights.append((np.where(on_lo, 1 - u, 0.0), np.where(on_hi, u, 0.0)))
+            nodes.append((np.clip(b, 0, n - 1), np.clip(b + 1, 0, n - 1)))
         out = None
         # values and corners run last axis first, weights x first
         for corner in itertools.product((0, 1), repeat=len(nodes)):
-            term = padded[tuple(i[c] for i, c in zip(nodes[::-1], corner))]
+            term = self.values[tuple(i[c] for i, c in zip(nodes[::-1], corner))]
             for w, c in zip(weights, corner[::-1]):
                 term *= w[c]
             out = term if out is None else operator.iadd(out, term)
-        return np.where(inside, out, 0.0)
+        return out
 
     def interpolate(self, x) -> float:
         """Linear (1D) or bilinear (2D) interpolation at one point, zero outside."""
@@ -260,35 +272,40 @@ def _common_step(a: GridDensity, b: GridDensity) -> float:
     return a.step
 
 
-def _align(a: GridDensity, b: GridDensity):
-    """Both grids' values zero-padded onto their common index box, with
-    the box's lattice index along each axis (x first)."""
+def _align(a: GridDensity, b: GridDensity, op):
+    """The ufunc ``op`` of the two grids' values on their common index box,
+    a grid counting as zero off its own nodes: a new array, and the box's
+    lattice index along each axis (x first).  Grids on one box, as the
+    solver's are once their support settles, combine with no padding."""
     _common_step(a, b)
+    if a.start == b.start and a.values.shape == b.values.shape:
+        return op(a.values, b.values), a.start
     ia, ib = a.start[::-1], b.start[::-1]
     lo = [min(p, q) for p, q in zip(ia, ib)]
     hi = [max(p + n, q + m) for p, q, n, m in zip(ia, ib, a.values.shape, b.values.shape)]
-    _check_cells([u - l for u, l in zip(hi, lo)])
-    padded = []
-    for g, start in ((a, ia), (b, ib)):
-        vals = np.zeros([u - l for u, l in zip(hi, lo)])
-        vals[tuple(slice(s - l, s - l + n) for s, l, n in zip(start, lo, g.values.shape))] = g.values
-        padded.append(vals)
-    return padded[0], padded[1], lo[::-1]
+    shape = [u - l for u, l in zip(hi, lo)]
+    _check_cells(shape)
+    out = np.zeros(shape)
+    va, vb = (
+        out[tuple(slice(s - l, s - l + n) for s, l, n in zip(start, lo, g.values.shape))]
+        for g, start in ((a, ia), (b, ib))
+    )
+    va[...] = a.values
+    op(vb, b.values, out=vb)
+    return out, lo[::-1]
 
 
 def add_grids(a: GridDensity, b: GridDensity) -> GridDensity:
     """Sum of two lattice-aligned densities with a common step."""
-    va, vb, lo = _align(a, b)
-    va += vb
-    return GridDensity(lo, a.step, va)
+    vals, lo = _align(a, b, np.add)
+    return GridDensity(lo, a.step, vals)
 
 
 def l1_distance(a: GridDensity, b: GridDensity) -> float:
     """Integral of |a - b| for lattice-aligned densities."""
-    va, vb, _ = _align(a, b)
-    va -= vb
+    diff, _ = _align(a, b, np.subtract)
     # times h once per axis, left to right
-    return math.prod([float(np.abs(va, out=va).sum()), *[a.step] * a.dim])
+    return math.prod([float(np.abs(diff, out=diff).sum()), *[a.step] * a.dim])
 
 
 def shift_grid(g: GridDensity, t) -> GridDensity:
@@ -327,35 +344,56 @@ def raster_interval_set(region: IntervalSet, h: float, mass: float) -> GridDensi
     return GridDensity(i0, h, vals)
 
 
-def _cell_polygon_overlap(poly_verts, cell) -> float:
-    # clip the cell rectangle against each polygon edge, then shoelace
-    x0, y0, x1, y1 = cell
-    pts = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    n = len(poly_verts)
-    for k in range(n):
-        ax, ay = poly_verts[k]
-        bx, by = poly_verts[(k + 1) % n]
-        kept = []
-        m = len(pts)
-        for t in range(m):
-            cx, cy = pts[t]
-            nx, ny = pts[(t + 1) % m]
-            side_c = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            side_n = (bx - ax) * (ny - ay) - (by - ay) * (nx - ax)
-            if side_c >= 0:
-                kept.append((cx, cy))
-            if (side_c > 0 > side_n) or (side_c < 0 < side_n):
-                s = side_c / (side_c - side_n)
-                kept.append((cx + s * (nx - cx), cy + s * (ny - cy)))
-        if not kept:
-            return 0.0
-        pts = kept
-    area = 0.0
-    for t in range(len(pts)):
-        cx, cy = pts[t]
-        nx, ny = pts[(t + 1) % len(pts)]
-        area += cx * ny - nx * cy
-    return abs(area) / 2
+def _clip_cells(verts, x0, y0, x1, y1) -> np.ndarray:
+    """Overlap areas of the cells [x0, x1] x [y0, y1] (arrays, one entry per
+    cell) with the convex polygon ``verts``.
+
+    Sutherland-Hodgman over all cells at once: the cell rectangle, corners
+    (x0, y0), (x1, y0), (x1, y1), (x0, y1), is clipped against each
+    polygon edge in turn.  Each vertex is kept when it lies on the inner
+    side, and followed by the edge's crossing when it and the next vertex
+    lie strictly on opposite sides; a stable sort compacts the kept points
+    of each cell.  Every cell sees the float operations, in the order, of
+    clipping it alone, and the shoelace terms are summed vertex by vertex,
+    so each area is bitwise the one-cell result.
+    """
+    px = np.stack([x0, x1, x1, x0], axis=1)
+    py = np.stack([y0, y0, y1, y1], axis=1)
+    count = np.full(len(px), 4)
+    rows = np.arange(len(px))[:, None]
+
+    def following():
+        # the index of each vertex's successor around its cell's polygon
+        slot = np.arange(px.shape[1])
+        return slot, np.where(slot + 1 < count[:, None], slot + 1, 0)
+
+    def clipped(p, q, s, order):
+        # vertex t in slot 2t and its crossing towards q in slot 2t + 1,
+        # then the kept slots first
+        points = np.stack([p, p + s * (q - p)], axis=2).reshape(len(rows), -1)
+        return np.take_along_axis(points, order, 1)
+
+    # slots past a cell's count hold stale points, so the arithmetic on
+    # them may divide by zero; their results are never kept
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+            slot, nxt = following()
+            live = slot < count[:, None]
+            side = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+            side_n, qx, qy = side[rows, nxt], px[rows, nxt], py[rows, nxt]
+            kept = live & (side >= 0)
+            cross = live & (((side > 0) & (side_n < 0)) | ((side < 0) & (side_n > 0)))
+            s = side / (side - side_n)
+            flags = np.stack([kept, cross], axis=2).reshape(len(rows), -1)
+            count = np.count_nonzero(flags, axis=1)
+            order = np.argsort(~flags, axis=1, kind="stable")[:, : count.max(initial=0)]
+            px, py = clipped(px, qx, s, order), clipped(py, qy, s, order)
+        slot, nxt = following()
+        terms = px * py[rows, nxt] - px[rows, nxt] * py
+    area = np.zeros(len(px))
+    for t in slot:
+        area += np.where(t < count, terms[:, t], 0.0)
+    return np.abs(area) / 2
 
 
 def raster_polygon(poly: ConvexPolygon, h: float, mass: float) -> GridDensity:
@@ -363,7 +401,7 @@ def raster_polygon(poly: ConvexPolygon, h: float, mass: float) -> GridDensity:
     cell-overlap areas.
 
     All cells are classified at once by the clipper's edge test
-    (``_cell_polygon_overlap``) at their four corners: a cell with every
+    (``_clip_cells``) at their four corners: a cell with every
     corner on the inner side of every edge is whole and gets the shoelace
     area of its corners; a cell with every corner outside one edge, by
     more than the rounding the clipper can make, is empty.  Only the
@@ -409,13 +447,8 @@ def raster_polygon(poly: ConvexPolygon, h: float, mass: float) -> GridDensity:
     for (cx, cy), (nx, ny) in zip(corners, corners[1:] + corners[:1]):
         area = area + (cx * ny - nx * cy)
     vals = np.where(inside, np.abs(area) / 2 / (h * h) * density, 0.0)
-    for j, i in zip(*(k.tolist() for k in np.nonzero(~(inside | outside)))):
-        cx, cy = (i0 + i) * h, (j0 + j) * h
-        frac = _cell_polygon_overlap(
-            verts, (cx - h / 2, cy - h / 2, cx + h / 2, cy + h / 2)
-        )
-        if frac > 0:
-            vals[j, i] = frac / (h * h) * density
+    j, i = np.nonzero(~(inside | outside))
+    vals[j, i] = _clip_cells(verts, x0[i], y0[j, 0], x1[i], y1[j, 0]) / (h * h) * density
     return GridDensity((i0, j0), h, vals)
 
 
@@ -570,12 +603,13 @@ def pushforward(f, m):
     hi = [math.ceil(b / h) + 1 for _, b in spans]
     offsets = _mesh([h * np.arange(i0, i1 + 1) - tk for i0, i1, tk in zip(lo, hi, t)])
     pre = [_dot(row, offsets) / det for row in adj]
-    vals = m.sample(pre) * float(fmap.modulus)
+    vals = m.sample(pre)
+    vals *= float(fmap.modulus)
     if not vals.any() and m.values.any():
         weights = m.values / m.values.sum()
         centre = [float((weights * x).sum()) for x in _mesh(m._node_axes())]
         return point_mass_grid(fmap(_point(centre)), h, m.mass)
-    return GridDensity(lo, h, vals).renormalized(m.mass)
+    return GridDensity(lo, h, vals)._rescale(m.mass)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +633,7 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def convolve_grids(a: GridDensity, b: GridDensity) -> GridDensity:
+def convolve_grids(a: GridDensity, b: GridDensity, _spectra=None) -> GridDensity:
     """Density of the convolution (sum of independent draws).
 
     The full linear convolution of the value arrays, by real FFTs padded
@@ -608,26 +642,55 @@ def convolve_grids(a: GridDensity, b: GridDensity) -> GridDensity:
     below zero or outside the true support: every value at or below
     ``_FFT_FLOOR`` times the largest is set to exactly zero, so the result
     is nonnegative and zero wherever the exact convolution is.
+
+    ``_spectra``, when given, is a dict its caller keeps for the kernel
+    ``a`` alone.  It holds a's spectrum at the last FFT shape used, so a
+    solver convolving one kernel with a new grid every iteration
+    transforms the kernel once per shape.  Two rules keep the result
+    bitwise the same with or without a kept spectrum:
+
+    - the product is ``np.multiply(kernel_spectrum, grid_spectrum)`` in
+      that operand order.  The SIMD complex multiply is not bitwise
+      commutative, and ``x * y`` may reuse a temporary right operand by
+      swapping the two.
+    - the scaled result is a contiguous copy of the inverse transform's
+      slice, never the strided slice scaled in place: ``mass`` and the
+      solver's sums run in a different pairwise order over a strided grid.
     """
     h = _common_step(a, b)
     full = [n + m - 1 for n, m in zip(a.values.shape, b.values.shape)]
-    fast = [_fast_len(n) for n in full]
+    fast = tuple(_fast_len(n) for n in full)
     _check_cells(fast)
     axes = tuple(range(len(full)))
-    spectrum = np.fft.rfftn(a.values, fast, axes) * np.fft.rfftn(b.values, fast, axes)
-    vals = np.fft.irfftn(spectrum, fast, axes)[tuple(map(slice, full))] * h**a.dim
+    kernel = None if _spectra is None else _spectra.get(fast)
+    if kernel is None:
+        kernel = np.fft.rfftn(a.values, fast, axes)
+        if _spectra is not None:
+            _spectra.clear()
+            _spectra[fast] = kernel
+    spectrum = np.fft.rfftn(b.values, fast, axes)
+    np.multiply(kernel, spectrum, out=spectrum)
+    # each transform is dropped once the next exists, so the solver's heap
+    # holds one spectrum less at its peak and can shrink after the solve
+    del kernel
+    whole = np.fft.irfftn(spectrum, fast, axes)
+    del spectrum
+    vals = whole[tuple(map(slice, full))] * h**a.dim
+    del whole
     vals[vals <= _FFT_FLOOR * vals.max()] = 0.0
     return GridDensity([p + q for p, q in zip(a.start, b.start)], h, vals)
 
 
-def _apply_family(family, g: GridDensity) -> GridDensity:
-    """The convolution family * g on the grid of g: summed shifted copies
-    for an atomic family, an FFT convolution for a uniform one.  ``family``
-    may also be a GridDensity, a family already rastered at g's step."""
+def _apply_family(family, g: GridDensity, spectra=None) -> GridDensity:
+    """The convolution family * g on the grid of g, a new grid: summed
+    shifted copies for an atomic family, an FFT convolution for a uniform
+    one.  ``family`` may also be a GridDensity, a family already rastered
+    at g's step; ``spectra`` is the dict of its kept spectrum (see
+    ``convolve_grids``)."""
     if isinstance(family, UniformFamily):
         family = family_as_grid(family, g.step)
     if isinstance(family, GridDensity):
-        return convolve_grids(family, g)
+        return convolve_grids(family, g, _spectra=spectra)
     shifted = [(shift_grid(g, loc), w) for loc, w in _atoms(family)]
     pieces = [GridDensity(p.start, p.step, p.values * w) for p, w in shifted]
     return functools.reduce(add_grids, pieces)
@@ -637,7 +700,7 @@ def average_step(family: TranslationFamily, A, m):
     """One application of the averaging operator: family * (A.m)."""
     Am = pushforward(_as_linear(A), m)
     if isinstance(m, GridDensity):
-        return _apply_family(family, Am).renormalized(family.total_mass * m.mass)
+        return _apply_family(family, Am)._rescale(family.total_mass * m.mass)
     if isinstance(family, UniformFamily):
         raise TypeError(
             "a uniform family smears atoms into a continuous measure; "
@@ -712,13 +775,17 @@ def grid_fixed_point(fmap, sigma, masses, step, tol, max_iter, what, on_iterate=
     if not 0 < r < 1:
         raise ValueError(f"need a contraction, got factor {r}")
     comps = tuple(point_mass_grid((0.0,) * fmap.dim, step, m) for m in masses)
+    # the kept kernel spectrum of each entry, for this solve only
+    spectra = [[{} for _ in row] for row in sigma]
     delta = None
     for it in range(1, max_iter + 1):
         pushed = [pushforward(fmap, g) for g in comps]
         new = []
-        for row, mass in zip(sigma, masses):
-            pieces = [_apply_family(e, g) for e, g in zip(row, pushed) if e is not None]
-            new.append(functools.reduce(add_grids, pieces).renormalized(mass))
+        for row, kept, mass in zip(sigma, spectra, masses):
+            pieces = [
+                _apply_family(e, g, s) for e, g, s in zip(row, pushed, kept) if e is not None
+            ]
+            new.append(functools.reduce(add_grids, pieces)._rescale(mass))
         delta = max(l1_distance(a, b) for a, b in zip(new, comps))
         comps = tuple(new)
         if on_iterate is not None:

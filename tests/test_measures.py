@@ -1,5 +1,8 @@
 import functools
+import gc
 import math
+import weakref
+from collections.abc import Sized
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from scipy.fft import next_fast_len
 from scipy.spatial import ConvexHull, QhullError
 from scipy.stats import wasserstein_distance
 
+from selfsim import measures
 from selfsim.compactsets import AffineMap, ConvexPolygon, IntervalSet
 from selfsim.errors import ConvergenceError, ResourceCapError
 from selfsim.measures import (
@@ -17,7 +21,9 @@ from selfsim.measures import (
     GridDensity,
     PointMassFamily,
     UniformFamily,
-    _cell_polygon_overlap,
+    _as_linear,
+    _FFT_FLOOR,
+    _atoms,
     _fast_len,
     add_grids,
     average_step,
@@ -35,6 +41,8 @@ from selfsim.measures import (
     solve_density,
     solve_invariant_atoms,
 )
+from selfsim.multicomponent import _choose_step, solve_mc_density
+from selfsim.systems import builtin
 
 AC = 1.0 - math.sqrt(2.0)  # the contraction multiplier, about -0.4142
 R = abs(AC)
@@ -393,6 +401,97 @@ class TestSolveDensity:
             solve_density(h, AC)
 
 
+def reference_fixed_point(fmap, sigma, masses, step, tol):
+    """The grid iteration of ``grid_fixed_point`` spelled out with the
+    public grid operations: every kernel transformed again at every step
+    (no kept spectrum), every grid renormalized as a copy."""
+    comps = [point_mass_grid((0.0,) * fmap.dim, step, m) for m in masses]
+    while True:
+        pushed = [pushforward(fmap, g) for g in comps]
+        new = []
+        for row, mass in zip(sigma, masses):
+            acc = None
+            for entry, g in zip(row, pushed):
+                if entry is None:
+                    continue
+                if isinstance(entry, GridDensity):
+                    piece = convolve_grids(entry, g)
+                else:
+                    piece = functools.reduce(add_grids, [
+                        GridDensity(p.start, p.step, p.values * w)
+                        for p, w in ((shift_grid(g, loc), w) for loc, w in _atoms(entry))
+                    ])
+                acc = piece if acc is None else add_grids(acc, piece)
+            new.append(acc.renormalized(mass))
+        delta = max(l1_distance(a, b) for a, b in zip(new, comps))
+        comps = new
+        if delta < tol:
+            return comps
+
+
+def assert_same_grids(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.start, g.step, g.values.shape) == (w.start, w.step, w.values.shape)
+        assert np.array_equal(g.values.view(np.int64), w.values.view(np.int64))
+
+
+def solve_builtin(name, step):
+    b = builtin(name)
+    return solve_density(family_as_grid(b.family, step), b.contraction)
+
+
+class TestLeanSolve:
+    """One solve keeps each kernel's spectrum and scales its own fresh grids
+    in place; none of that may move a bit of the result."""
+
+    @pytest.mark.parametrize("name, step", [("ammann-beenker", 0.02), ("silver-max", 1e-3)])
+    def test_density_solve_matches_reference_bitwise(self, name, step):
+        b = builtin(name)
+        kernel = family_as_grid(b.family, step)
+        want = reference_fixed_point(_as_linear(b.contraction), [[kernel]], [1.0], step, 1e-8)
+        assert_same_grids([solve_density(kernel, b.contraction)], want)
+
+    def test_coupled_solve_matches_reference_bitwise(self):
+        system = builtin("silver-mc-max").mc
+        h = _choose_step(system, 5e-4)
+        sigma = [
+            [family_as_grid(e, h) if isinstance(e, UniformFamily) else e for e in row]
+            for row in system.sigma
+        ]
+        masses = tuple(float(x) for x in system.m)
+        want = reference_fixed_point(_as_linear(system.a), sigma, masses, h, 1e-8)
+        assert_same_grids(solve_mc_density(system, 5e-4).components, want)
+
+    def test_kept_spectra_die_with_the_solve(self, monkeypatch):
+        made = []
+        rfftn = np.fft.rfftn
+
+        def recording_rfftn(*args, **kwargs):
+            out = rfftn(*args, **kwargs)
+            made.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(np.fft, "rfftn", recording_rfftn)
+        solve_builtin("ammann-beenker", 0.02)
+        gc.collect()
+        assert made and all(ref() is None for ref in made)
+
+    def test_no_state_outlives_a_solve(self):
+        def snapshot():
+            return {
+                name: len(value) if isinstance(value, Sized) else None
+                for name, value in vars(measures).items()
+            }
+
+        before = snapshot()
+        first = solve_builtin("ammann-beenker", 0.02)
+        solve_builtin("silver-max", 1e-3)
+        again = solve_builtin("ammann-beenker", 0.02)
+        assert_same_grids([again], [first])
+        assert snapshot() == before
+
+
 class TestFourier:
     def test_zero_frequency(self):
         for fam in (minimal_family(), maximal_family(), PointMassFamily(0.3, 1.0)):
@@ -513,6 +612,18 @@ class TestGridPlumbing:
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             GridDensity(0, 0.5, np.array([1.0, -1e-15, 2.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        for values in ([bad, 1.0], [[1.0, 2.0], [3.0, bad]]):
+            with pytest.raises(ValueError, match="non-finite"):
+                GridDensity((0,) * np.ndim(values), 0.5, values)
+        # a value made non-finite after construction is caught by the copy
+        # renormalized makes, not turned into [nan, 0]
+        g = GridDensity(0, 0.5, [1.0, 1.0])
+        g.values[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            g.renormalized(1.0)
 
     def test_l1_distance_disjoint(self):
         a = GridDensity(0, 0.5, np.array([2.0]))
@@ -665,6 +776,19 @@ def direct_convolve(a, b):
     return out
 
 
+def uncached_convolve(a, b):
+    """``convolve_grids`` written plainly, the reference for its bits: the
+    product of two fresh transforms as ``x * y``, which numpy computes into
+    the left temporary in this operand order."""
+    full = [n + m - 1 for n, m in zip(a.values.shape, b.values.shape)]
+    fast = [_fast_len(n) for n in full]
+    axes = tuple(range(len(full)))
+    spectrum = np.fft.rfftn(a.values, fast, axes) * np.fft.rfftn(b.values, fast, axes)
+    vals = np.fft.irfftn(spectrum, fast, axes)[tuple(map(slice, full))] * a.step**a.dim
+    vals[vals <= _FFT_FLOOR * vals.max()] = 0.0
+    return GridDensity([p + q for p, q in zip(a.start, b.start)], a.step, vals)
+
+
 class TestConvolve:
     SHAPES = (
         ((1,), (1,)),
@@ -705,6 +829,31 @@ class TestConvolve:
         support = direct_convolve(*[(g.values > 0) * 1.0 for g in grids]) > 0
         assert np.all(out.values[~support] == 0.0)
         assert np.all(out.values[support] > 0)
+
+    @pytest.mark.parametrize("sa, sb", SHAPES)
+    def test_kept_kernel_spectrum_changes_no_bit(self, sa, sb):
+        rng = np.random.default_rng(len(sa) * 1000 + sum(sa) + sum(sb))
+        a = GridDensity((0,) * len(sa), 0.05, rng.uniform(0, 5, sa))
+        b = GridDensity((3,) * len(sb), 0.05, rng.uniform(0, 5, sb))
+        plain = uncached_convolve(a, b)
+        assert convolve_grids(a, b).values.tobytes() == plain.values.tobytes()
+        spectra = {}
+        first = convolve_grids(a, b, _spectra=spectra)
+        (fast,) = spectra
+        kept = spectra[fast]
+        second = convolve_grids(a, b, _spectra=spectra)
+        assert spectra == {fast: kept} and spectra[fast] is kept
+        for out in (first, second):
+            assert out.start == plain.start
+            assert out.values.tobytes() == plain.values.tobytes()
+        # a grid one node past the FFT shape along every axis needs another
+        # shape: the kept spectrum is replaced
+        extra = [(0, f - (n + m - 1) + 1) for f, n, m in zip(fast, sa, sb)]
+        bigger = GridDensity(b.start, b.step, np.pad(b.values, extra))
+        assert convolve_grids(a, bigger, _spectra=spectra).values.tobytes() == (
+            uncached_convolve(a, bigger).values.tobytes()
+        )
+        assert len(spectra) == 1 and fast not in spectra
 
     def test_fast_len_is_the_next_five_smooth_number(self):
         def smooth(n):
@@ -770,6 +919,38 @@ class TestRasterIntervalSet:
         ref = reference_raster_interval_set(region, h, 1.0)
         assert g.origin == ref.origin
         assert g.values.tobytes() == ref.values.tobytes()
+
+
+def _cell_polygon_overlap(poly_verts, cell) -> float:
+    # one cell clipped alone: the rectangle clipped against each polygon
+    # edge, then the shoelace area
+    x0, y0, x1, y1 = cell
+    pts = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    n = len(poly_verts)
+    for k in range(n):
+        ax, ay = poly_verts[k]
+        bx, by = poly_verts[(k + 1) % n]
+        kept = []
+        m = len(pts)
+        for t in range(m):
+            cx, cy = pts[t]
+            nx, ny = pts[(t + 1) % m]
+            side_c = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            side_n = (bx - ax) * (ny - ay) - (by - ay) * (nx - ax)
+            if side_c >= 0:
+                kept.append((cx, cy))
+            if (side_c > 0 > side_n) or (side_c < 0 < side_n):
+                s = side_c / (side_c - side_n)
+                kept.append((cx + s * (nx - cx), cy + s * (ny - cy)))
+        if not kept:
+            return 0.0
+        pts = kept
+    area = 0.0
+    for t in range(len(pts)):
+        cx, cy = pts[t]
+        nx, ny = pts[(t + 1) % len(pts)]
+        area += cx * ny - nx * cy
+    return abs(area) / 2
 
 
 def reference_raster_polygon(poly, h, mass):

@@ -6,8 +6,9 @@ Runs every builtin system (aliases left out) through ``attractor``,
 ``fourier`` on inline families over negative frequencies and a coupled
 inline ``measure`` whose point shifts share no lattice step, all from a
 ``--config`` file (written into the run's directory), ``weyl`` at patch
-radii that take the lattice enumeration deep in both, ``measure`` at
-a tol the density solver cannot reach, and command lines the parser
+radii that take the lattice enumeration deep in both, ``measure`` of
+``ammann-beenker`` on a finer grid, ``measure`` at a tol the density
+solver cannot reach, and command lines the parser
 refuses (exit 1, no files), each as a fresh ``python -m selfsim.cli``
 process against this checkout's ``src`` in its own temporary directory.  The ``padic --K 8`` runs take under a second with
 the coset-quotient solve and about 40 s each with the full-depth solve
@@ -53,6 +54,9 @@ EXTRA_RUNS = (
     # large patches: thousands of enumerated points, many on or near window edges
     ["weyl", "--system", "silver", "--radii", "100,2000,20000"],
     ["weyl", "--system", "ammann-beenker", "--radii", "10,20,40"],
+    # a finer planar grid: the density solve runs through a second sequence
+    # of FFT lengths
+    ["measure", "--system", "ammann-beenker", "--grid-step", "0.01"],
     # a tol below the solver's round-off floor: exit 2, not a silent stop
     ["measure", "--system", "silver-max", "--tol", "1e-17", "--max-iter", "60"],
 )
