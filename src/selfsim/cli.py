@@ -43,6 +43,13 @@ modelsets = _lazy_module("selfsim.modelsets")
 multicomponent = _lazy_module("selfsim.multicomponent")
 
 
+def _numbers(value) -> list:
+    """The numbers in a config value: none for None, each one of a nested tuple."""
+    if isinstance(value, tuple):
+        return [x for v in value for x in _numbers(v)]
+    return [] if value is None else [value]
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Merged run parameters: system descriptor, numerics, output.
@@ -69,6 +76,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        for name in ("tol", "grid_step", "radii", "centers", "k_min", "k_max", "k_step"):
+            value = getattr(self, name)
+            if not all(map(math.isfinite, _numbers(value))):
+                raise ConfigError(f"{name.replace('_', '-')} must be finite, got {value!r}")
         if not self.tol > 0:
             raise ConfigError("tol must be positive")
         if self.grid_step is not None and not self.grid_step > 0:
@@ -149,7 +160,8 @@ def _family_from_spec(spec) -> object:
             atoms = [(float(loc), float(w)) for loc, w in spec["atoms"]]
             return measures.FiniteFamily(measures.DiscreteMeasure(atoms))
         if kind == "point":
-            return measures.PointMassFamily(float(spec["location"]), float(spec.get("mass", 1.0)))
+            atom = (float(spec["location"]), float(spec.get("mass", 1.0)))
+            return measures.FiniteFamily(measures.DiscreteMeasure([atom]))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad {kind!r} family spec: {exc}")
     raise ConfigError(f"unknown family kind {kind!r}")
@@ -524,8 +536,9 @@ def cmd_measure(system, config_path, out, fmt, grid_step, tol, max_iter) -> None
         for i, g in enumerate(result.components):
             _echo(f"component {i + 1} mass {g.mass:.6f}")
         return
-    h = measures.family_as_grid(b.family, step)
-    g = measures.solve_density(h, b.contraction, tol=cfg.tol, max_iter=max_iter)
+    g = measures.solve_density(
+        measures.family_as_grid(b.family, step), b.contraction, tol=cfg.tol, max_iter=max_iter
+    )
     path = _write_grid(g, out_dir / "density", cfg.fmt)
     manifest = {
         "system": b.name,

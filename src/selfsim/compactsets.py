@@ -808,14 +808,15 @@ class FixedPointCheck:
 def verify_exact_fixed_point(system: IFSSystem, candidate) -> FixedPointCheck:
     """Decide in exact arithmetic whether candidate is the system's attractor.
 
-    Every map parameter and every candidate endpoint must be exact; the
-    verdict compares each component with the union of its images with a
-    merge tolerance of exactly zero.
+    Every map parameter and every candidate endpoint or vertex must be
+    exact; the verdict compares each component with the union of its
+    images with a merge tolerance of exactly zero.  A plane component is
+    one convex polygon, so an image of several polygon parts fails.
     """
     sets = _normalize_seeds(system, candidate)
     for s in sets:
-        if not isinstance(s, IntervalSet) or not s.is_exact:
-            raise ValueError("candidate must be IntervalSets with exact endpoints")
+        if not isinstance(s, (IntervalSet, ConvexPolygon)) or not s.is_exact:
+            raise ValueError("candidate sets must be exact IntervalSets or ConvexPolygons")
     for row in system.maps:
         for cell in row:
             for f in cell:

@@ -1,7 +1,7 @@
 """Self-similar measures of a single contraction family on the line or plane.
 
-The family nu (finite atoms, a uniform density on a region, or one point
-mass) and a linear contraction A define the averaging step m -> nu * A.m,
+The family nu (finite atoms, one for a point mass, or a uniform density on
+a region) and a linear contraction A define the averaging step m -> nu * A.m,
 whose fixed point is the invariant measure.  It is computed as growing
 atom clouds (``solve_invariant_atoms``, iterated from nu itself), as a
 grid density (``solve_density``, the one-component case of the coupled
@@ -70,7 +70,8 @@ def _mesh(axes) -> list:
 
 
 class DiscreteMeasure:
-    """Finite nonnegative atomic measure; atoms within 1e-12 are merged."""
+    """Finite nonnegative atomic measure, sorted by location; an atom
+    within 1e-12 of a kept atom on every axis is merged into it."""
 
     __slots__ = ("atoms",)
 
@@ -86,13 +87,32 @@ class DiscreteMeasure:
         if len({type(loc) for loc, _ in raw}) > 1:
             raise ValueError("atoms mix 1D and 2D locations")
         raw.sort(key=lambda a: a[0])
-        merged = [raw[0]]
-        for loc, w in raw[1:]:
-            last_loc, last_w = merged[-1]
-            if _loc_close(loc, last_loc):
-                merged[-1] = (last_loc, last_w + w)
+        # An atom joins the latest kept atom within eps on every axis.  Kept
+        # atoms are sorted by x, so those within eps in x all came after the
+        # last gap over eps between kept x's; ``run`` files the kept atoms
+        # since that gap by their cell of side 2 eps in the other axes, and
+        # a close atom lies in a neighbouring cell.  On the line the latest
+        # kept atom is the only candidate.
+        shifts = list(itertools.product((-1, 0, 1), repeat=len(_axes(raw[0][0])) - 1))
+        merged, run, last_x = [], {}, -math.inf
+        for loc, w in raw:
+            p = _axes(loc)
+            if p[0] - last_x > _ATOM_MERGE_EPS:
+                run.clear()
+            cell = tuple(x // (2 * _ATOM_MERGE_EPS) for x in p[1:])
+            near = [
+                k
+                for s in shifts
+                for k in run.get(tuple(map(operator.add, cell, s)), ())
+                if _loc_close(p, merged[k][0])
+            ]
+            if near:
+                k = max(near)
+                merged[k] = (merged[k][0], merged[k][1] + w)
             else:
+                run.setdefault(cell, []).append(len(merged))
                 merged.append((loc, w))
+                last_x = p[0]
         self.atoms = tuple(merged)
 
     @property
@@ -491,29 +511,12 @@ class UniformFamily:
         return 1 if isinstance(self.region, IntervalSet) else 2
 
 
-@dataclass(frozen=True)
-class PointMassFamily:
-    """A single weighted translation."""
-
-    location: object
-    total_mass: float
-
-    @property
-    def dim(self) -> int:
-        return len(_axes(self.location))
-
-
-TranslationFamily = Union[FiniteFamily, UniformFamily, PointMassFamily]
+TranslationFamily = Union[FiniteFamily, UniformFamily]
 
 
 def _atoms(family) -> tuple:
-    """(location, weight) pairs of a point-mass or finite family; none for
-    other families."""
-    if isinstance(family, PointMassFamily):
-        return ((family.location, family.total_mass),)
-    if isinstance(family, FiniteFamily):
-        return family.measure.atoms
-    return ()
+    """(location, weight) pairs of a finite family; none for a uniform one."""
+    return family.measure.atoms if isinstance(family, FiniteFamily) else ()
 
 
 def family_as_grid(family: TranslationFamily, h: float) -> GridDensity:
@@ -806,8 +809,6 @@ def grid_fixed_point(fmap, sigma, masses, step, tol, max_iter, what, on_iterate=
 def _family_hat(family: TranslationFamily, k):
     """Mass-normalized transform of the family at frequency k: a float,
     or an array of frequencies transformed elementwise."""
-    if isinstance(family, PointMassFamily):
-        return np.exp(-2j * np.pi * k * float(family.location))
     if isinstance(family, FiniteFamily):
         mu = family.measure
         total = mu.total_mass

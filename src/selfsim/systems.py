@@ -6,7 +6,9 @@ coupled-component system (measure and fourier commands), or a
 cut-and-project scheme with its window (weyl command).  Commands
 look up the facet they need and refuse cleanly when a system does not
 carry it.  The 3-adic component system has no facet: the padic command
-builds it itself.
+builds it itself.  A builtin with a measure is declared once, as its
+compact family of contractions (``_declared``): its IFS, translation
+families, mass vector and exact offsets are all derived from it.
 
 The set-level facets are exact and built with the system.  The numpy
 facets (family, contraction, mc, scheme, window) are built on first
@@ -113,6 +115,52 @@ class BuiltinSystem:
         return any(isinstance(e, measures.UniformFamily) for e in families)
 
 
+def _maps(a, T) -> list:
+    """The set maps x -> a x + t of one entry: one per translation, or one
+    translation-family map for a region."""
+    return [AffineMap(a, t) for t in T] if isinstance(T, tuple) else [TranslationFamilyMap(a, T)]
+
+
+def _family(T, mass):
+    """The translation family of one entry: ``mass`` shared equally by
+    atoms at the translations, or spread uniformly over the region."""
+    if isinstance(T, tuple):
+        return measures.FiniteFamily(measures.DiscreteMeasure([(t, mass / len(T)) for t in T]))
+    return measures.UniformFamily(T.as_float(), mass)
+
+
+def _declared(name, summary, a, sigma, m=None, more=dict, **options) -> BuiltinSystem:
+    """The builtin whose compact family of contractions x -> a x + t is
+    ``sigma``, declared once.
+
+    ``sigma[i][j]`` carries component j into i.  Each entry is None or
+    (T, mass), with T a tuple of exact translations or an exact region of
+    them (IntervalSet or ConvexPolygon).  The set-level IFS and, on first
+    use, the measure facets are derived from it: ``family`` and
+    ``contraction`` for one component, else ``mc`` with mass vector
+    ``m``, whose exact offsets are the translations when every entry is
+    finite.  ``more`` adds further numpy facets; the seeds default to
+    [-1, 1] per component.
+    """
+    translations = [[None if e is None else e[0] for e in row] for row in sigma]
+
+    def facets() -> dict:
+        families = [[None if e is None else _family(*e) for e in row] for row in sigma]
+        if len(sigma) == 1:
+            return dict(family=families[0][0], contraction=a, **more())
+        finite = all(isinstance(T, tuple) for row in translations for T in row if T is not None)
+        offsets = translations if finite else None
+        return dict(mc=multicomponent.MCSystem(a, families, m=m, exact_offsets=offsets), **more())
+
+    options.setdefault("seeds", (IntervalSet.closed(-1.0, 1.0),) * len(sigma))
+    ifs = IFSSystem([[[] if T is None else _maps(a, T) for T in row] for row in translations])
+    return BuiltinSystem(name=name, summary=summary, ifs=ifs, facets=facets, **options)
+
+
+_ZERO = QuadInt(0, 0)
+_SHIFT = QuadInt(2, -1)  # 2 - sqrt2
+
+
 def _point() -> BuiltinSystem:
     return BuiltinSystem(
         name="point",
@@ -124,100 +172,37 @@ def _point() -> BuiltinSystem:
 
 
 def _silver_min() -> BuiltinSystem:
-    translations = (AC_EXACT, QuadInt(0, 0), QuadInt(-1, 1))
-    return BuiltinSystem(
-        name="silver-min",
-        summary="three equal atoms on the symmetric window",
-        ifs=IFSSystem.single([AffineMap(AC_EXACT, t) for t in translations]),
-        seeds=(IntervalSet.closed(-1.0, 1.0),),
+    return _declared(
+        "silver-min", "three equal atoms on the symmetric window",
+        AC_EXACT, [[((AC_EXACT, _ZERO, -AC_EXACT), 1.0)]],
         exact_attractor=(WINDOW,),
-        facets=lambda: dict(
-            family=measures.FiniteFamily(
-                measures.DiscreteMeasure([(AC, 1 / 3), (0.0, 1 / 3), (-AC, 1 / 3)])
-            ),
-            contraction=AC_EXACT,
-        ),
     )
 
 
 def _silver_max() -> BuiltinSystem:
-    region = IntervalSet.closed(AC_EXACT, QuadInt(-1, 1))
-    return BuiltinSystem(
-        name="silver-max",
-        summary="translations uniform over the largest admissible interval",
-        ifs=IFSSystem.single([TranslationFamilyMap(AC_EXACT, region)]),
-        seeds=(IntervalSet.closed(-1.0, 1.0),),
+    return _declared(
+        "silver-max", "translations uniform over the largest admissible interval",
+        AC_EXACT, [[(IntervalSet.closed(AC_EXACT, -AC_EXACT), 1.0)]],
         exact_attractor=(WINDOW,),
-        facets=lambda: dict(
-            family=measures.UniformFamily(IntervalSet.closed(AC, -AC), 1.0),
-            contraction=AC_EXACT,
-        ),
     )
 
 
 def _silver_mc_min() -> BuiltinSystem:
-    shift = QuadInt(2, -1)  # 2 - sqrt2
-    maps = [
-        [
-            [AffineMap(AC_EXACT, QuadInt(0, 0)), AffineMap(AC_EXACT, shift)],
-            [AffineMap(AC_EXACT, QuadInt(0, 0))],
-        ],
-        [[AffineMap(AC_EXACT, AC_EXACT)], []],
-    ]
-
-    def atoms(*locs):
-        return measures.FiniteFamily(measures.DiscreteMeasure([(float(l), R) for l in locs]))
-
-    def mc():
-        sigma = [
-            [atoms(0, shift), atoms(0)],
-            [atoms(AC_EXACT), None],
-        ]
-        exact = [
-            [(Fraction(0), shift), (Fraction(0),)],
-            [(AC_EXACT,), None],
-        ]
-        return multicomponent.MCSystem(AC_EXACT, sigma, m=(1.0, R), exact_offsets=exact)
-
-    return BuiltinSystem(
-        name="silver-mc-min",
-        summary="two coupled windows, one atom per tiling translation",
-        ifs=IFSSystem(maps),
-        seeds=(IntervalSet.closed(-1.0, 1.0), IntervalSet.closed(-1.0, 1.0)),
-        exact_attractor=(WINDOW_1, WINDOW_2),
-        facets=lambda: dict(mc=mc()),
-        default_step=5e-4,
+    return _declared(
+        "silver-mc-min", "two coupled windows, one atom per tiling translation",
+        AC_EXACT, [[((_ZERO, _SHIFT), 2 * R), ((_ZERO,), R)],
+                   [((AC_EXACT,), R), None]],
+        m=(1.0, R), exact_attractor=(WINDOW_1, WINDOW_2), default_step=5e-4,
     )
 
 
 def _silver_mc_max() -> BuiltinSystem:
-    upper = IntervalSet.closed(QuadInt(0, 0), QuadInt(2, -1))
-    symmetric = IntervalSet.closed(AC_EXACT, QuadInt(-1, 1))
-    maps = [
-        [
-            [TranslationFamilyMap(AC_EXACT, upper)],
-            [TranslationFamilyMap(AC_EXACT, symmetric)],
-        ],
-        [[AffineMap(AC_EXACT, AC_EXACT)], []],
-    ]
-    def mc():
-        sigma = [
-            [
-                measures.UniformFamily(upper.as_float(), 2 * R),
-                measures.UniformFamily(symmetric.as_float(), R),
-            ],
-            [measures.PointMassFamily(AC, R), None],
-        ]
-        return multicomponent.MCSystem(AC_EXACT, sigma, m=(1.0, R))
-
-    return BuiltinSystem(
-        name="silver-mc-max",
-        summary="two coupled windows with the widest translation families",
-        ifs=IFSSystem(maps),
-        seeds=(IntervalSet.closed(-1.0, 1.0), IntervalSet.closed(-1.0, 1.0)),
-        exact_attractor=(WINDOW_1, WINDOW_2),
-        facets=lambda: dict(mc=mc()),
-        default_step=5e-4,
+    return _declared(
+        "silver-mc-max", "two coupled windows with the widest translation families",
+        AC_EXACT, [[(IntervalSet.closed(_ZERO, _SHIFT), 2 * R),
+                    (IntervalSet.closed(AC_EXACT, -AC_EXACT), R)],
+                   [((AC_EXACT,), R), None]],
+        m=(1.0, R), exact_attractor=(WINDOW_1, WINDOW_2), default_step=5e-4,
     )
 
 
@@ -231,24 +216,13 @@ def _silver_points() -> BuiltinSystem:
 
 def _ammann_beenker() -> BuiltinSystem:
     window = octagon()
-    shrink = QuadInt(2, -1)  # 2 - sqrt2
-    region = window.linear_image(((shrink, QuadInt(0, 0)), (QuadInt(0, 0), shrink)))
-    matrix = ((AC_EXACT, QuadInt(0, 0)), (QuadInt(0, 0), AC_EXACT))
-    return BuiltinSystem(
-        name="ammann-beenker",
-        summary="octagonal window in the plane, maximal translation family",
-        ifs=IFSSystem.single([TranslationFamilyMap(matrix, region)]),
-        seeds=(region.as_float(),),
-        exact_attractor=(window,),
-        facets=lambda: dict(
-            family=measures.UniformFamily(region.as_float(), 1.0),
-            contraction=((AC, 0.0), (0.0, AC)),
-            scheme=modelsets.CutProjectScheme.octagonal(),
-            window=window,
-        ),
-        default_step=5e-3,
-        default_radii=(10.0, 20.0, 30.0),
-        weyl_step=1e-2,
+    region = window.linear_image(((_SHIFT, _ZERO), (_ZERO, _SHIFT)))
+    return _declared(
+        "ammann-beenker", "octagonal window in the plane, maximal translation family",
+        ((AC_EXACT, _ZERO), (_ZERO, AC_EXACT)), [[(region, 1.0)]],
+        more=lambda: dict(scheme=modelsets.CutProjectScheme.octagonal(), window=window),
+        seeds=(region.as_float(),), exact_attractor=(window,),
+        default_step=5e-3, default_radii=(10.0, 20.0, 30.0), weyl_step=1e-2,
     )
 
 

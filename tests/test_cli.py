@@ -601,6 +601,34 @@ class TestConfigHandling:
         with pytest.raises(ConfigError):
             ExperimentConfig(k_min=2.0, k_max=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("tol", math.inf),
+        ("grid_step", math.inf),
+        ("radii", (100.0, math.inf)),
+        ("centers", (0.0, (1.0, -math.inf))),
+        ("k_min", -math.inf),
+        ("k_max", math.inf),
+        ("k_step", math.inf),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="must be finite"):
+            ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("args, config", [
+        (("weyl", "--system", "silver", "--radius", "inf"), None),
+        (("weyl", "--system", "silver"), {"centers": [math.inf]}),
+        (("measure", "--system", "silver-max", "--tol", "inf"), None),
+    ])
+    def test_non_finite_values_exit_1_before_work(self, args, config, tmp_path):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            args = (*args, "--config", tmp_path / "cfg.json")
+        result = run(*args, "--out", tmp_path / "out")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestUsageErrors:
     """A command line the parser refuses is a configuration error: one

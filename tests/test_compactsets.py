@@ -19,6 +19,7 @@ from selfsim.compactsets import (
 )
 from selfsim.errors import ConvergenceError
 from selfsim.numberfields import HALF_SQRT2, QuadInt, QuadRat
+from selfsim.systems import builtin
 
 ALPHA = QuadInt(1, 1)
 ALPHA_CONJ = QuadInt(1, -1)
@@ -335,6 +336,25 @@ class TestVerifyExactFixedPoint:
     def test_rejects_float_candidate(self):
         with pytest.raises(ValueError):
             verify_exact_fixed_point(silver_two_component_system(), (W1.as_float(), W2))
+
+    def test_planar_octagon_verifies(self):
+        b = builtin("ammann-beenker")
+        check = verify_exact_fixed_point(b.ifs, b.exact_attractor)
+        assert check.ok
+        assert check.mismatches == ()
+
+    def test_shifted_octagon_fails(self):
+        b = builtin("ammann-beenker")
+        (window,) = b.exact_attractor
+        check = verify_exact_fixed_point(b.ifs, window.translate((Fraction(1, 10), 0)))
+        assert not check
+        assert any("component 0" in m for m in check.mismatches)
+
+    def test_rejects_float_polygon(self):
+        b = builtin("ammann-beenker")
+        (window,) = b.exact_attractor
+        with pytest.raises(ValueError):
+            verify_exact_fixed_point(b.ifs, window.as_float())
 
 
 class TestConvexPolygon:

@@ -19,7 +19,6 @@ from selfsim.measures import (
     DiscreteMeasure,
     FiniteFamily,
     GridDensity,
-    PointMassFamily,
     UniformFamily,
     _as_linear,
     _FFT_FLOOR,
@@ -59,6 +58,10 @@ def maximal_family():
     return UniformFamily(IntervalSet.closed(AC, -AC), 1.0)
 
 
+def point_family(location, mass):
+    return FiniteFamily(DiscreteMeasure([(location, mass)]))
+
+
 def lip1_lower_bound(mu, nu, rng, trials=200):
     """Oracle sanity check: |mu(phi) - nu(phi)| over random Lip-1 test
     functions never exceeds the metric (and approaches it for good phi)."""
@@ -88,6 +91,47 @@ def lip1_lower_bound(mu, nu, rng, trials=200):
         )
         best = max(best, gap)
     return best
+
+
+def brute_force_merge(atoms, eps=1e-12):
+    """Oracle: in sorted order, each atom joins the latest kept atom within
+    eps on every axis, found by scanning every kept atom."""
+    kept = []
+    for loc, w in sorted(atoms):
+        near = [k for k, (q, _) in enumerate(kept) if np.all(np.abs(np.subtract(loc, q)) <= eps)]
+        if near:
+            q, v = kept[near[-1]]
+            kept[near[-1]] = (q, v + w)
+        else:
+            kept.append((loc, w))
+    return kept
+
+
+class TestDiscreteMeasure:
+    def test_plane_merge_ignores_unrelated_atoms(self):
+        pair = [((0.0, 5.0), 1.0), ((1e-13, 5.0), 1.0)]
+        assert DiscreteMeasure(pair).atoms == (((0.0, 5.0), 2.0),)
+        # an atom sorted between the two does not keep them apart
+        mu = DiscreteMeasure([*pair, ((5e-14, 0.0), 1.0)])
+        assert mu.atoms == (((0.0, 5.0), 2.0), ((5e-14, 0.0), 1.0))
+
+    def test_line_merge_joins_the_last_kept_atom(self):
+        mu = DiscreteMeasure([(0.0, 1.0), (0.9e-12, 1.0), (1.8e-12, 1.0)])
+        assert mu.atoms == ((0.0, 2.0), (1.8e-12, 1.0))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_merge_matches_brute_force(self, dim):
+        # clusters of atoms a few 1e-13 apart around a few centres, with
+        # columns of equal x in the plane
+        rng = np.random.default_rng(dim)
+        centres = rng.choice([-1.0, 0.0, 0.5, 1e-12, 3e3], size=(60, dim))
+        jitter = rng.integers(-6, 7, size=(60, dim)) * 3e-13
+        locs = [tuple(c) if dim == 2 else c[0] for c in (centres + jitter).tolist()]
+        atoms = [(loc, w) for loc, w in zip(locs, rng.uniform(0.5, 1.5, size=60).tolist())]
+        mu = DiscreteMeasure(atoms)
+        want = brute_force_merge(atoms)
+        assert [loc for loc, _ in mu.atoms] == [loc for loc, _ in want]
+        assert mu.weights() == pytest.approx([w for _, w in want], rel=1e-15)
 
 
 class TestHutchinsonDistance:
@@ -262,7 +306,7 @@ class TestSample:
 
 class TestAverageStep:
     def test_neutral_point_family(self):
-        fam = PointMassFamily(0.0, 1.0)
+        fam = point_family(0.0, 1.0)
         mu = DiscreteMeasure([(0.3, 0.4), (0.9, 0.6)])
         out = average_step(fam, 0.5, mu)
         want = pushforward(AffineMap(0.5, 0.0), mu)
@@ -494,7 +538,7 @@ class TestLeanSolve:
 
 class TestFourier:
     def test_zero_frequency(self):
-        for fam in (minimal_family(), maximal_family(), PointMassFamily(0.3, 1.0)):
+        for fam in (minimal_family(), maximal_family(), point_family(0.3, 1.0)):
             assert fourier_hat(fam, AC, 0.0, 25) == pytest.approx(1.0)
 
     def test_truncation_stability(self):
@@ -524,8 +568,6 @@ class TestFourier:
 
 def reference_family_hat(family, k):
     # the per-frequency transform as first written: Python floats, one k
-    if isinstance(family, PointMassFamily):
-        return np.exp(-2j * np.pi * k * float(family.location))
     if isinstance(family, FiniteFamily):
         mu = family.measure
         return sum(w * np.exp(-2j * np.pi * k * loc) for loc, w in mu.atoms) / mu.total_mass
@@ -553,19 +595,35 @@ def bits(z):
 
 
 class TestFourierVector:
+    @pytest.mark.parametrize("mass", [1.0, 2.0])
+    def test_one_atom_family_is_the_point_mass_transform(self, mass):
+        # the point-mass factor exp(-2 pi i k t), independent of the mass
+        vals = fourier_hat(point_family(0.3, mass), AC, self.KS, 40)
+        for k, v in zip(self.KS.tolist(), vals.tolist()):
+            want, freq = 1.0 + 0.0j, k
+            for _ in range(40):
+                want *= np.exp(-2j * np.pi * freq * 0.3)
+                freq *= AC
+            assert bits(v) == bits(complex(want)), k
+
     FAMILIES = (
         minimal_family(),
         maximal_family(),
         UniformFamily(IntervalSet([(-0.9, -0.2), (0.1, 0.7)]), 0.5),
         FiniteFamily(DiscreteMeasure([(-0.3, 0.2), (0.0, 0.5), (0.45, 0.3)])),
-        PointMassFamily(0.3, 1.0),
-        PointMassFamily(0.0, 2.0),
+        point_family(0.3, 1.0),
+        point_family(0.0, 2.0),
     )
     KS = np.concatenate(
         [[-5.0, -1.0, -0.0, 0.0, 0.01, 1.0, 2.5], -3.0 + 0.01 * np.arange(601)]
     )
 
-    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: type(f).__name__)
+    # ids name the family kind; a one-atom family is a point mass
+    @pytest.mark.parametrize(
+        "family",
+        FAMILIES,
+        ids=lambda f: "PointMassFamily" if len(_atoms(f)) == 1 else type(f).__name__,
+    )
     @pytest.mark.parametrize("terms", [1, 40])
     def test_array_equals_scalar_loop_bitwise(self, family, terms):
         vals = fourier_hat(family, AC, self.KS, terms)

@@ -12,7 +12,6 @@ from selfsim.errors import CompatibilityError, ConvergenceError
 from selfsim.measures import (
     DiscreteMeasure,
     FiniteFamily,
-    PointMassFamily,
     UniformFamily,
     add_grids,
     convolve_grids,
@@ -58,6 +57,10 @@ def atoms(*locs):
     return FiniteFamily(DiscreteMeasure([(float(l), R) for l in locs]))
 
 
+def point(location, mass):
+    return FiniteFamily(DiscreteMeasure([(location, mass)]))
+
+
 def silver_minimal_system():
     shift = QuadInt(2, -1)  # 2 - sqrt2, the right-branch translation
     sigma = [
@@ -76,7 +79,7 @@ def silver_maximal_system():
     symmetric = IntervalSet.closed(QuadInt(1, -1), QuadInt(-1, 1))
     sigma = [
         [UniformFamily(upper, 2 * R), UniformFamily(symmetric, R)],
-        [PointMassFamily(AC, R), None],
+        [point(AC, R), None],
     ]
     return MCSystem(QuadInt(1, -1), sigma, m=(1.0, R))
 
@@ -234,8 +237,9 @@ class TestSolveMCDensity:
                     entry = system.sigma[i][j]
                     if entry is None:
                         continue
-                    if isinstance(entry, PointMassFamily):
-                        piece = shift_grid(pushed[j], float(entry.location))
+                    if isinstance(entry, FiniteFamily):
+                        ((location, _),) = entry.measure.atoms
+                        piece = shift_grid(pushed[j], location)
                         piece = piece.renormalized(entry.total_mass * pushed[j].mass)
                     else:
                         piece = convolve_grids(kernels[i][j], pushed[j])
@@ -250,7 +254,7 @@ class TestSolveMCDensity:
         # moved by the point mass at (0.1, 0.2)
         square = ConvexPolygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
         a = ((-0.4, 0.0), (0.0, -0.4))
-        sigma = [[UniformFamily(square, 1.0), None], [PointMassFamily((0.1, 0.2), 1.0), None]]
+        sigma = [[UniformFamily(square, 1.0), None], [point((0.1, 0.2), 1.0), None]]
         sol = solve_mc_density(MCSystem(a, sigma, m=(1.0, 1.0)), step=0.02, tol=1e-8)
         g1, g2 = sol.components
         assert g1.mass == pytest.approx(1.0, abs=1e-9)
@@ -264,8 +268,8 @@ class TestSolveMCDensity:
         # step is kept and every point-mass entry translates by resampling
         a, shift_1, shift_2 = 0.5, 0.1, 0.1 * math.sqrt(2)
         sigma = [
-            [UniformFamily(IntervalSet.closed(-0.5, 0.5), 0.5), PointMassFamily(shift_1, 0.5)],
-            [PointMassFamily(shift_2, 1.0), None],
+            [UniformFamily(IntervalSet.closed(-0.5, 0.5), 0.5), point(shift_1, 0.5)],
+            [point(shift_2, 1.0), None],
         ]
         system = MCSystem(a, sigma)
         assert _choose_step(system, 1e-3) == 1e-3

@@ -1,0 +1,70 @@
+"""Every builtin's set maps and measure facets describe one family."""
+
+import math
+
+import pytest
+
+from selfsim.compactsets import AffineMap, TranslationFamilyMap
+from selfsim.measures import FiniteFamily, UniformFamily
+from selfsim.numberfields import QuadInt
+from selfsim.systems import BUILTIN_NAMES, builtin
+
+AC = 1.0 - math.sqrt(2.0)
+R = abs(AC)
+
+# name -> (family masses per entry, None where no family, and the mass vector)
+MASSES = {
+    "silver-min": ([[1.0]], None),
+    "silver-max": ([[1.0]], None),
+    "silver-mc-min": ([[2 * R, R], [R, None]], (1.0, R)),
+    "silver-mc": ([[2 * R, R], [R, None]], (1.0, R)),
+    "silver-mc-max": ([[2 * R, R], [R, None]], (1.0, R)),
+    "ammann-beenker": ([[1.0]], None),
+}
+ZERO, SHIFT = QuadInt(0, 0), QuadInt(2, -1)
+EXACT_OFFSETS = {
+    "silver-mc-min": (((ZERO, SHIFT), (ZERO,)), ((QuadInt(1, -1),), None)),
+    "silver-mc": (((ZERO, SHIFT), (ZERO,)), ((QuadInt(1, -1),), None)),
+}
+
+
+def families(b):
+    """The measure facet's family grid and its linear part."""
+    if b.mc is not None:
+        return b.mc.sigma, b.mc.a
+    return ((b.family,),), b.contraction
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_maps_and_measure_facets_describe_one_family(name):
+    b = builtin(name)
+    if b.family is None and b.mc is None:
+        assert name not in MASSES
+        return
+    sigma, a = families(b)
+    assert len(sigma) == b.ifs.n
+    for family_row, map_row in zip(sigma, b.ifs.maps):
+        for family, maps in zip(family_row, map_row):
+            if family is None:
+                assert maps == ()
+            elif isinstance(family, FiniteFamily):
+                assert all(type(f) is AffineMap and f.a == a for f in maps)
+                # one atom per map, at the float of its translation
+                weight = 1 / 3 if name == "silver-min" else R
+                assert list(family.measure.atoms) == sorted((float(f.t), weight) for f in maps)
+            else:
+                assert isinstance(family, UniformFamily)
+                (f,) = maps
+                assert type(f) is TranslationFamilyMap and f.a == a
+                assert family.region == f.family.as_float()
+    masses, m = MASSES[name]
+    got = [[None if e is None else e.total_mass for e in row] for row in sigma]
+    assert got == masses
+    if b.mc is not None:
+        assert b.mc.m.tolist() == list(m)
+        assert b.mc.exact_offsets == EXACT_OFFSETS.get(name)
+
+
+def test_planar_contraction_is_exact():
+    b = builtin("ammann-beenker")
+    assert b.contraction == ((QuadInt(1, -1), ZERO), (ZERO, QuadInt(1, -1)))

@@ -9,7 +9,8 @@ inline ``measure`` whose point shifts share no lattice step, all from a
 radii that take the lattice enumeration deep in both, ``measure`` of
 ``ammann-beenker`` on a finer grid, ``measure`` at a tol the density
 solver cannot reach, and command lines the parser
-refuses (exit 1, no files), each as a fresh ``python -m selfsim.cli``
+refuses and non-finite radius, centre and tol values (exit 1, no
+files), each as a fresh ``python -m selfsim.cli``
 process against this checkout's ``src`` in its own temporary directory.  The ``padic --K 8`` runs take under a second with
 the coset-quotient solve and about 40 s each with the full-depth solve
 it replaced, so a set recorded at such a commit takes minutes longer.
@@ -69,6 +70,12 @@ USAGE_ERROR_RUNS = (
     ["measure", "--system", "silver-max", "--tol", "-1e-8"],
     ["measure", "--system", "silver-max", "--grid-step", "-1e-3"],
     ["padic", "--system", "silver"],
+)
+# non-finite values, run once each: a configuration error, exit 1 with no files
+NONFINITE_RUNS = (
+    (["weyl", "--system", "silver", "--radius", "inf"], None),
+    (["weyl", "--system", "silver", "--radii", "100"], {"centers": [float("inf")]}),
+    (["measure", "--system", "silver-max", "--tol", "inf"], None),
 )
 FORMATS = ("csv", "json")
 # (arguments, config file contents): Weyl centres only reach the CLI by config
@@ -149,6 +156,7 @@ def default_runs() -> list:
     )
     runs.extend(([*args, "--format", fmt], None) for args in EXTRA_RUNS for fmt in FORMATS)
     runs.extend((args, None) for args in USAGE_ERROR_RUNS)
+    runs.extend(NONFINITE_RUNS)
     return runs
 
 
