@@ -41,6 +41,8 @@ systems = _lazy_module("selfsim.systems")
 measures = _lazy_module("selfsim.measures")
 modelsets = _lazy_module("selfsim.modelsets")
 multicomponent = _lazy_module("selfsim.multicomponent")
+# the output layer's vectorized "%.17g", run by measure's CSV writer alone
+float17 = _lazy_module("selfsim.float17")
 
 
 def _numbers(value) -> list:
@@ -146,21 +148,39 @@ def build_config(config_path: Optional[str], defaults=None, **flags) -> Experime
 # inline system descriptors
 
 
+def _finite(value, what: str) -> float:
+    """``value`` as a float, refused as a ConfigError unless it is finite."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be finite, got {x!r}")
+    return x
+
+
 def _family_from_spec(spec) -> object:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("family spec must be a dict with a 'kind'")
     kind = spec["kind"]
     try:
         if kind == "uniform":
-            region = compactsets.IntervalSet.closed(float(spec["lo"]), float(spec["hi"]))
+            region = compactsets.IntervalSet.closed(
+                _finite(spec["lo"], "a uniform family's 'lo'"),
+                _finite(spec["hi"], "a uniform family's 'hi'"),
+            )
             if not region.measure() > 0:
                 raise ConfigError(f"a uniform family needs hi above lo, got [{region.lo}, {region.hi}]")
-            return measures.UniformFamily(region, float(spec.get("mass", 1.0)))
+            mass = _finite(spec.get("mass", 1.0), "a uniform family's 'mass'")
+            return measures.UniformFamily(region, mass)
         if kind == "atoms":
-            atoms = [(float(loc), float(w)) for loc, w in spec["atoms"]]
+            atoms = [
+                (_finite(loc, "an atom's location"), _finite(w, "an atom's weight"))
+                for loc, w in spec["atoms"]
+            ]
             return measures.FiniteFamily(measures.DiscreteMeasure(atoms))
         if kind == "point":
-            atom = (float(spec["location"]), float(spec.get("mass", 1.0)))
+            atom = (
+                _finite(spec["location"], "a point family's 'location'"),
+                _finite(spec.get("mass", 1.0), "a point family's 'mass'"),
+            )
             return measures.FiniteFamily(measures.DiscreteMeasure([atom]))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad {kind!r} family spec: {exc}")
@@ -175,7 +195,8 @@ def system_from_spec(spec: dict) -> systems.BuiltinSystem:
     optional per-map ``"a"``), ``seeds`` / ``windows`` (seed intervals
     as [lo, hi] pairs), ``family`` (single-component measure spec),
     ``sigma`` and ``m`` (multi-component entries and mass vector), and
-    an optional ``s`` cross-checked against the family masses.
+    an optional ``s`` cross-checked against the family masses.  Every
+    number must be finite.
     """
     if "a" not in spec:
         raise ConfigError("inline system needs the contraction 'a'")
@@ -189,7 +210,15 @@ def system_from_spec(spec: dict) -> systems.BuiltinSystem:
     if "maps" in spec:
         try:
             grid = [
-                [[compactsets.AffineMap(float(m.get("a", a)), float(m["t"])) for m in cell] for cell in row]
+                [
+                    [
+                        compactsets.AffineMap(
+                            _finite(m.get("a", a), "a map's 'a'"), _finite(m["t"], "a map's 't'")
+                        )
+                        for m in cell
+                    ]
+                    for cell in row
+                ]
                 for row in spec["maps"]
             ]
             ifs = compactsets.IFSSystem(grid)
@@ -202,7 +231,10 @@ def system_from_spec(spec: dict) -> systems.BuiltinSystem:
             raw_seeds = [[-1.0, 1.0]] * ifs.n
         try:
             seeds = tuple(
-                compactsets.IntervalSet.closed(float(lo), float(hi)) for lo, hi in raw_seeds
+                compactsets.IntervalSet.closed(
+                    _finite(lo, "a seed's lo"), _finite(hi, "a seed's hi")
+                )
+                for lo, hi in raw_seeds
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad inline seeds: {exc}")
@@ -216,7 +248,10 @@ def system_from_spec(spec: dict) -> systems.BuiltinSystem:
                 [None if cell is None else _family_from_spec(cell) for cell in row]
                 for row in spec["sigma"]
             ]
-            mc = multicomponent.MCSystem(a, sigma, m=spec.get("m"))
+            m = spec.get("m")
+            if m is not None:
+                m = [_finite(v, "the mass vector 'm'") for v in m]
+            mc = multicomponent.MCSystem(a, sigma, m=m)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad inline sigma or m: {exc}")
         if "s" in spec:
@@ -224,6 +259,8 @@ def system_from_spec(spec: dict) -> systems.BuiltinSystem:
                 stated = np.array(spec["s"], dtype=float).reshape(mc.s.shape)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad stated s: {exc}")
+            if not np.isfinite(stated).all():
+                raise ConfigError(f"the stated 's' must be finite, got {spec['s']!r}")
             bad = np.argwhere(np.abs(stated - mc.s) > 1e-9).tolist()
             if bad:
                 raise ConfigError(f"stated s{bad[0]} disagrees with the family masses")
@@ -293,13 +330,14 @@ def _grid_csv_blocks(g: measures.GridDensity):
     """The grid's CSV rows, one (x, [y, ...,] density) row per node with x
     varying fastest, as one block of lines per x-row.
 
-    Every field is ``"%.17g" % value``, but each axis coordinate and each
-    distinct density is formatted once.  Densities are told apart by bit
-    pattern, so a -0.0 keeps its own text beside 0.0.
+    Every field is ``"%.17g" % value``, made by ``float17.format_17g``
+    (exact, with the scalar ``"%.17g"`` as its fallback); each axis
+    coordinate and each distinct density is formatted once.  Densities
+    are told apart by bit pattern, so a -0.0 keeps its own text beside 0.0.
     """
-    axes = [["%.17g" % v for v in x.tolist()] for x in g._node_axes()]
+    axes = [float17.format_17g(x) for x in g._node_axes()]
     bits, which = np.unique(g.values.ravel().view(np.int64), return_inverse=True)
-    texts = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
+    texts = float17.format_17g(bits.view(float))
     rows = texts[which.reshape(-1, len(axes[0]))]
     # the pieces of one x-row: x, "," + other coordinates + ",", density, newline
     pieces = np.empty((len(axes[0]), 4), dtype=object)

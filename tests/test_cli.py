@@ -25,6 +25,9 @@ from selfsim.errors import ConfigError, ResourceCapError
 from selfsim.measures import GridDensity, fourier_hat
 from selfsim.systems import builtin
 
+INF, NAN = math.inf, math.nan
+# a one-component family that solves on its own: only a bad m or s can fail it
+UNIFORM = {"kind": "uniform", "lo": -1, "hi": 1, "mass": 1}
 AC = 1.0 - math.sqrt(2.0)
 R = abs(AC)
 W1 = (1 / math.sqrt(2.0) - 1.0, 1 / math.sqrt(2.0))
@@ -777,6 +780,25 @@ class TestInlineSystems:
             ("measure", {"system": {"a": 0.5, "sigma": 3}}),
             ("measure", {"system": {"a": 0.5, "sigma": [[{"kind": "point", "location": 0}]], "m": ["x"]}}),
             ("measure", {"system": {"a": 0.5, "sigma": [[{"kind": "point", "location": 0}]], "s": 5}}),
+            # non-finite numbers anywhere in an inline system
+            ("fourier", {"system": {"a": INF, "family": {"kind": "point", "location": 0}}}),
+            ("fourier", {"system": {"a": NAN, "family": {"kind": "point", "location": 0}}}),
+            ("fourier", {"system": {"a": 0.5, "family": {"kind": "atoms", "atoms": [[INF, 1.0]]}}}),
+            ("fourier", {"system": {"a": 0.5, "family": {"kind": "atoms", "atoms": [[0, NAN]]}}}),
+            ("fourier", {"system": {"a": 0.5, "family": {"kind": "uniform", "lo": 0, "hi": INF}}}),
+            ("fourier", {"system": {"a": 0.5, "family": {"kind": "uniform", "lo": -INF, "hi": 0}}}),
+            ("fourier", {"system": {"a": 0.5, "family": {"kind": "uniform", "lo": 0, "hi": 1,
+                                                          "mass": INF}}}),
+            ("fourier", {"system": {"a": 0.5, "family": {"kind": "point", "location": NAN}}}),
+            ("fourier", {"system": {"a": 0.5, "family": {"kind": "point", "location": 0,
+                                                          "mass": NAN}}}),
+            ("attractor", {"system": {"a": 0.5, "maps": [[[{"t": INF}, {"t": 1.0}]]]}}),
+            ("attractor", {"system": {"a": 0.5, "maps": [[[{"t": 0.0, "a": NAN}, {"t": 1.0}]]]}}),
+            ("attractor", {"system": {"a": 0.5, "maps": [[[{"t": 0.0}, {"t": 1.0}]]],
+                                      "seeds": [[0, INF]]}}),
+            ("measure", {"system": {"a": 0.5, "sigma": [[UNIFORM]], "m": [NAN]}}),
+            ("measure", {"system": {"a": 0.5, "sigma": [[UNIFORM]], "m": [INF]}}),
+            ("measure", {"system": {"a": 0.5, "sigma": [[UNIFORM]], "s": [[NAN]]}}),
         ],
     )
     def test_malformed_config_values_are_config_errors(self, command, config, tmp_path):
@@ -784,7 +806,8 @@ class TestInlineSystems:
         cfg.write_text(json.dumps(config))
         result = run(command, "--config", cfg, "--out", tmp_path / "out")
         assert result.exit_code == 1
-        assert result.stderr.startswith("error:")
+        assert result.stderr.startswith("error:") and len(result.stderr.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
@@ -822,6 +845,12 @@ def grid_cases():
     # a step with no short decimal, so no node coordinate has one either
     yield "seventh-step", GridDensity((87, -2), 1 / 7, rng.uniform(0, 1, (6, 5)))
     yield "strided", GridDensity(0, 0.5, rng.uniform(0, 1, 20)[::3])
+    # more distinct densities than one formatter chunk, in the fixed form
+    # and with two- and three-digit exponents
+    exponents = np.concatenate([rng.integers(-6, 19, 10000), rng.integers(-320, 300, 10000)])
+    dense = rng.uniform(1, 10, 20000) * 10.0 ** exponents
+    dense[:3] = 0.0, tiny, 1e-300
+    yield "dense", GridDensity((-40, 7), 0.01, dense.reshape(125, 160))
 
 
 class TestGridWriter:
@@ -913,6 +942,19 @@ def test_padic_executes_only_its_own_layer(tmp_path):
     ]
     assert "numpy" not in ran
     assert executed(ran, "numpy") == []
+
+
+@pytest.mark.parametrize("args, formats", [
+    (("attractor", "--system", "silver-max"), False),
+    (("fourier", "--system", "silver-max", "--terms", "5"), False),
+    (("weyl", "--system", "silver", "--radii", "10"), False),
+    (("measure", "--system", "silver-max", "--grid-step", "1e-2", "--format", "json"), False),
+    (("measure", "--system", "silver-max", "--grid-step", "1e-2"), True),
+], ids=["attractor", "fourier", "weyl", "measure-json", "measure-csv"])
+def test_only_the_grid_csv_writer_executes_the_formatter(args, formats, tmp_path):
+    code = f"import selfsim.cli\nselfsim.cli.main({list(args)!r})"
+    ran = fresh_modules(code, tmp_path, executed_only=True)
+    assert ("selfsim.float17" in ran) == formats
 
 
 def test_version_from_source_checkout(tmp_path):

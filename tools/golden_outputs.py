@@ -9,8 +9,8 @@ inline ``measure`` whose point shifts share no lattice step, all from a
 radii that take the lattice enumeration deep in both, ``measure`` of
 ``ammann-beenker`` on a finer grid, ``measure`` at a tol the density
 solver cannot reach, and command lines the parser
-refuses and non-finite radius, centre and tol values (exit 1, no
-files), each as a fresh ``python -m selfsim.cli``
+refuses and non-finite radius, centre, tol and inline system values
+(exit 1, no files), each as a fresh ``python -m selfsim.cli``
 process against this checkout's ``src`` in its own temporary directory.  The ``padic --K 8`` runs take under a second with
 the coset-quotient solve and about 40 s each with the full-depth solve
 it replaced, so a set recorded at such a commit takes minutes longer.
@@ -76,6 +76,9 @@ NONFINITE_RUNS = (
     (["weyl", "--system", "silver", "--radius", "inf"], None),
     (["weyl", "--system", "silver", "--radii", "100"], {"centers": [float("inf")]}),
     (["measure", "--system", "silver-max", "--tol", "inf"], None),
+    (["fourier"], {"system": {"a": 0.5, "family": {"kind": "atoms", "atoms": [[float("inf"), 1.0]]}}}),
+    (["fourier"], {"system": {"a": 0.5, "family": {"kind": "uniform", "lo": 0, "hi": float("inf")}}}),
+    (["attractor"], {"system": {"a": 0.5, "maps": [[[{"t": float("inf")}, {"t": 1.0}]]]}}),
 )
 FORMATS = ("csv", "json")
 # (arguments, config file contents): Weyl centres only reach the CLI by config
