@@ -269,7 +269,7 @@ def system_from_spec(spec: dict) -> systems.BuiltinSystem:
         summary="inline system from config",
         ifs=ifs,
         seeds=seeds,
-        facets=lambda: dict(family=family, contraction=a, mc=mc),
+        measure_facets=lambda: dict(family=family, contraction=a, mc=mc),
     )
 
 

@@ -17,6 +17,7 @@ arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -33,6 +34,14 @@ Scalar = Union[ExactScalar, float]
 
 def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, QuadInt, QuadRat)) and not isinstance(x, bool)
+
+
+def _check_finite(values, what: str) -> None:
+    """Refuse an infinite or nan float among the values; exact values are
+    never checked."""
+    for v in values:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"{what} must be finite, got {v}")
 
 
 def _promote(x):
@@ -74,6 +83,7 @@ class IntervalSet:
             pairs = [(_promote(lo), _promote(hi)) for lo, hi in pairs]
         else:
             pairs = [(float(lo), float(hi)) for lo, hi in pairs]
+            _check_finite(itertools.chain(*pairs), "an interval endpoint")
         for lo, hi in pairs:
             if _sign_of(hi - lo) < 0:
                 raise ValueError(f"interval with lo > hi: ({lo}, {hi})")
@@ -210,6 +220,7 @@ class ConvexPolygon:
             verts = [(_promote(x), _promote(y)) for x, y in verts]
         else:
             verts = [(float(x), float(y)) for x, y in verts]
+            _check_finite(itertools.chain(*verts), "a polygon vertex")
         # drop consecutive duplicates (cyclically)
         deduped = []
         for v in verts:
@@ -486,6 +497,9 @@ class AffineMap:
 
     a: object
     t: object
+
+    def __post_init__(self) -> None:
+        _check_finite(itertools.chain(*self.rows, self.translation), "an affine map entry")
 
     @classmethod
     def linear(cls, a) -> "AffineMap":

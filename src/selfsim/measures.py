@@ -30,7 +30,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .compactsets import AffineMap, ConvexPolygon, IntervalSet
+from .compactsets import AffineMap, ConvexPolygon, IntervalSet, _check_finite
 from .errors import ConvergenceError, ResourceCapError
 
 _ATOM_MERGE_EPS = 1e-12
@@ -79,9 +79,11 @@ class DiscreteMeasure:
         raw = []
         for loc, w in atoms:
             w = float(w)
-            if w <= 0:
-                raise ValueError(f"atom weight must be positive, got {w}")
-            raw.append((_point(_axes(loc)), w))
+            if not 0 < w < math.inf:
+                raise ValueError(f"atom weight must be positive and finite, got {w}")
+            p = _axes(loc)
+            _check_finite(p, "an atom location")
+            raw.append((_point(p), w))
         if not raw:
             raise ValueError("measure needs at least one atom")
         if len({type(loc) for loc, _ in raw}) > 1:
@@ -505,6 +507,9 @@ class UniformFamily:
 
     region: object  # IntervalSet or ConvexPolygon
     total_mass: float
+
+    def __post_init__(self) -> None:
+        _check_finite((self.total_mass,), "a family's mass")
 
     @property
     def dim(self) -> int:

@@ -46,43 +46,47 @@ def gram_covolume(rows) -> float:
 
 class CutProjectScheme:
     """Ring embedded on both sides: kind "quad" is Z[sqrt2] in R x R,
-    kind "cyclo" is Z[xi] (eighth root of unity) in C x C."""
+    kind "cyclo" is Z[xi] (eighth root of unity) in C x C.  Ring elements
+    are int64 coefficient rows: (a, b) for a + b*sqrt2, (c0, c1, c2, c3)
+    for c0 + c1*xi + c2*xi^2 + c3*xi^3."""
 
-    def __init__(self, kind: str, basis: tuple):
+    def __init__(self, kind: str):
         if kind not in ("quad", "cyclo"):
             raise ValueError(f"unknown scheme kind: {kind!r}")
         self.kind = kind
-        self.basis = tuple(basis)
         self.phys_dim = self.internal_dim = 1 if kind == "quad" else 2
-        self.covolume = gram_covolume([self.coordinates(x) for x in self.basis])
+        rank = 2 * self.phys_dim
+        self.covolume = gram_covolume(self.coordinates(np.eye(rank, dtype=np.int64)))
 
-    def coordinates(self, x) -> list:
-        """Physical then internal coordinates of a ring element, per axis."""
+    def coordinates(self, rows) -> np.ndarray:
+        """Physical then internal coordinates of the (N, k) coefficient
+        rows, one row of 2d floats each: bit for bit [x.embed(),
+        x.embed_star()] of the ring element x, real and imaginary parts
+        in the plane."""
+        rows = np.asarray(rows, dtype=np.int64)
         if self.kind == "quad":
-            return [x.embed(), x.embed_star()]
-        z, zs = x.embed(), x.embed_star()
-        return [z.real, z.imag, zs.real, zs.imag]
+            a, b = rows.T
+            bs = b * SQRT2
+            return np.stack([a + bs, a - bs], axis=1)
+        c0, c1, c2, c3 = rows.T
+        # with u = c1 + c3, v = c1 - c3 and s = sqrt2/2: x = (c0 + v*s, c2 + u*s)
+        # and x* = (c0 - v*s, u*s - c2)
+        vs, us = (c1 - c3) * (SQRT2 / 2.0), (c1 + c3) * (SQRT2 / 2.0)
+        return np.stack([c0 + vs, c2 + us, c0 - vs, us - c2], axis=1)
 
     @classmethod
     def silver(cls) -> "CutProjectScheme":
-        return cls("quad", (QuadInt(1, 0), QuadInt(0, 1)))
+        return cls("quad")
 
     @classmethod
     def octagonal(cls) -> "CutProjectScheme":
-        return cls(
-            "cyclo",
-            (
-                CycloInt(1, 0, 0, 0),
-                CycloInt(0, 1, 0, 0),
-                CycloInt(0, 0, 1, 0),
-                CycloInt(0, 0, 0, 1),
-            ),
-        )
+        return cls("cyclo")
 
 
-def project_points(scheme: CutProjectScheme, window, radius) -> list:
+def project_points(scheme: CutProjectScheme, window, radius) -> np.ndarray:
     """All ring elements within the closed ball of the given radius whose
-    star image lies in the window, sorted by physical position.
+    star image lies in the window, sorted by physical position: the kept
+    rows of the enumerator's (N, k) int64 coefficient array.
 
     Ball and window membership are both decided exactly: the radius is
     taken at its binary-float value and windows with exact endpoints or
@@ -93,8 +97,8 @@ def project_points(scheme: CutProjectScheme, window, radius) -> list:
     exceeds 16 ulps of the sum of its absolute terms (the bound is derived
     in ``numberfields``).  Candidates inside that margin go through the
     exact per-point test (``QuadRat`` disk, ``IntervalSet.contains`` or
-    ``ConvexPolygon.contains`` with eps=0).  Float windows keep the
-    eps=1e-12 test, evaluated as the same float expression.
+    ``ConvexPolygon.contains`` with eps=0) on their ring element.  Float
+    windows keep the eps=1e-12 test, evaluated as the same float expression.
     """
     if float(radius) <= 0:
         raise ValueError("radius must be positive")
@@ -105,47 +109,44 @@ def project_points(scheme: CutProjectScheme, window, radius) -> list:
         star_lo = float(window.lo) - 1e-6
         star_hi = float(window.hi) + 1e-6
         candidates = enumerate_quad_range(-r, r, star_lo, star_hi)
-        a, b = np.array([(x.a, x.b) for x in candidates], dtype=np.int64).reshape(-1, 2).T
+        a, b = candidates.T
         if window.is_exact:
             # lo <= a - b*sqrt2 <= hi for some interval of the window
             verdict = np.maximum.reduce([
                 np.minimum(_quad_sign(a, -b, lo), -_quad_sign(a, -b, hi))
                 for lo, hi in window.intervals
             ])
-            keep = _settle(
-                verdict, lambda i: window.contains(candidates[i].star(), eps=0)
-            )
+            keep = _settle(verdict, lambda i: window.contains(
+                QuadInt(*candidates[i].tolist()).star(), eps=0))
         else:
             star = a - b * SQRT2  # x.embed_star(), bit for bit
             keep = np.logical_or.reduce([
                 ((star - lo) + 1e-12 >= 0) & ((hi - star) + 1e-12 >= 0)
                 for lo, hi in window.intervals
             ])
-        return [candidates[i] for i in np.flatnonzero(keep).tolist()]
+        return candidates[keep]
 
     if not isinstance(window, ConvexPolygon):
         raise TypeError("cyclo schemes use ConvexPolygon windows")
     xlo, ylo, xhi, yhi = (float(v) for v in window.bbox())
     star_bound = max(abs(xlo), abs(ylo), abs(xhi), abs(yhi)) + 1e-6
     candidates = enumerate_cyclo_box(r, star_bound)
-    c0, c1, c2, c3 = np.array([x.coeffs() for x in candidates], dtype=np.int64).reshape(-1, 4).T
-    u, v = c1 + c3, c1 - c3
+    c0, c1, c2, c3 = candidates.T
+    # the star floats (px, py) are float() of x.star().embed_exact(), bit for
+    # bit, and x and x* have the same absolute terms
+    re, im, px, py = scheme.coordinates(candidates).T
     s = SQRT2 / 2.0
-    # x = (c0 + v*s, c2 + u*s) and x* = (c0 - v*s, u*s - c2): the star floats
-    # are float() of x.star().embed_exact(), bit for bit, and both points have
-    # the same absolute terms
-    px, py = c0 - v * s, -c2 + u * s
-    x_size, y_size = np.abs(c0) + np.abs(v) * s, np.abs(c2) + np.abs(u) * s
-    re, im = c0 + v * s, c2 + u * s
+    x_size, y_size = np.abs(c0) + np.abs(c1 - c3) * s, np.abs(c2) + np.abs(c1 + c3) * s
     rsq = QuadRat(QuadInt(r.numerator**2, 0), r.denominator**2)
     rv, rs = _float_pair(rsq)
     signs = [_certain_sign(rv - (re * re + im * im), rs + (x_size * x_size + y_size * y_size))]
     signs += _window_signs(window, px, py, x_size, y_size)
     keep = _settle(
-        np.minimum.reduce(signs), lambda i: _in_patch(candidates[i], window, rsq)
+        np.minimum.reduce(signs),
+        lambda i: _in_patch(CycloInt(*candidates[i].tolist()), window, rsq),
     )
     # the candidates arrive sorted by physical position
-    return [candidates[i] for i in np.flatnonzero(keep).tolist()]
+    return candidates[keep]
 
 
 def _window_signs(window: ConvexPolygon, px, py, x_size, y_size) -> list:
@@ -381,12 +382,13 @@ class WeylRow:
 
 def weyl_average(
     scheme: CutProjectScheme,
-    points: Sequence,
+    points: np.ndarray,
     g: GridDensity,
     radii: Sequence[float],
     centers: Sequence = (0.0,),
 ) -> list:
-    """Ball averages of g evaluated at the star images of the points.
+    """Ball averages of g evaluated at the star images of the points, an
+    (N, k) int64 array of coefficient rows as ``project_points`` returns.
 
     For each radius r and center a (a number on the line, a coordinate
     tuple in the plane), sums g(x*) over points in the closed ball B_r(a)
@@ -398,7 +400,7 @@ def weyl_average(
     if len(points) == 0:
         raise ValueError("no points to average over")
     d = scheme.phys_dim
-    coords = np.array([scheme.coordinates(x) for x in points])
+    coords = scheme.coordinates(points)
     pos, star = coords[:, :d], coords[:, d:]
     patch = float(np.max(np.hypot.reduce(np.abs(pos), axis=1)))
     limit = g.mass / scheme.covolume

@@ -478,10 +478,12 @@ def _in_range(x: QuadInt, plo, phi, slo, shi) -> bool:
 
 
 def enumerate_quad_range(phys_lo, phys_hi, star_lo, star_hi,
-                         max_candidates: int = DEFAULT_ENUM_CAP) -> list[QuadInt]:
+                         max_candidates: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """All x in Z[sqrt2] with embed(x) in [phys_lo, phys_hi] and
-    embed_star(x) in [star_lo, star_hi].  Bounds may be int, float or
-    Fraction and are honoured exactly.  Sorted by physical embedding.
+    embed_star(x) in [star_lo, star_hi], as an (N, 2) int64 array of
+    coefficient rows (a, b), one per element a + b*sqrt2 (``QuadInt(*row)``).
+    Bounds may be int, float or Fraction and are honoured exactly.  Sorted
+    by physical embedding.
 
     The four bound tests run on int64 arrays in float64; a sign is taken
     from floats only where the value exceeds 16 ulps of the sum of its
@@ -493,7 +495,7 @@ def enumerate_quad_range(phys_lo, phys_hi, star_lo, star_hi,
     phys_lo, phys_hi = _frac(phys_lo), _frac(phys_hi)
     star_lo, star_hi = _frac(star_lo), _frac(star_hi)
     if phys_lo > phys_hi or star_lo > star_hi:
-        return []
+        return np.empty((0, 2), dtype=np.int64)
     plo, phi = QuadRat.from_fraction(phys_lo), QuadRat.from_fraction(phys_hi)
     slo, shi = QuadRat.from_fraction(star_lo), QuadRat.from_fraction(star_hi)
 
@@ -520,7 +522,7 @@ def enumerate_quad_range(phys_lo, phys_hi, star_lo, star_hi,
         stop = np.floor(b_hi + 1e-6).astype(np.int64) + 1
         return np.maximum(stop - start + 1, 0), (a, start)
 
-    found_a, found_b = [], []
+    found = [np.empty((0, 2), dtype=np.int64)]
     for offset, (a, start) in _chunks(a_max - a_min + 1, rows_of, max_candidates):
         b = start + offset
         verdict = np.minimum.reduce([
@@ -529,13 +531,10 @@ def enumerate_quad_range(phys_lo, phys_hi, star_lo, star_hi,
         ])
         keep = _settle(verdict, lambda i: _in_range(
             QuadInt(int(a[i]), int(b[i])), plo, phi, slo, shi))
-        found_a.append(a[keep])
-        found_b.append(b[keep])
-    if not found_a:
-        return []
-    a, b = np.concatenate(found_a), np.concatenate(found_b)
-    order = np.lexsort((b, a, a + b * SQRT2))  # (embed(), a, b), as floats go
-    return [QuadInt(p, q) for p, q in zip(a[order].tolist(), b[order].tolist())]
+        found.append(np.stack([a[keep], b[keep]], axis=1))
+    rows = np.concatenate(found)
+    a, b = rows.T
+    return rows[np.lexsort((b, a, a + b * SQRT2))]  # (embed(), a, b), as floats go
 
 
 def _in_box(x: CycloInt, pq: QuadRat, sq: QuadRat) -> bool:
@@ -547,10 +546,12 @@ def _in_box(x: CycloInt, pq: QuadRat, sq: QuadRat) -> bool:
 
 
 def enumerate_cyclo_box(phys_bound, star_bound,
-                        max_candidates: int = DEFAULT_ENUM_CAP) -> list[CycloInt]:
+                        max_candidates: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """All x in Z[xi] whose physical embedding lies in the sup-norm box
     [-phys_bound, phys_bound]^2 and whose star image lies in
-    [-star_bound, star_bound]^2.  Membership is decided exactly.
+    [-star_bound, star_bound]^2, as an (N, 4) int64 array of coefficient
+    rows (c0, c1, c2, c3), one per element (``CycloInt(*row)``).
+    Membership is decided exactly.
 
     With u = c1 + c3 and v = c1 - c3, the coordinates are
     re = c0 + v/sqrt2, im = c2 + u/sqrt2 and, for the star image,
@@ -564,7 +565,7 @@ def enumerate_cyclo_box(phys_bound, star_bound,
     """
     P, S = _frac(phys_bound), _frac(star_bound)
     if P < 0 or S < 0:
-        return []
+        return np.empty((0, 4), dtype=np.int64)
     pq = QuadRat.from_fraction(P)
     sq = QuadRat.from_fraction(S)
     fP, fS = float(P), float(S)
@@ -598,7 +599,7 @@ def enumerate_cyclo_box(phys_bound, star_bound,
         counts = np.where((u + v) % 2 == 0, n0 * n2, 0)
         return counts, (u, v, c0, c2, np.maximum(n2, 1))
 
-    found = []
+    found = [np.empty((0, 4), dtype=np.int64)]
     for offset, (u, v, c0, c2, n2) in _chunks(width * width, rows_of, max_candidates):
         c0 = c0 + offset // n2
         c2 = c2 + offset % n2
@@ -610,10 +611,8 @@ def enumerate_cyclo_box(phys_bound, star_bound,
         c1, c3 = (u + v) // 2, (u - v) // 2
         keep = _settle(np.minimum.reduce(signs), lambda i: _in_box(
             CycloInt(int(c0[i]), int(c1[i]), int(c2[i]), int(c3[i])), pq, sq))
-        found.append(np.stack([c0, c1, c2, c3])[:, keep])
-    if not found:
-        return []
-    c0, c1, c2, c3 = np.concatenate(found, axis=1)
+        found.append(np.stack([c0, c1, c2, c3], axis=1)[keep])
+    rows = np.concatenate(found)
+    c0, c1, c2, c3 = rows.T
     # (embed().real, embed().imag, coeffs()), as floats go
-    order = np.lexsort((c3, c2, c1, c0, c2 + (c1 + c3) * s, c0 + (c1 - c3) * s))
-    return [CycloInt(*t) for t in zip(*(c[order].tolist() for c in (c0, c1, c2, c3)))]
+    return rows[np.lexsort((c3, c2, c1, c0, c2 + (c1 + c3) * s, c0 + (c1 - c3) * s))]

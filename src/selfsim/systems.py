@@ -11,10 +11,12 @@ compact family of contractions (``_declared``): its IFS, translation
 families, mass vector and exact offsets are all derived from it.
 
 The set-level facets are exact and built with the system.  The numpy
-facets (family, contraction, mc, scheme, window) are built on first
-use, so ``builtin(name)`` followed by the attractor alone never loads
-numpy or the numpy layers ``measures``, ``modelsets`` and
-``multicomponent``.
+facets are built on first use, in two groups: the measure facets
+(family, contraction, mc) on the first read of any of them, and the Weyl
+facets (scheme, window) likewise.  So ``builtin(name)`` followed by the
+attractor alone never loads numpy or the numpy layers ``measures``,
+``modelsets`` and ``multicomponent``, ``measure`` never executes
+``modelsets``, and ``weyl`` never executes ``multicomponent``.
 """
 
 from __future__ import annotations
@@ -67,9 +69,9 @@ def octagon() -> ConvexPolygon:
     )
 
 
-def _facet(name: str) -> property:
+def _facet(name: str, group: str) -> property:
     return property(
-        lambda self: self._built.get(name),
+        lambda self: getattr(self, group).get(name),
         doc=f"The {name} facet, built on first use; None when absent.",
     )
 
@@ -80,10 +82,11 @@ class BuiltinSystem:
 
     Absent facets mean the corresponding command refuses the system.
     ``exact_attractor`` pairs with ``ifs`` for the exact certificate.
-    ``facets()`` returns the numpy facets by name, and is called once, on
-    the first read of any of them: ``family``/``contraction`` describe a
-    single-component measure, and ``mc`` a coupled-component one;
-    ``scheme``/``window`` feed the Weyl harness.
+    ``measure_facets()`` returns the measure facets by name, and is called
+    once, on the first read of any of them: ``family``/``contraction``
+    describe a single-component measure, and ``mc`` a coupled-component
+    one.  ``weyl_facets()`` returns ``scheme``/``window``, which feed the
+    Weyl harness, in the same way.
     """
 
     name: str
@@ -91,20 +94,25 @@ class BuiltinSystem:
     ifs: Optional[IFSSystem] = None
     seeds: Optional[tuple] = None
     exact_attractor: Optional[tuple] = None
-    facets: Callable[[], dict] = dict
+    measure_facets: Callable[[], dict] = dict
+    weyl_facets: Callable[[], dict] = dict
     default_step: float = 1e-3
     default_radii: tuple = (100.0, 500.0, 2000.0)
     weyl_step: float = 1e-3
 
     @functools.cached_property
-    def _built(self) -> dict:
-        return self.facets()
+    def _measure(self) -> dict:
+        return self.measure_facets()
 
-    family = _facet("family")
-    contraction = _facet("contraction")
-    mc = _facet("mc")
-    scheme = _facet("scheme")
-    window = _facet("window")
+    @functools.cached_property
+    def _weyl(self) -> dict:
+        return self.weyl_facets()
+
+    family = _facet("family", "_measure")
+    contraction = _facet("contraction", "_measure")
+    mc = _facet("mc", "_measure")
+    scheme = _facet("scheme", "_weyl")
+    window = _facet("window", "_weyl")
 
     @property
     def has_density(self) -> bool:
@@ -129,7 +137,7 @@ def _family(T, mass):
     return measures.UniformFamily(T.as_float(), mass)
 
 
-def _declared(name, summary, a, sigma, m=None, more=dict, **options) -> BuiltinSystem:
+def _declared(name, summary, a, sigma, m=None, **options) -> BuiltinSystem:
     """The builtin whose compact family of contractions x -> a x + t is
     ``sigma``, declared once.
 
@@ -139,22 +147,24 @@ def _declared(name, summary, a, sigma, m=None, more=dict, **options) -> BuiltinS
     use, the measure facets are derived from it: ``family`` and
     ``contraction`` for one component, else ``mc`` with mass vector
     ``m``, whose exact offsets are the translations when every entry is
-    finite.  ``more`` adds further numpy facets; the seeds default to
+    finite.  ``options`` go to ``BuiltinSystem``; the seeds default to
     [-1, 1] per component.
     """
     translations = [[None if e is None else e[0] for e in row] for row in sigma]
 
-    def facets() -> dict:
+    def measure_facets() -> dict:
         families = [[None if e is None else _family(*e) for e in row] for row in sigma]
         if len(sigma) == 1:
-            return dict(family=families[0][0], contraction=a, **more())
+            return dict(family=families[0][0], contraction=a)
         finite = all(isinstance(T, tuple) for row in translations for T in row if T is not None)
         offsets = translations if finite else None
-        return dict(mc=multicomponent.MCSystem(a, families, m=m, exact_offsets=offsets), **more())
+        return dict(mc=multicomponent.MCSystem(a, families, m=m, exact_offsets=offsets))
 
     options.setdefault("seeds", (IntervalSet.closed(-1.0, 1.0),) * len(sigma))
     ifs = IFSSystem([[[] if T is None else _maps(a, T) for T in row] for row in translations])
-    return BuiltinSystem(name=name, summary=summary, ifs=ifs, facets=facets, **options)
+    return BuiltinSystem(
+        name=name, summary=summary, ifs=ifs, measure_facets=measure_facets, **options
+    )
 
 
 _ZERO = QuadInt(0, 0)
@@ -210,7 +220,7 @@ def _silver_points() -> BuiltinSystem:
     return BuiltinSystem(
         name="silver",
         summary="Z[sqrt2] cut-and-project points with the symmetric window",
-        facets=lambda: dict(scheme=modelsets.CutProjectScheme.silver(), window=WINDOW),
+        weyl_facets=lambda: dict(scheme=modelsets.CutProjectScheme.silver(), window=WINDOW),
     )
 
 
@@ -220,7 +230,7 @@ def _ammann_beenker() -> BuiltinSystem:
     return _declared(
         "ammann-beenker", "octagonal window in the plane, maximal translation family",
         ((AC_EXACT, _ZERO), (_ZERO, AC_EXACT)), [[(region, 1.0)]],
-        more=lambda: dict(scheme=modelsets.CutProjectScheme.octagonal(), window=window),
+        weyl_facets=lambda: dict(scheme=modelsets.CutProjectScheme.octagonal(), window=window),
         seeds=(region.as_float(),), exact_attractor=(window,),
         default_step=5e-3, default_radii=(10.0, 20.0, 30.0), weyl_step=1e-2,
     )

@@ -72,6 +72,11 @@ TERNARY_RULE = SubstitutionRule(
 _CACHE = {}
 
 
+def quads(rows) -> list:
+    """The ring elements of (a, b) coefficient rows."""
+    return [QuadInt(*row) for row in rows.tolist()]
+
+
 @contextmanager
 def criterion(number: int, budget: float, label: str):
     start = time.perf_counter()
@@ -197,7 +202,7 @@ def test_criterion_08_substitution_points_equal_projected_points():
             (orbit.all_positions(), W),
         ):
             report = crosscheck_modelset(
-                positions, project_points(scheme, window, 500), 500
+                positions, quads(project_points(scheme, window, 500)), 500
             )
             assert report.equal, (report.only_left[:5], report.only_right[:5])
         ternary = substitution_orbit(TERNARY_RULE, ("c", "a"), 5, endpoint="right")
@@ -215,7 +220,7 @@ def test_criterion_09_point_densities_and_weighted_averages():
         scheme = CutProjectScheme.silver()
         r = 10_000.0
         patch = project_points(scheme, W, r + 1_000.0 + 10.0)
-        inside = [x for x in patch if abs(float(x.embed())) <= r]
+        inside = [x for x in quads(patch) if abs(float(x.embed())) <= r]
         assert abs(len(inside) / (2 * r) - 0.5) < 1e-3
         in_w1 = [x for x in inside if W1.contains(x.star(), eps=0)]
         target = 1.0 / (2.0 * math.sqrt(2.0))

@@ -944,6 +944,20 @@ def test_padic_executes_only_its_own_layer(tmp_path):
     assert executed(ran, "numpy") == []
 
 
+@pytest.mark.parametrize("args, skipped", [
+    (("measure", "--system", "ammann-beenker", "--grid-step", "0.05"), "selfsim.modelsets"),
+    (("weyl", "--system", "ammann-beenker", "--radii", "5"), "selfsim.multicomponent"),
+    (("weyl", "--system", "silver-mc-min"), "selfsim.multicomponent"),
+], ids=["measure-planar", "weyl-planar", "weyl-refused"])
+def test_each_command_builds_only_its_own_facets(args, skipped, tmp_path):
+    # a builtin builds its measure facets and its Weyl facets apart; the
+    # refused run exits 1 as it reads the scheme
+    code = f"import selfsim.cli\ntry:\n    selfsim.cli.main({list(args)!r})\nexcept SystemExit:\n    pass"
+    ran = fresh_modules(code, tmp_path, executed_only=True)
+    assert "selfsim.systems" in ran
+    assert skipped not in ran
+
+
 @pytest.mark.parametrize("args, formats", [
     (("attractor", "--system", "silver-max"), False),
     (("fourier", "--system", "silver-max", "--terms", "5"), False),

@@ -107,6 +107,34 @@ def brute_force_merge(atoms, eps=1e-12):
     return kept
 
 
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AffineMap(0.5, INF),
+    lambda: AffineMap(NAN, 0.0),
+    lambda: AffineMap(((0.5, 0.0), (0.0, INF)), (0.0, 0.0)),
+    lambda: AffineMap(((0.5, 0.0), (0.0, 0.5)), (0.0, -INF)),
+    lambda: IntervalSet.closed(0, INF),
+    lambda: IntervalSet([(0.0, 1.0), (NAN, 2.0)]),
+    lambda: ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.0, INF)]),
+    lambda: DiscreteMeasure([(INF, 1.0)]),
+    lambda: DiscreteMeasure([((0.0, NAN), 1.0)]),
+    lambda: DiscreteMeasure([(0.0, INF)]),
+    lambda: DiscreteMeasure([(0.0, NAN)]),
+    lambda: UniformFamily(IntervalSet.closed(0, INF), 1.0),
+    lambda: UniformFamily(IntervalSet.closed(0.0, 1.0), INF),
+], ids=[
+    "map-translation", "map-factor", "map-matrix", "map-plane-translation",
+    "interval-endpoint", "interval-nan", "polygon-vertex", "atom-location",
+    "atom-plane-location", "atom-weight", "atom-nan-weight", "uniform-region",
+    "uniform-mass",
+])
+def test_constructors_refuse_non_finite_numbers(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 class TestDiscreteMeasure:
     def test_plane_merge_ignores_unrelated_atoms(self):
         pair = [((0.0, 5.0), 1.0), ((1e-13, 5.0), 1.0)]

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfsim.compactsets import ConvexPolygon, IntervalSet
 from selfsim.measures import raster_interval_set
@@ -19,7 +21,14 @@ from selfsim.modelsets import (
     theoretical_density,
     weyl_average,
 )
-from selfsim.numberfields import HALF_SQRT2, QuadInt, QuadRat
+from selfsim.numberfields import (
+    HALF_SQRT2,
+    CycloInt,
+    QuadInt,
+    QuadRat,
+    enumerate_cyclo_box,
+    enumerate_quad_range,
+)
 
 ALPHA = QuadInt(1, 1)  # 1 + sqrt2
 W_LO_1 = QuadRat(QuadInt(-2, 1), 2)  # 1/sqrt2 - 1
@@ -56,6 +65,11 @@ def octagon_window() -> ConvexPolygon:
             (ha, -half),
         ]
     )
+
+
+def quads(rows) -> list:
+    """The ring elements of (a, b) coefficient rows."""
+    return [QuadInt(*row) for row in rows.tolist()]
 
 
 def letter_frequencies(rule, steps=200):
@@ -96,28 +110,75 @@ class TestScheme:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            CutProjectScheme("cubic", (QuadInt(1, 0),))
+            CutProjectScheme("cubic")
+
+
+# up to the enumerators' coefficient limit, where int64 and float64 stay exact
+coefficient = st.integers(-(2**50), 2**50)
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestCoordinates:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(coefficient, coefficient), min_size=1, max_size=8))
+    def test_quad_rows_are_the_embeddings_bit_for_bit(self, rows):
+        got = CutProjectScheme.silver().coordinates(np.array(rows, dtype=np.int64))
+        want = [[QuadInt(*r).embed(), QuadInt(*r).embed_star()] for r in rows]
+        assert np.array_equal(bits(got), bits(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[coefficient] * 4), min_size=1, max_size=8))
+    def test_cyclo_rows_are_the_embeddings_bit_for_bit(self, rows):
+        got = CutProjectScheme.octagonal().coordinates(np.array(rows, dtype=np.int64))
+        want = []
+        for r in rows:
+            z, zs = CycloInt(*r).embed(), CycloInt(*r).embed_star()
+            want.append([z.real, z.imag, zs.real, zs.imag])
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_no_rows(self):
+        for scheme, k in ((CutProjectScheme.silver(), 2), (CutProjectScheme.octagonal(), 4)):
+            coords = scheme.coordinates(np.empty((0, k), dtype=np.int64))
+            assert coords.shape == (0, k)
+
+
+def test_results_hold_one_row_per_point():
+    # a traced benchmark run counts the points of these results by len()
+    results = (
+        (enumerate_quad_range(-50, 50, -1, 1), 2),
+        (enumerate_cyclo_box(6, 2), 4),
+        (project_points(CutProjectScheme.silver(), W, 50), 2),
+        (project_points(CutProjectScheme.octagonal(), octagon_window(), 6), 4),
+    )
+    for rows, k in results:
+        assert rows.dtype == np.int64 and rows.shape[1:] == (k,)
+        assert len(rows) == rows.shape[0] == len({tuple(r) for r in rows.tolist()}) > 10
+    for rows, k in ((enumerate_quad_range(1, 0, -1, 1), 2), (enumerate_cyclo_box(-1, 1), 4)):
+        assert len(rows) == 0 and rows.shape == (0, k)
 
 
 class TestProjectPoints:
     def test_silver_window_radius_5(self):
-        points = project_points(CutProjectScheme.silver(), W, 5)
+        points = quads(project_points(CutProjectScheme.silver(), W, 5))
         expected = {QuadInt(0, 0), ALPHA, -ALPHA, QuadInt(2, 1), QuadInt(-2, -1)}
         assert set(points) == expected
         assert [float(x) for x in points] == sorted(float(x) for x in points)
 
     def test_silver_w2_radius_5(self):
-        points = project_points(CutProjectScheme.silver(), W2, 5)
+        points = quads(project_points(CutProjectScheme.silver(), W2, 5))
         assert set(points) == {ALPHA, QuadInt(-2, -1)}
 
     def test_point_window_outside_ring(self):
         window = IntervalSet.point(Fraction(1, 3))
-        assert project_points(CutProjectScheme.silver(), window, 5) == []
+        assert quads(project_points(CutProjectScheme.silver(), window, 5)) == []
 
     def test_boundary_membership_is_exact(self):
         # alpha* sits exactly on the upper endpoint of a [alpha*, 0] window
         window = IntervalSet.closed(QuadInt(1, -1), QuadInt(0, 0))
-        points = project_points(CutProjectScheme.silver(), window, 3)
+        points = quads(project_points(CutProjectScheme.silver(), window, 3))
         assert ALPHA in points and QuadInt(0, 0) in points
 
     def test_window_type_checked(self):
@@ -180,7 +241,7 @@ class TestCrosscheck:
             (orbit.all_positions(), W),
         ):
             report = crosscheck_modelset(
-                positions, project_points(scheme, window, 50), 50
+                positions, quads(project_points(scheme, window, 50)), 50
             )
             assert report.equal, (report.only_left, report.only_right)
             assert report.count_left > 10
@@ -189,7 +250,7 @@ class TestCrosscheck:
         scheme = CutProjectScheme.silver()
         orbit = substitution_orbit(SILVER_RULE, ("a", "a"), 4)
         report = crosscheck_modelset(
-            orbit.positions["a"], project_points(scheme, W2, 50), 50
+            orbit.positions["a"], quads(project_points(scheme, W2, 50)), 50
         )
         assert not report.equal
 
@@ -284,8 +345,8 @@ def silver_patch():
 def patches():
     scheme = CutProjectScheme.silver()
     return {
-        0: project_points(scheme, W1, 50),
-        1: project_points(scheme, W2, 50),
+        0: quads(project_points(scheme, W1, 50)),
+        1: quads(project_points(scheme, W2, 50)),
     }
 
 

@@ -21,6 +21,16 @@ from selfsim.numberfields import (
 ALPHA = SILVER  # 1 + sqrt2
 
 
+def quads(rows) -> list:
+    """The ring elements of (a, b) coefficient rows."""
+    return [QuadInt(*row) for row in rows.tolist()]
+
+
+def cyclos(rows) -> list:
+    """The ring elements of (c0, c1, c2, c3) coefficient rows."""
+    return [CycloInt(*row) for row in rows.tolist()]
+
+
 def brute_quad_box(phys_bound, star_bound, coeff_bound=40):
     """Oracle: scan a generous coefficient box and filter with floats.
 
@@ -160,7 +170,7 @@ class TestEnumeration:
         # |x| <= 5 and |x*| <= 1/sqrt2 leaves exactly 0, +-alpha, +-(alpha+1);
         # Fraction(float) keeps the bound reproducible and exactly comparable
         bound = Fraction(1 / SQRT2)
-        got = enumerate_quad_range(-5, 5, -bound, bound)
+        got = quads(enumerate_quad_range(-5, 5, -bound, bound))
         expected = {QuadInt(0, 0), QuadInt(1, 1), QuadInt(-1, -1),
                     QuadInt(2, 1), QuadInt(-2, -1)}
         assert set(got) == expected
@@ -169,16 +179,16 @@ class TestEnumeration:
 
     def test_quad_tiny_bound_only_origin(self):
         half = Fraction(1, 2)
-        assert enumerate_quad_range(-half, half, -half, half) == [QuadInt(0, 0)]
+        assert quads(enumerate_quad_range(-half, half, -half, half)) == [QuadInt(0, 0)]
 
     def test_quad_asymmetric_range_against_oracle(self):
-        got = enumerate_quad_range(-10, 10, Fraction(-1, 3), Fraction(4, 5))
+        got = quads(enumerate_quad_range(-10, 10, Fraction(-1, 3), Fraction(4, 5)))
         expect = [q for q in brute_quad_box(10, 2)
                   if -1 / 3 - 1e-12 <= q.embed_star() <= 4 / 5 + 1e-12]
         assert got == expect
 
     def test_cyclo_box_against_oracle(self):
-        got = enumerate_cyclo_box(Fraction(11, 10), 10)
+        got = cyclos(enumerate_cyclo_box(Fraction(11, 10), 10))
         assert got == brute_cyclo_box(1.1, 10)
         # Density heuristic: (2.2 * 2.2) * (20 * 20) / covolume 4 ~ 484.
         assert len(got) == 481
@@ -191,7 +201,7 @@ class TestEnumeration:
     def test_cyclo_tight_box(self):
         # 0, the 8 units, and the four corner elements +-1 +- xi^2
         # (both embeddings of 1 + xi^2 land on box corners).
-        got = enumerate_cyclo_box(Fraction(11, 10), Fraction(11, 10))
+        got = cyclos(enumerate_cyclo_box(Fraction(11, 10), Fraction(11, 10)))
         units = {CycloInt.xi_power(j) for j in range(8)}
         corners = {CycloInt(s0, 0, s2, 0) for s0 in (1, -1) for s2 in (1, -1)}
         assert set(got) == units | corners | {CycloInt(0, 0, 0, 0)}
@@ -219,4 +229,4 @@ class TestEnumeration:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 12))
     def test_quad_box_matches_oracle(self, p, s):
-        assert enumerate_quad_range(-p, p, -s, s) == brute_quad_box(p, s)
+        assert quads(enumerate_quad_range(-p, p, -s, s)) == brute_quad_box(p, s)

@@ -2,7 +2,8 @@
 
 Runs every builtin system (aliases left out) through ``attractor``,
 ``measure``, ``fourier`` and ``weyl`` in both output formats, plus
-``padic`` at K = 4, 5, 7 and 8, ``weyl`` with Weyl centres and
+``padic`` at K = 4, 5, 7 and 8, ``weyl`` with Weyl centres (among them
+a deep planar patch off the origin) and
 ``fourier`` on inline families over negative frequencies and a coupled
 inline ``measure`` whose point shifts share no lattice step, all from a
 ``--config`` file (written into the run's directory), ``weyl`` at patch
@@ -87,6 +88,12 @@ CONFIG_RUNS = (
     (
         ["weyl", "--system", "ammann-beenker", "--radii", "8,12"],
         {"centers": [[0, 0], [1.5, -0.75], 2.0]},
+    ),
+    # a deep planar patch off the origin: its points_enumerated counts the
+    # enumeration out to radius 46
+    (
+        ["weyl", "--system", "ammann-beenker", "--radii", "10,20,40"],
+        {"centers": [[0.5, -1.25], [-1.75, 0.5]]},
     ),
     # the transform product over frequencies below and above 0, on inline
     # families of each kind
