@@ -18,10 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .compactsets import ConvexPolygon, IntervalSet
-from .measures import GridDensity, _axes
+from .measures import GridDensity, _axes, _point
 from .numberfields import (
     SQRT2,
-    CycloInt,
     QuadInt,
     QuadRat,
     _as_quadrat,
@@ -29,6 +28,7 @@ from .numberfields import (
     _float_pair,
     _quad_sign,
     _settle,
+    cyclo_exact,
     enumerate_cyclo_box,
     enumerate_quad_range,
 )
@@ -60,17 +60,17 @@ class CutProjectScheme:
 
     def coordinates(self, rows) -> np.ndarray:
         """Physical then internal coordinates of the (N, k) coefficient
-        rows, one row of 2d floats each: bit for bit [x.embed(),
-        x.embed_star()] of the ring element x, real and imaginary parts
-        in the plane."""
+        rows, one row of 2d floats each: a + b*sqrt2 and a - b*sqrt2 on the
+        line; in the plane, with u = c1 + c3, v = c1 - c3 and s = sqrt2/2,
+        re(x) = c0 + v*s, im(x) = c2 + u*s, re(x*) = c0 - v*s and
+        im(x*) = u*s - c2, each the float of its exact value in
+        ``cyclo_exact`` bit for bit."""
         rows = np.asarray(rows, dtype=np.int64)
         if self.kind == "quad":
             a, b = rows.T
             bs = b * SQRT2
             return np.stack([a + bs, a - bs], axis=1)
         c0, c1, c2, c3 = rows.T
-        # with u = c1 + c3, v = c1 - c3 and s = sqrt2/2: x = (c0 + v*s, c2 + u*s)
-        # and x* = (c0 - v*s, u*s - c2)
         vs, us = (c1 - c3) * (SQRT2 / 2.0), (c1 + c3) * (SQRT2 / 2.0)
         return np.stack([c0 + vs, c2 + us, c0 - vs, us - c2], axis=1)
 
@@ -96,9 +96,11 @@ def project_points(scheme: CutProjectScheme, window, radius) -> np.ndarray:
     arrays in float64, and a sign is taken from floats only where the value
     exceeds 16 ulps of the sum of its absolute terms (the bound is derived
     in ``numberfields``).  Candidates inside that margin go through the
-    exact per-point test (``QuadRat`` disk, ``IntervalSet.contains`` or
-    ``ConvexPolygon.contains`` with eps=0) on their ring element.  Float
-    windows keep the eps=1e-12 test, evaluated as the same float expression.
+    exact per-point test on their coefficient row: ``IntervalSet.contains``
+    with eps=0 of the ``QuadRat`` a - b*sqrt2, or the ``QuadRat`` disk and
+    ``ConvexPolygon.contains`` with eps=0 of the coordinates that
+    ``cyclo_exact`` gives.  Float windows keep the eps=1e-12 test, evaluated
+    as the same float expression.
     """
     if float(radius) <= 0:
         raise ValueError("radius must be positive")
@@ -117,7 +119,7 @@ def project_points(scheme: CutProjectScheme, window, radius) -> np.ndarray:
                 for lo, hi in window.intervals
             ])
             keep = _settle(verdict, lambda i: window.contains(
-                QuadInt(*candidates[i].tolist()).star(), eps=0))
+                QuadRat(QuadInt(int(a[i]), -int(b[i]))), eps=0))
         else:
             star = a - b * SQRT2  # x.embed_star(), bit for bit
             keep = np.logical_or.reduce([
@@ -132,8 +134,8 @@ def project_points(scheme: CutProjectScheme, window, radius) -> np.ndarray:
     star_bound = max(abs(xlo), abs(ylo), abs(xhi), abs(yhi)) + 1e-6
     candidates = enumerate_cyclo_box(r, star_bound)
     c0, c1, c2, c3 = candidates.T
-    # the star floats (px, py) are float() of x.star().embed_exact(), bit for
-    # bit, and x and x* have the same absolute terms
+    # the star floats (px, py) are float() of re(x*) and im(x*) from
+    # cyclo_exact, bit for bit, and x and x* have the same absolute terms
     re, im, px, py = scheme.coordinates(candidates).T
     s = SQRT2 / 2.0
     x_size, y_size = np.abs(c0) + np.abs(c1 - c3) * s, np.abs(c2) + np.abs(c1 + c3) * s
@@ -143,7 +145,7 @@ def project_points(scheme: CutProjectScheme, window, radius) -> np.ndarray:
     signs += _window_signs(window, px, py, x_size, y_size)
     keep = _settle(
         np.minimum.reduce(signs),
-        lambda i: _in_patch(CycloInt(*candidates[i].tolist()), window, rsq),
+        lambda i: _in_patch(candidates[i].tolist(), window, rsq),
     )
     # the candidates arrive sorted by physical position
     return candidates[keep]
@@ -176,13 +178,12 @@ def _window_signs(window: ConvexPolygon, px, py, x_size, y_size) -> list:
     return signs
 
 
-def _in_patch(x: CycloInt, window: ConvexPolygon, rsq: QuadRat) -> bool:
-    """The exact per-point test: x in the closed disk |x|**2 <= rsq and
-    x* in the window."""
-    re, im = x.embed_exact()
+def _in_patch(row, window: ConvexPolygon, rsq: QuadRat) -> bool:
+    """The exact per-point test of the coefficient row of x: x in the
+    closed disk |x|**2 <= rsq and x* in the window."""
+    re, im, sre, sim = cyclo_exact(*row)
     if re * re + im * im > rsq:
         return False
-    sre, sim = x.star().embed_exact()
     if window.is_exact:
         return window.contains((sre, sim), eps=0)
     return window.contains((float(sre), float(sim)), eps=1e-12)
@@ -390,12 +391,13 @@ def weyl_average(
     """Ball averages of g evaluated at the star images of the points, an
     (N, k) int64 array of coefficient rows as ``project_points`` returns.
 
-    For each radius r and center a (a number on the line, a coordinate
-    tuple in the plane), sums g(x*) over points in the closed ball B_r(a)
-    and divides by its volume (length 2r in 1D, area pi r^2 in 2D); the
-    limit column holds mass(g)/covolume.  The points must
-    come from the window supporting g; each requested ball must fit in
-    the enumerated patch.
+    For each radius r and center a (a coordinate tuple, or a number that
+    shifts along the first axis; the default is the origin), sums g(x*)
+    over points in the closed ball B_r(a) and divides by its volume
+    (length 2r in 1D, area pi r^2 in 2D); the limit column holds
+    mass(g)/covolume.  Each row's center is the coordinate tuple in the
+    plane and a number on the line.  The points must come from the window
+    supporting g; each requested ball must fit in the enumerated patch.
     """
     if len(points) == 0:
         raise ValueError("no points to average over")
@@ -409,6 +411,8 @@ def weyl_average(
         r = float(r)
         for center in centers:
             c = _axes(center)
+            if np.ndim(center) == 0:
+                c += (0.0,) * (d - 1)
             if len(c) != d:
                 raise ValueError(f"center {center} needs {d} coordinates")
             if math.hypot(*c) + r > patch + 1e-9:
@@ -419,5 +423,5 @@ def weyl_average(
             values = g.sample(star[mask].T).tolist()
             vol = (2 * r, math.pi * r * r)[d - 1]
             avg = math.fsum(values) / vol
-            rows.append(WeylRow(r, center, avg, limit, abs(avg - limit)))
+            rows.append(WeylRow(r, _point(c), avg, limit, abs(avg - limit)))
     return rows

@@ -1,10 +1,12 @@
-"""Exact arithmetic in Z[sqrt2], its fraction field, and the eighth cyclotomic ring.
+"""Exact arithmetic in Z[sqrt2] and its fraction field; lattice enumeration
+in Z[sqrt2] and the eighth cyclotomic ring Z[xi].
 
 Elements of Z[sqrt2] are pairs (a, b) standing for a + b*sqrt(2); the ring
 automorphism `star` sends sqrt(2) to -sqrt(2).  QuadRat is the fraction field
-with an integer denominator kept in lowest terms.  CycloInt is Z[xi] with
-xi = exp(i*pi/4); there `star` sends xi to xi**3, which is the internal-space
-embedding used by the octagonal cut-and-project scheme.
+with an integer denominator kept in lowest terms.  An element of Z[xi],
+xi = exp(i*pi/4), is a coefficient row (c0, c1, c2, c3); its star map sends
+xi to xi**3, the internal-space embedding of the octagonal cut-and-project
+scheme, and `cyclo_exact` gives its physical and star coordinates in Q(sqrt2).
 
 All order comparisons are exact: the sign of a + b*sqrt(2) is decided from the
 signs of a, b and the integer comparison a**2 vs 2*b**2, never from floats.
@@ -288,87 +290,14 @@ SILVER_CONJ = QuadInt(1, -1)    # 1 - sqrt2 = -1/silver
 HALF_SQRT2 = QuadRat(QuadInt(0, 1), 2)   # sqrt2/2 = 1/sqrt2
 
 
-@dataclass(frozen=True)
-class CycloInt:
-    """c0 + c1*xi + c2*xi^2 + c3*xi^3 with xi = exp(i*pi/4), xi^4 = -1."""
-
-    c0: int
-    c1: int
-    c2: int
-    c3: int
-
-    @classmethod
-    def from_int(cls, x: int) -> "CycloInt":
-        return cls(x, 0, 0, 0)
-
-    @classmethod
-    def xi_power(cls, j: int) -> "CycloInt":
-        j %= 8
-        sign = -1 if j >= 4 else 1
-        coef = [0, 0, 0, 0]
-        coef[j % 4] = sign
-        return cls(*coef)
-
-    def coeffs(self) -> tuple[int, int, int, int]:
-        return (self.c0, self.c1, self.c2, self.c3)
-
-    def star(self) -> "CycloInt":
-        """Galois automorphism xi -> xi^3 (the internal-space star map)."""
-        return CycloInt(self.c0, self.c3, -self.c2, self.c1)
-
-    def embed(self) -> complex:
-        s = SQRT2 / 2.0
-        return complex(self.c0 + (self.c1 - self.c3) * s,
-                       self.c2 + (self.c1 + self.c3) * s)
-
-    def embed_star(self) -> complex:
-        return self.star().embed()
-
-    def embed_exact(self) -> tuple[QuadRat, QuadRat]:
-        """Real and imaginary parts as exact elements of Q(sqrt2)."""
-        re = QuadRat(QuadInt(2 * self.c0, self.c1 - self.c3), 2)
-        im = QuadRat(QuadInt(2 * self.c2, self.c1 + self.c3), 2)
-        return re, im
-
-    def __add__(self, other: "CycloInt") -> "CycloInt":
-        if isinstance(other, int):
-            other = CycloInt.from_int(other)
-        if not isinstance(other, CycloInt):
-            return NotImplemented
-        return CycloInt(self.c0 + other.c0, self.c1 + other.c1,
-                        self.c2 + other.c2, self.c3 + other.c3)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "CycloInt") -> "CycloInt":
-        return self + (-other)
-
-    def __neg__(self) -> "CycloInt":
-        return CycloInt(-self.c0, -self.c1, -self.c2, -self.c3)
-
-    def __mul__(self, other: "CycloInt") -> "CycloInt":
-        if isinstance(other, int):
-            other = CycloInt.from_int(other)
-        if not isinstance(other, CycloInt):
-            return NotImplemented
-        u = self.coeffs()
-        v = other.coeffs()
-        out = [0, 0, 0, 0]
-        for i in range(4):
-            if u[i] == 0:
-                continue
-            for j in range(4):
-                k = i + j
-                if k < 4:
-                    out[k] += u[i] * v[j]
-                else:
-                    out[k - 4] -= u[i] * v[j]  # xi^4 = -1
-        return CycloInt(*out)
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        return f"{self.c0}{self.c1:+d}xi{self.c2:+d}xi2{self.c3:+d}xi3"
+def cyclo_exact(c0: int, c1: int, c2: int, c3: int) -> tuple[QuadRat, QuadRat, QuadRat, QuadRat]:
+    """Exact coordinates of x = c0 + c1*xi + c2*xi^2 + c3*xi^3 in Z[xi],
+    xi = exp(i*pi/4): re(x), im(x), re(x*) and im(x*), where the star map
+    sends xi to xi^3.  With u = c1 + c3 and v = c1 - c3 they are
+    c0 + v/sqrt2, c2 + u/sqrt2, c0 - v/sqrt2 and u/sqrt2 - c2."""
+    u, v = c1 + c3, c1 - c3
+    return (QuadRat(QuadInt(2 * c0, v), 2), QuadRat(QuadInt(2 * c2, u), 2),
+            QuadRat(QuadInt(2 * c0, -v), 2), QuadRat(QuadInt(-2 * c2, u), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +401,9 @@ def _chunks(n_rows: int, rows_of, max_candidates: int):
             yield k - ends[row] + counts[row], tuple(x[row] for x in data)
 
 
-def _in_range(x: QuadInt, plo, phi, slo, shi) -> bool:
-    xr = QuadRat(x)
-    return plo <= xr <= phi and slo <= xr.star() <= shi
+def _in_range(a: int, b: int, plo, phi, slo, shi) -> bool:
+    x = QuadRat(QuadInt(a, b))
+    return plo <= x <= phi and slo <= x.star() <= shi
 
 
 def enumerate_quad_range(phys_lo, phys_hi, star_lo, star_hi,
@@ -529,20 +458,15 @@ def enumerate_quad_range(phys_lo, phys_hi, star_lo, star_hi,
             _quad_sign(a, b, plo), -_quad_sign(a, b, phi),
             _quad_sign(a, -b, slo), -_quad_sign(a, -b, shi),
         ])
-        keep = _settle(verdict, lambda i: _in_range(
-            QuadInt(int(a[i]), int(b[i])), plo, phi, slo, shi))
+        keep = _settle(verdict, lambda i: _in_range(int(a[i]), int(b[i]), plo, phi, slo, shi))
         found.append(np.stack([a[keep], b[keep]], axis=1))
     rows = np.concatenate(found)
     a, b = rows.T
     return rows[np.lexsort((b, a, a + b * SQRT2))]  # (embed(), a, b), as floats go
 
 
-def _in_box(x: CycloInt, pq: QuadRat, sq: QuadRat) -> bool:
-    re, im = x.embed_exact()
-    if not (-pq <= re <= pq and -pq <= im <= pq):
-        return False
-    sre, sim = x.star().embed_exact()
-    return -sq <= sre <= sq and -sq <= sim <= sq
+def _in_box(row, pq: QuadRat, sq: QuadRat) -> bool:
+    return all(-q <= t <= q for t, q in zip(cyclo_exact(*row), (pq, pq, sq, sq)))
 
 
 def enumerate_cyclo_box(phys_bound, star_bound,
@@ -550,7 +474,7 @@ def enumerate_cyclo_box(phys_bound, star_bound,
     """All x in Z[xi] whose physical embedding lies in the sup-norm box
     [-phys_bound, phys_bound]^2 and whose star image lies in
     [-star_bound, star_bound]^2, as an (N, 4) int64 array of coefficient
-    rows (c0, c1, c2, c3), one per element (``CycloInt(*row)``).
+    rows (c0, c1, c2, c3), one per element c0 + c1*xi + c2*xi^2 + c3*xi^3.
     Membership is decided exactly.
 
     With u = c1 + c3 and v = c1 - c3, the coordinates are
@@ -558,8 +482,9 @@ def enumerate_cyclo_box(phys_bound, star_bound,
     c0 - v/sqrt2 and u/sqrt2 - c2.  The eight box tests run on int64
     arrays in float64; a sign is taken from floats only where the value
     exceeds 16 ulps of the sum of its absolute terms, and the candidates
-    inside that margin are decided by exact QuadRat comparison.  Sorted by
-    physical position, then coefficients.  Raises ResourceCapError when the
+    inside that margin are decided by exact QuadRat comparison of those
+    coordinates (``cyclo_exact``).  Sorted by physical position, then
+    coefficients.  Raises ResourceCapError when the
     estimated candidate count exceeds max_candidates or a coefficient would
     exceed 2**50.
     """
@@ -608,11 +533,10 @@ def enumerate_cyclo_box(phys_bound, star_bound,
         for x2, w, bound in ((2 * c0, v, P), (2 * c2, u, P), (2 * c0, -v, S), (-2 * c2, u, S)):
             signs.append(_quad_sign(x2, w, -2 * bound))
             signs.append(-_quad_sign(x2, w, 2 * bound))
-        c1, c3 = (u + v) // 2, (u - v) // 2
-        keep = _settle(np.minimum.reduce(signs), lambda i: _in_box(
-            CycloInt(int(c0[i]), int(c1[i]), int(c2[i]), int(c3[i])), pq, sq))
-        found.append(np.stack([c0, c1, c2, c3], axis=1)[keep])
+        chunk = np.stack([c0, (u + v) // 2, c2, (u - v) // 2], axis=1)
+        keep = _settle(np.minimum.reduce(signs), lambda i: _in_box(chunk[i].tolist(), pq, sq))
+        found.append(chunk[keep])
     rows = np.concatenate(found)
     c0, c1, c2, c3 = rows.T
-    # (embed().real, embed().imag, coeffs()), as floats go
+    # (re(x), im(x), c0, c1, c2, c3), as floats go
     return rows[np.lexsort((c3, c2, c1, c0, c2 + (c1 + c3) * s, c0 + (c1 - c3) * s))]

@@ -24,9 +24,9 @@ from selfsim.compactsets import ConvexPolygon, IntervalSet
 from selfsim.modelsets import CutProjectScheme, project_points
 from selfsim.numberfields import (
     SQRT2,
-    CycloInt,
     QuadInt,
     QuadRat,
+    cyclo_exact,
     enumerate_cyclo_box,
     enumerate_quad_range,
 )
@@ -43,8 +43,8 @@ def quads(rows) -> list:
 
 
 def cyclos(rows) -> list:
-    """The ring elements of (c0, c1, c2, c3) coefficient rows."""
-    return [CycloInt(*row) for row in rows.tolist()]
+    """The (c0, c1, c2, c3) coefficient rows as tuples."""
+    return list(map(tuple, rows.tolist()))
 
 
 def nudged(value: float, ulps: int) -> Fraction:
@@ -82,14 +82,13 @@ def exact_cyclo_box(phys_bound, star_bound):
         for c1 in odd:
             for c2 in even:
                 for c3 in odd:
-                    x = CycloInt(c0, c1, c2, c3)
-                    re, im = x.embed_exact()
-                    sre, sim = x.star().embed_exact()
+                    row = (c0, c1, c2, c3)
+                    re, im, sre, sim = cyclo_exact(*row)
                     if all(-pq <= t <= pq for t in (re, im)) and all(
                         -sq <= t <= sq for t in (sre, sim)
                     ):
-                        out.append(x)
-    return sorted(out, key=lambda x: (x.embed().real, x.embed().imag, x.coeffs()))
+                        out.append((float(re), float(im), row))
+    return [row for *_, row in sorted(out)]
 
 
 def exact_project(scheme, window, radius):
@@ -105,17 +104,16 @@ def exact_project(scheme, window, radius):
     star_bound = max(abs(float(v)) for v in window.bbox()) + 1e-6
     rsq = QuadRat(QuadInt(r.numerator**2, 0), r.denominator**2)
     out = []
-    for x in cyclos(enumerate_cyclo_box(r, star_bound)):
-        re, im = x.embed_exact()
+    for row in cyclos(enumerate_cyclo_box(r, star_bound)):
+        re, im, sre, sim = cyclo_exact(*row)
         if re * re + im * im > rsq:
             continue
-        sre, sim = x.star().embed_exact()
         if window.is_exact:
             inside = window.contains((sre, sim), eps=0)
         else:
             inside = window.contains((float(sre), float(sim)), eps=1e-12)
         if inside:
-            out.append(x)
+            out.append(row)
     return out
 
 
@@ -141,7 +139,7 @@ def exact_calls(monkeypatch):
 
 
 def star_point(c) -> tuple:
-    return CycloInt(*c).star().embed_exact()
+    return cyclo_exact(*c)[2:]
 
 
 def square(t) -> ConvexPolygon:
@@ -169,14 +167,14 @@ class TestBoundaryCases:
         bound = nudged(SQRT2 - 1, -1)
         got = cyclos(enumerate_cyclo_box(bound, Fraction(11, 4)))
         assert exact_calls["_in_box"] > 0
-        assert CycloInt(1, -1, 0, 1) in got
+        assert (1, -1, 0, 1) in got
         assert got == exact_cyclo_box(bound, Fraction(11, 4))
 
     def test_box_bounds_through_lattice_points(self, exact_calls):
         # 2 + xi^2 sits at (2, 1), its star image at (2, -1)
         got = cyclos(enumerate_cyclo_box(2, 2))
         assert exact_calls["_in_box"] > 0
-        assert CycloInt(2, 0, 1, 0) in got
+        assert (2, 0, 1, 0) in got
         assert got == exact_cyclo_box(2, 2)
 
     def test_window_endpoints_on_lattice_images(self, exact_calls):
@@ -203,7 +201,7 @@ class TestBoundaryCases:
         window = square(Fraction(radius))
         got = cyclos(project_points(OCTAGONAL, window, radius))
         assert exact_calls["_in_patch"] > 0
-        assert CycloInt(*on_circle) in got
+        assert on_circle in got
         assert got == exact_project(OCTAGONAL, window, radius)
 
     def test_window_edges_through_lattice_images(self, exact_calls):
@@ -214,7 +212,7 @@ class TestBoundaryCases:
         window = square(t)
         got = cyclos(project_points(OCTAGONAL, window, 6))
         assert exact_calls["_in_patch"] > 0
-        assert sum(t in map(abs, star_point(x.coeffs())) for x in got) > 4
+        assert sum(t in map(abs, star_point(x)) for x in got) > 4
         assert got == exact_project(OCTAGONAL, window, 6)
 
     def test_triangle_of_lattice_images(self, exact_calls):
@@ -224,7 +222,7 @@ class TestBoundaryCases:
         window = ConvexPolygon([star_point(c) for c in corners])
         got = cyclos(project_points(OCTAGONAL, window, 5))
         assert exact_calls["_in_patch"] > 0
-        assert CycloInt(2, 2, 0, 0) in got
+        assert (2, 2, 0, 0) in got
         assert got == exact_project(OCTAGONAL, window, 5)
 
     @pytest.mark.parametrize("as_float", [False, True])
@@ -234,7 +232,7 @@ class TestBoundaryCases:
             window = window.as_float()
         got = cyclos(project_points(OCTAGONAL, window, 3))
         assert exact_calls["_in_patch"] > 0
-        assert got == [CycloInt(1, 1, 0, 0)] == exact_project(OCTAGONAL, window, 3)
+        assert got == [(1, 1, 0, 0)] == exact_project(OCTAGONAL, window, 3)
 
     def test_builtin_windows_need_no_exact_test(self, exact_calls):
         # no lattice image lies on the octagon or on the ends of [-1/sqrt2, 1/sqrt2]
@@ -277,7 +275,7 @@ class TestProperties:
     @given(
         st.one_of(
             st.integers(0, 2).map(Fraction),
-            st.builds(lambda c, k: nudged(abs(CycloInt(*c).embed().real), k), cyclo_elements, ulps),
+            st.builds(lambda c, k: nudged(abs(float(cyclo_exact(*c)[0])), k), cyclo_elements, ulps),
         ),
         st.sampled_from([Fraction(0), Fraction(1), Fraction(3, 2), Fraction(1 / SQRT2)]),
     )
@@ -309,7 +307,8 @@ class TestProperties:
         st.lists(cyclo_elements, min_size=3, max_size=3),
         st.one_of(
             st.integers(1, 4),
-            cyclo_elements.map(lambda c: abs(CycloInt(*c).embed())).filter(lambda r: r > 0),
+            cyclo_elements.map(lambda c: math.hypot(*map(float, cyclo_exact(*c)[:2]))).filter(
+                lambda r: r > 0),
         ),
         st.booleans(),
     )

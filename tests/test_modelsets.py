@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfsim.compactsets import ConvexPolygon, IntervalSet
-from selfsim.measures import raster_interval_set
+from selfsim.measures import raster_interval_set, raster_polygon
 from selfsim.modelsets import (
     CutProjectScheme,
     SubstitutionRule,
@@ -23,12 +23,13 @@ from selfsim.modelsets import (
 )
 from selfsim.numberfields import (
     HALF_SQRT2,
-    CycloInt,
+    SQRT2,
     QuadInt,
     QuadRat,
     enumerate_cyclo_box,
     enumerate_quad_range,
 )
+from selfsim.systems import builtin
 
 ALPHA = QuadInt(1, 1)  # 1 + sqrt2
 W_LO_1 = QuadRat(QuadInt(-2, 1), 2)  # 1/sqrt2 - 1
@@ -133,10 +134,10 @@ class TestCoordinates:
     @given(st.lists(st.tuples(*[coefficient] * 4), min_size=1, max_size=8))
     def test_cyclo_rows_are_the_embeddings_bit_for_bit(self, rows):
         got = CutProjectScheme.octagonal().coordinates(np.array(rows, dtype=np.int64))
-        want = []
-        for r in rows:
-            z, zs = CycloInt(*r).embed(), CycloInt(*r).embed_star()
-            want.append([z.real, z.imag, zs.real, zs.imag])
+        s = SQRT2 / 2.0
+        # x and its star image x* = c0 + c3*xi - c2*xi^2 + c1*xi^3, expanded with xi = s + i*s
+        want = [[c0 + (c1 - c3) * s, c2 + (c1 + c3) * s, c0 + (c3 - c1) * s, -c2 + (c3 + c1) * s]
+                for c0, c1, c2, c3 in rows]
         assert np.array_equal(bits(got), bits(want))
 
     def test_no_rows(self):
@@ -373,6 +374,17 @@ class TestWeyl:
         g = raster_interval_set(W.as_float(), 1e-3, float(W.measure()))
         rows = weyl_average(scheme, points, g, radii=(500,), centers=(0.0, 1000.0))
         assert abs(rows[0].average - rows[1].average) < 10 / 500
+
+    def test_planar_default_center_is_the_origin(self):
+        b = builtin("ammann-beenker")
+        points = project_points(b.scheme, b.window, 8)
+        g = raster_polygon(b.window, 0.05, float(b.window.area))
+        (row,) = weyl_average(b.scheme, points, g, (3.0,))
+        assert row.center == (0.0, 0.0)
+        assert row == weyl_average(b.scheme, points, g, (3.0,), centers=((0.0, 0.0),))[0]
+        # a number shifts along the first axis, as in the CLI
+        shifted = weyl_average(b.scheme, points, g, (3.0,), centers=(1.5,))
+        assert shifted == weyl_average(b.scheme, points, g, (3.0,), centers=((1.5, 0.0),))
 
     def test_radius_beyond_patch_rejected(self, silver_patch):
         scheme, points = silver_patch

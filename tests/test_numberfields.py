@@ -7,18 +7,25 @@ from hypothesis import strategies as st
 
 from selfsim import numberfields
 from selfsim.errors import ResourceCapError
+from selfsim.modelsets import CutProjectScheme
 from selfsim.numberfields import (
+    _FILTER_TINY,
+    _FILTER_ULPS,
     SILVER,
     SILVER_CONJ,
     SQRT2,
-    CycloInt,
     QuadInt,
     QuadRat,
+    cyclo_exact,
     enumerate_cyclo_box,
     enumerate_quad_range,
 )
 
 ALPHA = SILVER  # 1 + sqrt2
+# the eighth roots of unity +-1, +-xi, +-xi^2, +-xi^3 as coefficient rows
+UNITS = {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+         (-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)}
+ZERO = (0, 0, 0, 0)
 
 
 def quads(rows) -> list:
@@ -27,8 +34,8 @@ def quads(rows) -> list:
 
 
 def cyclos(rows) -> list:
-    """The ring elements of (c0, c1, c2, c3) coefficient rows."""
-    return [CycloInt(*row) for row in rows.tolist()]
+    """The (c0, c1, c2, c3) coefficient rows as tuples."""
+    return list(map(tuple, rows.tolist()))
 
 
 def brute_quad_box(phys_bound, star_bound, coeff_bound=40):
@@ -55,12 +62,12 @@ def brute_cyclo_box(phys_bound, star_bound):
         for c1 in range(-odd, odd + 1):
             for c2 in range(-even, even + 1):
                 for c3 in range(-odd, odd + 1):
-                    x = CycloInt(c0, c1, c2, c3)
-                    z, zs = x.embed(), x.embed_star()
-                    if (max(abs(z.real), abs(z.imag)) <= phys_bound + 1e-9
-                            and max(abs(zs.real), abs(zs.imag)) <= star_bound + 1e-9):
-                        out.append(x)
-    return sorted(out, key=lambda q: (q.embed().real, q.embed().imag, q.coeffs()))
+                    row = (c0, c1, c2, c3)
+                    re, im, sre, sim = map(float, cyclo_exact(*row))
+                    if (max(abs(re), abs(im)) <= phys_bound + 1e-9
+                            and max(abs(sre), abs(sim)) <= star_bound + 1e-9):
+                        out.append((re, im, row))
+    return [row for *_, row in sorted(out)]
 
 
 class TestQuadInt:
@@ -133,36 +140,33 @@ class TestQuadRat:
         assert QuadRat(QuadInt(1, 0), 2) < Fraction(2, 3)
 
 
-class TestCycloInt:
-    def test_xi_powers_cycle(self):
-        xi = CycloInt.xi_power(1)
-        x = CycloInt.from_int(1)
-        for j in range(8):
-            assert x == CycloInt.xi_power(j)
-            x = x * xi
-        assert x == CycloInt.from_int(1)
-
+class TestCycloExact:
     def test_star_sends_xi_to_xi_cubed(self):
-        assert CycloInt.xi_power(1).star() == CycloInt.xi_power(3)
-        assert CycloInt.xi_power(2).star() == CycloInt.xi_power(6)
-
-    def test_star_is_ring_hom(self):
-        x = CycloInt(1, 2, -1, 3)
-        y = CycloInt(0, -1, 4, 2)
-        assert (x * y).star() == x.star() * y.star()
-        assert (x + y).star() == x.star() + y.star()
+        # the star images of 1, xi, xi^2, xi^3 sit where 1, xi^3, xi^6 = -xi^2
+        # and xi^9 = xi sit, exactly
+        basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+        images = [(1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0), (0, 1, 0, 0)]
+        for row, image in zip(basis, images):
+            assert cyclo_exact(*row)[2:] == cyclo_exact(*image)[:2]
 
     def test_embed_agrees_with_complex_arithmetic(self):
         xi = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
-        x = CycloInt(2, -1, 3, 5)
-        expected = 2 - xi + 3 * xi**2 + 5 * xi**3
-        assert x.embed() == pytest.approx(expected)
+        re, im, sre, sim = map(float, cyclo_exact(2, -1, 3, 5))
+        assert complex(re, im) == pytest.approx(2 - xi + 3 * xi**2 + 5 * xi**3)
+        assert complex(sre, sim) == pytest.approx(2 - xi**3 + 3 * xi**6 + 5 * xi**9)
 
-    def test_embed_exact_matches_float(self):
-        x = CycloInt(2, -1, 3, 5)
-        re, im = x.embed_exact()
-        assert re.embed() == pytest.approx(x.embed().real)
-        assert im.embed() == pytest.approx(x.embed().imag)
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(*[st.integers(-(2**50), 2**50)] * 4))
+    def test_within_the_filter_margin_of_coordinates(self, row):
+        # the float filter takes each float coordinate to be within its
+        # margin of the exact value; size sums the absolute terms
+        c0, c1, c2, c3 = row
+        x_size = abs(c0) + abs(c1 - c3) * SQRT2 / 2
+        y_size = abs(c2) + abs(c1 + c3) * SQRT2 / 2
+        floats = CutProjectScheme.octagonal().coordinates([row])[0].tolist()
+        for exact, value, size in zip(cyclo_exact(*row), floats, (x_size, y_size) * 2):
+            assert abs(float(exact) - value) <= _FILTER_ULPS * size + _FILTER_TINY
+            assert abs(exact - Fraction(value)) <= Fraction(_FILTER_ULPS * size + _FILTER_TINY)
 
 
 class TestEnumeration:
@@ -192,8 +196,7 @@ class TestEnumeration:
         assert got == brute_cyclo_box(1.1, 10)
         # Density heuristic: (2.2 * 2.2) * (20 * 20) / covolume 4 ~ 484.
         assert len(got) == 481
-        units = {CycloInt.xi_power(j) for j in range(8)}
-        assert units | {CycloInt(0, 0, 0, 0)} <= set(got)
+        assert UNITS | {ZERO} <= set(got)
         # Closed under multiplication by xi (rotates both embeddings
         # within sup-norm boxes), so the count is 1 mod 8.
         assert len(got) % 8 == 1
@@ -202,9 +205,8 @@ class TestEnumeration:
         # 0, the 8 units, and the four corner elements +-1 +- xi^2
         # (both embeddings of 1 + xi^2 land on box corners).
         got = cyclos(enumerate_cyclo_box(Fraction(11, 10), Fraction(11, 10)))
-        units = {CycloInt.xi_power(j) for j in range(8)}
-        corners = {CycloInt(s0, 0, s2, 0) for s0 in (1, -1) for s2 in (1, -1)}
-        assert set(got) == units | corners | {CycloInt(0, 0, 0, 0)}
+        corners = {(s0, 0, s2, 0) for s0 in (1, -1) for s2 in (1, -1)}
+        assert set(got) == UNITS | corners | {ZERO}
 
     def test_resource_cap(self):
         with pytest.raises(ResourceCapError):
