@@ -303,17 +303,16 @@ def _cell(v) -> str:
 
 
 def _csv_lines(rows):
-    """Mixed int/float rows as CSV lines."""
-    return (",".join(_cell(v) for v in row) for row in rows)
+    """Mixed int/float rows as CSV lines, each as bytes with its newline."""
+    return ((",".join(_cell(v) for v in row) + "\n").encode() for row in rows)
 
 
-def _write_csv(path: Path, header: str, lines) -> None:
-    """Write a header, then each item of ``lines`` (CSV text of one line
-    or of several joined by newlines) followed by a newline, streamed."""
-    with path.open("w") as f:
-        f.write(header + "\n")
-        for line in lines:
-            f.write(line + "\n")
+def _write_csv(path: Path, header: str, blocks) -> None:
+    """Write a header line, then each of ``blocks`` (the bytes of whole
+    lines, newlines included), streamed to a file opened in binary mode."""
+    with path.open("wb") as f:
+        f.write(header.encode() + b"\n")
+        f.writelines(blocks)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -324,29 +323,6 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _grid_csv_blocks(g: measures.GridDensity):
-    """The grid's CSV rows, one (x, [y, ...,] density) row per node with x
-    varying fastest, as one block of lines per x-row.
-
-    Every field is ``"%.17g" % value``, made by ``float17.format_17g``
-    (exact, with the scalar ``"%.17g"`` as its fallback); each axis
-    coordinate and each distinct density is formatted once.  Densities
-    are told apart by bit pattern, so a -0.0 keeps its own text beside 0.0.
-    """
-    axes = [float17.format_17g(x) for x in g._node_axes()]
-    bits, which = np.unique(g.values.ravel().view(np.int64), return_inverse=True)
-    texts = float17.format_17g(bits.view(float))
-    rows = texts[which.reshape(-1, len(axes[0]))]
-    # the pieces of one x-row: x, "," + other coordinates + ",", density, newline
-    pieces = np.empty((len(axes[0]), 4), dtype=object)
-    pieces[:, 0] = axes[0]
-    pieces[:, 3] = "\n"
-    for row, outer in zip(rows, np.ndindex(g.values.shape[:-1])):
-        pieces[:, 1] = "".join("," + a[i] for a, i in zip(axes[1:], outer[::-1])) + ","
-        pieces[:, 2] = row
-        yield "".join(pieces.ravel()[:-1].tolist())
 
 
 def _grid_json(g: measures.GridDensity) -> dict:
@@ -360,10 +336,18 @@ def _grid_json(g: measures.GridDensity) -> dict:
 
 
 def _write_grid(g: measures.GridDensity, path_base: Path, fmt: str) -> Path:
+    """Write the grid as JSON, or as CSV with one ``x,[y,]density`` line
+    per node, x varying fastest, every field ``"%.17g" % value``.
+
+    ``float17`` lays each text out in a NUL-padded uint8 row.  A block of
+    lines is gathered from those rows and written, in binary mode, as
+    ``block.tobytes().translate(None, b"\\0")``: no text contains a NUL,
+    so deleting them leaves exactly the text.
+    """
     if fmt == "csv":
         path = path_base.with_suffix(".csv")
         header = ",".join([*"xyz"[: g.dim], "density"])
-        _write_csv(path, header, _grid_csv_blocks(g))
+        _write_csv(path, header, float17.csv_blocks(g._node_axes(), g.values))
     else:
         path = path_base.with_suffix(".json")
         _write_json(path, _grid_json(g))

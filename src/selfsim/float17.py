@@ -1,21 +1,30 @@
-"""Exact ``"%.17g"`` text of many floats at once.
+"""Exact ``"%.17g"`` text of many floats at once, as bytes.
 
-``format_17g(values)`` returns the strings ``"%.17g" % x`` of a float
-array, each exactly as the scalar formatting gives it.  A normal
-x = m * 2**e with decimal exponent X is scaled by a 64-bit power of ten
-10**(16 - X) in a 128-bit integer product built from ``uint64`` limbs:
-the integer part holds its 17 significant digits and the fraction
+``format_17g(values, sep)`` returns the texts ``"%.17g" % x + sep`` of a
+float array, each exactly as the scalar formatting gives it, as the rows
+of an (n, WIDTH) ``uint8`` table.  A row holds its text's bytes in order
+and NUL (0) at every other position: the trailing zeros that ``%g``
+drops, the columns its layout does not use and the padding.  No text
+contains a NUL, so deleting the NULs (``bytes.translate(None, b"\\0")``)
+gives the text; no Python object is made per value.
+
+A normal x = m * 2**e with decimal exponent X is scaled by a 64-bit power
+of ten 10**(16 - X) in a 128-bit integer product built from ``uint64``
+limbs: the integer part holds its 17 significant digits and the fraction
 decides the rounding.  The power is rounded to nearest, so the scaled
 value is off by under 2**-7.5.  A fraction within 2**-7 of one half
 (exact ties included) could round either way; such values, like zeros,
-subnormals, infinities and NaN, go through the scalar ``"%.17g"``.  This
-is the fast path with an exact fallback of Steele & White (1990) and
-Loitsch's Grisu3 (2010), at fixed precision.
+subnormals, infinities and NaN, go through the scalar ``"%.17g"``, whose
+bytes fill their rows the same way.  This is the fast path with an exact
+fallback of Steele & White (1990) and Loitsch's Grisu3 (2010), at fixed
+precision.
 
-The text is laid out in ``uint8`` rows, one matrix per layout and sign,
-then decoded and split once per chunk.  The layouts are the fixed form of each
-exponent -4 <= X < 17 and the ``d.ddde+XX`` form with two or three
-exponent digits; trailing zeros are dropped, as ``%g`` does.
+The layouts are the fixed form of each exponent -4 <= X < 17 and the
+``d.ddde+XX`` form with two or three exponent digits; each is built as
+one matrix per sign and scattered into the table's rows.
+
+``csv_blocks(axes, values)`` builds a grid's CSV lines from these tables:
+each block of lines is gathered from their rows, and its NULs deleted.
 """
 
 from __future__ import annotations
@@ -26,6 +35,10 @@ import numpy as np
 
 # values per pass: keeps the (n, width) uint8 matrices small
 CHUNK = 16384
+# row width of a text table: a sign, 17 digits, ".", "e-308" and the separator
+WIDTH = 25
+# lines per CSV block
+BLOCK = 16384
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
@@ -38,7 +51,6 @@ _E17 = _U64(10**17)
 # layout codes: X + 4 for the fixed form, then the exponent form with two
 # and with three exponent digits
 _EXP2, _EXP3 = 21, 22
-_SEP = "\n"
 
 
 @functools.lru_cache(maxsize=None)
@@ -157,16 +169,17 @@ def _layout(code: int, lead, rest, sig, exp10):
     return rows, sig + zeros, rows.shape[1] - 1
 
 
-def _chunk_text(x):
-    """The text of one chunk's decided values, each followed by the
-    separator, as uint8 arrays; the positions those texts belong to, in
-    the same order; and the positions left to the scalar path."""
+def _chunk_rows(x, out, sep: int):
+    """Write the text of each decided value of one chunk, then the
+    separator byte ``sep``, into its row of ``out`` (zeros on entry), NUL
+    at every dropped position; return the positions left to the scalar
+    path."""
     bits = x.view(_U64)
     biased = (bits >> _U64(52)) & _U64(0x7FF)
     ok = (biased != 0) & (biased != 0x7FF)
     normal = np.flatnonzero(ok)
     if not len(normal):
-        return [], normal, np.flatnonzero(~ok)
+        return np.flatnonzero(~ok)
     bits = bits[normal]
     e = biased[normal].astype(np.int64) - (1023 + 63)
     m = (bits << _U64(11)) | _HALF
@@ -193,34 +206,56 @@ def _chunk_text(x):
     lead, rest, sig = _digits(d[pick])
     exp10 = exp10[pick]
     counts = np.bincount(code, minlength=2 * _EXP3 + 2).tolist()
-    pieces, lo = [], 0
+    lo = 0
     for signed_code, count in enumerate(counts):
         if not count:
             continue
         part = slice(lo, lo + count)
         lo += count
         rows, end, tail = _layout(signed_code >> 1, lead[part], rest[part], sig[part], exp10[part])
-        rows[:, -1] = ord(_SEP)
-        # row j of the table keeps the columns before j, and the tail
+        rows[:, -1] = sep
+        # row j of the mask keeps the columns before j, and the tail
         cols = np.arange(rows.shape[1])
-        table = (cols < np.arange(len(cols) + 1)[:, None]) | (cols >= tail)
-        keep = table.take(end.astype(np.intp), axis=0)
-        if signed_code & 1:
-            rows = np.hstack([np.full((count, 1), ord("-"), dtype=np.uint8), rows])
-            keep = np.hstack([np.ones((count, 1), dtype=bool), keep])
-        pieces.append(rows[keep])
-    return pieces, index, np.concatenate([np.flatnonzero(~ok), normal[~decided]])
+        mask = (cols < np.arange(len(cols) + 1)[:, None]) | (cols >= tail)
+        rows *= mask.take(end.astype(np.intp), axis=0)
+        sign = signed_code & 1
+        if sign:
+            out[index[part], 0] = ord("-")
+        out[index[part], sign : sign + rows.shape[1]] = rows
+    return np.concatenate([np.flatnonzero(~ok), normal[~decided]])
 
 
-def format_17g(values) -> np.ndarray:
-    """The strings ``["%.17g" % x for x in values]`` of a 1D array of
-    floats, as an object array."""
+def format_17g(values, sep: str = "\n") -> np.ndarray:
+    """The texts ``"%.17g" % x + sep`` of a 1D array of floats, one per
+    row of an (n, WIDTH) uint8 table, NUL at every other position."""
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    out = np.empty(len(x), dtype=object)
+    out = np.zeros((len(x), WIDTH), dtype=np.uint8)
     for start in range(0, len(x), CHUNK):
-        chunk = x[start : start + CHUNK]
-        pieces, decided, rest = _chunk_text(chunk)
-        texts = b"".join(pieces).decode("ascii").split(_SEP)[:-1]
-        out[start + decided] = np.array(texts, dtype=object)
-        out[start + rest] = np.array(["%.17g" % v for v in chunk[rest].tolist()], dtype=object)
+        chunk, rows = x[start : start + CHUNK], out[start : start + CHUNK]
+        rest = _chunk_rows(chunk, rows, ord(sep))
+        texts = ["%.17g%s" % (v, sep) for v in chunk[rest].tolist()]
+        rows[rest] = np.array(texts, dtype=f"S{WIDTH}").view(np.uint8).reshape(-1, WIDTH)
     return out
+
+
+def csv_blocks(axes, values):
+    """The CSV lines ``x,[y,...,]density`` of a grid's nodes, x varying
+    fastest, as byte blocks of at most BLOCK lines each.
+
+    ``axes`` holds the node coordinates along each axis (x first) and
+    ``values`` the densities (last axis x).  Each coordinate and each
+    distinct density is formatted once; densities are told apart by bit
+    pattern, so a -0.0 keeps its own text beside 0.0.  A block is one
+    (lines, fields, WIDTH) uint8 array gathered from those tables, and
+    deleting its NULs gives its text.
+    """
+    fields = [format_17g(a, ",") for a in axes]
+    bits, which = np.unique(values.ravel().view(np.int64), return_inverse=True)
+    fields.append(format_17g(bits.view(np.float64)))
+    for start in range(0, values.size, BLOCK):
+        lines = np.arange(start, min(start + BLOCK, values.size))
+        index = [*np.unravel_index(lines, values.shape)[::-1], which[lines]]
+        block = np.empty((len(lines), len(fields), WIDTH), dtype=np.uint8)
+        for k, (table, i) in enumerate(zip(fields, index)):
+            table.take(i, axis=0, out=block[:, k])
+        yield block.tobytes().translate(None, b"\0")

@@ -61,8 +61,9 @@ def _point(axes):
 
 def _mesh(axes) -> list:
     """Per-axis coordinate arrays (x first) of the product grid of ``axes``,
-    each shaped like a values array (last axis x)."""
-    return np.meshgrid(*axes[::-1], indexing="ij")[::-1]
+    each varying along its own axis only and broadcasting to the shape of
+    a values array (last axis x)."""
+    return np.meshgrid(*axes[::-1], indexing="ij", sparse=True)[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +217,8 @@ class GridDensity:
 
     def sample(self, coords) -> np.ndarray:
         """Multilinear interpolation, zero outside the grid, at the points
-        whose coordinates ``coords`` gives per axis (x first, arrays of one
-        shape); the result has that shape."""
+        whose coordinates ``coords`` gives per axis (x first, arrays that
+        broadcast together); the result has their broadcast shape."""
         h = self.step
         nodes, weights = [], []
         for c, o, n in zip(coords, _axes(self.origin), self.values.shape[::-1]):
@@ -610,7 +611,13 @@ def pushforward(f, m):
     lo = [math.floor(a / h) - 1 for a, _ in spans]
     hi = [math.ceil(b / h) + 1 for _, b in spans]
     offsets = _mesh([h * np.arange(i0, i1 + 1) - tk for i0, i1, tk in zip(lo, hi, t)])
-    pre = [_dot(row, offsets) / det for row in adj]
+    # a term with an exactly zero adjugate entry only sets the sign of a
+    # zero sum, which the interpolation weights absorb; without it a
+    # coordinate keeps the axes it varies along
+    pre = [
+        functools.reduce(operator.add, [a * x for a, x in zip(row, offsets) if a]) / det
+        for row in adj
+    ]
     vals = m.sample(pre)
     vals *= float(fmap.modulus)
     if not vals.any() and m.values.any():

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import selfsim
-from selfsim import cli, measures, modelsets, padic
+from selfsim import cli, float17, measures, modelsets, padic
 from selfsim.cli import ExperimentConfig, _write_grid, build_config, main, system_from_spec
 from selfsim.compactsets import AffineMap, ConvexPolygon, IntervalSet
 from selfsim.errors import ConfigError, ResourceCapError
@@ -851,6 +851,26 @@ def grid_cases():
     dense = rng.uniform(1, 10, 20000) * 10.0 ** exponents
     dense[:3] = 0.0, tiny, 1e-300
     yield "dense", GridDensity((-40, 7), 0.01, dense.reshape(125, 160))
+    # each side of the switches between the fixed form and the exponent
+    # form at 1e-05 and 1e+17, and of the last fixed width at 1e+16, with
+    # the nines that round up to the next power
+    powers = np.array([1e-5, 1e-4, 1e16, 1e17, 9.99999999999999995e-5, 9.9999999999999999e16])
+    edges = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    edges = np.concatenate([edges, [0.0, -0.0, tiny, 3 * tiny, 1.2345678901234567e-5, 2.5e16]])
+    yield "layout-edges-line", GridDensity(-3, 0.5, edges)
+    yield "layout-edges-plane", GridDensity((2, -2), 0.5, edges.reshape(4, 6))
+    # exact ties of 18 significant digits: "%.17g" rounds them to even, and
+    # the vectorized formatter leaves them to it
+    ties = 1 + np.arange(1, 121, 2) * 2.0**-17
+    ties[::7] = -0.0
+    yield "ties-line", GridDensity(0, 0.125, ties)
+    yield "ties-plane", GridDensity((0, 0), 0.125, ties.reshape(6, 10))
+    # lines over several blocks, the last one partial, and a block boundary
+    # inside an x-row
+    many = rng.uniform(0, 1, 2 * float17.BLOCK + 123)
+    many[::1000] = -0.0
+    yield "blocks-line", GridDensity(-17, 1e-3, many)
+    yield "blocks-plane", GridDensity((5, -9), 0.02, many[: 170 * 193].reshape(170, 193))
 
 
 class TestGridWriter:

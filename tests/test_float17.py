@@ -3,19 +3,26 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from selfsim.float17 import CHUNK, _chunk_text, _power10, format_17g
+from selfsim.float17 import CHUNK, WIDTH, _chunk_rows, _power10, format_17g
 
 
-def assert_formats_as_scalar(values):
+def decoded(values, sep="\n") -> list:
+    """The rows of ``format_17g`` with their NULs deleted, decoded."""
+    rows = format_17g(values, sep)
+    assert rows.dtype == np.uint8 and rows.shape == (len(values), WIDTH)
+    return [row.tobytes().translate(None, b"\0").decode("ascii") for row in rows]
+
+
+def assert_formats_as_scalar(values, sep="\n"):
     x = np.asarray(values, dtype=np.float64)
-    got = format_17g(x)
-    assert got.dtype == object and got.shape == x.shape
-    expected = ["%.17g" % v for v in x.tolist()]
-    mismatches = [(v, g, e) for v, g, e in zip(x.tolist(), got.tolist(), expected) if g != e]
+    got = decoded(x, sep)
+    expected = ["%.17g%s" % (v, sep) for v in x.tolist()]
+    mismatches = [(v, g, e) for v, g, e in zip(x.tolist(), got, expected) if g != e]
     assert mismatches == [], mismatches[:5]
 
 
@@ -95,8 +102,8 @@ def test_nines_that_round_up_to_the_next_power():
     values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
     assert_formats_as_scalar(values)
     # hundreds of them print as the next power of ten
-    assert sum(t.startswith("1e") for t in format_17g(values)) > 500
-    assert format_17g(np.array([9.9999999999999996e-281]))[0] == "9.9999999999999996e-281"
+    assert sum(t.startswith("1e") for t in decoded(values)) > 500
+    assert decoded(np.array([9.9999999999999996e-281])) == ["9.9999999999999996e-281\n"]
 
 
 def test_arrays_longer_than_one_chunk():
@@ -114,6 +121,27 @@ def test_the_scalar_path_takes_few_values():
     # one half, about 1/64 of the values, and the zero go to "%.17g"
     rng = np.random.default_rng(5)
     values = np.concatenate([[0.0], rng.uniform(0, 1, CHUNK - 1)])
-    _, decided, fallback = _chunk_text(values)
-    assert len(decided) + len(fallback) == CHUNK
+    rows = np.zeros((CHUNK, WIDTH), dtype=np.uint8)
+    fallback = _chunk_rows(values, rows, ord("\n"))
     assert 0 in fallback.tolist() and len(fallback) < 0.03 * CHUNK
+    # every other row is written, the scalar ones are left as they were
+    written = rows.any(axis=1)
+    assert not written[fallback].any() and written.sum() == CHUNK - len(fallback)
+
+
+@pytest.mark.parametrize("sep", [",", "\n", ";"])
+def test_each_text_ends_in_its_separator(sep):
+    rng = np.random.default_rng(13)
+    values = rng.uniform(-1, 1, 500) * 10.0 ** rng.integers(-320, 300, 500)
+    values[:4] = 0.0, -0.0, np.inf, 1.00000762939453125
+    assert_formats_as_scalar(values, sep)
+
+
+def test_dropped_positions_are_nul():
+    # the trailing zeros of 1.5 and 2.5e+20 are cut out of the middle of
+    # their rows: the exponent and the separator stay where the layout put them
+    rows = format_17g(np.array([1.5, -2.5e20, 0.0]), ",")
+    assert rows[0, :4].tobytes() == b"1.5\0" and rows[0, 18] == ord(",")
+    assert rows[1, :4].tobytes() == b"-2.5" and rows[1, 19:24].tobytes() == b"e+20,"
+    assert rows[2].tobytes() == b"0," + bytes(WIDTH - 2)
+    assert (rows != 0).sum(axis=1).tolist() == [4, 9, 2]

@@ -256,6 +256,52 @@ class TestPushforward:
             assert np.allclose(out.origin, image, rtol=0, atol=h / 2)
 
 
+def full_mesh_pushforward(f, m, start, shape):
+    """The resampling of ``pushforward`` onto the target grid ``start``,
+    ``shape``, with every preimage coordinate a full mesh and every
+    adjugate term kept, zero or not."""
+    fmap = _as_linear(f)
+    mat, t, det = fmap.rows, fmap.translation, fmap.determinant()
+    adj = ((1.0,),) if len(mat) == 1 else ((mat[1][1], -mat[0][1]), (-mat[1][0], mat[0][0]))
+    axes = [m.step * np.arange(i0, i0 + n) - tk for i0, n, tk in zip(start, shape[::-1], t)]
+    offsets = np.meshgrid(*axes[::-1], indexing="ij")[::-1]
+    pre = [functools.reduce(lambda a, b: a + b, [a * x for a, x in zip(row, offsets)]) / det
+           for row in adj]
+    vals = m.sample(pre)
+    assert vals.shape == shape
+    vals *= float(fmap.modulus)
+    return GridDensity(start, m.step, vals)._rescale(m.mass)
+
+
+class TestPushforwardMesh:
+    # the pushforward resamples on per-axis coordinates and drops the
+    # adjugate terms that are exactly zero; neither may change a bit
+    @pytest.mark.parametrize("f, start", [
+        (AffineMap(AC, 0.0), 0),
+        (AffineMap(AC, 0.013), -40),
+        (AffineMap(-0.5, -0.2), 7),
+        (AffineMap(((0.4, 0.0), (0.0, 0.4)), (0.0, 0.0)), (0, 0)),
+        (AffineMap(((AC, 0.0), (0.0, AC)), (0.05, -0.1)), (-6, -5)),
+        (AffineMap(((0.3, -0.0), (-0.0, 0.7)), (0.0, 0.0)), (0, -9)),
+        (AffineMap(((-0.6, 0.0), (0.0, 0.6)), (0.0, 0.0)), (0, 0)),
+        (AffineMap(((0.0, 0.5), (0.5, 0.0)), (0.0, 0.0)), (-4, 0)),
+        (AffineMap(((0.0, -0.5), (0.5, 0.0)), (0.1, 0.0)), (0, 0)),
+        (AffineMap(((0.3, -0.4), (0.4, 0.3)), (0.0, 0.0)), (0, 0)),
+        (AffineMap(((0.5, 0.25), (0.0, 0.5)), (0.0, 0.02)), (-3, 0)),
+        (AffineMap(((-0.0, 0.5), (-0.5, -0.0)), (0.0, 0.0)), (0, 0)),
+    ], ids=["line-origin", "line", "line-reflect", "diagonal-origin", "diagonal",
+            "signed-zeros", "reflection", "swap", "quarter-turn", "rotation", "shear",
+            "quarter-turn-signed-zeros"])
+    def test_bitwise_equal_to_the_full_mesh(self, f, start):
+        dim = len(np.atleast_1d(start))
+        rng = np.random.default_rng(dim + 17)
+        g = GridDensity(start, 0.1, rng.uniform(0, 2, (11, 13)[:dim]))
+        out = pushforward(f, g)
+        want = full_mesh_pushforward(f, g, out.start, out.values.shape)
+        assert out.values.shape == want.values.shape
+        assert np.array_equal(out.values.view(np.int64), want.values.view(np.int64))
+        assert out.values.any()
+
 def reference_sample(g, point):
     """Scalar linear (1D) or bilinear (2D) interpolation, zero outside."""
     h = g.step

@@ -8,7 +8,8 @@ a deep planar patch off the origin) and
 inline ``measure`` whose point shifts share no lattice step, all from a
 ``--config`` file (written into the run's directory), ``weyl`` at patch
 radii that take the lattice enumeration deep in both, ``measure`` of
-``ammann-beenker`` on a finer grid, ``measure`` at a tol the density
+``ammann-beenker`` on a finer grid and of ``silver-max`` on a 70,713-node
+grid, ``measure`` at a tol the density
 solver cannot reach, and command lines the parser
 refuses and non-finite radius, centre, tol and inline system values
 (exit 1, no files), each as a fresh ``python -m selfsim.cli``
@@ -59,6 +60,8 @@ EXTRA_RUNS = (
     # a finer planar grid: the density solve runs through a second sequence
     # of FFT lengths
     ["measure", "--system", "ammann-beenker", "--grid-step", "0.01"],
+    # a 1D grid of 70,713 nodes: the CSV writer runs through several blocks
+    ["measure", "--system", "silver-max", "--grid-step", "2e-5"],
     # a tol below the solver's round-off floor: exit 2, not a silent stop
     ["measure", "--system", "silver-max", "--tol", "1e-17", "--max-iter", "60"],
 )
