@@ -17,7 +17,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -52,13 +52,38 @@ def _numbers(value) -> list:
     return [] if value is None else [value]
 
 
+# the config values that are tuples, and how deep: a radius is a number, a
+# center a number or a tuple of coordinates
+_TUPLE_DEPTH = {"radii": 1, "centers": 2}
+
+
+def _is_number(value, depth: int = 0) -> bool:
+    """Whether ``value`` is a number (an int or a float, not a bool) or, for
+    ``depth`` > 0, a tuple of numbers and of such tuples of ``depth`` - 1."""
+    if depth:
+        return isinstance(value, tuple) and all(
+            _is_number(v) or _is_number(v, depth - 1) for v in value
+        )
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _tuple(value, depth: int):
+    """A JSON list as a tuple, lists in it as tuples down to ``depth`` levels,
+    and each number as a float; anything else is left for the type check."""
+    if isinstance(value, (list, tuple)) and depth:
+        return tuple(_tuple(v, depth - 1) for v in value)
+    return float(value) if _is_number(value) else value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Merged run parameters: system descriptor, numerics, output.
 
     ``system`` is a builtin name or an inline dict (see
-    ``system_from_spec``); every numeric field is validated on
-    construction, before any computation starts.
+    ``system_from_spec``); every other field is checked for its type and
+    range on construction, before any computation starts.  A number is an
+    int or a float, not a bool; ``radii`` and ``centers`` are tuples of
+    numbers (a center may be a tuple of coordinates).
     """
 
     system: object = None
@@ -76,10 +101,16 @@ class ExperimentConfig:
     k_step: float = 0.01
 
     def __post_init__(self):
+        if not isinstance(self.out, str):
+            raise ConfigError(f"out must be a string, got {self.out!r}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         for name in ("tol", "grid_step", "radii", "centers", "k_min", "k_max", "k_step"):
             value = getattr(self, name)
+            depth = _TUPLE_DEPTH.get(name, 0)
+            if not (_is_number(value, depth) or value is None and name in ("grid_step", "radii")):
+                what = "a tuple of numbers" if depth else "a number"
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
             if not all(map(math.isfinite, _numbers(value))):
                 raise ConfigError(f"{name.replace('_', '-')} must be finite, got {value!r}")
         if not self.tol > 0:
@@ -92,8 +123,9 @@ class ExperimentConfig:
         if not self.centers:
             raise ConfigError("centers must not be empty")
         for name in ("terms", "precision", "max_iter"):
-            if type(getattr(self, name)) not in (int, type(None)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (type(value) is int or value is None and name != "terms"):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.terms < 1:
             raise ConfigError("terms must be at least 1")
         if self.precision is not None and self.precision < 4:
@@ -125,23 +157,10 @@ def build_config(config_path: Optional[str], defaults=None, **flags) -> Experime
     merged = dict(defaults or {})
     merged.update(data)
     merged.update({k: v for k, v in flags.items() if v is not None})
-    if merged.get("radii") is not None:
-        try:
-            merged["radii"] = tuple(float(v) for v in merged["radii"])
-        except (TypeError, ValueError):
-            raise ConfigError(f"radii must be a list of numbers: {merged['radii']!r}")
-    if merged.get("centers") is not None:
-        try:
-            merged["centers"] = tuple(
-                tuple(float(u) for u in v) if isinstance(v, (list, tuple)) else float(v)
-                for v in merged["centers"]
-            )
-        except (TypeError, ValueError):
-            raise ConfigError(f"centers must be numbers or lists of numbers: {merged['centers']!r}")
-    try:
-        return ExperimentConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    for name, depth in _TUPLE_DEPTH.items():
+        if name in merged:
+            merged[name] = _tuple(merged[name], depth)
+    return ExperimentConfig(**merged)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +257,8 @@ def system_from_spec(spec: dict) -> systems.BuiltinSystem:
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad inline seeds: {exc}")
+        if len(seeds) != ifs.n:
+            raise ConfigError(f"expected {ifs.n} inline seeds, one per component, got {len(seeds)}")
     family = _family_from_spec(spec["family"]) if "family" in spec else None
     if family is not None and not abs(family.total_mass - 1.0) <= 1e-9:
         raise ConfigError(f"a single family must have mass 1, got {family.total_mass}")
@@ -290,16 +311,10 @@ def resolve_system(cfg: ExperimentConfig) -> systems.BuiltinSystem:
 # output plumbing
 
 
-def _g17(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _cell(v) -> str:
     if isinstance(v, bool):
         raise TypeError("no boolean cells")
-    if isinstance(v, int):
-        return str(v)
-    return _g17(v)
+    return str(v) if isinstance(v, int) else format(float(v), ".17g")
 
 
 def _csv_lines(rows):
@@ -309,30 +324,24 @@ def _csv_lines(rows):
 
 def _write_csv(path: Path, header: str, blocks) -> None:
     """Write a header line, then each of ``blocks`` (the bytes of whole
-    lines, newlines included), streamed to a file opened in binary mode."""
+    lines, newlines included), streamed to a file opened in binary mode,
+    and announce the file."""
     with path.open("wb") as f:
         f.write(header.encode() + b"\n")
         f.writelines(blocks)
+    _echo(f"wrote {path}")
 
 
 def _write_json(path: Path, obj) -> None:
+    """Write ``obj`` as JSON with sorted keys, and announce the file."""
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _echo(f"wrote {path}")
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _grid_json(g: measures.GridDensity) -> dict:
-    return {
-        "origin": g.origin,
-        "step": g.step,
-        "counts": list(g.values.shape),
-        "weights": g.values.tolist(),
-        "mass": g.mass,
-    }
 
 
 def _write_grid(g: measures.GridDensity, path_base: Path, fmt: str) -> Path:
@@ -350,7 +359,8 @@ def _write_grid(g: measures.GridDensity, path_base: Path, fmt: str) -> Path:
         _write_csv(path, header, float17.csv_blocks(g._node_axes(), g.values))
     else:
         path = path_base.with_suffix(".json")
-        _write_json(path, _grid_json(g))
+        _write_json(path, dict(origin=g.origin, step=g.step, counts=list(g.values.shape),
+                               weights=g.values.tolist(), mass=g.mass))
     return path
 
 
@@ -365,14 +375,9 @@ def _set_json(s) -> dict:
 def _set_rows(s):
     """part,lo,hi rows for interval sets; part,x,y vertex rows for polygons."""
     if isinstance(s, compactsets.IntervalSet):
-        return "part,lo,hi", [
-            (k, float(lo), float(hi)) for k, (lo, hi) in enumerate(s.intervals)
-        ]
+        return "part,lo,hi", [(k, float(lo), float(hi)) for k, (lo, hi) in enumerate(s.intervals)]
     parts = s if isinstance(s, tuple) else (s,)
-    rows = []
-    for k, poly in enumerate(parts):
-        rows.extend((k, float(x), float(y)) for x, y in poly.vertices)
-    return "part,x,y", rows
+    return "part,x,y", [(k, float(x), float(y)) for k, p in enumerate(parts) for x, y in p.vertices]
 
 
 def _check_grid_step(step: float, region, what: str) -> None:
@@ -390,22 +395,6 @@ def _check_grid_step(step: float, region, what: str) -> None:
         )
 
 
-def _handled(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            fn(*args, **kwargs)
-        except ConfigError as exc:
-            _die(str(exc), 1)
-        except ConvergenceError as exc:
-            last = "" if exc.last_delta is None else f" (last {exc.metric} {exc.last_delta:.2g})"
-            _die(f"{exc}{last}", 2)
-        except ResourceCapError as exc:
-            _die(str(exc), 3)
-
-    return wrapper
-
-
 def _die(message: str, code: int) -> None:
     print(f"error: {message}", file=sys.stderr, flush=True)
     sys.exit(code)
@@ -415,55 +404,69 @@ def _echo(message: str) -> None:
     print(message, flush=True)
 
 
-def _echo_wrote(path: Path) -> None:
-    _echo(f"wrote {path}")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
-# name -> (handled command function, its options as (flag, add_argument keywords))
+# name -> (runner, its own options as (flag, ..., add_argument keywords))
 _COMMANDS = {}
 
+# the options of every command; each dest, like every command option's, is a config field
+_COMMON_OPTIONS = (
+    ("--config", dict(dest="config_path", metavar="FILE", help="JSON config file")),
+    ("--out", dict(help="output directory (default: current)")),
+    ("--format", dict(dest="fmt", metavar="{csv,json}", help="output format: csv or json (default csv)")),
+)
 
-def _command(name: str, *options):
-    """Register the decorated function as command ``name``; it is called with
-    one keyword argument per option, None where the flag is not given."""
+
+def _command(name: str, *options, defaults=None):
+    """Register the decorated function as command ``name`` with ``options``.
+
+    Its runner merges ``defaults``, the ``--config`` file and the flags given
+    (None when absent) through ``build_config``, calls the function with that
+    ExperimentConfig, and exits 1, 2 or 3 on a configuration, convergence or
+    resource error.
+    """
 
     def register(fn):
-        _COMMANDS[name] = (_handled(fn), options)
+        @functools.wraps(fn)
+        def run(config_path, **flags):
+            try:
+                fn(build_config(config_path, defaults, **flags))
+            except ConfigError as exc:
+                _die(str(exc), 1)
+            except ConvergenceError as exc:
+                last = "" if exc.last_delta is None else f" (last {exc.metric} {exc.last_delta:.2g})"
+                _die(f"{exc}{last}", 2)
+            except ResourceCapError as exc:
+                _die(str(exc), 3)
+
+        _COMMANDS[name] = (run, options)
         return fn
 
     return register
 
 
+def _radii(text: str) -> tuple:
+    """Comma-separated radii as a tuple of floats."""
+    try:
+        return tuple(float(r) for r in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse radii {text!r}")
+
+
 _system_option = ("--system", dict(help="builtin system name"))
-_config_option = ("--config", dict(dest="config_path", metavar="FILE", help="JSON config file"))
-_out_option = ("--out", dict(help="output directory (default: current)"))
-_format_option = ("--format", dict(dest="fmt", metavar="{csv,json}", help="output format: csv or json (default csv)"))
 _max_iter_option = ("--max-iter", dict(type=int))
 
 
 @_command(
     "attractor",
     _system_option,
-    _config_option,
-    _out_option,
-    _format_option,
     ("--tol", dict(type=float, help="Hausdorff stop tolerance (default 1e-12)")),
     _max_iter_option,
+    defaults={"tol": 1e-12},
 )
-def cmd_attractor(system, config_path, out, fmt, tol, max_iter) -> None:
+def cmd_attractor(cfg: ExperimentConfig) -> None:
     """Iterate a system's union map and write the attractor sets."""
-    cfg = build_config(
-        config_path,
-        defaults={"tol": 1e-12},
-        system=system,
-        out=out,
-        fmt=fmt,
-        tol=tol,
-        max_iter=max_iter,
-    )
     b = resolve_system(cfg)
     if b.ifs is None:
         raise ConfigError(f"system {b.name!r} has no attractor variant")
@@ -479,16 +482,11 @@ def cmd_attractor(system, config_path, out, fmt, tol, max_iter) -> None:
     if cfg.fmt == "csv":
         for i, s in enumerate(sets):
             header, rows = _set_rows(s)
-            path = out_dir / f"attractor_component_{i + 1}.csv"
-            _write_csv(path, header, _csv_lines(rows))
-            _echo_wrote(path)
-        path = out_dir / "convergence.csv"
-        _write_csv(path, "iteration,delta", _csv_lines(log))
-        _echo_wrote(path)
+            _write_csv(out_dir / f"attractor_component_{i + 1}.csv", header, _csv_lines(rows))
+        _write_csv(out_dir / "convergence.csv", "iteration,delta", _csv_lines(log))
     else:
-        path = out_dir / "attractor.json"
         _write_json(
-            path,
+            out_dir / "attractor.json",
             {
                 "system": b.name,
                 "components": [_set_json(s) for s in sets],
@@ -496,31 +494,18 @@ def cmd_attractor(system, config_path, out, fmt, tol, max_iter) -> None:
                 "log": [{"iteration": k, "delta": d} for k, d in log],
             },
         )
-        _echo_wrote(path)
     _echo(f"converged in {iters} iterations (delta {delta:.3e})")
 
 
 @_command(
     "measure",
     _system_option,
-    _config_option,
-    _out_option,
-    _format_option,
     ("--grid-step", dict(type=float)),
     ("--tol", dict(type=float)),
     _max_iter_option,
 )
-def cmd_measure(system, config_path, out, fmt, grid_step, tol, max_iter) -> None:
+def cmd_measure(cfg: ExperimentConfig) -> None:
     """Solve the invariant density and write it as grid data."""
-    cfg = build_config(
-        config_path,
-        system=system,
-        out=out,
-        fmt=fmt,
-        grid_step=grid_step,
-        tol=tol,
-        max_iter=max_iter,
-    )
     b = resolve_system(cfg)
     if b.family is None and b.mc is None:
         raise ConfigError(f"system {b.name!r} has no measure variant")
@@ -530,62 +515,41 @@ def cmd_measure(system, config_path, out, fmt, grid_step, tol, max_iter) -> None
             f"density to solve; try its -max counterpart"
         )
     step = cfg.grid_step if cfg.grid_step is not None else b.default_step
-    families = [e for row in b.mc.sigma for e in row] if b.mc is not None else [b.family]
-    for family in families:
+    for family in b.families:
         if isinstance(family, measures.UniformFamily):
             _check_grid_step(step, family.region, "family region")
     out_dir = _out_dir(cfg)
     max_iter = cfg.max_iter or 500
+    # the solve's grids, their file stems, manifest entries and summary lines
     if b.mc is not None:
         result = multicomponent.solve_mc_density(b.mc, step, tol=cfg.tol, max_iter=max_iter)
-        files = []
-        for i, g in enumerate(result.components):
-            base = out_dir / f"density_component_{i + 1}"
-            files.append(_write_grid(g, base, cfg.fmt))
+        grids = result.components
+        stems = [f"density_component_{i + 1}" for i in range(len(grids))]
         manifest = {
-            "system": b.name,
             "n": result.n,
-            "masses": [g.mass for g in result.components],
+            "masses": [g.mass for g in grids],
             "target_masses": list(result.masses),
-            "grid_step": result.components[0].step,
-            "files": [f.name for f in files],
         }
-        path = out_dir / "measure.json"
-        _write_json(path, manifest)
-        for f in files:
-            _echo_wrote(f)
-        _echo_wrote(path)
-        for i, g in enumerate(result.components):
-            _echo(f"component {i + 1} mass {g.mass:.6f}")
-        return
-    g = measures.solve_density(
-        measures.family_as_grid(b.family, step), b.contraction, tol=cfg.tol, max_iter=max_iter
-    )
-    path = _write_grid(g, out_dir / "density", cfg.fmt)
-    manifest = {
-        "system": b.name,
-        "grid_step": g.step,
-        "mass": g.mass,
-        "files": [path.name],
-    }
-    mpath = out_dir / "measure.json"
-    _write_json(mpath, manifest)
-    _echo_wrote(path)
-    _echo_wrote(mpath)
-    _echo(f"mass {g.mass:.6f}")
+        lines = [f"component {i + 1} mass {g.mass:.6f}" for i, g in enumerate(grids)]
+    else:
+        g = measures.solve_density(
+            measures.family_as_grid(b.family, step), b.contraction, tol=cfg.tol, max_iter=max_iter
+        )
+        grids, stems, manifest, lines = (g,), ("density",), {"mass": g.mass}, [f"mass {g.mass:.6f}"]
+    files = [_write_grid(g, out_dir / stem, cfg.fmt).name for g, stem in zip(grids, stems)]
+    manifest.update(system=b.name, grid_step=grids[0].step, files=files)
+    _write_json(out_dir / "measure.json", manifest)
+    for line in lines:
+        _echo(line)
 
 
 @_command(
     "fourier",
     _system_option,
-    _config_option,
-    _out_option,
-    _format_option,
     ("--terms", dict(type=int, help="product truncation (default 40)")),
 )
-def cmd_fourier(system, config_path, out, fmt, terms) -> None:
+def cmd_fourier(cfg: ExperimentConfig) -> None:
     """Tabulate the transform product over a frequency range."""
-    cfg = build_config(config_path, system=system, out=out, fmt=fmt, terms=terms)
     b = resolve_system(cfg)
     if b.family is None or b.family.dim != 1:
         raise ConfigError(f"system {b.name!r} has no one-dimensional family")
@@ -602,45 +566,27 @@ def cmd_fourier(system, config_path, out, fmt, terms) -> None:
     rows = list(zip(ks, vals.real.tolist(), vals.imag.tolist()))
     out_dir = _out_dir(cfg)
     if cfg.fmt == "csv":
-        path = out_dir / "fourier.csv"
-        _write_csv(path, "k,re,im", _csv_lines(rows))
+        _write_csv(out_dir / "fourier.csv", "k,re,im", _csv_lines(rows))
     else:
-        path = out_dir / "fourier.json"
         _write_json(
-            path,
+            out_dir / "fourier.json",
             {
                 "system": b.name,
                 "terms": cfg.terms,
                 "rows": [{"k": k, "re": re, "im": im} for k, re, im in rows],
             },
         )
-    _echo_wrote(path)
     _echo(f"{count} frequencies, {cfg.terms} terms each")
 
 
 @_command(
     "weyl",
     _system_option,
-    _config_option,
-    _out_option,
-    _format_option,
-    ("--radius", dict(type=float, help="single ball radius")),
-    ("--radii", dict(dest="radii_text", metavar="R1,R2,...", help="comma-separated ball radii")),
+    ("--radii", "--radius", dict(type=_radii, metavar="R1,R2,...", help="ball radii")),
     ("--grid-step", dict(type=float, help="window indicator raster step")),
 )
-def cmd_weyl(system, config_path, out, fmt, radius, radii_text, grid_step) -> None:
+def cmd_weyl(cfg: ExperimentConfig) -> None:
     """Average the window indicator over model-set patches."""
-    radii = None
-    if radii_text is not None:
-        try:
-            radii = tuple(float(r) for r in radii_text.split(","))
-        except ValueError:
-            raise ConfigError(f"cannot parse radii {radii_text!r}")
-    elif radius is not None:
-        radii = (radius,)
-    cfg = build_config(
-        config_path, system=system, out=out, fmt=fmt, radii=radii, grid_step=grid_step
-    )
     b = resolve_system(cfg)
     if b.scheme is None:
         raise ConfigError(f"system {b.name!r} has no cut-and-project scheme")
@@ -648,6 +594,9 @@ def cmd_weyl(system, config_path, out, fmt, radius, radii_text, grid_step) -> No
     step = cfg.grid_step if cfg.grid_step is not None else b.weyl_step
     _check_grid_step(step, b.window, "window")
     d = b.scheme.phys_dim
+    for r in radii:
+        if modelsets._ball_volume(r, d) < sys.float_info.min:
+            raise ConfigError(f"radius {r!r} is too small: its ball volume underflows")
     centers = []
     for c in cfg.centers:
         # a number shifts along the first axis
@@ -671,28 +620,16 @@ def cmd_weyl(system, config_path, out, fmt, radius, radii_text, grid_step) -> No
     ]
     out_dir = _out_dir(cfg)
     if cfg.fmt == "csv":
-        path = out_dir / "weyl.csv"
-        _write_csv(path, header, _csv_lines(rows))
+        _write_csv(out_dir / "weyl.csv", header, _csv_lines(rows))
     else:
-        path = out_dir / "weyl.json"
         _write_json(
-            path,
+            out_dir / "weyl.json",
             {
                 "system": b.name,
                 "points_enumerated": len(points),
-                "rows": [
-                    {
-                        "radius": row.radius,
-                        "center": row.center,
-                        "average": row.average,
-                        "limit": row.limit,
-                        "abs_error": row.abs_error,
-                    }
-                    for row in table
-                ],
+                "rows": [asdict(row) for row in table],
             },
         )
-    _echo_wrote(path)
     for row in table:
         ctext = ",".join(f"{v:g}" for v in measures._axes(row.center))
         _echo(
@@ -711,32 +648,22 @@ def _padic_closed_form_holds(comps, precision: int) -> bool:
 
 @_command(
     "padic",
-    _config_option,
-    _out_option,
-    _format_option,
     ("--K", dict(dest="precision", metavar="K", type=int, help="coset depth (default 5)")),
     _max_iter_option,
 )
-def cmd_padic(config_path, out, fmt, precision, max_iter) -> None:
+def cmd_padic(cfg: ExperimentConfig) -> None:
     """Solve the 3-adic component system and check the closed form."""
-    cfg = build_config(
-        config_path, out=out, fmt=fmt, precision=precision, max_iter=max_iter
-    )
     precision = cfg.precision if cfg.precision is not None else padic.DEFAULT_PRECISION
     comps = padic.solve_padic_system(precision, max_iter=cfg.max_iter)
     out_dir = _out_dir(cfg)
     if cfg.fmt == "csv":
         for i, c in enumerate(comps):
-            rows = [
-                (r, w.numerator, w.denominator) for r, w in enumerate(c.weights)
-            ]
+            rows = [(r, w.numerator, w.denominator) for r, w in enumerate(c.weights)]
             path = out_dir / f"padic_component_{i + 1}.csv"
             _write_csv(path, "residue,weight_num,weight_den", _csv_lines(rows))
-            _echo_wrote(path)
     else:
-        path = out_dir / "padic.json"
         _write_json(
-            path,
+            out_dir / "padic.json",
             {
                 "precision": precision,
                 "components": [
@@ -749,7 +676,6 @@ def cmd_padic(config_path, out, fmt, precision, max_iter) -> None:
                 ],
             },
         )
-        _echo_wrote(path)
     if _padic_closed_form_holds(comps, precision):
         _echo("PASS: densities equal 9 on the residues 1, 3, 0 mod 9")
     else:
@@ -776,8 +702,8 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     for name, (fn, options) in _COMMANDS.items():
         summary = _summary(fn)
         sub = commands.add_parser(name, help=summary, description=summary, allow_abbrev=False)
-        for flag, kwargs in options:
-            sub.add_argument(flag, **kwargs)
+        for *flags, kwargs in (*_COMMON_OPTIONS, *options):
+            sub.add_argument(*flags, **kwargs)
         sub.set_defaults(run=fn)
     return parser
 

@@ -16,6 +16,7 @@ arithmetic.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -605,26 +606,32 @@ def apply_affine(f: MapLike, S: CompactSet) -> CompactSet:
 # Hausdorff distance
 
 
-def _dist_point_intervals(x: float, pairs) -> float:
-    best = None
-    for lo, hi in pairs:
-        d = max(lo - x, x - hi, 0.0)
-        if best is None or d < best:
-            best = d
-    return best
-
-
 def _directed_1d(upairs, vpairs) -> float:
-    candidates = []
-    for lo, hi in upairs:
-        candidates.append(lo)
-        candidates.append(hi)
+    """sup over x in U of d(x, V), for sorted disjoint (lo, hi) lists that
+    may touch once rounded to floats.
+
+    The distance from x to V is that to the first interval holding x, or
+    else to the nearer of the last interval with lo <= x and the next one,
+    so two bisections find it.  Rounded subtraction is monotone, so this
+    is bit for bit the minimum over every interval, ties to the first.
+    """
+    ulos, uhis = [lo for lo, _ in upairs], [hi for _, hi in upairs]
+    vlos, vhis = [lo for lo, _ in vpairs], [hi for _, hi in vpairs]
+
+    def dist(x):
+        j = bisect.bisect_right(vlos, x)  # V's intervals from j on lie right of x
+        k = bisect.bisect_left(vhis, x)  # and those before k left of it
+        near = vpairs[k : k + 1] if k < j else vpairs[max(j - 1, 0) : j + 1]
+        return min(max(lo - x, x - hi, 0.0) for lo, hi in near)
+
+    candidates = [x for pair in upairs for x in pair]
     # d(., V) peaks inside gaps of V; clamp those peaks into U
     for k in range(len(vpairs) - 1):
         mid = 0.5 * (vpairs[k][1] + vpairs[k + 1][0])
-        if any(lo <= mid <= hi for lo, hi in upairs):
+        i = bisect.bisect_right(ulos, mid)
+        if i and mid <= uhis[i - 1]:
             candidates.append(mid)
-    return max(_dist_point_intervals(x, vpairs) for x in candidates)
+    return max(map(dist, candidates))
 
 
 def _dist_point_segment(p, a, b) -> float:

@@ -11,6 +11,7 @@ against the volume-theoretic limit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -381,6 +382,11 @@ class WeylRow:
     abs_error: float
 
 
+def _ball_volume(r: float, d: int) -> float:
+    """The volume of the ball of radius r in d = 1 or 2 dimensions."""
+    return (2 * r, math.pi * r * r)[d - 1]
+
+
 def weyl_average(
     scheme: CutProjectScheme,
     points: np.ndarray,
@@ -397,7 +403,8 @@ def weyl_average(
     (length 2r in 1D, area pi r^2 in 2D); the limit column holds
     mass(g)/covolume.  Each row's center is the coordinate tuple in the
     plane and a number on the line.  The points must come from the window
-    supporting g; each requested ball must fit in the enumerated patch.
+    supporting g; each requested ball must fit in the enumerated patch,
+    and have a volume of at least the smallest normal float.
     """
     if len(points) == 0:
         raise ValueError("no points to average over")
@@ -409,6 +416,9 @@ def weyl_average(
     rows = []
     for r in radii:
         r = float(r)
+        vol = _ball_volume(r, d)
+        if vol < sys.float_info.min:
+            raise ValueError(f"radius {r!r}: its ball volume is below the smallest normal float")
         for center in centers:
             c = _axes(center)
             if np.ndim(center) == 0:
@@ -421,7 +431,6 @@ def weyl_average(
                 )
             mask = np.hypot.reduce(np.abs(pos - c), axis=1) <= r + 1e-12
             values = g.sample(star[mask].T).tolist()
-            vol = (2 * r, math.pi * r * r)[d - 1]
             avg = math.fsum(values) / vol
             rows.append(WeylRow(r, _point(c), avg, limit, abs(avg - limit)))
     return rows

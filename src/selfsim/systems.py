@@ -115,12 +115,17 @@ class BuiltinSystem:
     window = _facet("window", "_weyl")
 
     @property
+    def families(self) -> list:
+        """The measure's translation families: every entry of ``mc`` (None
+        where an entry is absent), row by row, or else ``family`` alone."""
+        return [self.family] if self.mc is None else [e for row in self.mc.sigma for e in row]
+
+    @property
     def has_density(self) -> bool:
         """Whether the measure (coupled, if ``mc`` is set) has a density:
         some translation family is uniform.  Atoms alone make a singular
         measure, which a grid cannot resolve."""
-        families = [self.family] if self.mc is None else [e for row in self.mc.sigma for e in row]
-        return any(isinstance(e, measures.UniformFamily) for e in families)
+        return any(isinstance(e, measures.UniformFamily) for e in self.families)
 
 
 def _maps(a, T) -> list:

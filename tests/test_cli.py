@@ -383,6 +383,44 @@ class TestWeyl:
         )
         assert result.exit_code == 1
 
+    def test_radius_is_a_second_spelling_of_radii(self, tmp_path):
+        seen = []
+        for flag in ("--radius", "--radii"):
+            out = tmp_path / flag.strip("-")
+            result = run("weyl", "--system", "silver", flag, "100,500", "--out", out)
+            assert result.exit_code == 0
+            seen.append((result.stdout.replace(str(out), "OUT"), (out / "weyl.csv").read_bytes()))
+        assert seen[0] == seen[1]
+        # both spellings are one option given twice: the last one wins
+        out = tmp_path / "both"
+        result = run(
+            "weyl", "--system", "silver", "--radii", "100", "--radius", "200", "--out", out
+        )
+        assert result.exit_code == 0
+        assert [row[0] for row in read_csv(out / "weyl.csv")[1]] == [200.0]
+
+    @pytest.mark.parametrize("system, radius", [
+        ("ammann-beenker", "1e-300"),  # pi r^2 underflows to 0
+        ("ammann-beenker", "1e-160"),  # pi r^2 is subnormal
+        ("silver", "1e-308"),  # 2r is subnormal
+        ("silver", "5e-324"),
+    ])
+    def test_radius_whose_ball_volume_underflows_exits_1_before_enumeration(
+        self, system, radius, tmp_path, monkeypatch
+    ):
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("the lattice was enumerated")
+
+        monkeypatch.setattr(modelsets, "project_points", enumerate_nothing)
+        result = run(
+            "weyl", "--system", system, "--radii", f"100,{radius}", "--out", tmp_path / "out"
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        message = f"radius {float(radius)!r} is too small: its ball volume underflows"
+        assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestPadic:
     def test_default_depth_passes(self, tmp_path):
@@ -633,6 +671,46 @@ class TestConfigHandling:
         assert not (tmp_path / "out").exists()
 
 
+class TestFieldTypes:
+    """A config value of the wrong type is refused by the field's name:
+    exit 1, one ``error:`` line, no traceback, nothing written."""
+
+    @pytest.mark.parametrize("config, message", [
+        ({"tol": "1e-8"}, "tol must be a number, got '1e-8'"),
+        ({"tol": True}, "tol must be a number, got True"),
+        ({"k_step": None}, "k_step must be a number, got None"),
+        ({"grid_step": [0.01]}, "grid_step must be a number, got [0.01]"),
+        ({"terms": None}, "terms must be an integer, got None"),
+        ({"radii": [True]}, "radii must be a tuple of numbers, got (True,)"),
+        ({"radii": "100"}, "radii must be a tuple of numbers, got '100'"),
+        ({"centers": [[0.0, [1.0]]]}, "centers must be a tuple of numbers, got ((0.0, [1.0]),)"),
+        ({"out": 5}, "out must be a string, got 5"),
+    ])
+    def test_exits_1_naming_the_field(self, config, message, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"system": "silver-max", **config}))
+        result = run("fourier", "--config", "cfg.json")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: {message}\n"
+        assert result.stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("tol", "1e-8"),
+        ("k_min", None),
+        ("k_max", False),
+        ("out", Path(".")),
+        ("radii", [100.0]),
+        ("centers", (None,)),
+        ("centers", 0.0),
+        ("precision", 5.0),
+    ])
+    def test_construction_checks_each_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            ExperimentConfig(**{field: value})
+
+
 class TestUsageErrors:
     """A command line the parser refuses is a configuration error: one
     ``error:`` line on stderr, exit 1, nothing written."""
@@ -730,6 +808,20 @@ class TestInlineSystems:
         }
         with pytest.raises(ConfigError):
             system_from_spec(bad_s)
+
+    @pytest.mark.parametrize("seeds", [[[0, 1], [0, 1]], []])
+    def test_one_seed_per_component(self, seeds, tmp_path):
+        spec = {"a": 0.5, "maps": [[[{"t": 0}]]], "seeds": seeds}
+        message = f"expected 1 inline seeds, one per component, got {len(seeds)}"
+        with pytest.raises(ConfigError, match=message):
+            system_from_spec(spec)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": spec}))
+        result = run("attractor", "--config", cfg, "--out", tmp_path / "out")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_expanding_inline_maps_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -881,6 +973,52 @@ class TestGridWriter:
         assert path.read_bytes() == template_csv(g)
 
 
+# every command, each writing one or more files
+ANNOUNCED_RUNS = [
+    ("attractor", "--system", "silver-mc"),
+    ("attractor", "--system", "ammann-beenker"),
+    ("measure", "--system", "silver-max", "--grid-step", "1e-2"),
+    ("measure", "--system", "silver-mc-max", "--grid-step", "1e-2"),
+    ("fourier", "--system", "silver-max", "--terms", "5"),
+    ("weyl", "--system", "silver", "--radii", "10,20"),
+    ("padic", "--K", "4"),
+]
+
+
+class TestAnnouncedFiles:
+    """Each written file is announced by one ``wrote <path>`` line, printed
+    by the writer as the file is written."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("args", ANNOUNCED_RUNS, ids=lambda args: f"{args[0]}-{args[2]}")
+    def test_once_each_in_write_order(self, args, fmt, tmp_path, monkeypatch):
+        # for each file opened for writing: the wrote lines run() captured before it
+        opened, open_ = [], Path.open
+
+        def spy(path, mode="r", *rest, **kwargs):
+            if "w" in mode:
+                opened.append((str(path), sys.stdout.getvalue().count("wrote ")))
+            return open_(path, mode, *rest, **kwargs)
+
+        monkeypatch.setattr(Path, "open", spy)
+        out = tmp_path / "out"
+        result = run(*args, "--format", fmt, "--out", out)
+        assert result.exit_code == 0
+        lines = result.stdout.splitlines()
+        wrote = [line[len("wrote "):] for line in lines if line.startswith("wrote ")]
+        assert wrote == [path for path, _ in opened]
+        assert [before for _, before in opened] == list(range(len(opened)))
+        assert sorted(wrote) == sorted(str(p) for p in out.iterdir())
+
+    def test_the_writers_announce_their_files(self, tmp_path, capsys):
+        cli._write_csv(tmp_path / "a.csv", "x", [b"1\n"])
+        cli._write_json(tmp_path / "b.json", {"x": 1})
+        g = GridDensity(0, 0.5, np.array([1.0, 0.0, 1.0]))
+        paths = [_write_grid(g, tmp_path / "grid", fmt) for fmt in ("csv", "json")]
+        expected = [tmp_path / "a.csv", tmp_path / "b.json", *paths]
+        assert capsys.readouterr().out == "".join(f"wrote {p}\n" for p in expected)
+
+
 class TestDeterminism:
     def test_attractor_bytes_identical(self, tmp_path):
         out1, out2 = tmp_path / "one", tmp_path / "two"
@@ -989,6 +1127,19 @@ def test_only_the_grid_csv_writer_executes_the_formatter(args, formats, tmp_path
     code = f"import selfsim.cli\nselfsim.cli.main({list(args)!r})"
     ran = fresh_modules(code, tmp_path, executed_only=True)
     assert ("selfsim.float17" in ran) == formats
+
+
+def test_cantor_attractor_is_not_quadratic_in_its_pieces(tmp_path):
+    # the middle-thirds Cantor set has 2^k intervals at step k; a Hausdorff
+    # distance that scanned all of V for each point of U took ~70 s here
+    spec = {"a": 1 / 3, "maps": [[[{"t": 0}, {"t": 2 / 3}]]], "seeds": [[0, 1]]}
+    (tmp_path / "cantor.json").write_text(json.dumps({"system": spec}))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    args = ["attractor", "--config", "cantor.json", "--max-iter", "13", "--out", "out"]
+    proc = subprocess.run([sys.executable, "-m", "selfsim.cli", *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: attractor iteration did not reach tol=1e-12 in 13 steps")
 
 
 def test_version_from_source_checkout(tmp_path):

@@ -17,6 +17,7 @@ from selfsim.compactsets import (
     iterate_attractor,
     verify_exact_fixed_point,
 )
+from selfsim.compactsets import _directed_1d
 from selfsim.errors import ConvergenceError
 from selfsim.numberfields import HALF_SQRT2, QuadInt, QuadRat
 from selfsim.systems import builtin
@@ -151,6 +152,45 @@ class TestIntervalSet:
         assert s.intervals == IntervalSet.closed(-2, -1).intervals
 
 
+def quadratic_directed_1d(upairs, vpairs) -> float:
+    """sup over x in U of d(x, V), scanning every interval of V for every
+    candidate: the reference the bisected ``_directed_1d`` must match."""
+
+    def dist(x):
+        best = None
+        for lo, hi in vpairs:
+            d = max(lo - x, x - hi, 0.0)
+            if best is None or d < best:
+                best = d
+        return best
+
+    candidates = []
+    for lo, hi in upairs:
+        candidates.append(lo)
+        candidates.append(hi)
+    for k in range(len(vpairs) - 1):
+        mid = 0.5 * (vpairs[k][1] + vpairs[k + 1][0])
+        if any(lo <= mid <= hi for lo, hi in upairs):
+            candidates.append(mid)
+    return max(dist(x) for x in candidates)
+
+
+# endpoints from a few values, so that touching, repeated and degenerate
+# intervals (and both signed zeros) come up often
+ENDPOINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e-300, 5e-324, 2.0 / 3.0]),
+    st.floats(-1e3, 1e3),
+)
+
+
+def sorted_pairs(values) -> list:
+    """Consecutive pairs of the sorted values: a sorted list of intervals,
+    each one's hi at most the next one's lo, as the floats of an exact
+    IntervalSet may be."""
+    values = sorted(values)
+    return [(values[k], values[k + 1]) for k in range(0, len(values) - 1, 2)]
+
+
 class TestHausdorff1D:
     def test_singletons(self):
         assert hausdorff_distance(IntervalSet.point(0), IntervalSet.point(3)) == 3.0
@@ -198,6 +238,18 @@ class TestHausdorff1D:
         assert duv == hausdorff_distance(v, u)
         assert hausdorff_distance(u, u) == 0.0
         assert duv <= hausdorff_distance(u, w) + hausdorff_distance(w, v) + 1e-9
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.lists(ENDPOINTS, min_size=2, max_size=24),
+        st.lists(ENDPOINTS, min_size=2, max_size=24),
+    )
+    def test_bisection_matches_the_quadratic_scan_bit_for_bit(self, xs, ys):
+        u, v = sorted_pairs(xs), sorted_pairs(ys)
+        for a, b in ((u, v), (v, u)):
+            got, want = _directed_1d(a, b), quadratic_directed_1d(a, b)
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+            assert got.hex() == want.hex()
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -392,6 +392,22 @@ class TestWeyl:
         with pytest.raises(ValueError):
             weyl_average(scheme, points, g, radii=(6000,))
 
+    @pytest.mark.parametrize("system, radius", [
+        ("silver", 1e-308),  # 2r is subnormal
+        ("silver", 5e-324),
+        ("ammann-beenker", 1e-160),  # pi r^2 is subnormal
+        ("ammann-beenker", 1e-300),  # pi r^2 underflows to 0
+    ])
+    def test_radius_whose_volume_underflows_is_named(self, system, radius):
+        b = builtin(system)
+        points = project_points(b.scheme, b.window, 8)
+        if b.scheme.phys_dim == 1:
+            g = raster_interval_set(b.window.as_float(), 1e-3, float(b.window.measure()))
+        else:
+            g = raster_polygon(b.window, 0.05, float(b.window.area))
+        with pytest.raises(ValueError, match=f"radius {radius!r}"):
+            weyl_average(b.scheme, points, g, (3.0, radius))
+
 
 class TestPatchInvariants:
     def test_delone_gaps(self, patches):

@@ -2,24 +2,27 @@
 
 Runs every builtin system (aliases left out) through ``attractor``,
 ``measure``, ``fourier`` and ``weyl`` in both output formats, plus
-``padic`` at K = 4, 5, 7 and 8, ``weyl`` with Weyl centres (among them
-a deep planar patch off the origin) and
-``fourier`` on inline families over negative frequencies and a coupled
-inline ``measure`` whose point shifts share no lattice step, all from a
-``--config`` file (written into the run's directory), ``weyl`` at patch
-radii that take the lattice enumeration deep in both, ``measure`` of
-``ammann-beenker`` on a finer grid and of ``silver-max`` on a 70,713-node
-grid, ``measure`` at a tol the density
-solver cannot reach, and command lines the parser
-refuses and non-finite radius, centre, tol and inline system values
-(exit 1, no files), each as a fresh ``python -m selfsim.cli``
-process against this checkout's ``src`` in its own temporary directory.  The ``padic --K 8`` runs take under a second with
+``padic`` at K = 4, 5, 7 and 8, ``weyl`` with Weyl centres (among them a
+deep planar patch off the origin) and ``fourier`` on inline families over
+negative frequencies, a coupled inline ``measure`` whose point shifts
+share no lattice step and ``attractor`` of the middle-thirds Cantor set,
+all from a ``--config`` file (written into the run's directory), ``weyl``
+at patch radii that take the lattice enumeration deep in both,
+``measure`` of ``ammann-beenker`` on a finer grid and of ``silver-max``
+on a 70,713-node grid, ``measure`` at a tol the density solver cannot
+reach, command lines the parser refuses, non-finite radius, centre, tol
+and inline system values and other refused inputs (exit 1, no files),
+and ``weyl --radius`` given a list, each as a fresh ``python -m
+selfsim.cli`` process against this checkout's ``src`` in its own
+temporary directory.  The ``padic --K 8`` runs take under a second with
 the coset-quotient solve and about 40 s each with the full-depth solve
 it replaced, so a set recorded at such a commit takes minutes longer.
-Prints one JSON document listing, per run, the command, its exit code
-and the sha256 of every file it wrote.
-No paths appear in the output, so two checkouts can be compared with
-``diff``:
+Prints one JSON document listing, per run, the command, its exit code,
+the sha256 of every file it wrote and the sha256 of its stdout and
+stderr.  Before hashing, the run's temporary directory and this checkout's
+root are replaced in both streams by the fixed placeholders ``<tmp>`` and
+``<root>``.  No paths appear in the output, so two checkouts can be
+compared with ``diff``:
 
     python3 tools/golden_outputs.py > before.json
     # ... change the code ...
@@ -84,6 +87,15 @@ NONFINITE_RUNS = (
     (["fourier"], {"system": {"a": 0.5, "family": {"kind": "uniform", "lo": 0, "hi": float("inf")}}}),
     (["attractor"], {"system": {"a": 0.5, "maps": [[[{"t": float("inf")}, {"t": 1.0}]]]}}),
 )
+# inputs refused as configuration errors (exit 1, no files), and --radius
+# given a list, run once each
+REFUSAL_RUNS = (
+    (["attractor"], {"system": {"a": 0.5, "maps": [[[{"t": 0}]]], "seeds": [[0, 1], [0, 1]]}}),
+    (["weyl", "--system", "ammann-beenker", "--radii", "1e-300"], None),
+    (["measure", "--system", "silver-max"], {"tol": "1e-8"}),
+    (["fourier", "--system", "silver-max"], {"k_step": None}),
+    (["weyl", "--system", "silver", "--radius", "100,500"], None),
+)
 FORMATS = ("csv", "json")
 # (arguments, config file contents): Weyl centres only reach the CLI by config
 CONFIG_RUNS = (
@@ -133,6 +145,12 @@ CONFIG_RUNS = (
             "k_step": 0.005,
         },
     ),
+    # the middle-thirds Cantor set: 2^k intervals at step k, so the 1D
+    # Hausdorff distance runs over 1,024 pieces by the last step
+    (
+        ["attractor", "--tol", "1e-5"],
+        {"system": {"a": 1 / 3, "maps": [[[{"t": 0}, {"t": 2 / 3}]]], "seeds": [[0, 1]]}},
+    ),
     # coupled point shifts 0.1 and 0.1*sqrt2 share no lattice step, so the
     # solver keeps the requested step and translates by resampling
     (
@@ -170,6 +188,7 @@ def default_runs() -> list:
     runs.extend(([*args, "--format", fmt], None) for args in EXTRA_RUNS for fmt in FORMATS)
     runs.extend((args, None) for args in USAGE_ERROR_RUNS)
     runs.extend(NONFINITE_RUNS)
+    runs.extend(REFUSAL_RUNS)
     return runs
 
 
@@ -186,9 +205,14 @@ def fingerprint(args: list, config=None) -> dict:
             [sys.executable, "-m", "selfsim.cli", *args, "--out", str(out)],
             cwd=tmp,
             env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
+            capture_output=True,
         )
+        streams = {
+            name: hashlib.sha256(
+                data.replace(tmp.encode(), b"<tmp>").replace(str(ROOT).encode(), b"<root>")
+            ).hexdigest()
+            for name, data in (("stdout", proc.stdout), ("stderr", proc.stderr))
+        }
         files = {}
         if out.is_dir():
             for path in sorted(out.rglob("*")):
@@ -196,7 +220,7 @@ def fingerprint(args: list, config=None) -> dict:
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()
                     files[path.relative_to(out).as_posix()] = digest
     command = " ".join(args) if config is None else f"{' '.join(args)} = {text}"
-    return {"command": command, "exit": proc.returncode, "files": files}
+    return {"command": command, "exit": proc.returncode, "files": files, **streams}
 
 
 def main(argv: list) -> int:
