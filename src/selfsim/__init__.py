@@ -1,10 +1,10 @@
 """Attractors and self-similar measures of affine contraction systems.
 
-Subpackages cover exact arithmetic in Z[sqrt2] and Q(sqrt2) (with the
-exact coordinates of cyclotomic coefficient rows), compact-set iteration
-with Hausdorff metrics, invariant measures (atomic and density form),
-multi-component systems, cut-and-project point sets with Weyl averages,
-and a 3-adic component system.
+Subpackages cover exact arithmetic in Q(sqrt2), one number type that also
+holds Z[sqrt2] (with the exact coordinates of cyclotomic coefficient
+rows), compact-set iteration with Hausdorff metrics, invariant measures
+(atomic and density form), multi-component systems, cut-and-project point
+sets with Weyl averages, and a 3-adic component system.
 """
 
 import importlib.util

@@ -606,6 +606,8 @@ def cmd_weyl(cfg: ExperimentConfig) -> None:
         centers.append(measures._point(c))
     norms = [math.hypot(*measures._axes(c)) for c in centers]
     reach = max(r + n for r in radii for n in norms)
+    if reach == math.inf:
+        raise ResourceCapError("a Weyl ball reaches beyond the largest float")
     patch_radius = int(math.ceil(reach)) + 4  # margin so the rim is populated
     points = modelsets.project_points(b.scheme, b.window, patch_radius)
     if isinstance(b.window, compactsets.IntervalSet):

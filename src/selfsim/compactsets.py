@@ -25,16 +25,16 @@ from functools import cmp_to_key
 from typing import Iterable, Sequence, Union
 
 from .errors import ConvergenceError, ResourceCapError
-from .numberfields import QuadInt, QuadRat
+from .numberfields import QuadRat
 
 _FLOAT_MERGE_EPS = 1e-12
 
-ExactScalar = Union[int, Fraction, QuadInt, QuadRat]
+ExactScalar = Union[int, Fraction, QuadRat]
 Scalar = Union[ExactScalar, float]
 
 
 def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction, QuadInt, QuadRat)) and not isinstance(x, bool)
+    return isinstance(x, (int, Fraction, QuadRat)) and not isinstance(x, bool)
 
 
 def _check_finite(values, what: str) -> None:
@@ -45,13 +45,8 @@ def _check_finite(values, what: str) -> None:
             raise ValueError(f"{what} must be finite, got {v}")
 
 
-def _promote(x):
-    # QuadInt only interoperates with Fraction once lifted to the field
-    return QuadRat(x) if isinstance(x, QuadInt) else x
-
-
 def _sign_of(x) -> int:
-    if isinstance(x, (QuadInt, QuadRat)):
+    if isinstance(x, QuadRat):
         return x.sign()
     if x > 0:
         return 1
@@ -69,7 +64,7 @@ class IntervalSet:
 
     Intervals that touch or overlap are merged on construction; the merge
     tolerance is exactly zero when every endpoint is exact (int, Fraction,
-    QuadInt, QuadRat) and 1e-12 once any endpoint is a float.  Degenerate
+    QuadRat) and 1e-12 once any endpoint is a float.  Degenerate
     single-point intervals are allowed.
     """
 
@@ -80,9 +75,7 @@ class IntervalSet:
         if not pairs:
             raise ValueError("IntervalSet needs at least one interval")
         exact = all(_is_exact(lo) and _is_exact(hi) for lo, hi in pairs)
-        if exact:
-            pairs = [(_promote(lo), _promote(hi)) for lo, hi in pairs]
-        else:
+        if not exact:
             pairs = [(float(lo), float(hi)) for lo, hi in pairs]
             _check_finite(itertools.chain(*pairs), "an interval endpoint")
         for lo, hi in pairs:
@@ -129,7 +122,6 @@ class IntervalSet:
         return total
 
     def contains(self, x, eps=0) -> bool:
-        x = _promote(x)
         return any(
             _sign_of(x - lo + eps) >= 0 and _sign_of(hi - x + eps) >= 0
             for lo, hi in self.intervals
@@ -137,7 +129,6 @@ class IntervalSet:
 
     def translate(self, t) -> "IntervalSet":
         if self.is_exact and _is_exact(t):
-            t = _promote(t)
             return IntervalSet([(lo + t, hi + t) for lo, hi in self.intervals])
         tf = float(t)
         return IntervalSet(
@@ -149,7 +140,6 @@ class IntervalSet:
             a = float(a)
             pairs = [(a * float(lo), a * float(hi)) for lo, hi in self.intervals]
         else:
-            a = _promote(a)
             pairs = [(a * lo, a * hi) for lo, hi in self.intervals]
         if _sign_of(a) >= 0:
             return IntervalSet(pairs)
@@ -203,7 +193,7 @@ def _vec_cross(u, v):
 class ConvexPolygon:
     """Convex region given by its vertices, stored counterclockwise.
 
-    Vertex coordinates may be exact (QuadRat and friends) or floats; every
+    Vertex coordinates may be exact (int, Fraction or QuadRat) or floats; every
     operation stays in the coordinate ring of its inputs.  The vertex list
     is canonicalized (CCW, collinear vertices dropped, started at the
     lexicographically smallest vertex) so equal regions compare equal.
@@ -217,9 +207,7 @@ class ConvexPolygon:
         if not verts:
             raise ValueError("ConvexPolygon needs at least one vertex")
         exact = all(_is_exact(x) and _is_exact(y) for x, y in verts)
-        if exact:
-            verts = [(_promote(x), _promote(y)) for x, y in verts]
-        else:
+        if not exact:
             verts = [(float(x), float(y)) for x, y in verts]
             _check_finite(itertools.chain(*verts), "a polygon vertex")
         # drop consecutive duplicates (cyclically)
@@ -287,9 +275,7 @@ class ConvexPolygon:
 
     def translate(self, v) -> "ConvexPolygon":
         verts = self.vertices
-        if self.is_exact and _is_exact(v[0]) and _is_exact(v[1]):
-            v = (_promote(v[0]), _promote(v[1]))
-        else:
+        if not (self.is_exact and _is_exact(v[0]) and _is_exact(v[1])):
             v = (float(v[0]), float(v[1]))
             verts = [(float(x), float(y)) for x, y in verts]
         return ConvexPolygon([(x + v[0], y + v[1]) for x, y in verts])
@@ -300,12 +286,7 @@ class ConvexPolygon:
     def affine(self, matrix, v) -> "ConvexPolygon":
         (a, b), (c, d) = matrix
         verts = self.vertices
-        if self.is_exact and all(_is_exact(p) for p in (a, b, c, d, *v)):
-            # QuadInt scalars only interoperate with Fraction vertices
-            # once lifted to the field
-            a, b, c, d = _promote(a), _promote(b), _promote(c), _promote(d)
-            v = (_promote(v[0]), _promote(v[1]))
-        else:
+        if not (self.is_exact and all(_is_exact(p) for p in (a, b, c, d, *v))):
             a, b, c, d = float(a), float(b), float(c), float(d)
             v = (float(v[0]), float(v[1]))
             verts = [(float(x), float(y)) for x, y in verts]
@@ -407,10 +388,6 @@ def _twice_signed_area(verts: list):
 
 
 def _halve_exact(x):
-    if isinstance(x, QuadInt):
-        return QuadRat(x, 2)
-    if isinstance(x, QuadRat):
-        return x / 2
     return Fraction(x, 2) if isinstance(x, int) else x / 2
 
 
@@ -482,9 +459,8 @@ def _line_intersection(a, b, p, q):
 
 
 def _exact_div(num, den):
-    if isinstance(num, (QuadInt, QuadRat)) or isinstance(den, (QuadInt, QuadRat)):
-        return _promote(num) / _promote(den) if isinstance(num, (QuadInt, QuadRat)) \
-            else num / _promote(den)
+    if isinstance(num, QuadRat) or isinstance(den, QuadRat):
+        return num / den
     return Fraction(num) / Fraction(den)
 
 

@@ -22,7 +22,6 @@ from .compactsets import ConvexPolygon, IntervalSet
 from .measures import GridDensity, _axes, _point
 from .numberfields import (
     SQRT2,
-    QuadInt,
     QuadRat,
     _as_quadrat,
     _certain_sign,
@@ -120,7 +119,7 @@ def project_points(scheme: CutProjectScheme, window, radius) -> np.ndarray:
                 for lo, hi in window.intervals
             ])
             keep = _settle(verdict, lambda i: window.contains(
-                QuadRat(QuadInt(int(a[i]), -int(b[i]))), eps=0))
+                QuadRat(int(a[i]), -int(b[i])), eps=0))
         else:
             star = a - b * SQRT2  # x.embed_star(), bit for bit
             keep = np.logical_or.reduce([
@@ -140,7 +139,7 @@ def project_points(scheme: CutProjectScheme, window, radius) -> np.ndarray:
     re, im, px, py = scheme.coordinates(candidates).T
     s = SQRT2 / 2.0
     x_size, y_size = np.abs(c0) + np.abs(c1 - c3) * s, np.abs(c2) + np.abs(c1 + c3) * s
-    rsq = QuadRat(QuadInt(r.numerator**2, 0), r.denominator**2)
+    rsq = QuadRat(r.numerator**2, 0, r.denominator**2)
     rv, rs = _float_pair(rsq)
     signs = [_certain_sign(rv - (re * re + im * im), rs + (x_size * x_size + y_size * y_size))]
     signs += _window_signs(window, px, py, x_size, y_size)

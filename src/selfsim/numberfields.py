@@ -1,9 +1,10 @@
-"""Exact arithmetic in Z[sqrt2] and its fraction field; lattice enumeration
-in Z[sqrt2] and the eighth cyclotomic ring Z[xi].
+"""Exact arithmetic in Q(sqrt2); lattice enumeration in Z[sqrt2] and the
+eighth cyclotomic ring Z[xi].
 
-Elements of Z[sqrt2] are pairs (a, b) standing for a + b*sqrt(2); the ring
-automorphism `star` sends sqrt(2) to -sqrt(2).  QuadRat is the fraction field
-with an integer denominator kept in lowest terms.  An element of Z[xi],
+QuadRat(a, b, den) is the element (a + b*sqrt(2))/den of Q(sqrt2), kept in
+lowest terms with den > 0; den = 1 gives the elements of Z[sqrt2], which
+the enumeration passes as int64 coefficient rows (a, b).  The field
+automorphism `star` sends sqrt(2) to -sqrt(2).  An element of Z[xi],
 xi = exp(i*pi/4), is a coefficient row (c0, c1, c2, c3); its star map sends
 xi to xi**3, the internal-space embedding of the octagonal cut-and-project
 scheme, and `cyclo_exact` gives its physical and star coordinates in Q(sqrt2).
@@ -50,158 +51,54 @@ def _sign_quad(a: int, b: int) -> int:
 
 @total_ordering
 @dataclass(frozen=True)
-class QuadInt:
-    """a + b*sqrt(2) with integer a, b."""
+class QuadRat:
+    """(a + b*sqrt2)/den in Q(sqrt2), with integers a, b and den > 0 in
+    lowest terms; den = 1 gives the elements of Z[sqrt2]."""
 
     a: int
-    b: int
-
-    @classmethod
-    def from_int(cls, x: int) -> "QuadInt":
-        return cls(x, 0)
-
-    def star(self) -> "QuadInt":
-        """Galois conjugate: sqrt(2) -> -sqrt(2)."""
-        return QuadInt(self.a, -self.b)
-
-    def embed(self) -> float:
-        return self.a + self.b * SQRT2
-
-    def embed_star(self) -> float:
-        return self.a - self.b * SQRT2
-
-    def norm(self) -> int:
-        return self.a * self.a - 2 * self.b * self.b
-
-    def sign(self) -> int:
-        return _sign_quad(self.a, self.b)
-
-    def __add__(self, other: "QuadIntLike") -> "QuadInt":
-        other = _as_quadint(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadInt(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "QuadIntLike") -> "QuadInt":
-        other = _as_quadint(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadInt(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other: "QuadIntLike") -> "QuadInt":
-        other = _as_quadint(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self) -> "QuadInt":
-        return QuadInt(-self.a, -self.b)
-
-    def __mul__(self, other: "QuadIntLike") -> "QuadInt":
-        other = _as_quadint(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadInt(self.a * other.a + 2 * self.b * other.b,
-                       self.a * other.b + self.b * other.a)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QuadInt":
-        if n < 0:
-            raise ValueError("negative powers leave Z[sqrt2]")
-        out = QuadInt(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.a == other and self.b == 0
-        if isinstance(other, QuadInt):
-            return self.a == other.a and self.b == other.b
-        if isinstance(other, QuadRat):
-            return QuadRat(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # agree with hash(int) when the element is rational
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
-
-    def __lt__(self, other: object) -> bool:
-        diff = _as_quadrat(other)
-        if diff is NotImplemented:
-            return NotImplemented
-        return (QuadRat(self) - diff).sign() < 0
-
-    def __float__(self) -> float:
-        return self.embed()
-
-    def __str__(self) -> str:
-        return f"{self.a}{self.b:+d}*sqrt2"
-
-
-QuadIntLike = Union[QuadInt, int]
-
-
-def _as_quadint(x: object):
-    if isinstance(x, QuadInt):
-        return x
-    if isinstance(x, int):
-        return QuadInt(x, 0)
-    return NotImplemented
-
-
-@total_ordering
-@dataclass(frozen=True)
-class QuadRat:
-    """Element of Q(sqrt2) written num/den with den > 0 in lowest terms."""
-
-    num: QuadInt
+    b: int = 0
     den: int = 1
 
     def __post_init__(self) -> None:
-        num, den = self.num, self.den
-        if isinstance(num, int):
-            num = QuadInt(num, 0)
+        a, b, den = self.a, self.b, self.den
         if den == 0:
             raise ZeroDivisionError("QuadRat with zero denominator")
         if den < 0:
-            num, den = -num, -den
-        g = gcd(gcd(abs(num.a), abs(num.b)), den)
+            a, b, den = -a, -b, -den
+        g = gcd(a, b, den)
         if g > 1:
-            num = QuadInt(num.a // g, num.b // g)
-            den //= g
-        object.__setattr__(self, "num", num)
+            a, b, den = a // g, b // g, den // g
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "den", den)
 
     @classmethod
     def from_fraction(cls, q: Fraction) -> "QuadRat":
-        return cls(QuadInt(q.numerator, 0), q.denominator)
+        return cls(q.numerator, 0, q.denominator)
 
     def star(self) -> "QuadRat":
-        return QuadRat(self.num.star(), self.den)
+        """Galois conjugate: sqrt(2) -> -sqrt(2)."""
+        return QuadRat(self.a, -self.b, self.den)
 
     def embed(self) -> float:
-        return self.num.embed() / self.den
+        return (self.a + self.b * SQRT2) / self.den
 
     def embed_star(self) -> float:
-        return self.num.embed_star() / self.den
+        return (self.a - self.b * SQRT2) / self.den
+
+    def norm(self) -> Fraction:
+        """x * x.star(), a rational number."""
+        return Fraction(self.a * self.a - 2 * self.b * self.b, self.den * self.den)
 
     def sign(self) -> int:
-        return self.num.sign()
+        return _sign_quad(self.a, self.b)
 
     def __add__(self, other: "QuadRatLike") -> "QuadRat":
         other = _as_quadrat(other)
         if other is NotImplemented:
             return NotImplemented
-        return QuadRat(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        d, e = self.den, other.den
+        return QuadRat(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
@@ -218,13 +115,14 @@ class QuadRat:
         return other - self
 
     def __neg__(self) -> "QuadRat":
-        return QuadRat(-self.num, self.den)
+        return QuadRat(-self.a, -self.b, self.den)
 
     def __mul__(self, other: "QuadRatLike") -> "QuadRat":
         other = _as_quadrat(other)
         if other is NotImplemented:
             return NotImplemented
-        return QuadRat(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.a, self.b, other.a, other.b
+        return QuadRat(a * c + 2 * b * d, a * d + b * c, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -232,11 +130,13 @@ class QuadRat:
         other = _as_quadrat(other)
         if other is NotImplemented:
             return NotImplemented
-        n = other.num.norm()
+        a, b, c, d = self.a, self.b, other.a, other.b
+        n = c * c - 2 * d * d
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        # 1/(p/q) = q * conj(p) / N(p)
-        return QuadRat(self.num * other.num.star() * other.den, self.den * n)
+        # (a + b sqrt2)/(c + d sqrt2) = (a + b sqrt2)(c - d sqrt2) / (c^2 - 2 d^2)
+        return QuadRat((a * c - 2 * b * d) * other.den, (b * c - a * d) * other.den,
+                       self.den * n)
 
     def __rtruediv__(self, other: "QuadRatLike") -> "QuadRat":
         other = _as_quadrat(other)
@@ -251,10 +151,13 @@ class QuadRat:
         other = _as_quadrat(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.a == other.a and self.b == other.b and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.num) if self.den == 1 else hash((self.num, self.den))
+        # a rational element hashes like the equal int or Fraction
+        if self.b == 0:
+            return hash(Fraction(self.a, self.den))
+        return hash((self.a, self.b, self.den))
 
     def __lt__(self, other: object) -> bool:
         other = _as_quadrat(other)
@@ -266,28 +169,27 @@ class QuadRat:
         return self.embed()
 
     def __str__(self) -> str:
-        return f"({self.num})/{self.den}" if self.den != 1 else str(self.num)
+        text = f"{self.a}{self.b:+d}*sqrt2"
+        return f"({text})/{self.den}" if self.den != 1 else text
 
 
-QuadRatLike = Union[QuadRat, QuadInt, int, Fraction]
+QuadRatLike = Union[QuadRat, int, Fraction]
 
 
 def _as_quadrat(x: object):
     if isinstance(x, QuadRat):
         return x
-    if isinstance(x, QuadInt):
-        return QuadRat(x, 1)
     if isinstance(x, int):
-        return QuadRat(QuadInt(x, 0), 1)
+        return QuadRat(x)
     if isinstance(x, Fraction):
-        return QuadRat(QuadInt(x.numerator, 0), x.denominator)
+        return QuadRat.from_fraction(x)
     return NotImplemented
 
 
 # handy constants
-SILVER = QuadInt(1, 1)          # 1 + sqrt2, the silver mean
-SILVER_CONJ = QuadInt(1, -1)    # 1 - sqrt2 = -1/silver
-HALF_SQRT2 = QuadRat(QuadInt(0, 1), 2)   # sqrt2/2 = 1/sqrt2
+SILVER = QuadRat(1, 1)          # 1 + sqrt2, the silver mean
+SILVER_CONJ = QuadRat(1, -1)    # 1 - sqrt2 = -1/silver
+HALF_SQRT2 = QuadRat(0, 1, 2)   # sqrt2/2 = 1/sqrt2
 
 
 def cyclo_exact(c0: int, c1: int, c2: int, c3: int) -> tuple[QuadRat, QuadRat, QuadRat, QuadRat]:
@@ -296,8 +198,8 @@ def cyclo_exact(c0: int, c1: int, c2: int, c3: int) -> tuple[QuadRat, QuadRat, Q
     sends xi to xi^3.  With u = c1 + c3 and v = c1 - c3 they are
     c0 + v/sqrt2, c2 + u/sqrt2, c0 - v/sqrt2 and u/sqrt2 - c2."""
     u, v = c1 + c3, c1 - c3
-    return (QuadRat(QuadInt(2 * c0, v), 2), QuadRat(QuadInt(2 * c2, u), 2),
-            QuadRat(QuadInt(2 * c0, -v), 2), QuadRat(QuadInt(-2 * c2, u), 2))
+    return (QuadRat(2 * c0, v, 2), QuadRat(2 * c2, u, 2),
+            QuadRat(2 * c0, -v, 2), QuadRat(-2 * c2, u, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +240,10 @@ def _frac(x: Union[int, float, Fraction]) -> Fraction:
 
 
 def _float_pair(c) -> tuple[float, float]:
-    """Float value and size of an exact constant (int, Fraction, QuadInt or
-    QuadRat); the size is inf outside the range the filter trusts."""
+    """Float value and size of an exact constant (int, Fraction or QuadRat);
+    the size is inf outside the range the filter trusts."""
     q = _as_quadrat(c)
-    p, r, d = q.num.a, q.num.b, q.den
+    p, r, d = q.a, q.b, q.den
     try:
         value = (p + r * SQRT2) / d
         size = (abs(p) + abs(r) * SQRT2) / d
@@ -373,7 +275,7 @@ def _settle(verdict, exact) -> np.ndarray:
     return keep
 
 
-def _check_coefficients(bound: float) -> None:
+def _check_coefficients(bound) -> None:
     if bound > _COEFF_LIMIT:
         raise ResourceCapError(f"enumeration reaches coefficients beyond {_COEFF_LIMIT}")
 
@@ -402,7 +304,7 @@ def _chunks(n_rows: int, rows_of, max_candidates: int):
 
 
 def _in_range(a: int, b: int, plo, phi, slo, shi) -> bool:
-    x = QuadRat(QuadInt(a, b))
+    x = QuadRat(a, b)
     return plo <= x <= phi and slo <= x.star() <= shi
 
 
@@ -410,7 +312,7 @@ def enumerate_quad_range(phys_lo, phys_hi, star_lo, star_hi,
                          max_candidates: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """All x in Z[sqrt2] with embed(x) in [phys_lo, phys_hi] and
     embed_star(x) in [star_lo, star_hi], as an (N, 2) int64 array of
-    coefficient rows (a, b), one per element a + b*sqrt2 (``QuadInt(*row)``).
+    coefficient rows (a, b), one per element a + b*sqrt2 (``QuadRat(*row)``).
     Bounds may be int, float or Fraction and are honoured exactly.  Sorted
     by physical embedding.
 
@@ -425,6 +327,8 @@ def enumerate_quad_range(phys_lo, phys_hi, star_lo, star_hi,
     star_lo, star_hi = _frac(star_lo), _frac(star_hi)
     if phys_lo > phys_hi or star_lo > star_hi:
         return np.empty((0, 2), dtype=np.int64)
+    # exactly, before a float of the bounds can overflow
+    _check_coefficients(max(map(abs, (phys_lo, phys_hi, star_lo, star_hi))))
     plo, phi = QuadRat.from_fraction(phys_lo), QuadRat.from_fraction(phys_hi)
     slo, shi = QuadRat.from_fraction(star_lo), QuadRat.from_fraction(star_hi)
 
@@ -439,7 +343,6 @@ def enumerate_quad_range(phys_lo, phys_hi, star_lo, star_hi,
 
     f_star_lo, f_star_hi = float(star_lo), float(star_hi)
     f_phys_lo, f_phys_hi = float(phys_lo), float(phys_hi)
-    _check_coefficients(max(map(abs, (f_star_lo, f_star_hi, f_phys_lo, f_phys_hi))))
 
     def rows_of(rows):
         a = a_min + rows
@@ -491,6 +394,8 @@ def enumerate_cyclo_box(phys_bound, star_bound,
     P, S = _frac(phys_bound), _frac(star_bound)
     if P < 0 or S < 0:
         return np.empty((0, 4), dtype=np.int64)
+    # exactly, before a float of the bounds can overflow
+    _check_coefficients(max(P, S))
     pq = QuadRat.from_fraction(P)
     sq = QuadRat.from_fraction(S)
     fP, fS = float(P), float(S)

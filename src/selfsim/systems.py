@@ -35,17 +35,17 @@ from .compactsets import (
     TranslationFamilyMap,
 )
 from .errors import ConfigError
-from .numberfields import HALF_SQRT2, QuadInt, QuadRat
+from .numberfields import HALF_SQRT2, QuadRat
 
 measures = _lazy_module("selfsim.measures")
 modelsets = _lazy_module("selfsim.modelsets")
 multicomponent = _lazy_module("selfsim.multicomponent")
 
-AC_EXACT = QuadInt(1, -1)  # 1 - sqrt2, the internal contraction multiplier
+AC_EXACT = QuadRat(1, -1)  # 1 - sqrt2, the internal contraction multiplier
 AC = float(AC_EXACT)
 R = abs(AC)
 
-W_SPLIT = QuadRat(QuadInt(-2, 1), 2)  # 1/sqrt2 - 1, where the two windows meet
+W_SPLIT = QuadRat(-2, 1, 2)  # 1/sqrt2 - 1, where the two windows meet
 WINDOW = IntervalSet.closed(-HALF_SQRT2, HALF_SQRT2)
 WINDOW_1 = IntervalSet.closed(W_SPLIT, HALF_SQRT2)
 WINDOW_2 = IntervalSet.closed(-HALF_SQRT2, W_SPLIT)
@@ -54,7 +54,7 @@ WINDOW_2 = IntervalSet.closed(-HALF_SQRT2, W_SPLIT)
 def octagon() -> ConvexPolygon:
     """Regular octagon of edge length 1 with exact vertices."""
     half = Fraction(1, 2)
-    ha = QuadRat(QuadInt(1, 1), 2)  # (1 + sqrt2) / 2
+    ha = QuadRat(1, 1, 2)  # (1 + sqrt2) / 2
     return ConvexPolygon(
         [
             (ha, half),
@@ -172,8 +172,8 @@ def _declared(name, summary, a, sigma, m=None, **options) -> BuiltinSystem:
     )
 
 
-_ZERO = QuadInt(0, 0)
-_SHIFT = QuadInt(2, -1)  # 2 - sqrt2
+_ZERO = QuadRat(0)
+_SHIFT = QuadRat(2, -1)  # 2 - sqrt2
 
 
 def _point() -> BuiltinSystem:

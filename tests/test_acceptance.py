@@ -46,7 +46,7 @@ from selfsim.multicomponent import (
     solve_mc_density,
     verify_nonoverlap,
 )
-from selfsim.numberfields import HALF_SQRT2, QuadInt
+from selfsim.numberfields import HALF_SQRT2, QuadRat
 from selfsim.padic import (
     SUBSTITUTION_COUNTS,
     PadicDensity,
@@ -63,7 +63,7 @@ W1 = IntervalSet.closed(HALF_SQRT2 - 1, HALF_SQRT2)
 W2 = IntervalSet.closed(-HALF_SQRT2, HALF_SQRT2 - 1)
 
 SILVER_RULE = SubstitutionRule(
-    ("a", "b"), {"a": "aba", "b": "a"}, {"a": QuadInt(1, 1), "b": 1}
+    ("a", "b"), {"a": "aba", "b": "a"}, {"a": QuadRat(1, 1), "b": 1}
 )
 TERNARY_RULE = SubstitutionRule(
     ("a", "b", "c"), {"a": "ab", "b": "abc", "c": "abcc"}, {"a": 1, "b": 2, "c": 3}
@@ -74,7 +74,7 @@ _CACHE = {}
 
 def quads(rows) -> list:
     """The ring elements of (a, b) coefficient rows."""
-    return [QuadInt(*row) for row in rows.tolist()]
+    return [QuadRat(*row) for row in rows.tolist()]
 
 
 @contextmanager
@@ -248,7 +248,7 @@ def test_criterion_10_ternary_closed_form_is_exact():
 def test_criterion_11_planar_window_region_and_density():
     with criterion(11, 120.0, "octagon translation region and planar density"):
         window = octagon()
-        region = maximal_translation_region(window, window, QuadInt(1, -1))
+        region = maximal_translation_region(window, window, QuadRat(1, -1))
         shrink = 2.0 - math.sqrt(2.0)
         got = sorted((float(x), float(y)) for x, y in region.vertices)
         want = sorted(

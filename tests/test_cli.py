@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import selfsim
-from selfsim import cli, float17, measures, modelsets, padic
+from selfsim import cli, float17, measures, modelsets, numberfields, padic
 from selfsim.cli import ExperimentConfig, _write_grid, build_config, main, system_from_spec
 from selfsim.compactsets import AffineMap, ConvexPolygon, IntervalSet
 from selfsim.errors import ConfigError, ResourceCapError
@@ -419,6 +419,30 @@ class TestWeyl:
         assert isinstance(result.exception, SystemExit)
         message = f"radius {float(radius)!r} is too small: its ball volume underflows"
         assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("system, radius, centers", [
+        ("silver", "1e308", None),
+        ("ammann-beenker", "1e200", None),
+        ("silver", "100", [1e308]),
+        ("silver", "1e308", [1e308]),  # the ball reaches past the largest float
+    ])
+    def test_huge_patch_exits_3_before_enumeration(
+        self, system, radius, centers, tmp_path, monkeypatch
+    ):
+        def no_work(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(numberfields, "_chunks", no_work)
+        args = ("weyl", "--system", system, "--radii", radius, "--out", tmp_path / "out")
+        if centers is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps({"centers": centers}))
+            args = (*args, "--config", tmp_path / "cfg.json")
+        result = run(*args)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert result.stdout == ""
         assert not (tmp_path / "out").exists()
 
 

@@ -19,11 +19,11 @@ from selfsim.compactsets import (
 )
 from selfsim.compactsets import _directed_1d
 from selfsim.errors import ConvergenceError
-from selfsim.numberfields import HALF_SQRT2, QuadInt, QuadRat
+from selfsim.numberfields import HALF_SQRT2, QuadRat
 from selfsim.systems import builtin
 
-ALPHA = QuadInt(1, 1)
-ALPHA_CONJ = QuadInt(1, -1)
+ALPHA = QuadRat(1, 1)
+ALPHA_CONJ = QuadRat(1, -1)
 
 W = IntervalSet.closed(-HALF_SQRT2, HALF_SQRT2)
 W1 = IntervalSet.closed(HALF_SQRT2 - 1, HALF_SQRT2)
@@ -102,8 +102,8 @@ def sampled_hausdorff(p, q, per_edge=256):
 
 
 def octagon_window():
-    half = QuadRat(QuadInt(1, 0), 2)
-    ah = QuadRat(ALPHA, 2)
+    half = QuadRat(1, 0, 2)
+    ah = ALPHA / 2
     return ConvexPolygon(
         [
             (ah, half), (half, ah), (-half, ah), (-ah, half),
@@ -137,15 +137,15 @@ class TestIntervalSet:
         assert s.hull() == (0, 4)
 
     def test_mixed_exact_types(self):
-        s = IntervalSet([(QuadInt(0, 0), Fraction(1, 2)), (Fraction(1, 2), HALF_SQRT2)])
+        s = IntervalSet([(QuadRat(0, 0), Fraction(1, 2)), (Fraction(1, 2), HALF_SQRT2)])
         assert s.is_exact
         assert len(s.intervals) == 1
         assert s.measure() == HALF_SQRT2
-        assert s.contains(QuadInt(-1, 1)) and not s.contains(QuadInt(1, 0))
-        # a QuadInt point against Fraction endpoints
+        assert s.contains(QuadRat(-1, 1)) and not s.contains(QuadRat(1, 0))
+        # a point of Z[sqrt2] against Fraction endpoints
         half = IntervalSet.closed(Fraction(-1, 2), Fraction(1, 2))
-        assert half.contains(QuadInt(0, 0)) and half.contains(QuadInt(-1, 1))
-        assert not half.contains(QuadInt(1, 0))
+        assert half.contains(QuadRat(0, 0)) and half.contains(QuadRat(-1, 1))
+        assert not half.contains(QuadRat(1, 0))
 
     def test_scale_flips_orientation(self):
         s = IntervalSet.closed(1, 2).scale(-1)
@@ -292,8 +292,8 @@ class TestApplyAffine:
     def test_contraction_flips_window(self):
         f = AffineMap(ALPHA_CONJ, 0)
         image = apply_affine(f, W)
-        lo = QuadRat(QuadInt(-2, 1), 2)   # 1/sqrt2 - 1
-        hi = QuadRat(QuadInt(2, -1), 2)   # 1 - 1/sqrt2
+        lo = QuadRat(-2, 1, 2)   # 1/sqrt2 - 1
+        hi = QuadRat(2, -1, 2)   # 1 - 1/sqrt2
         assert image == IntervalSet.closed(lo, hi)
         assert image.is_exact
 
@@ -427,13 +427,13 @@ class TestConvexPolygon:
     def test_octagon_area(self):
         w = octagon_window()
         # edge-1 regular octagon: area 2(1 + sqrt2)
-        assert w.area == QuadInt(2, 2)
+        assert w.area == QuadRat(2, 2)
         assert w.is_exact
 
     def test_contains(self):
         w = octagon_window()
         assert w.contains((0, 0))
-        assert w.contains((QuadRat(ALPHA, 2), Fraction(1, 2)))
+        assert w.contains((ALPHA / 2, Fraction(1, 2)))
         assert not w.contains((2, 0))
 
     def test_affine_orientation_flip(self):
@@ -450,7 +450,7 @@ class TestConvexPolygon:
     def test_minkowski_octagon_scaling(self):
         # for convex W: sW + (1-s)W = W
         w = octagon_window()
-        s = QuadRat(QuadInt(1, 0), 3)
+        s = QuadRat(1, 0, 3)
         part1 = w.linear_image(((s, 0), (0, s)))
         t = 1 - s
         part2 = w.linear_image(((t, 0), (0, t)))
@@ -461,7 +461,7 @@ class TestConvexPolygon:
         ac = ALPHA_CONJ
         inner = w.linear_image(((ac, 0), (0, ac)))
         region = w.erode(inner)
-        scale = QuadInt(2, -1)  # 2 - sqrt2
+        scale = QuadRat(2, -1)  # 2 - sqrt2
         expected = w.linear_image(((scale, 0), (0, scale)))
         assert region == expected
 
@@ -478,8 +478,8 @@ class TestConvexPolygon:
 
     def test_support_function(self):
         w = octagon_window()
-        assert w.support((1, 0)) == QuadRat(ALPHA, 2)
-        assert w.support((0, -1)) == QuadRat(ALPHA, 2)
+        assert w.support((1, 0)) == ALPHA / 2
+        assert w.support((0, -1)) == ALPHA / 2
 
 
 class TestHausdorff2D:
@@ -494,7 +494,7 @@ class TestHausdorff2D:
 
     def test_concentric_octagons(self):
         w = octagon_window()
-        s = float(QuadInt(2, -1))
+        s = float(QuadRat(2, -1))
         inner = w.linear_image(((s, 0), (0, s)))
         circumradius = math.sqrt((float(ALPHA) / 2) ** 2 + 0.25)
         expected = (1 - s) * circumradius

@@ -24,7 +24,6 @@ from selfsim.compactsets import ConvexPolygon, IntervalSet
 from selfsim.modelsets import CutProjectScheme, project_points
 from selfsim.numberfields import (
     SQRT2,
-    QuadInt,
     QuadRat,
     cyclo_exact,
     enumerate_cyclo_box,
@@ -32,14 +31,14 @@ from selfsim.numberfields import (
 )
 from selfsim.systems import builtin
 
-ALPHA = QuadInt(1, 1)
+ALPHA = QuadRat(1, 1)
 SILVER = CutProjectScheme.silver()
 OCTAGONAL = CutProjectScheme.octagonal()
 
 
 def quads(rows) -> list:
     """The ring elements of (a, b) coefficient rows."""
-    return [QuadInt(*row) for row in rows.tolist()]
+    return [QuadRat(*row) for row in rows.tolist()]
 
 
 def cyclos(rows) -> list:
@@ -63,9 +62,9 @@ def exact_quad_range(phys_lo, phys_hi, star_lo, star_hi):
     out = []
     for a in range(-math.floor(m) - 1, math.floor(m) + 2):
         for b in range(-math.floor(m / SQRT2) - 1, math.floor(m / SQRT2) + 2):
-            x = QuadRat(QuadInt(a, b))
+            x = QuadRat(a, b)
             if plo <= x <= phi and slo <= x.star() <= shi:
-                out.append(QuadInt(a, b))
+                out.append(QuadRat(a, b))
     return sorted(out, key=lambda x: (x.embed(), x.a, x.b))
 
 
@@ -99,10 +98,10 @@ def exact_project(scheme, window, radius):
         lo, hi = float(window.lo) - 1e-6, float(window.hi) + 1e-6
         candidates = quads(enumerate_quad_range(-r, r, lo, hi))
         if window.is_exact:
-            return [x for x in candidates if window.contains(QuadRat(x.star()), eps=0)]
+            return [x for x in candidates if window.contains(x.star(), eps=0)]
         return [x for x in candidates if window.contains(x.embed_star(), eps=1e-12)]
     star_bound = max(abs(float(v)) for v in window.bbox()) + 1e-6
-    rsq = QuadRat(QuadInt(r.numerator**2, 0), r.denominator**2)
+    rsq = QuadRat(r.numerator**2, 0, r.denominator**2)
     out = []
     for row in cyclos(enumerate_cyclo_box(r, star_bound)):
         re, im, sre, sim = cyclo_exact(*row)
@@ -179,10 +178,10 @@ class TestBoundaryCases:
 
     def test_window_endpoints_on_lattice_images(self, exact_calls):
         # alpha* sits exactly on the lower endpoint of [alpha*, 0], 0 on the upper
-        window = IntervalSet.closed(QuadInt(1, -1), QuadInt(0, 0))
+        window = IntervalSet.closed(QuadRat(1, -1), QuadRat(0, 0))
         got = quads(project_points(SILVER, window, 3))
         assert exact_calls["contains"] > 0
-        assert ALPHA in got and QuadInt(0, 0) in got
+        assert ALPHA in got and QuadRat(0, 0) in got
         assert got == exact_project(SILVER, window, 3)
 
     def test_window_endpoint_a_few_ulps_from_a_lattice_image(self, exact_calls):
@@ -207,7 +206,7 @@ class TestBoundaryCases:
     def test_window_edges_through_lattice_images(self, exact_calls):
         # corners (+-t, +-t) with t = 1 + 1/sqrt2: (t, t) is the star image of
         # 1 - xi^2 + xi^3, and more star images lie on every edge
-        t = QuadRat(QuadInt(2, 1), 2)
+        t = QuadRat(2, 1, 2)
         assert star_point((1, 0, -1, 1)) == (t, t)
         window = square(t)
         got = cyclos(project_points(OCTAGONAL, window, 6))
@@ -246,7 +245,7 @@ class TestBoundaryCases:
 # properties over both rings
 
 small = st.integers(-3, 3)
-quad_elements = st.builds(QuadInt, small, small)
+quad_elements = st.builds(QuadRat, small, small)
 ulps = st.integers(-3, 3)
 quad_bounds = st.one_of(
     st.integers(-6, 6).map(Fraction),
@@ -285,7 +284,7 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(
-            st.one_of(quad_elements.map(lambda x: QuadRat(x.star())), quad_bounds),
+            st.one_of(quad_elements.map(lambda x: x.star()), quad_bounds),
             min_size=2, max_size=4,
         ),
         st.one_of(

@@ -24,15 +24,14 @@ from selfsim.modelsets import (
 from selfsim.numberfields import (
     HALF_SQRT2,
     SQRT2,
-    QuadInt,
     QuadRat,
     enumerate_cyclo_box,
     enumerate_quad_range,
 )
 from selfsim.systems import builtin
 
-ALPHA = QuadInt(1, 1)  # 1 + sqrt2
-W_LO_1 = QuadRat(QuadInt(-2, 1), 2)  # 1/sqrt2 - 1
+ALPHA = QuadRat(1, 1)  # 1 + sqrt2
+W_LO_1 = QuadRat(-2, 1, 2)  # 1/sqrt2 - 1
 W1 = IntervalSet.closed(W_LO_1, HALF_SQRT2)
 W2 = IntervalSet.closed(-HALF_SQRT2, W_LO_1)
 W = IntervalSet.closed(-HALF_SQRT2, HALF_SQRT2)
@@ -46,14 +45,14 @@ TERNARY_RULE = SubstitutionRule(
 
 # physical translation sets of the silver inflation system, per component
 SILVER_TRANSLATIONS = (
-    ((QuadInt(0, 0), QuadInt(2, 1)), (QuadInt(0, 0),)),
-    ((QuadInt(1, 1),), None),
+    ((QuadRat(0, 0), QuadRat(2, 1)), (QuadRat(0, 0),)),
+    ((QuadRat(1, 1),), None),
 )
 
 
 def octagon_window() -> ConvexPolygon:
     half = Fraction(1, 2)
-    ha = QuadRat(QuadInt(1, 1), 2)  # alpha / 2
+    ha = QuadRat(1, 1, 2)  # alpha / 2
     return ConvexPolygon(
         [
             (ha, half),
@@ -70,7 +69,7 @@ def octagon_window() -> ConvexPolygon:
 
 def quads(rows) -> list:
     """The ring elements of (a, b) coefficient rows."""
-    return [QuadInt(*row) for row in rows.tolist()]
+    return [QuadRat(*row) for row in rows.tolist()]
 
 
 def letter_frequencies(rule, steps=200):
@@ -127,7 +126,7 @@ class TestCoordinates:
     @given(st.lists(st.tuples(coefficient, coefficient), min_size=1, max_size=8))
     def test_quad_rows_are_the_embeddings_bit_for_bit(self, rows):
         got = CutProjectScheme.silver().coordinates(np.array(rows, dtype=np.int64))
-        want = [[QuadInt(*r).embed(), QuadInt(*r).embed_star()] for r in rows]
+        want = [[QuadRat(*r).embed(), QuadRat(*r).embed_star()] for r in rows]
         assert np.array_equal(bits(got), bits(want))
 
     @settings(max_examples=200, deadline=None)
@@ -164,13 +163,13 @@ def test_results_hold_one_row_per_point():
 class TestProjectPoints:
     def test_silver_window_radius_5(self):
         points = quads(project_points(CutProjectScheme.silver(), W, 5))
-        expected = {QuadInt(0, 0), ALPHA, -ALPHA, QuadInt(2, 1), QuadInt(-2, -1)}
+        expected = {QuadRat(0, 0), ALPHA, -ALPHA, QuadRat(2, 1), QuadRat(-2, -1)}
         assert set(points) == expected
         assert [float(x) for x in points] == sorted(float(x) for x in points)
 
     def test_silver_w2_radius_5(self):
         points = quads(project_points(CutProjectScheme.silver(), W2, 5))
-        assert set(points) == {ALPHA, QuadInt(-2, -1)}
+        assert set(points) == {ALPHA, QuadRat(-2, -1)}
 
     def test_point_window_outside_ring(self):
         window = IntervalSet.point(Fraction(1, 3))
@@ -178,9 +177,9 @@ class TestProjectPoints:
 
     def test_boundary_membership_is_exact(self):
         # alpha* sits exactly on the upper endpoint of a [alpha*, 0] window
-        window = IntervalSet.closed(QuadInt(1, -1), QuadInt(0, 0))
+        window = IntervalSet.closed(QuadRat(1, -1), QuadRat(0, 0))
         points = quads(project_points(CutProjectScheme.silver(), window, 3))
-        assert ALPHA in points and QuadInt(0, 0) in points
+        assert ALPHA in points and QuadRat(0, 0) in points
 
     def test_window_type_checked(self):
         with pytest.raises(TypeError):
@@ -212,7 +211,7 @@ class TestSubstitution:
 
     def test_zero_generations_seed_coordinates(self):
         orbit = substitution_orbit(SILVER_RULE, ("a", "a"), 0)
-        assert orbit.positions["a"] == (-ALPHA, QuadInt(0, 0))
+        assert orbit.positions["a"] == (-ALPHA, QuadRat(0, 0))
         assert orbit.positions["b"] == ()
 
     def test_right_endpoints_ternary_seed(self):
@@ -282,32 +281,32 @@ class TestCrosscheck:
 
 class TestMaximalRegion:
     def test_silver_w1_w1(self):
-        region = maximal_translation_region(W1, W1, QuadInt(1, -1))
-        assert region == IntervalSet.closed(0, QuadInt(2, -1))
+        region = maximal_translation_region(W1, W1, QuadRat(1, -1))
+        assert region == IntervalSet.closed(0, QuadRat(2, -1))
 
     def test_silver_w2_w1_singleton(self):
-        region = maximal_translation_region(W2, W1, QuadInt(1, -1))
-        assert region == IntervalSet.point(QuadInt(1, -1))
+        region = maximal_translation_region(W2, W1, QuadRat(1, -1))
+        assert region == IntervalSet.point(QuadRat(1, -1))
 
     def test_silver_w2_w2_nonempty_by_the_interval_formula(self):
         # the literal formula gives [2 alpha*, sqrt2 - 2]; the shipped
         # silver-system config keeps this entry empty instead
-        region = maximal_translation_region(W2, W2, QuadInt(1, -1))
-        assert region == IntervalSet.closed(QuadInt(2, -2), QuadInt(-2, 1))
+        region = maximal_translation_region(W2, W2, QuadRat(1, -1))
+        assert region == IntervalSet.closed(QuadRat(2, -2), QuadRat(-2, 1))
 
     def test_too_wide_image_gives_none(self):
-        region = maximal_translation_region(W2, W, QuadInt(1, -1))
+        region = maximal_translation_region(W2, W, QuadRat(1, -1))
         assert region is None
 
     def test_octagon_erosion(self):
         window = octagon_window()
-        region = maximal_translation_region(window, window, QuadInt(1, -1))
-        expected = window.linear_image(((QuadInt(2, -1), 0), (0, QuadInt(2, -1))))
+        region = maximal_translation_region(window, window, QuadRat(1, -1))
+        expected = window.linear_image(((QuadRat(2, -1), 0), (0, QuadRat(2, -1))))
         assert region.vertices == expected.vertices
 
     def test_inclusion_when_sampled(self):
-        region = maximal_translation_region(W1, W1, QuadInt(1, -1))
-        a = float(QuadInt(1, -1))
+        region = maximal_translation_region(W1, W1, QuadRat(1, -1))
+        a = float(QuadRat(1, -1))
         lo, hi = float(W1.lo), float(W1.hi)
         for w in np.linspace(lo, hi, 9):
             for b in np.linspace(float(region.lo), float(region.hi), 9):

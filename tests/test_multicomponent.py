@@ -32,14 +32,14 @@ from selfsim.multicomponent import (
     solve_mc_density,
     verify_nonoverlap,
 )
-from selfsim.numberfields import HALF_SQRT2, QuadInt, QuadRat
+from selfsim.numberfields import HALF_SQRT2, QuadRat
 
 AC = 1.0 - math.sqrt(2.0)
 R = abs(AC)
 
 # windows of the two-component silver system, exactly
-W1X = IntervalSet.closed(QuadRat(QuadInt(-2, 1), 2), HALF_SQRT2)
-W2X = IntervalSet.closed(QuadRat(QuadInt(0, -1), 2), QuadRat(QuadInt(-2, 1), 2))
+W1X = IntervalSet.closed(QuadRat(-2, 1, 2), HALF_SQRT2)
+W2X = IntervalSet.closed(QuadRat(0, -1, 2), QuadRat(-2, 1, 2))
 
 SILVER_S = np.array([[2 * R, R], [R, 0.0]])
 
@@ -62,26 +62,26 @@ def point(location, mass):
 
 
 def silver_minimal_system():
-    shift = QuadInt(2, -1)  # 2 - sqrt2, the right-branch translation
+    shift = QuadRat(2, -1)  # 2 - sqrt2, the right-branch translation
     sigma = [
         [atoms(0.0, float(shift)), atoms(0.0)],
         [atoms(AC), None],
     ]
     exact = [
         [(Fraction(0), shift), (Fraction(0),)],
-        [(QuadInt(1, -1),), None],
+        [(QuadRat(1, -1),), None],
     ]
-    return MCSystem(QuadInt(1, -1), sigma, m=(1.0, R), exact_offsets=exact)
+    return MCSystem(QuadRat(1, -1), sigma, m=(1.0, R), exact_offsets=exact)
 
 
 def silver_maximal_system():
-    upper = IntervalSet.closed(Fraction(0), QuadInt(2, -1))
-    symmetric = IntervalSet.closed(QuadInt(1, -1), QuadInt(-1, 1))
+    upper = IntervalSet.closed(Fraction(0), QuadRat(2, -1))
+    symmetric = IntervalSet.closed(QuadRat(1, -1), QuadRat(-1, 1))
     sigma = [
         [UniformFamily(upper, 2 * R), UniformFamily(symmetric, R)],
         [point(AC, R), None],
     ]
-    return MCSystem(QuadInt(1, -1), sigma, m=(1.0, R))
+    return MCSystem(QuadRat(1, -1), sigma, m=(1.0, R))
 
 
 class TestMassVector:
@@ -142,16 +142,16 @@ class TestMCSystem:
         assert np.allclose(system.m, [1.0, R], atol=1e-12)
 
     def test_computes_mass_vector_when_omitted(self):
-        shift = QuadInt(2, -1)
+        shift = QuadRat(2, -1)
         sigma = [[atoms(0.0, float(shift)), atoms(0.0)], [atoms(AC), None]]
-        system = MCSystem(QuadInt(1, -1), sigma)
+        system = MCSystem(QuadRat(1, -1), sigma)
         assert np.allclose(system.m, [1.0, R], atol=1e-9)
 
     def test_incompatible_mass_vector(self):
-        shift = QuadInt(2, -1)
+        shift = QuadRat(2, -1)
         sigma = [[atoms(0.0, float(shift)), atoms(0.0)], [atoms(AC), None]]
         with pytest.raises(CompatibilityError):
-            MCSystem(QuadInt(1, -1), sigma, m=(1.0, 1.0))
+            MCSystem(QuadRat(1, -1), sigma, m=(1.0, 1.0))
 
     def test_row_without_families(self):
         with pytest.raises(ValueError):
@@ -283,9 +283,9 @@ class TestSolveMCDensity:
         assert np.allclose(g2.support(), (a * lo + shift_2, a * hi + shift_2), atol=3 * g2.step)
 
     def test_single_component_matches_scalar_solver(self):
-        window = IntervalSet.closed(QuadInt(1, -1), QuadInt(-1, 1))
+        window = IntervalSet.closed(QuadRat(1, -1), QuadRat(-1, 1))
         tol = 1e-9
-        system = MCSystem(QuadInt(1, -1), [[UniformFamily(window, 1.0)]], m=(1.0,))
+        system = MCSystem(QuadRat(1, -1), [[UniformFamily(window, 1.0)]], m=(1.0,))
         sol = solve_mc_density(system, step=1e-3, tol=tol)
         h = sol.components[0].step
         scalar = solve_density(family_as_grid(UniformFamily(window, 1.0), h), AC, tol=tol)
@@ -335,10 +335,10 @@ class TestNonoverlap:
         ]
         exact = [
             [(Fraction(0), Fraction(0)), (Fraction(0),)],
-            [(QuadInt(1, -1),), None],
+            [(QuadRat(1, -1),), None],
         ]
         system = MCSystem(
-            QuadInt(1, -1), sigma, m=(1.0, R), exact_offsets=exact
+            QuadRat(1, -1), sigma, m=(1.0, R), exact_offsets=exact
         )
         report = verify_nonoverlap(system, (W1X, W2X))
         assert not report.holds

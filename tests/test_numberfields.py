@@ -14,7 +14,6 @@ from selfsim.numberfields import (
     SILVER,
     SILVER_CONJ,
     SQRT2,
-    QuadInt,
     QuadRat,
     cyclo_exact,
     enumerate_cyclo_box,
@@ -30,7 +29,7 @@ ZERO = (0, 0, 0, 0)
 
 def quads(rows) -> list:
     """The ring elements of (a, b) coefficient rows."""
-    return [QuadInt(*row) for row in rows.tolist()]
+    return [QuadRat(*row) for row in rows.tolist()]
 
 
 def cyclos(rows) -> list:
@@ -48,7 +47,7 @@ def brute_quad_box(phys_bound, star_bound, coeff_bound=40):
         for b in range(-coeff_bound, coeff_bound + 1):
             x, xs = a + b * SQRT2, a - b * SQRT2
             if abs(x) <= phys_bound + 1e-9 and abs(xs) <= star_bound + 1e-9:
-                out.append(QuadInt(a, b))
+                out.append(QuadRat(a, b))
     return sorted(out, key=lambda q: q.embed())
 
 
@@ -70,35 +69,55 @@ def brute_cyclo_box(phys_bound, star_bound):
     return [row for *_, row in sorted(out)]
 
 
+def exact_sign(p: Fraction, q: Fraction) -> int:
+    """Reference sign of p + q*sqrt2, from an integer square root."""
+    d = p.denominator * q.denominator
+    P, Q = int(p * d), int(q * d)
+    if Q == 0:
+        return (P > 0) - (P < 0)
+    # |Q|*sqrt2 lies strictly between s and s + 1
+    s = math.isqrt(2 * Q * Q)
+    if Q > 0:
+        return 1 if P + s >= 0 else -1
+    return -1 if P - s <= 0 else 1
+
+
+def pair(x: QuadRat) -> tuple:
+    """x as the two Fractions p, q of p + q*sqrt2."""
+    return Fraction(x.a, x.den), Fraction(x.b, x.den)
+
+
+ints = st.integers(-10**12, 10**12)
+quadrats = st.builds(QuadRat, ints, ints, ints.filter(bool))
+
+
 class TestQuadInt:
+    """Elements a + b*sqrt2 of Z[sqrt2]: QuadRat(a, b), den = 1."""
+
     def test_star_of_silver(self):
-        assert ALPHA.star() == QuadInt(1, -1)
+        assert ALPHA.star() == QuadRat(1, -1)
 
     def test_star_is_multiplicative(self):
-        x = QuadInt(3, 2)
+        x = QuadRat(3, 2)
         assert x == ALPHA * ALPHA
         assert x.star() == ALPHA.star() * ALPHA.star()
+        assert SILVER_CONJ * ALPHA == -1
 
     def test_embed(self):
-        assert QuadInt(1, 1).embed() == pytest.approx(2.414213562373095, abs=1e-15)
-        assert QuadInt(1, 1).embed_star() == pytest.approx(1 - math.sqrt(2))
+        assert QuadRat(1, 1).embed() == pytest.approx(2.414213562373095, abs=1e-15)
+        assert QuadRat(1, 1).embed_star() == pytest.approx(1 - math.sqrt(2))
 
     def test_exact_ordering_near_tie(self):
         # 665857/470832 is a convergent of sqrt2: floats cannot tell these apart
-        big = QuadInt(665857, -470832)
+        big = QuadRat(665857, -470832)
         assert big.sign() == 1
-        assert QuadInt(-665857, 470832).sign() == -1
-        assert QuadInt(665857, -470833).sign() == -1
-
-    def test_pow(self):
-        assert ALPHA ** 2 == QuadInt(3, 2)
-        assert ALPHA ** 0 == QuadInt(1, 0)
-        assert SILVER_CONJ * ALPHA == QuadInt(-1, 0)
+        assert QuadRat(-665857, 470832).sign() == -1
+        assert QuadRat(665857, -470833).sign() == -1
 
     @given(st.integers(-50, 50), st.integers(-50, 50),
            st.integers(-50, 50), st.integers(-50, 50))
     def test_mul_matches_floats(self, a, b, c, d):
-        x, y = QuadInt(a, b), QuadInt(c, d)
+        x, y = QuadRat(a, b), QuadRat(c, d)
         assert (x * y).embed() == pytest.approx(x.embed() * y.embed(), rel=1e-9, abs=1e-6)
 
     @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
@@ -108,36 +127,73 @@ class TestQuadInt:
         root2 = decimal.Decimal(2).sqrt()
         val = decimal.Decimal(a) + decimal.Decimal(b) * root2
         expected = 0 if val == 0 else (1 if val > 0 else -1)
-        assert QuadInt(a, b).sign() == expected
+        assert QuadRat(a, b).sign() == expected
 
 
 class TestQuadRat:
     def test_lowest_terms(self):
-        q = QuadRat(QuadInt(2, 4), 6)
-        assert q.num == QuadInt(1, 2) and q.den == 3
+        q = QuadRat(2, 4, 6)
+        assert (q.a, q.b, q.den) == (1, 2, 3)
 
     def test_negative_denominator_normalised(self):
-        q = QuadRat(QuadInt(1, 1), -2)
-        assert q.den == 2 and q.num == QuadInt(-1, -1)
+        q = QuadRat(1, 1, -2)
+        assert (q.a, q.b, q.den) == (-1, -1, 2)
 
     def test_field_ops(self):
-        half_sqrt2 = QuadRat(QuadInt(0, 1), 2)
-        assert half_sqrt2 + half_sqrt2 == QuadInt(0, 1)
-        assert half_sqrt2 * QuadInt(0, 1) == 1
-        assert 1 / half_sqrt2 == QuadInt(0, 1)
-        assert QuadRat(QuadInt(1, 0), 1) / QuadInt(1, 1) == QuadRat(QuadInt(-1, 1), 1)
+        half_sqrt2 = QuadRat(0, 1, 2)
+        assert half_sqrt2 + half_sqrt2 == QuadRat(0, 1)
+        assert half_sqrt2 * QuadRat(0, 1) == 1
+        assert 1 / half_sqrt2 == QuadRat(0, 1)
+        assert QuadRat(1) / QuadRat(1, 1) == QuadRat(-1, 1)
 
     def test_ordering(self):
-        w_lo = QuadRat(QuadInt(-2, 1), 2)  # 1/sqrt2 - 1
-        w_hi = QuadRat(QuadInt(0, 1), 2)   # 1/sqrt2
+        w_lo = QuadRat(-2, 1, 2)  # 1/sqrt2 - 1
+        w_hi = QuadRat(0, 1, 2)   # 1/sqrt2
         assert w_lo < 0 < w_hi
         assert w_lo < w_hi
         assert abs(w_lo) < w_hi
 
     def test_fraction_interop(self):
-        assert QuadRat.from_fraction(Fraction(3, 4)) == QuadRat(QuadInt(3, 0), 4)
-        assert QuadRat(QuadInt(1, 0), 2) == Fraction(1, 2)
-        assert QuadRat(QuadInt(1, 0), 2) < Fraction(2, 3)
+        assert QuadRat.from_fraction(Fraction(3, 4)) == QuadRat(3, 0, 4)
+        assert QuadRat(1, 0, 2) == Fraction(1, 2)
+        assert QuadRat(1, 0, 2) < Fraction(2, 3)
+
+    def test_text(self):
+        assert str(QuadRat(1, -1)) == "1-1*sqrt2"
+        assert str(QuadRat(3)) == "3+0*sqrt2"
+        assert str(QuadRat(-2, 1, 4)) == "(-2+1*sqrt2)/4"
+
+    @given(ints, st.integers(-3, 3), ints.filter(bool))
+    def test_hash_agrees_with_equal_rationals(self, a, b, d):
+        q, x = QuadRat(a, b, d), Fraction(a, d)
+        assert (q == x) == (b == 0)
+        if q == x:
+            assert hash(q) == hash(x) and x in {q} and q in {x}
+            if x.denominator == 1:
+                assert q == int(x) and hash(q) == hash(int(x)) and int(x) in {q}
+
+    @given(quadrats, quadrats)
+    def test_field_ops_match_a_fraction_pair_reference(self, x, y):
+        (p, q), (r, s) = pair(x), pair(y)
+        assert pair(x + y) == (p + r, q + s)
+        assert pair(x - y) == (p - r, q - s)
+        assert pair(x * y) == (p * r + 2 * q * s, p * s + q * r)
+        n = r * r - 2 * s * s
+        if n:
+            assert pair(x / y) == ((p * r - 2 * q * s) / n, (q * r - p * s) / n)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        assert pair(x.star()) == (p, -q)
+        assert x.norm() == p * p - 2 * q * q
+        assert x.sign() == exact_sign(p, q)
+        assert (x < y) == (exact_sign(p - r, q - s) < 0)
+
+    @given(st.integers(-(2**50), 2**50), st.integers(-(2**50), 2**50), st.integers(1, 2**50))
+    def test_float_is_the_float_expression_bit_for_bit(self, a, b, d):
+        assert float(QuadRat(a, b)).hex() == (a + b * SQRT2).hex()
+        if math.gcd(a, b, d) == 1:  # in lowest terms, so stored as given
+            assert float(QuadRat(a, b, d)).hex() == ((a + b * SQRT2) / d).hex()
 
 
 class TestCycloExact:
@@ -175,15 +231,15 @@ class TestEnumeration:
         # Fraction(float) keeps the bound reproducible and exactly comparable
         bound = Fraction(1 / SQRT2)
         got = quads(enumerate_quad_range(-5, 5, -bound, bound))
-        expected = {QuadInt(0, 0), QuadInt(1, 1), QuadInt(-1, -1),
-                    QuadInt(2, 1), QuadInt(-2, -1)}
+        expected = {QuadRat(0, 0), QuadRat(1, 1), QuadRat(-1, -1),
+                    QuadRat(2, 1), QuadRat(-2, -1)}
         assert set(got) == expected
         assert got == sorted(got, key=lambda q: q.embed())
         assert set(got) == set(brute_quad_box(5, 1 / SQRT2))
 
     def test_quad_tiny_bound_only_origin(self):
         half = Fraction(1, 2)
-        assert quads(enumerate_quad_range(-half, half, -half, half)) == [QuadInt(0, 0)]
+        assert quads(enumerate_quad_range(-half, half, -half, half)) == [QuadRat(0, 0)]
 
     def test_quad_asymmetric_range_against_oracle(self):
         got = quads(enumerate_quad_range(-10, 10, Fraction(-1, 3), Fraction(4, 5)))
@@ -207,6 +263,21 @@ class TestEnumeration:
         got = cyclos(enumerate_cyclo_box(Fraction(11, 10), Fraction(11, 10)))
         corners = {(s0, 0, s2, 0) for s0 in (1, -1) for s2 in (1, -1)}
         assert set(got) == UNITS | corners | {ZERO}
+
+    def test_bounds_past_the_float_range_are_capped_before_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(numberfields, "_chunks", no_work)
+        huge = 10**400
+        with pytest.raises(ResourceCapError):
+            enumerate_quad_range(-huge, huge, -1, 1)
+        with pytest.raises(ResourceCapError):
+            enumerate_quad_range(huge - 100, huge + 100, -1, 1)
+        with pytest.raises(ResourceCapError):
+            enumerate_cyclo_box(huge, 2)
+        with pytest.raises(ResourceCapError):
+            enumerate_cyclo_box(2, Fraction(huge, 3))
 
     def test_resource_cap(self):
         with pytest.raises(ResourceCapError):

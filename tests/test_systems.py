@@ -6,7 +6,7 @@ import pytest
 
 from selfsim.compactsets import AffineMap, TranslationFamilyMap
 from selfsim.measures import FiniteFamily, UniformFamily
-from selfsim.numberfields import QuadInt
+from selfsim.numberfields import QuadRat
 from selfsim.systems import BUILTIN_NAMES, builtin
 
 AC = 1.0 - math.sqrt(2.0)
@@ -21,10 +21,10 @@ MASSES = {
     "silver-mc-max": ([[2 * R, R], [R, None]], (1.0, R)),
     "ammann-beenker": ([[1.0]], None),
 }
-ZERO, SHIFT = QuadInt(0, 0), QuadInt(2, -1)
+ZERO, SHIFT = QuadRat(0, 0), QuadRat(2, -1)
 EXACT_OFFSETS = {
-    "silver-mc-min": (((ZERO, SHIFT), (ZERO,)), ((QuadInt(1, -1),), None)),
-    "silver-mc": (((ZERO, SHIFT), (ZERO,)), ((QuadInt(1, -1),), None)),
+    "silver-mc-min": (((ZERO, SHIFT), (ZERO,)), ((QuadRat(1, -1),), None)),
+    "silver-mc": (((ZERO, SHIFT), (ZERO,)), ((QuadRat(1, -1),), None)),
 }
 
 
@@ -67,4 +67,4 @@ def test_maps_and_measure_facets_describe_one_family(name):
 
 def test_planar_contraction_is_exact():
     b = builtin("ammann-beenker")
-    assert b.contraction == ((QuadInt(1, -1), ZERO), (ZERO, QuadInt(1, -1)))
+    assert b.contraction == ((QuadRat(1, -1), ZERO), (ZERO, QuadRat(1, -1)))

@@ -12,11 +12,12 @@ at patch radii that take the lattice enumeration deep in both,
 on a 70,713-node grid, ``measure`` at a tol the density solver cannot
 reach, command lines the parser refuses, non-finite radius, centre, tol
 and inline system values and other refused inputs (exit 1, no files),
-and ``weyl --radius`` given a list, each as a fresh ``python -m
-selfsim.cli`` process against this checkout's ``src`` in its own
-temporary directory.  The ``padic --K 8`` runs take under a second with
-the coset-quotient solve and about 40 s each with the full-depth solve
-it replaced, so a set recorded at such a commit takes minutes longer.
+``weyl --radius`` given a list, and Weyl patches too large to enumerate
+(exit 3, no files), each as a fresh ``python -m selfsim.cli`` process
+against this checkout's ``src`` in its own temporary directory.  The
+``padic --K 8`` runs take under a second with the coset-quotient solve
+and about 40 s each with the full-depth solve it replaced, so a set
+recorded at such a commit takes minutes longer.
 Prints one JSON document listing, per run, the command, its exit code,
 the sha256 of every file it wrote and the sha256 of its stdout and
 stderr.  Before hashing, the run's temporary directory and this checkout's
@@ -95,6 +96,14 @@ REFUSAL_RUNS = (
     (["measure", "--system", "silver-max"], {"tol": "1e-8"}),
     (["fourier", "--system", "silver-max"], {"k_step": None}),
     (["weyl", "--system", "silver", "--radius", "100,500"], None),
+)
+# Weyl patches too large to enumerate, run once each: a resource cap, exit 3
+# with no files, refused before any float of the patch bounds overflows
+CAP_RUNS = (
+    (["weyl", "--system", "silver", "--radii", "1e308"], None),
+    (["weyl", "--system", "ammann-beenker", "--radii", "1e200"], None),
+    (["weyl", "--system", "silver", "--radii", "100"], {"centers": [1e308]}),
+    (["weyl", "--system", "silver", "--radii", "1e308"], {"centers": [1e308]}),
 )
 FORMATS = ("csv", "json")
 # (arguments, config file contents): Weyl centres only reach the CLI by config
@@ -189,6 +198,7 @@ def default_runs() -> list:
     runs.extend((args, None) for args in USAGE_ERROR_RUNS)
     runs.extend(NONFINITE_RUNS)
     runs.extend(REFUSAL_RUNS)
+    runs.extend(CAP_RUNS)
     return runs
 
 
