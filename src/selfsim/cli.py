@@ -150,10 +150,7 @@ def build_config(config_path: Optional[str], defaults=None, **flags) -> Experime
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    _refuse_unknown(data, {f.name for f in fields(ExperimentConfig)}, "config")
     merged = dict(defaults or {})
     merged.update(data)
     merged.update({k: v for k, v in flags.items() if v is not None})
@@ -165,6 +162,21 @@ def build_config(config_path: Optional[str], defaults=None, **flags) -> Experime
 
 # ---------------------------------------------------------------------------
 # inline system descriptors
+
+
+def _refuse_unknown(spec, known, what: str) -> None:
+    """Refuse a dict ``spec`` with keys outside ``known``, naming them."""
+    unknown = set(spec) - set(known) if isinstance(spec, dict) else ()
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+
+
+# the keys of each inline family kind, "kind" included
+_FAMILY_KEYS = {
+    "uniform": ("kind", "lo", "hi", "mass"),
+    "atoms": ("kind", "atoms"),
+    "point": ("kind", "location", "mass"),
+}
 
 
 def _finite(value, what: str) -> float:
@@ -179,6 +191,9 @@ def _family_from_spec(spec) -> object:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("family spec must be a dict with a 'kind'")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
+        raise ConfigError(f"unknown family kind {kind!r}")
+    _refuse_unknown(spec, _FAMILY_KEYS[kind], f"{kind!r} family spec")
     try:
         if kind == "uniform":
             region = compactsets.IntervalSet.closed(
@@ -194,16 +209,21 @@ def _family_from_spec(spec) -> object:
                 (_finite(loc, "an atom's location"), _finite(w, "an atom's weight"))
                 for loc, w in spec["atoms"]
             ]
-            return measures.FiniteFamily(measures.DiscreteMeasure(atoms))
-        if kind == "point":
-            atom = (
-                _finite(spec["location"], "a point family's 'location'"),
-                _finite(spec.get("mass", 1.0), "a point family's 'mass'"),
-            )
-            return measures.FiniteFamily(measures.DiscreteMeasure([atom]))
+            return measures.DiscreteMeasure(atoms)
+        atom = (  # kind == "point"
+            _finite(spec["location"], "a point family's 'location'"),
+            _finite(spec.get("mass", 1.0), "a point family's 'mass'"),
+        )
+        return measures.DiscreteMeasure([atom])
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad {kind!r} family spec: {exc}")
-    raise ConfigError(f"unknown family kind {kind!r}")
+
+
+def _map_from_spec(spec, a: float):
+    """The map x -> a x + t of one ``maps`` entry; its own "a" overrides ``a``."""
+    _refuse_unknown(spec, ("t", "a"), "inline map")
+    a = _finite(spec.get("a", a), "a map's 'a'")
+    return compactsets.AffineMap(a, _finite(spec["t"], "a map's 't'"))
 
 
 def system_from_spec(spec: dict) -> systems.BuiltinSystem:
@@ -211,12 +231,14 @@ def system_from_spec(spec: dict) -> systems.BuiltinSystem:
 
     Recognized keys: ``a`` (the shared contraction), ``maps`` (nested
     per-component translation lists, each entry ``{"t": ...}`` with an
-    optional per-map ``"a"``), ``seeds`` / ``windows`` (seed intervals
-    as [lo, hi] pairs), ``family`` (single-component measure spec),
-    ``sigma`` and ``m`` (multi-component entries and mass vector), and
-    an optional ``s`` cross-checked against the family masses.  Every
-    number must be finite.
+    optional per-map ``"a"``), ``seeds`` (seed intervals as [lo, hi]
+    pairs), ``family`` (single-component measure spec), ``sigma`` and
+    ``m`` (multi-component entries and mass vector), and an optional
+    ``s`` cross-checked against the family masses.  Any other key, here,
+    in a map entry or in a family spec, is refused.  Every number must
+    be finite.
     """
+    _refuse_unknown(spec, ("a", "maps", "seeds", "family", "sigma", "m", "s"), "inline system")
     if "a" not in spec:
         raise ConfigError("inline system needs the contraction 'a'")
     try:
@@ -228,24 +250,13 @@ def system_from_spec(spec: dict) -> systems.BuiltinSystem:
     ifs = seeds = None
     if "maps" in spec:
         try:
-            grid = [
-                [
-                    [
-                        compactsets.AffineMap(
-                            _finite(m.get("a", a), "a map's 'a'"), _finite(m["t"], "a map's 't'")
-                        )
-                        for m in cell
-                    ]
-                    for cell in row
-                ]
-                for row in spec["maps"]
-            ]
+            grid = [[[_map_from_spec(m, a) for m in cell] for cell in row] for row in spec["maps"]]
             ifs = compactsets.IFSSystem(grid)
         except (KeyError, TypeError, AttributeError) as exc:
             raise ConfigError(f"bad inline maps: {exc}")
         except ValueError as exc:
             raise ConfigError(str(exc))
-        raw_seeds = spec.get("seeds", spec.get("windows"))
+        raw_seeds = spec.get("seeds")
         if raw_seeds is None:
             raw_seeds = [[-1.0, 1.0]] * ifs.n
         try:
@@ -383,12 +394,8 @@ def _set_rows(s):
 def _check_grid_step(step: float, region, what: str) -> None:
     """Refuse a raster step that is not below the region's smallest
     extent: such a grid cannot resolve the region at all."""
-    region = region.as_float()
-    if isinstance(region, compactsets.IntervalSet):
-        extent = region.hi - region.lo
-    else:
-        xlo, ylo, xhi, yhi = region.bbox()
-        extent = min(xhi - xlo, yhi - ylo)
+    box = region.as_float().bbox()  # the least coordinates, then the greatest
+    extent = min(hi - lo for lo, hi in zip(box[: region.dim], box[region.dim :]))
     if not step < extent:
         raise ConfigError(
             f"grid step {step:g} is not below the {what}'s smallest extent {extent:g}"
@@ -610,10 +617,7 @@ def cmd_weyl(cfg: ExperimentConfig) -> None:
         raise ResourceCapError("a Weyl ball reaches beyond the largest float")
     patch_radius = int(math.ceil(reach)) + 4  # margin so the rim is populated
     points = modelsets.project_points(b.scheme, b.window, patch_radius)
-    if isinstance(b.window, compactsets.IntervalSet):
-        g = measures.raster_interval_set(b.window, step, float(b.window.measure()))
-    else:
-        g = measures.raster_polygon(b.window, step, float(b.window.area))
+    g = measures.raster_region(b.window, step, float(b.window.measure()))
     table = modelsets.weyl_average(b.scheme, points, g, radii, centers=centers)
     header = f"radius,{('center', 'center_x,center_y')[d - 1]},average,limit,abs_error"
     rows = [

@@ -3,7 +3,9 @@
 Two concrete representations are provided: ``IntervalSet`` (a finite union
 of closed intervals, endpoints exact or float) and ``ConvexPolygon`` (a
 convex region with exact or float vertices; plane sets that are not convex
-are handled as tuples of convex parts).  Affine maps act on both and
+are handled as tuples of convex parts).  Both answer the same questions:
+``dim``, ``measure()``, ``bbox()`` (the least coordinate per axis, then
+the greatest), ``linear_image`` and ``affine``.  Affine maps act on both and
 expose their linear part as per-axis rows (1x1 on the line); a
 translation-family map realizes a whole compact family of translates at
 once via a Minkowski sum, and ``iterate_attractor`` drives the union map
@@ -69,6 +71,7 @@ class IntervalSet:
     """
 
     __slots__ = ("intervals", "is_exact")
+    dim = 1
 
     def __init__(self, intervals: Iterable[tuple]):
         pairs = [(lo, hi) for lo, hi in intervals]
@@ -112,7 +115,7 @@ class IntervalSet:
     def hi(self):
         return self.intervals[-1][1]
 
-    def hull(self) -> tuple:
+    def bbox(self) -> tuple:
         return (self.lo, self.hi)
 
     def measure(self):
@@ -135,7 +138,7 @@ class IntervalSet:
             [(float(lo) + tf, float(hi) + tf) for lo, hi in self.intervals]
         )
 
-    def scale(self, a) -> "IntervalSet":
+    def linear_image(self, a) -> "IntervalSet":
         if not (self.is_exact and _is_exact(a)):
             a = float(a)
             pairs = [(a * float(lo), a * float(hi)) for lo, hi in self.intervals]
@@ -144,6 +147,9 @@ class IntervalSet:
         if _sign_of(a) >= 0:
             return IntervalSet(pairs)
         return IntervalSet([(hi, lo) for lo, hi in pairs])
+
+    def affine(self, a, t) -> "IntervalSet":
+        return self.linear_image(a).translate(t)
 
     def minkowski(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(
@@ -201,6 +207,7 @@ class ConvexPolygon:
     """
 
     __slots__ = ("vertices", "is_exact")
+    dim = 2
 
     def __init__(self, vertices: Iterable[tuple]):
         verts = [tuple(v) for v in vertices]
@@ -253,8 +260,7 @@ class ConvexPolygon:
     def point(cls, x, y) -> "ConvexPolygon":
         return cls([(x, y)])
 
-    @property
-    def area(self):
+    def measure(self):
         if len(self.vertices) == 1:
             return 0
         doubled = _twice_signed_area(list(self.vertices))
@@ -570,11 +576,7 @@ def apply_affine(f: MapLike, S: CompactSet) -> CompactSet:
             p if isinstance(p, tuple) else (p,) for p in parts
         ))
     if isinstance(f, TranslationFamilyMap):
-        if isinstance(S, IntervalSet):
-            return S.scale(f.a).minkowski(f.family)
         return S.linear_image(f.a).minkowski(f.family)
-    if isinstance(S, IntervalSet):
-        return S.scale(f.a).translate(f.t)
     return S.affine(f.a, f.t)
 
 

@@ -1,12 +1,13 @@
 """Self-similar measures of a single contraction family on the line or plane.
 
-The family nu (finite atoms, one for a point mass, or a uniform density on
-a region) and a linear contraction A define the averaging step m -> nu * A.m,
-whose fixed point is the invariant measure.  It is computed as growing
-atom clouds (``solve_invariant_atoms``, iterated from nu itself), as a
-grid density (``solve_density``, the one-component case of the coupled
-grid solver ``grid_fixed_point``, iterated from a unit spike at the
-origin), or factor by factor in frequency space (``fourier_hat``).
+The family nu (finite atoms held as a DiscreteMeasure, one for a point
+mass, or a uniform density on a region) and a linear contraction A define
+the averaging step m -> nu * A.m, whose fixed point is the invariant
+measure.  It is computed as growing atom clouds (``solve_invariant_atoms``,
+iterated from nu itself), as a grid density (``solve_density``, the
+one-component case of the coupled grid solver ``grid_fixed_point``,
+iterated from a unit spike at the origin), or factor by factor in
+frequency space (``fourier_hat``).
 ``hutchinson_distance`` is the line's Wasserstein metric, used to
 certify the contraction property.  Every grid lives on the lattice
 h*Z^d: it stores the integer indices ``start`` of its first node, its
@@ -72,7 +73,8 @@ def _mesh(axes) -> list:
 
 class DiscreteMeasure:
     """Finite nonnegative atomic measure, sorted by location; an atom
-    within 1e-12 of a kept atom on every axis is merged into it."""
+    within 1e-12 of a kept atom on every axis is merged into it.  As a
+    translation family it is the finitely many weighted translations."""
 
     __slots__ = ("atoms",)
 
@@ -354,7 +356,7 @@ def raster_interval_set(region: IntervalSet, h: float, mass: float) -> GridDensi
     if length <= 0:
         raise ValueError("region must have positive measure for a uniform density")
     density = mass / length
-    lo, hi = region.hull()
+    lo, hi = region.bbox()
     _check_cells([(hi - lo) / h + 3])
     i0 = math.floor((lo - h / 2) / h + 0.5)
     i1 = math.ceil((hi + h / 2) / h - 0.5)
@@ -439,7 +441,7 @@ def raster_polygon(poly: ConvexPolygon, h: float, mass: float) -> GridDensity:
     column of terms per edge stand for the four corner grids.
     """
     poly = poly.as_float()
-    area = poly.area
+    area = poly.measure()
     if area <= 0:
         raise ValueError("polygon must have positive area")
     density = mass / area
@@ -475,6 +477,13 @@ def raster_polygon(poly: ConvexPolygon, h: float, mass: float) -> GridDensity:
     return GridDensity((i0, j0), h, vals)
 
 
+def raster_region(region, h: float, mass: float) -> GridDensity:
+    """Uniform density of the given mass on an interval set or a convex
+    polygon, by exact cell coverage: the one place a rasterizer is chosen."""
+    raster = raster_interval_set if region.dim == 1 else raster_polygon
+    return raster(region, h, mass)
+
+
 def point_mass_grid(location, h: float, mass: float) -> GridDensity:
     """A delta approximant: the whole mass in the one cell whose node is
     nearest to ``location`` (exact when location lies on the lattice)."""
@@ -485,21 +494,6 @@ def point_mass_grid(location, h: float, mass: float) -> GridDensity:
 
 # ---------------------------------------------------------------------------
 # translation families
-
-
-@dataclass(frozen=True)
-class FiniteFamily:
-    """Finitely many weighted translations."""
-
-    measure: DiscreteMeasure
-
-    @property
-    def dim(self) -> int:
-        return self.measure.dim
-
-    @property
-    def total_mass(self) -> float:
-        return self.measure.total_mass
 
 
 @dataclass(frozen=True)
@@ -514,23 +508,22 @@ class UniformFamily:
 
     @property
     def dim(self) -> int:
-        return 1 if isinstance(self.region, IntervalSet) else 2
+        return self.region.dim
 
 
-TranslationFamily = Union[FiniteFamily, UniformFamily]
+# a finite family of weighted translations is its DiscreteMeasure
+TranslationFamily = Union[DiscreteMeasure, UniformFamily]
 
 
 def _atoms(family) -> tuple:
     """(location, weight) pairs of a finite family; none for a uniform one."""
-    return family.measure.atoms if isinstance(family, FiniteFamily) else ()
+    return family.atoms if isinstance(family, DiscreteMeasure) else ()
 
 
 def family_as_grid(family: TranslationFamily, h: float) -> GridDensity:
     """Rasterize a family as a density of its own total mass at step h."""
     if isinstance(family, UniformFamily):
-        if isinstance(family.region, IntervalSet):
-            return raster_interval_set(family.region, h, family.total_mass)
-        return raster_polygon(family.region, h, family.total_mass)
+        return raster_region(family.region, h, family.total_mass)
     return functools.reduce(add_grids, [point_mass_grid(loc, h, w) for loc, w in _atoms(family)])
 
 
@@ -730,7 +723,7 @@ def average_step(family: TranslationFamily, A, m):
 
 
 def solve_invariant_atoms(
-    family: FiniteFamily,
+    family: DiscreteMeasure,
     A,
     depth: int,
     atom_cap: int = 2_000_000,
@@ -741,12 +734,12 @@ def solve_invariant_atoms(
     raises ResourceCapError."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if not isinstance(family, FiniteFamily):
+    if not isinstance(family, DiscreteMeasure):
         raise TypeError("atom solver needs a finite family")
-    mu = family.measure
+    mu = family
     n_atoms = len(mu)
     for _ in range(depth):
-        projected = n_atoms * len(family.measure)
+        projected = n_atoms * len(family)
         if projected > atom_cap:
             raise ResourceCapError(
                 f"atom count would exceed cap {atom_cap} "
@@ -821,16 +814,13 @@ def grid_fixed_point(fmap, sigma, masses, step, tol, max_iter, what, on_iterate=
 def _family_hat(family: TranslationFamily, k):
     """Mass-normalized transform of the family at frequency k: a float,
     or an array of frequencies transformed elementwise."""
-    if isinstance(family, FiniteFamily):
-        mu = family.measure
-        total = mu.total_mass
+    if isinstance(family, DiscreteMeasure):
         return sum(
-            w * np.exp(-2j * np.pi * k * loc) for loc, w in mu.atoms
-        ) / total
-    region = family.region
-    if not isinstance(region, IntervalSet):
+            w * np.exp(-2j * np.pi * k * loc) for loc, w in family.atoms
+        ) / family.total_mass
+    if family.dim != 1:
         raise ValueError("fourier_hat supports 1D families only")
-    region = region.as_float()
+    region = family.region.as_float()
     total = region.measure()
     acc = 0.0 + 0.0j
     length = 0.0  # the value at k = 0, summed and divided as floats

@@ -102,8 +102,8 @@ def project_points(scheme: CutProjectScheme, window, radius) -> np.ndarray:
     ``cyclo_exact`` gives.  Float windows keep the eps=1e-12 test, evaluated
     as the same float expression.
     """
-    if float(radius) <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < float(radius) < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     r = Fraction(radius)
     if scheme.kind == "quad":
         if not isinstance(window, IntervalSet):
@@ -316,11 +316,15 @@ class CrosscheckReport:
 
 def crosscheck_modelset(left_points, right_points, radius) -> CrosscheckReport:
     """Set equality of two point lists restricted to [-radius, radius]
-    (1D positions; elements compared exactly)."""
+    (1D positions; elements compared exactly, the radius taken exactly at
+    its binary-float value as in ``project_points``)."""
     rad = float(radius)
+    if not math.isfinite(rad):
+        raise ValueError(f"radius must be finite, got {radius}")
+    r = Fraction(rad)
 
     def clip(points):
-        return {x for x in points if abs(float(x)) <= rad + 1e-9}
+        return {x for x in points if abs(x) <= r}
 
     a, b = clip(left_points), clip(right_points)
     only_a = tuple(sorted(a - b, key=float))
@@ -349,7 +353,7 @@ def maximal_translation_region(w_i, w_j, a):
     single-interval windows.
     """
     if isinstance(w_i, IntervalSet) and isinstance(w_j, IntervalSet):
-        image = w_j.scale(a)
+        image = w_j.linear_image(a)
         lo = w_i.lo - image.lo
         hi = w_i.hi - image.hi
         if float(lo) > float(hi):
@@ -363,13 +367,7 @@ def maximal_translation_region(w_i, w_j, a):
 
 def theoretical_density(scheme: CutProjectScheme, window) -> float:
     """Expected points per unit physical volume: theta(window)/covolume."""
-    if isinstance(window, IntervalSet):
-        measure = float(window.measure())
-    elif isinstance(window, ConvexPolygon):
-        measure = float(window.area)
-    else:
-        raise TypeError("window must be IntervalSet or ConvexPolygon")
-    return measure / scheme.covolume
+    return float(window.measure()) / scheme.covolume
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 from .compactsets import IntervalSet, _is_exact
 from .errors import CompatibilityError
 from .measures import (
-    FiniteFamily,
+    DiscreteMeasure,
     UniformFamily,
     _as_linear,
     _atoms,
@@ -200,7 +200,7 @@ def _exact_images(system: MCSystem, windows, i: int):
         if cell is None:
             continue
         for off in cell:
-            images.append(windows[j].scale(system.a).translate(off))
+            images.append(windows[j].affine(system.a, off))
     return images
 
 
@@ -245,7 +245,7 @@ def verify_nonoverlap(system: MCSystem, windows, m=None) -> NonoverlapReport:
         for j, entry in enumerate(row):
             if entry is None:
                 continue
-            if not isinstance(entry, FiniteFamily):
+            if not isinstance(entry, DiscreteMeasure):
                 failures.append(f"NO1: sigma[{i}][{j}] is not a finite family")
     if system.exact_offsets is None:
         failures.append("NO1: system carries no exact offsets")

@@ -138,7 +138,7 @@ def _family(T, mass):
     """The translation family of one entry: ``mass`` shared equally by
     atoms at the translations, or spread uniformly over the region."""
     if isinstance(T, tuple):
-        return measures.FiniteFamily(measures.DiscreteMeasure([(t, mass / len(T)) for t in T]))
+        return measures.DiscreteMeasure([(t, mass / len(T)) for t in T])
     return measures.UniformFamily(T.as_float(), mass)
 
 

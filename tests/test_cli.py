@@ -28,6 +28,8 @@ from selfsim.systems import builtin
 INF, NAN = math.inf, math.nan
 # a one-component family that solves on its own: only a bad m or s can fail it
 UNIFORM = {"kind": "uniform", "lo": -1, "hi": 1, "mass": 1}
+# a uniform family whose mass is misspelled
+TYPO_MASS = {"kind": "uniform", "lo": -0.5, "hi": 0.5, "mas": 2.0}
 AC = 1.0 - math.sqrt(2.0)
 R = abs(AC)
 W1 = (1 / math.sqrt(2.0) - 1.0, 1 / math.sqrt(2.0))
@@ -551,7 +553,7 @@ class TestGridCellCap:
     ])
     def test_step_not_below_the_region_is_refused(self, args, tmp_path, monkeypatch):
         if args[-1] == "extent":
-            lo, hi = builtin(args[2]).window.as_float().hull()
+            lo, hi = builtin(args[2]).window.as_float().bbox()
             args = (*args[:-1], repr(hi - lo))
 
         def started(*a, **k):
@@ -854,6 +856,39 @@ class TestInlineSystems:
         assert result.exit_code == 1
 
 
+    @pytest.mark.parametrize(
+        "command, spec, message",
+        [
+            # the system dict: a typo'd key, and the retired spelling of seeds
+            ("fourier", {"a": 0.5, "family": {"kind": "point", "location": 0}, "mapz": 1},
+             "unknown inline system keys: mapz"),
+            ("attractor", {"a": 0.5, "maps": [[[{"t": 0}]]], "windows": [[0, 1]]},
+             "unknown inline system keys: windows"),
+            ("fourier", {"a": 0.5, "family": TYPO_MASS, "windows": [[0, 1]], "mapz": 1},
+             "unknown inline system keys: mapz, windows"),
+            # each family kind, alone and as a sigma entry
+            ("fourier", {"a": 0.5, "family": TYPO_MASS}, "unknown 'uniform' family spec keys: mas"),
+            ("fourier", {"a": 0.5, "family": {"kind": "atoms", "atoms": [[0, 1]], "mass": 1.0}},
+             "unknown 'atoms' family spec keys: mass"),
+            ("fourier", {"a": 0.5, "family": {"kind": "point", "location": 0, "lo": 0, "hi": 1}},
+             "unknown 'point' family spec keys: hi, lo"),
+            ("measure", {"a": 0.5, "sigma": [[{"kind": "point", "location": 0, "weight": 1}]]},
+             "unknown 'point' family spec keys: weight"),
+            # a maps entry
+            ("attractor", {"a": 0.5, "maps": [[[{"t": 0}, {"t": 0.5, "b": 0.25}]]]},
+             "unknown inline map keys: b"),
+        ],
+    )
+    def test_unknown_inline_keys_are_refused_by_name(self, command, spec, message, tmp_path):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            system_from_spec(spec)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": spec}))
+        result = run(command, "--config", cfg, "--out", tmp_path / "out")
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["fourier", "measure"])
     def test_zero_length_uniform_family_rejected(self, command, tmp_path):
         spec = {"a": 0.5, "family": {"kind": "uniform", "lo": 0, "hi": 0}}
@@ -915,6 +950,8 @@ class TestInlineSystems:
             ("measure", {"system": {"a": 0.5, "sigma": [[UNIFORM]], "m": [NAN]}}),
             ("measure", {"system": {"a": 0.5, "sigma": [[UNIFORM]], "m": [INF]}}),
             ("measure", {"system": {"a": 0.5, "sigma": [[UNIFORM]], "s": [[NAN]]}}),
+            # a family kind that is not a string
+            ("fourier", {"system": {"a": 0.5, "family": {"kind": ["point"], "location": 0}}}),
         ],
     )
     def test_malformed_config_values_are_config_errors(self, command, config, tmp_path):

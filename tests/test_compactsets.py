@@ -19,6 +19,7 @@ from selfsim.compactsets import (
 )
 from selfsim.compactsets import _directed_1d
 from selfsim.errors import ConvergenceError
+from selfsim.measures import UniformFamily, raster_interval_set, raster_polygon, raster_region
 from selfsim.numberfields import HALF_SQRT2, QuadRat
 from selfsim.systems import builtin
 
@@ -91,7 +92,10 @@ def sampled_hausdorff(p, q, per_edge=256):
         e = np.roll(a, -1, axis=0) - a
         rel = pts[:, None, :] - a[None, :, :]
         cross = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
-        t = np.clip((rel * e[None]).sum(axis=2) / (e * e).sum(axis=1)[None], 0.0, 1.0)
+        # an edge whose squared length underflows to zero is its start point
+        ee = np.broadcast_to((e * e).sum(axis=1)[None], cross.shape)
+        along = (rel * e[None]).sum(axis=2)
+        t = np.clip(np.divide(along, ee, out=np.zeros_like(along), where=ee > 0), 0.0, 1.0)
         gap = rel - t[:, :, None] * e[None]
         d = np.sqrt((gap * gap).sum(axis=2)).min(axis=1)
         return np.where((cross >= 0).all(axis=1), 0.0, d)
@@ -134,7 +138,7 @@ class TestIntervalSet:
     def test_measure_and_hull(self):
         s = IntervalSet([(0, 1), (2, 4)])
         assert s.measure() == 3
-        assert s.hull() == (0, 4)
+        assert s.bbox() == (0, 4)
 
     def test_mixed_exact_types(self):
         s = IntervalSet([(QuadRat(0, 0), Fraction(1, 2)), (Fraction(1, 2), HALF_SQRT2)])
@@ -148,7 +152,7 @@ class TestIntervalSet:
         assert not half.contains(QuadRat(1, 0))
 
     def test_scale_flips_orientation(self):
-        s = IntervalSet.closed(1, 2).scale(-1)
+        s = IntervalSet.closed(1, 2).linear_image(-1)
         assert s.intervals == IntervalSet.closed(-2, -1).intervals
 
 
@@ -414,7 +418,7 @@ class TestConvexPolygon:
         cw = ConvexPolygon([(0, 0), (0, 1), (1, 1), (1, 0)])
         ccw = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
         assert cw == ccw
-        assert cw.area == Fraction(1)
+        assert cw.measure() == Fraction(1)
 
     def test_collinear_vertices_dropped(self):
         p = ConvexPolygon([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)])
@@ -427,7 +431,7 @@ class TestConvexPolygon:
     def test_octagon_area(self):
         w = octagon_window()
         # edge-1 regular octagon: area 2(1 + sqrt2)
-        assert w.area == QuadRat(2, 2)
+        assert w.measure() == QuadRat(2, 2)
         assert w.is_exact
 
     def test_contains(self):
@@ -439,7 +443,7 @@ class TestConvexPolygon:
     def test_affine_orientation_flip(self):
         sq = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
         flipped = sq.linear_image(((-1, 0), (0, 1)))
-        assert flipped.area == Fraction(1)
+        assert flipped.measure() == Fraction(1)
         assert flipped == ConvexPolygon([(-1, 0), (0, 0), (0, 1), (-1, 1)])
 
     def test_minkowski_squares(self):
@@ -480,6 +484,112 @@ class TestConvexPolygon:
         w = octagon_window()
         assert w.support((1, 0)) == ALPHA / 2
         assert w.support((0, -1)) == ALPHA / 2
+
+
+def bits(v):
+    """A value as compared below: itself when exact, its hex digits when a
+    float, so float results must agree bit for bit (the sign of zero too)."""
+    if isinstance(v, tuple):
+        return tuple(map(bits, v))
+    return v.hex() if isinstance(v, float) else v
+
+
+def region_bits(region):
+    pieces = region.intervals if isinstance(region, IntervalSet) else region.vertices
+    return type(region), bits(pieces)
+
+
+def former_measure(region):
+    # the interval length and the polygon area as they were written
+    if isinstance(region, IntervalSet):
+        total = region.intervals[0][1] - region.intervals[0][0]
+        for lo, hi in region.intervals[1:]:
+            total = total + (hi - lo)
+        return total
+    verts = region.vertices
+    doubled = None
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]):
+        term = x0 * y1 - x1 * y0
+        doubled = term if doubled is None else doubled + term
+    return Fraction(doubled, 2) if isinstance(doubled, int) else doubled / 2
+
+
+def former_bbox(region):
+    # the interval hull as it was written, and the polygon's box from its vertices
+    if isinstance(region, IntervalSet):
+        return (region.intervals[0][0], region.intervals[-1][1])
+    xs, ys = zip(*region.vertices)
+    return (min(xs), min(ys), max(xs), max(ys))
+
+
+EXACT = (int, Fraction, QuadRat)
+
+
+def former_linear_image(region, a):
+    # the interval scaling as it was written; the polygon's vertex map
+    if isinstance(region, IntervalSet):
+        if not (region.is_exact and isinstance(a, EXACT)):
+            a = float(a)
+            pairs = [(a * float(lo), a * float(hi)) for lo, hi in region.intervals]
+        else:
+            pairs = [(a * lo, a * hi) for lo, hi in region.intervals]
+        return IntervalSet(pairs if a >= 0 else [(hi, lo) for lo, hi in pairs])
+    return former_affine(region, a, (0, 0))
+
+
+def former_affine(region, a, t):
+    # the scaled interval set translated, on the line; the vertex map in the plane
+    if isinstance(region, IntervalSet):
+        return former_linear_image(region, a).translate(t)
+    (p, q), (r, s) = a
+    verts = region.vertices
+    if not (region.is_exact and all(isinstance(v, EXACT) for v in (p, q, r, s, *t))):
+        p, q, r, s, t = float(p), float(q), float(r), float(s), (float(t[0]), float(t[1]))
+        verts = [(float(x), float(y)) for x, y in verts]
+    return ConvexPolygon([(p * x + q * y + t[0], r * x + s * y + t[1]) for x, y in verts])
+
+
+_OCTAGON = builtin("ammann-beenker").window
+REGIONS = {
+    "exact-interval": W1,
+    "exact-intervals": IntervalSet([(Fraction(-3, 2), 0), (Fraction(1, 3), 2)]),
+    "float-interval": IntervalSet.closed(1 - math.sqrt(2), math.sqrt(2) - 1),
+    "float-intervals": IntervalSet([(-0.7071067811865476, 0.3), (0.45, 1.1)]),
+    "exact-octagon": _OCTAGON,
+    "exact-triangle": ConvexPolygon([(0, 0), (Fraction(3, 2), 0), (0, Fraction(1, 3))]),
+    "float-octagon": _OCTAGON.as_float(),
+    "float-quadrilateral": ConvexPolygon([(-0.3, -0.2), (0.9, -0.1), (0.7, 0.8), (-0.1, 0.6)]),
+}
+# (linear part, translation) pairs of each dimension, exact and float
+AFFINE_PARTS = {
+    1: [(ALPHA_CONJ, HALF_SQRT2), (Fraction(-1, 3), 2), (2, Fraction(1, 7)),
+        (1 - math.sqrt(2), 0.1), (0.5, -0.0), (-0.25, ALPHA)],
+    2: [(((ALPHA_CONJ, 0), (0, ALPHA_CONJ)), (HALF_SQRT2, Fraction(1, 3))),
+        (((Fraction(1, 2), Fraction(-1, 4)), (Fraction(1, 4), Fraction(1, 2))), (0, 1)),
+        (((0.5, -0.25), (0.25, 0.5)), (0.125, -0.0)),
+        (((1 - math.sqrt(2), 0), (0, 1 - math.sqrt(2))), (ALPHA, 0.3))],
+}
+
+
+class TestRegionInterface:
+    @pytest.mark.parametrize("name", REGIONS)
+    def test_regions_answer_as_the_former_expressions(self, name):
+        region = REGIONS[name]
+        dim = 1 if isinstance(region, IntervalSet) else 2
+        assert region.dim == type(region).dim == UniformFamily(region.as_float(), 1.0).dim == dim
+        assert bits(region.measure()) == bits(former_measure(region))
+        assert bits(region.bbox()) == bits(former_bbox(region))
+        for a, t in AFFINE_PARTS[dim]:
+            image, former = region.linear_image(a), former_linear_image(region, a)
+            assert region_bits(image) == region_bits(former)
+            image, former = region.affine(a, t), former_affine(region, a, t)
+            assert region_bits(image) == region_bits(former)
+        direct = raster_interval_set if dim == 1 else raster_polygon
+        h = 1e-2 if dim == 1 else 0.05
+        got, want = raster_region(region, h, 0.75), direct(region, h, 0.75)
+        assert (got.start, got.step) == (want.start, want.step)
+        assert got.values.shape == want.values.shape
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestHausdorff2D:

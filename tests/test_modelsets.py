@@ -101,7 +101,7 @@ class TestScheme:
         radius = 15
         points = project_points(scheme, window, radius)
         empirical = len(points) / (math.pi * radius**2)
-        expected = float(window.area) / scheme.covolume
+        expected = float(window.measure()) / scheme.covolume
         assert abs(empirical - expected) < 0.15 * expected
 
     def test_degenerate_basis_rejected(self):
@@ -181,6 +181,15 @@ class TestProjectPoints:
         points = quads(project_points(CutProjectScheme.silver(), window, 3))
         assert ALPHA in points and QuadRat(0, 0) in points
 
+    @pytest.mark.parametrize("radius", [math.inf, -math.inf, math.nan])
+    def test_non_finite_radius_is_refused_by_name(self, radius):
+        for scheme, window in (
+            (CutProjectScheme.silver(), W),
+            (CutProjectScheme.octagonal(), octagon_window()),
+        ):
+            with pytest.raises(ValueError, match="radius must be positive and finite"):
+                project_points(scheme, window, radius)
+
     def test_window_type_checked(self):
         with pytest.raises(TypeError):
             project_points(CutProjectScheme.silver(), octagon_window(), 5)
@@ -245,6 +254,18 @@ class TestCrosscheck:
             )
             assert report.equal, (report.only_left, report.only_right)
             assert report.count_left > 10
+
+    def test_clipping_at_the_radius_is_exact(self):
+        # a point 2**-40 past the radius is outside the ball, as in project_points
+        past = Fraction(500) + Fraction(1, 2**40)
+        for point in (past, -past, QuadRat(500 * 2**40 + 1, 0, 2**40)):
+            report = crosscheck_modelset([point, 3], [3], 500)
+            assert report.equal and report.count_left == 1, report
+        report = crosscheck_modelset([Fraction(500), QuadRat(-500)], [], 500)
+        assert report.count_left == 2
+        for radius in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="radius must be finite"):
+                crosscheck_modelset([past], [], radius)
 
     def test_swapped_windows_disagree(self):
         scheme = CutProjectScheme.silver()
@@ -377,7 +398,7 @@ class TestWeyl:
     def test_planar_default_center_is_the_origin(self):
         b = builtin("ammann-beenker")
         points = project_points(b.scheme, b.window, 8)
-        g = raster_polygon(b.window, 0.05, float(b.window.area))
+        g = raster_polygon(b.window, 0.05, float(b.window.measure()))
         (row,) = weyl_average(b.scheme, points, g, (3.0,))
         assert row.center == (0.0, 0.0)
         assert row == weyl_average(b.scheme, points, g, (3.0,), centers=((0.0, 0.0),))[0]
@@ -403,7 +424,7 @@ class TestWeyl:
         if b.scheme.phys_dim == 1:
             g = raster_interval_set(b.window.as_float(), 1e-3, float(b.window.measure()))
         else:
-            g = raster_polygon(b.window, 0.05, float(b.window.area))
+            g = raster_polygon(b.window, 0.05, float(b.window.measure()))
         with pytest.raises(ValueError, match=f"radius {radius!r}"):
             weyl_average(b.scheme, points, g, (3.0, radius))
 

@@ -11,7 +11,6 @@ from selfsim.compactsets import ConvexPolygon, IntervalSet
 from selfsim.errors import CompatibilityError, ConvergenceError
 from selfsim.measures import (
     DiscreteMeasure,
-    FiniteFamily,
     UniformFamily,
     add_grids,
     convolve_grids,
@@ -54,11 +53,11 @@ def perron_vector(s, steps=5000):
 
 
 def atoms(*locs):
-    return FiniteFamily(DiscreteMeasure([(float(l), R) for l in locs]))
+    return DiscreteMeasure([(float(l), R) for l in locs])
 
 
 def point(location, mass):
-    return FiniteFamily(DiscreteMeasure([(location, mass)]))
+    return DiscreteMeasure([(location, mass)])
 
 
 def silver_minimal_system():
@@ -237,8 +236,8 @@ class TestSolveMCDensity:
                     entry = system.sigma[i][j]
                     if entry is None:
                         continue
-                    if isinstance(entry, FiniteFamily):
-                        ((location, _),) = entry.measure.atoms
+                    if isinstance(entry, DiscreteMeasure):
+                        ((location, _),) = entry.atoms
                         piece = shift_grid(pushed[j], location)
                         piece = piece.renormalized(entry.total_mass * pushed[j].mass)
                     else:
@@ -328,7 +327,7 @@ class TestNonoverlap:
     def test_duplicate_map_fails_no4(self):
         # same mass matrix as the honest system, but the right branch of
         # component 1 repeats the identity translation instead
-        doubled = FiniteFamily(DiscreteMeasure([(0.0, 2 * R)]))
+        doubled = DiscreteMeasure([(0.0, 2 * R)])
         sigma = [
             [doubled, atoms(0.0)],
             [atoms(AC), None],

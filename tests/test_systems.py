@@ -5,7 +5,7 @@ import math
 import pytest
 
 from selfsim.compactsets import AffineMap, TranslationFamilyMap
-from selfsim.measures import FiniteFamily, UniformFamily
+from selfsim.measures import DiscreteMeasure, UniformFamily
 from selfsim.numberfields import QuadRat
 from selfsim.systems import BUILTIN_NAMES, builtin
 
@@ -47,11 +47,11 @@ def test_maps_and_measure_facets_describe_one_family(name):
         for family, maps in zip(family_row, map_row):
             if family is None:
                 assert maps == ()
-            elif isinstance(family, FiniteFamily):
+            elif isinstance(family, DiscreteMeasure):
                 assert all(type(f) is AffineMap and f.a == a for f in maps)
                 # one atom per map, at the float of its translation
                 weight = 1 / 3 if name == "silver-min" else R
-                assert list(family.measure.atoms) == sorted((float(f.t), weight) for f in maps)
+                assert list(family.atoms) == sorted((float(f.t), weight) for f in maps)
             else:
                 assert isinstance(family, UniformFamily)
                 (f,) = maps
