@@ -17,7 +17,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -75,7 +74,6 @@ def _tuple(value, depth: int):
     return float(value) if _is_number(value) else value
 
 
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Merged run parameters: system descriptor, numerics, output.
 
@@ -83,24 +81,33 @@ class ExperimentConfig:
     ``system_from_spec``); every other field is checked for its type and
     range on construction, before any computation starts.  A number is an
     int or a float, not a bool; ``radii`` and ``centers`` are tuples of
-    numbers (a center may be a tuple of coordinates).
+    numbers (a center may be a tuple of coordinates).  The field names,
+    in ``__slots__``, are the keys a config file may hold.
     """
 
-    system: object = None
-    out: str = "."
-    fmt: str = "csv"
-    tol: float = 1e-8
-    grid_step: Optional[float] = None
-    radii: Optional[tuple] = None
-    centers: tuple = (0.0,)
-    terms: int = 40
-    precision: Optional[int] = None
-    max_iter: Optional[int] = None
-    k_min: float = 0.0
-    k_max: float = 5.0
-    k_step: float = 0.01
+    __slots__ = ("system", "out", "fmt", "tol", "grid_step", "radii", "centers", "terms",
+                 "precision", "max_iter", "k_min", "k_max", "k_step")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        system: object = None,
+        out: str = ".",
+        fmt: str = "csv",
+        tol: float = 1e-8,
+        grid_step: Optional[float] = None,
+        radii: Optional[tuple] = None,
+        centers: tuple = (0.0,),
+        terms: int = 40,
+        precision: Optional[int] = None,
+        max_iter: Optional[int] = None,
+        k_min: float = 0.0,
+        k_max: float = 5.0,
+        k_step: float = 0.01,
+    ) -> None:
+        self.system, self.out, self.fmt, self.tol = system, out, fmt, tol
+        self.grid_step, self.radii, self.centers, self.terms = grid_step, radii, centers, terms
+        self.precision, self.max_iter = precision, max_iter
+        self.k_min, self.k_max, self.k_step = k_min, k_max, k_step
         if not isinstance(self.out, str):
             raise ConfigError(f"out must be a string, got {self.out!r}")
         if self.fmt not in ("csv", "json"):
@@ -150,7 +157,7 @@ def build_config(config_path: Optional[str], defaults=None, **flags) -> Experime
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    _refuse_unknown(data, {f.name for f in fields(ExperimentConfig)}, "config")
+    _refuse_unknown(data, ExperimentConfig.__slots__, "config")
     merged = dict(defaults or {})
     merged.update(data)
     merged.update({k: v for k, v in flags.items() if v is not None})
@@ -299,8 +306,7 @@ def system_from_spec(spec: dict) -> systems.BuiltinSystem:
     return systems.BuiltinSystem(
         name="inline",
         summary="inline system from config",
-        ifs=ifs,
-        seeds=seeds,
+        attractor_facets=lambda: dict(ifs=ifs, seeds=seeds),
         measure_facets=lambda: dict(family=family, contraction=a, mc=mc),
     )
 
@@ -633,7 +639,11 @@ def cmd_weyl(cfg: ExperimentConfig) -> None:
             {
                 "system": b.name,
                 "points_enumerated": len(points),
-                "rows": [asdict(row) for row in table],
+                "rows": [
+                    {"radius": row.radius, "center": row.center, "average": row.average,
+                     "limit": row.limit, "abs_error": row.abs_error}
+                    for row in table
+                ],
             },
         )
     for row in table:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Sequence, Union
@@ -474,14 +473,13 @@ def _exact_div(num, den):
 # affine maps
 
 
-@dataclass(frozen=True)
 class AffineMap:
     """x |-> a x + t with scalar a (1D) or a 2x2 matrix a (2D)."""
 
-    a: object
-    t: object
+    __slots__ = ("a", "t")
 
-    def __post_init__(self) -> None:
+    def __init__(self, a, t) -> None:
+        self.a, self.t = a, t
         _check_finite(itertools.chain(*self.rows, self.translation), "an affine map entry")
 
     @classmethod
@@ -541,7 +539,6 @@ def _floats(x):
     return tuple(map(_floats, x)) if isinstance(x, (tuple, list)) else float(x)
 
 
-@dataclass(frozen=True)
 class TranslationFamilyMap:
     """The union map of a compact family of translates of one linear part.
 
@@ -550,8 +547,10 @@ class TranslationFamilyMap:
     IntervalSet in 1D or a ConvexPolygon in 2D.
     """
 
-    a: object
-    family: object
+    __slots__ = ("a", "family")
+
+    def __init__(self, a, family) -> None:
+        self.a, self.family = a, family
 
     @property
     def factor(self) -> float:
@@ -793,12 +792,13 @@ def iterate_attractor(
     )
 
 
-@dataclass(frozen=True)
 class FixedPointCheck:
     """Outcome of an exact fixed-point verification."""
 
-    ok: bool
-    mismatches: tuple
+    __slots__ = ("ok", "mismatches")
+
+    def __init__(self, ok: bool, mismatches: tuple) -> None:
+        self.ok, self.mismatches = ok, mismatches
 
     def __bool__(self) -> bool:
         return self.ok

@@ -26,7 +26,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
@@ -496,14 +495,14 @@ def point_mass_grid(location, h: float, mass: float) -> GridDensity:
 # translation families
 
 
-@dataclass(frozen=True)
 class UniformFamily:
-    """Translations spread uniformly (Haar) over a compact region."""
+    """Translations spread uniformly (Haar) over a compact region, an
+    IntervalSet or a ConvexPolygon."""
 
-    region: object  # IntervalSet or ConvexPolygon
-    total_mass: float
+    __slots__ = ("region", "total_mass")
 
-    def __post_init__(self) -> None:
+    def __init__(self, region, total_mass: float) -> None:
+        self.region, self.total_mass = region, total_mass
         _check_finite((self.total_mass,), "a family's mass")
 
     @property

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -237,15 +236,14 @@ def _as_exact(x) -> QuadRat:
     return q
 
 
-@dataclass(frozen=True)
 class SubstitutionOrbit:
     """Tile coordinates of a finite patch of the 2-sided fixed point."""
 
-    positions: dict
-    left_word: str
-    right_word: str
-    lo: object
-    hi: object
+    __slots__ = ("positions", "left_word", "right_word", "lo", "hi")
+
+    def __init__(self, positions: dict, left_word: str, right_word: str, lo, hi) -> None:
+        self.positions, self.left_word, self.right_word = positions, left_word, right_word
+        self.lo, self.hi = lo, hi
 
     def all_positions(self) -> list:
         merged = [p for pts in self.positions.values() for p in pts]
@@ -301,14 +299,13 @@ def substitution_orbit(
     )
 
 
-@dataclass(frozen=True)
 class CrosscheckReport:
-    equal: bool
-    only_left: tuple
-    only_right: tuple
-    count_left: int
-    count_right: int
-    radius: float
+    __slots__ = ("equal", "only_left", "only_right", "count_left", "count_right", "radius")
+
+    def __init__(self, equal: bool, only_left: tuple, only_right: tuple,
+                 count_left: int, count_right: int, radius: float) -> None:
+        self.equal, self.only_left, self.only_right = equal, only_left, only_right
+        self.count_left, self.count_right, self.radius = count_left, count_right, radius
 
     def __bool__(self) -> bool:
         return self.equal
@@ -370,13 +367,24 @@ def theoretical_density(scheme: CutProjectScheme, window) -> float:
     return float(window.measure()) / scheme.covolume
 
 
-@dataclass(frozen=True)
 class WeylRow:
-    radius: float
-    center: object
-    average: float
-    limit: float
-    abs_error: float
+    """One ball average: a center is a number on the line, a coordinate
+    tuple in the plane.  Rows with equal fields compare equal."""
+
+    __slots__ = ("radius", "center", "average", "limit", "abs_error")
+
+    def __init__(self, radius: float, center, average: float, limit: float,
+                 abs_error: float) -> None:
+        self.radius, self.center, self.average = radius, center, average
+        self.limit, self.abs_error = limit, abs_error
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not WeylRow:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def _fields(self) -> tuple:
+        return (self.radius, self.center, self.average, self.limit, self.abs_error)
 
 
 def _ball_volume(r: float, d: int) -> float:

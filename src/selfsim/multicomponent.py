@@ -13,7 +13,6 @@ window indicators, which ``verify_nonoverlap`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -126,12 +125,13 @@ class MCSystem:
             )
 
 
-@dataclass(frozen=True)
 class MCDensity:
     """Converged per-component densities and their target masses."""
 
-    components: tuple
-    masses: tuple
+    __slots__ = ("components", "masses")
+
+    def __init__(self, components: tuple, masses: tuple) -> None:
+        self.components, self.masses = components, masses
 
     @property
     def n(self) -> int:
@@ -181,12 +181,13 @@ def solve_mc_density(
 # nonoverlap certificates
 
 
-@dataclass(frozen=True)
 class NonoverlapReport:
-    holds: bool
-    failures: tuple
-    indicator_densities: Optional[tuple]
-    residual: Optional[float]
+    __slots__ = ("holds", "failures", "indicator_densities", "residual")
+
+    def __init__(self, holds: bool, failures: tuple, indicator_densities: Optional[tuple],
+                 residual: Optional[float]) -> None:
+        self.holds, self.failures = holds, failures
+        self.indicator_densities, self.residual = indicator_densities, residual
 
     def __bool__(self) -> bool:
         return self.holds

@@ -16,7 +16,6 @@ signs of a, b and the integer comparison a**2 vs 2*b**2, never from floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd
@@ -50,17 +49,14 @@ def _sign_quad(a: int, b: int) -> int:
 
 
 @total_ordering
-@dataclass(frozen=True)
 class QuadRat:
     """(a + b*sqrt2)/den in Q(sqrt2), with integers a, b and den > 0 in
-    lowest terms; den = 1 gives the elements of Z[sqrt2]."""
+    lowest terms; den = 1 gives the elements of Z[sqrt2].  Immutable: it
+    is hashed, so assigning a field raises AttributeError."""
 
-    a: int
-    b: int = 0
-    den: int = 1
+    __slots__ = ("a", "b", "den")
 
-    def __post_init__(self) -> None:
-        a, b, den = self.a, self.b, self.den
+    def __init__(self, a: int, b: int = 0, den: int = 1) -> None:
         if den == 0:
             raise ZeroDivisionError("QuadRat with zero denominator")
         if den < 0:
@@ -71,6 +67,16 @@ class QuadRat:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"QuadRat(a={self.a!r}, b={self.b!r}, den={self.den!r})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, as assignment is refused
+        return QuadRat, (self.a, self.b, self.den)
 
     @classmethod
     def from_fraction(cls, q: Fraction) -> "QuadRat":

@@ -18,7 +18,6 @@ only the fixed point is lifted to 3^K weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -107,13 +106,13 @@ class PadicDensity:
         )
 
 
-@dataclass(frozen=True)
 class PadicWindowSpec:
     """One of the three component windows realized mod 3**precision."""
 
-    which: int
-    precision: int
-    residues: frozenset
+    __slots__ = ("which", "precision", "residues")
+
+    def __init__(self, which: int, precision: int, residues: frozenset) -> None:
+        self.which, self.precision, self.residues = which, precision, residues
 
     def contains_integer(self, n: int) -> bool:
         """Exact window membership for an integer.

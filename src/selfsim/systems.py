@@ -10,21 +10,21 @@ builds it itself.  A builtin with a measure is declared once, as its
 compact family of contractions (``_declared``): its IFS, translation
 families, mass vector and exact offsets are all derived from it.
 
-The set-level facets are exact and built with the system.  The numpy
-facets are built on first use, in two groups: the measure facets
-(family, contraction, mc) on the first read of any of them, and the Weyl
+Every facet is built on first use, in three groups: the attractor
+facets (ifs, seeds, exact_attractor) on the first read of any of them,
+the measure facets (family, contraction, mc) likewise, and the Weyl
 facets (scheme, window) likewise.  So ``builtin(name)`` followed by the
 attractor alone never loads numpy or the numpy layers ``measures``,
 ``modelsets`` and ``multicomponent``, ``measure`` never executes
-``modelsets``, and ``weyl`` never executes ``multicomponent``.
+``modelsets``, ``weyl`` never executes ``multicomponent``, and neither
+``measure``, ``fourier`` nor ``weyl`` builds a set-level IFS.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from . import _lazy_module
 from .compactsets import (
@@ -76,29 +76,38 @@ def _facet(name: str, group: str) -> property:
     )
 
 
-@dataclass(frozen=True)
 class BuiltinSystem:
     """Facet bundle for one named example.
 
     Absent facets mean the corresponding command refuses the system.
-    ``exact_attractor`` pairs with ``ifs`` for the exact certificate.
-    ``measure_facets()`` returns the measure facets by name, and is called
-    once, on the first read of any of them: ``family``/``contraction``
-    describe a single-component measure, and ``mc`` a coupled-component
-    one.  ``weyl_facets()`` returns ``scheme``/``window``, which feed the
-    Weyl harness, in the same way.
+    Each facet group is returned by name by its function, called once, on
+    the first read of any facet in it.  ``attractor_facets()`` returns
+    ``ifs``/``seeds``/``exact_attractor``; ``exact_attractor`` pairs with
+    ``ifs`` for the exact certificate.  ``measure_facets()`` returns
+    ``family``/``contraction``, which describe a single-component measure,
+    and ``mc``, a coupled-component one.  ``weyl_facets()`` returns
+    ``scheme``/``window``, which feed the Weyl harness.
     """
 
-    name: str
-    summary: str
-    ifs: Optional[IFSSystem] = None
-    seeds: Optional[tuple] = None
-    exact_attractor: Optional[tuple] = None
-    measure_facets: Callable[[], dict] = dict
-    weyl_facets: Callable[[], dict] = dict
-    default_step: float = 1e-3
-    default_radii: tuple = (100.0, 500.0, 2000.0)
-    weyl_step: float = 1e-3
+    def __init__(
+        self,
+        name: str,
+        summary: str,
+        attractor_facets: Callable[[], dict] = dict,
+        measure_facets: Callable[[], dict] = dict,
+        weyl_facets: Callable[[], dict] = dict,
+        default_step: float = 1e-3,
+        default_radii: tuple = (100.0, 500.0, 2000.0),
+        weyl_step: float = 1e-3,
+    ) -> None:
+        self.name, self.summary = name, summary
+        self.attractor_facets = attractor_facets
+        self.measure_facets, self.weyl_facets = measure_facets, weyl_facets
+        self.default_step, self.default_radii, self.weyl_step = default_step, default_radii, weyl_step
+
+    @functools.cached_property
+    def _attractor(self) -> dict:
+        return self.attractor_facets()
 
     @functools.cached_property
     def _measure(self) -> dict:
@@ -108,6 +117,9 @@ class BuiltinSystem:
     def _weyl(self) -> dict:
         return self.weyl_facets()
 
+    ifs = _facet("ifs", "_attractor")
+    seeds = _facet("seeds", "_attractor")
+    exact_attractor = _facet("exact_attractor", "_attractor")
     family = _facet("family", "_measure")
     contraction = _facet("contraction", "_measure")
     mc = _facet("mc", "_measure")
@@ -142,33 +154,46 @@ def _family(T, mass):
     return measures.UniformFamily(T.as_float(), mass)
 
 
-def _declared(name, summary, a, sigma, m=None, **options) -> BuiltinSystem:
+def _declared(
+    name, summary, a, sigma, m=None, seeds=None, exact_attractor=None, **options
+) -> BuiltinSystem:
     """The builtin whose compact family of contractions x -> a x + t is
-    ``sigma``, declared once.
+    ``sigma()``, declared once.
 
-    ``sigma[i][j]`` carries component j into i.  Each entry is None or
-    (T, mass), with T a tuple of exact translations or an exact region of
-    them (IntervalSet or ConvexPolygon).  The set-level IFS and, on first
-    use, the measure facets are derived from it: ``family`` and
-    ``contraction`` for one component, else ``mc`` with mass vector
-    ``m``, whose exact offsets are the translations when every entry is
-    finite.  ``options`` go to ``BuiltinSystem``; the seeds default to
-    [-1, 1] per component.
+    ``sigma()`` returns a grid whose entry [i][j] carries component j
+    into i.  Each entry is None or (T, mass), with T a tuple of exact
+    translations or an exact region of them (IntervalSet or
+    ConvexPolygon).  It is called on the first read of the attractor
+    facets and of the measure facets, which are derived from it: the
+    set-level IFS, with ``seeds(translations)`` for the grid of the T
+    (default [-1, 1] per component) and ``exact_attractor``; and
+    ``family`` and ``contraction`` for one component, else ``mc`` with
+    mass vector ``m``, whose exact offsets are the translations when every
+    entry is finite.  ``options`` go to ``BuiltinSystem``.
     """
-    translations = [[None if e is None else e[0] for e in row] for row in sigma]
+
+    def translations(entries) -> list:
+        return [[None if e is None else e[0] for e in row] for row in entries]
+
+    def attractor_facets() -> dict:
+        T = translations(sigma())
+        ifs = IFSSystem([[[] if t is None else _maps(a, t) for t in row] for row in T])
+        start = (IntervalSet.closed(-1.0, 1.0),) * len(T) if seeds is None else seeds(T)
+        return dict(ifs=ifs, seeds=start, exact_attractor=exact_attractor)
 
     def measure_facets() -> dict:
-        families = [[None if e is None else _family(*e) for e in row] for row in sigma]
-        if len(sigma) == 1:
+        entries = sigma()
+        families = [[None if e is None else _family(*e) for e in row] for row in entries]
+        if len(entries) == 1:
             return dict(family=families[0][0], contraction=a)
-        finite = all(isinstance(T, tuple) for row in translations for T in row if T is not None)
-        offsets = translations if finite else None
+        T = translations(entries)
+        finite = all(isinstance(t, tuple) for row in T for t in row if t is not None)
+        offsets = T if finite else None
         return dict(mc=multicomponent.MCSystem(a, families, m=m, exact_offsets=offsets))
 
-    options.setdefault("seeds", (IntervalSet.closed(-1.0, 1.0),) * len(sigma))
-    ifs = IFSSystem([[[] if T is None else _maps(a, T) for T in row] for row in translations])
     return BuiltinSystem(
-        name=name, summary=summary, ifs=ifs, measure_facets=measure_facets, **options
+        name=name, summary=summary, attractor_facets=attractor_facets,
+        measure_facets=measure_facets, **options
     )
 
 
@@ -180,16 +205,18 @@ def _point() -> BuiltinSystem:
     return BuiltinSystem(
         name="point",
         summary="one map halving toward the origin; attractor {0}",
-        ifs=IFSSystem.single([AffineMap(Fraction(1, 2), Fraction(0))]),
-        seeds=(IntervalSet.closed(-1.0, 1.0),),
-        exact_attractor=(IntervalSet.point(Fraction(0)),),
+        attractor_facets=lambda: dict(
+            ifs=IFSSystem.single([AffineMap(Fraction(1, 2), Fraction(0))]),
+            seeds=(IntervalSet.closed(-1.0, 1.0),),
+            exact_attractor=(IntervalSet.point(Fraction(0)),),
+        ),
     )
 
 
 def _silver_min() -> BuiltinSystem:
     return _declared(
         "silver-min", "three equal atoms on the symmetric window",
-        AC_EXACT, [[((AC_EXACT, _ZERO, -AC_EXACT), 1.0)]],
+        AC_EXACT, lambda: [[((AC_EXACT, _ZERO, -AC_EXACT), 1.0)]],
         exact_attractor=(WINDOW,),
     )
 
@@ -197,7 +224,7 @@ def _silver_min() -> BuiltinSystem:
 def _silver_max() -> BuiltinSystem:
     return _declared(
         "silver-max", "translations uniform over the largest admissible interval",
-        AC_EXACT, [[(IntervalSet.closed(AC_EXACT, -AC_EXACT), 1.0)]],
+        AC_EXACT, lambda: [[(IntervalSet.closed(AC_EXACT, -AC_EXACT), 1.0)]],
         exact_attractor=(WINDOW,),
     )
 
@@ -205,8 +232,8 @@ def _silver_max() -> BuiltinSystem:
 def _silver_mc_min() -> BuiltinSystem:
     return _declared(
         "silver-mc-min", "two coupled windows, one atom per tiling translation",
-        AC_EXACT, [[((_ZERO, _SHIFT), 2 * R), ((_ZERO,), R)],
-                   [((AC_EXACT,), R), None]],
+        AC_EXACT, lambda: [[((_ZERO, _SHIFT), 2 * R), ((_ZERO,), R)],
+                           [((AC_EXACT,), R), None]],
         m=(1.0, R), exact_attractor=(WINDOW_1, WINDOW_2), default_step=5e-4,
     )
 
@@ -214,9 +241,9 @@ def _silver_mc_min() -> BuiltinSystem:
 def _silver_mc_max() -> BuiltinSystem:
     return _declared(
         "silver-mc-max", "two coupled windows with the widest translation families",
-        AC_EXACT, [[(IntervalSet.closed(_ZERO, _SHIFT), 2 * R),
-                    (IntervalSet.closed(AC_EXACT, -AC_EXACT), R)],
-                   [((AC_EXACT,), R), None]],
+        AC_EXACT, lambda: [[(IntervalSet.closed(_ZERO, _SHIFT), 2 * R),
+                            (IntervalSet.closed(AC_EXACT, -AC_EXACT), R)],
+                           [((AC_EXACT,), R), None]],
         m=(1.0, R), exact_attractor=(WINDOW_1, WINDOW_2), default_step=5e-4,
     )
 
@@ -231,12 +258,13 @@ def _silver_points() -> BuiltinSystem:
 
 def _ammann_beenker() -> BuiltinSystem:
     window = octagon()
-    region = window.linear_image(((_SHIFT, _ZERO), (_ZERO, _SHIFT)))
     return _declared(
         "ammann-beenker", "octagonal window in the plane, maximal translation family",
-        ((AC_EXACT, _ZERO), (_ZERO, AC_EXACT)), [[(region, 1.0)]],
+        ((AC_EXACT, _ZERO), (_ZERO, AC_EXACT)),
+        lambda: [[(window.linear_image(((_SHIFT, _ZERO), (_ZERO, _SHIFT))), 1.0)]],
         weyl_facets=lambda: dict(scheme=modelsets.CutProjectScheme.octagonal(), window=window),
-        seeds=(region.as_float(),), exact_attractor=(window,),
+        seeds=lambda T: (T[0][0].as_float(),),  # the translation region, as floats
+        exact_attractor=(window,),
         default_step=5e-3, default_radii=(10.0, 20.0, 30.0), weyl_step=1e-2,
     )
 

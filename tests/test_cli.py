@@ -1,10 +1,12 @@
 """End-to-end runs of the command-line drivers against temp directories."""
 
 import contextlib
+import copy
 import io
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -23,6 +25,7 @@ from selfsim.cli import ExperimentConfig, _write_grid, build_config, main, syste
 from selfsim.compactsets import AffineMap, ConvexPolygon, IntervalSet
 from selfsim.errors import ConfigError, ResourceCapError
 from selfsim.measures import GridDensity, fourier_hat
+from selfsim.numberfields import QuadRat
 from selfsim.systems import builtin
 
 INF, NAN = math.inf, math.nan
@@ -1097,6 +1100,43 @@ class TestDeterminism:
         assert (out1 / "density.json").read_bytes() == (out2 / "density.json").read_bytes()
 
 
+def _quadrat_behaviour(tmp_path):
+    q = QuadRat(6, -4, 2)
+    assert q == QuadRat(3, -2) and hash(q) == hash(QuadRat(3, -2, 1))
+    assert hash(QuadRat(1, 0, 2)) == hash(Fraction(1, 2))
+    assert repr(QuadRat(1, 2, 3)) == "QuadRat(a=1, b=2, den=3)"
+    with pytest.raises(AttributeError):
+        q.a = 1
+    assert (q.a, q.b, q.den) == (3, -2, 1)
+    assert pickle.loads(pickle.dumps(q)) == q and copy.deepcopy(q) == q
+
+
+def _weyl_row_behaviour(tmp_path):
+    row = (10.0, (0.5, -1.0), 0.25, 0.5, 0.25)
+    assert modelsets.WeylRow(*row) == modelsets.WeylRow(*row)
+    assert modelsets.WeylRow(*row) != modelsets.WeylRow(11.0, *row[1:])
+    result = run("weyl", "--system", "silver", "--radii", "10", "--format", "json",
+                 "--out", tmp_path)
+    assert result.exit_code == 0, result.output
+    rows = json.loads((tmp_path / "weyl.json").read_text())["rows"]
+    assert [sorted(r) for r in rows] == [["abs_error", "average", "center", "limit", "radius"]]
+
+
+def _config_behaviour(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": "silver-max", "stepsize": 1, "tolerance": 2}))
+    with pytest.raises(ConfigError, match=r"^unknown config keys: stepsize, tolerance$"):
+        build_config(str(cfg))
+    assert build_config(None, system="point").system == "point"
+
+
+@pytest.mark.parametrize("check", [_quadrat_behaviour, _weyl_row_behaviour, _config_behaviour],
+                         ids=["QuadRat", "WeylRow", "ExperimentConfig"])
+def test_records_keep_their_behaviour(check, tmp_path):
+    # what callers rely on of the records they compare, hash or print
+    check(tmp_path)
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -1141,6 +1181,9 @@ def test_exact_commands_never_execute_numpy(args, tmp_path):
     modules = fresh_modules(code, tmp_path)
     assert executed(modules, "numpy") == []
     assert "click" not in modules
+    # records are plain classes: nothing imports dataclasses, which pulls in
+    # inspect, ast, dis and tokenize and execs the generated methods
+    assert "dataclasses" not in modules and "inspect" not in modules
 
 
 @pytest.mark.parametrize("args", [
@@ -1150,7 +1193,10 @@ def test_exact_commands_never_execute_numpy(args, tmp_path):
 ], ids=["measure", "fourier", "weyl"])
 def test_numpy_commands_never_import_click(args, tmp_path):
     code = f"import selfsim.cli\nselfsim.cli.main({list(args)!r})"
-    assert "click" not in fresh_modules(code, tmp_path)
+    modules = fresh_modules(code, tmp_path)
+    assert "click" not in modules
+    # numpy imports inspect itself, so only dataclasses is checked here
+    assert "dataclasses" not in modules
 
 
 def test_padic_executes_only_its_own_layer(tmp_path):
@@ -1175,6 +1221,36 @@ def test_each_command_builds_only_its_own_facets(args, skipped, tmp_path):
     ran = fresh_modules(code, tmp_path, executed_only=True)
     assert "selfsim.systems" in ran
     assert skipped not in ran
+
+
+@pytest.mark.parametrize("args", [
+    ("weyl", "--system", "ammann-beenker", "--radii", "5"),
+    ("measure", "--system", "silver-max", "--grid-step", "1e-2"),
+], ids=["weyl-planar", "measure-line"])
+def test_measure_and_weyl_build_no_attractor_facets(args, tmp_path):
+    # the set-level IFS and the seeds (on the plane, the exact image of the
+    # window that is the translation region) are built on first read alone
+    code = textwrap.dedent(f"""\
+        import json
+        import selfsim.cli
+        from selfsim.compactsets import ConvexPolygon, IFSSystem
+        built = []
+        def spy(cls, name):
+            real = getattr(cls, name)
+            def wrapper(*args, **kwargs):
+                built.append(cls.__name__ + "." + name)
+                return real(*args, **kwargs)
+            setattr(cls, name, wrapper)
+        spy(IFSSystem, "__init__")
+        spy(ConvexPolygon, "linear_image")
+        selfsim.cli.main({list(args)!r})
+        print(json.dumps(built))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 @pytest.mark.parametrize("args, formats", [
