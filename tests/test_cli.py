@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import io
 import json
 import math
@@ -517,6 +518,30 @@ class TestPadic:
     def test_iteration_budget_exhausted(self, tmp_path):
         result = run("padic", "--K", 5, "--max-iter", 1, "--out", tmp_path)
         assert result.exit_code == 2
+
+    # K = 8 has 6,561 weights per component: a full block of 4,096, then a short one
+    @pytest.mark.parametrize("source", ["solved-4", "solved-8", "fractions"])
+    def test_streamed_json_is_the_whole_document_dump(self, source):
+        if source == "fractions":
+            weights = [Fraction(r % 5, 3 + r % 4) for r in range(9)]
+            comps = (padic.PadicDensity(2, weights), padic.PadicDensity(2, weights[::-1]))
+            precision = 2
+        else:
+            precision = int(source[-1])
+            comps = padic.solve_padic_system(precision)
+        doc = {
+            "precision": precision,
+            "components": [
+                {
+                    "component": i + 1,
+                    "mass": [c.mass.numerator, c.mass.denominator],
+                    "weights": [[w.numerator, w.denominator] for w in c.weights],
+                }
+                for i, c in enumerate(comps)
+            ],
+        }
+        streamed = "".join(cli._padic_json_blocks(precision, comps))
+        assert streamed == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 
@@ -1287,6 +1312,82 @@ def test_version_from_source_checkout(tmp_path):
     assert proc.stdout == f"selfsim, version {selfsim.__version__}\n"
     pyproject = (ROOT / "pyproject.toml").read_text()
     assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == selfsim.__version__
+
+
+# a command's process entry runs with the cyclic collector off; the probe
+# reports the collector's state once the run has ended, at interpreter exit
+GC_PROBE = """\
+import atexit, gc, sys
+atexit.register(lambda: print("gc", gc.isenabled(), gc.get_freeze_count(), file=sys.stderr))
+"""
+
+
+@pytest.mark.parametrize("args, code", [
+    (("padic", "--K", "4"), 0),
+    (("measure", "--system", "silver-max", "--grid-step", "1e-2"), 0),
+    (("attractor", "--system", "no-such-system"), 1),
+    (("padic", "--K", "13"), 3),
+], ids=["exact", "numpy", "exit-1", "exit-3"])
+def test_process_entry_runs_without_the_collector(args, code, tmp_path):
+    (tmp_path / "probe").mkdir()
+    (tmp_path / "probe" / "sitecustomize.py").write_text(GC_PROBE)
+    env = {**os.environ, "PYTHONPATH": f"{tmp_path / 'probe'}{os.pathsep}{ROOT / 'src'}"}
+    proc = subprocess.run([sys.executable, "-m", "selfsim.cli", *args, "--out", "out"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    probe, enabled, frozen = proc.stderr.splitlines()[-1].split()
+    assert (probe, enabled) == ("gc", "False")
+    assert int(frozen) > 0
+
+
+@pytest.mark.parametrize("args, code", [
+    (("padic", "--K", "4"), 0),
+    (("padic", "--K", "13"), 3),
+    (("measure", "--bogus"), 1),
+], ids=["exit-0", "exit-3", "usage-error"])
+def test_main_leaves_the_collector_as_it_found_it(args, code, tmp_path):
+    frozen = gc.get_freeze_count()
+    assert gc.isenabled()
+    assert run(*args, "--out", tmp_path).exit_code == code
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+
+
+# what a command leaves for the cyclic collector: argparse's parser and
+# numpy's import, about 300 and 700 objects on Python 3.11
+CYCLIC_GARBAGE_BOUND = 2000
+
+
+@pytest.mark.parametrize("small, large", [
+    (("padic", "--K", "4"), ("padic", "--K", "8")),
+    (("measure", "--system", "silver-max", "--grid-step", "1e-2"),
+     ("measure", "--system", "silver-max", "--grid-step", "1e-3")),
+], ids=["padic", "measure"])
+def test_cyclic_garbage_does_not_grow_with_the_run(small, large, tmp_path):
+    # the process entry never collects: what is left unreachable in cycles
+    # must be a fixed few hundred objects, whatever the size of the run
+    counts = []
+    for args in (small, large):
+        code = textwrap.dedent(f"""\
+            import gc, sys
+            gc.disable()
+            import selfsim.cli
+            selfsim.cli.main({[*args, "--out", "out"]!r})
+            print(gc.collect())
+        """)
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        counts.append(int(proc.stdout.splitlines()[-1]))
+    assert counts[0] == counts[1]
+    assert counts[0] < CYCLIC_GARBAGE_BOUND
+
+
+def test_console_script_is_the_process_entry():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r'^selfsim = "(.*)"$', pyproject, re.M).group(1) == "selfsim.cli:run"
+    assert callable(cli.run)
 
 
 def test_runs_without_docstrings(tmp_path):
