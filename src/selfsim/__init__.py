@@ -1,10 +1,13 @@
 """Attractors and self-similar measures of affine contraction systems.
 
-Subpackages cover exact arithmetic in Q(sqrt2), one number type that also
-holds Z[sqrt2] (with the exact coordinates of cyclotomic coefficient
-rows), compact-set iteration with Hausdorff metrics, invariant measures
-(atomic and density form), multi-component systems, cut-and-project point
-sets with Weyl averages, and a 3-adic component system.
+Submodules cover exact arithmetic in Q(sqrt2), one number type that also
+holds Z[sqrt2], with interval sets and affine maps (``core``), convex
+polygons, compact-set iteration with Hausdorff metrics, the exact
+coordinates of cyclotomic coefficient rows and lattice enumeration,
+invariant measures (atomic and density form), multi-component systems,
+cut-and-project point sets with Weyl averages, and a 3-adic component
+system.  They are cut along the commands, so a command executes, and
+without a bytecode cache compiles, only the code it runs.
 """
 
 import importlib.util
@@ -17,9 +20,10 @@ def _lazy_module(name: str):
     """The module ``name``, registered in ``sys.modules`` (and on its parent
     package) at once but executed on its first attribute access: the
     standard-library ``importlib.util.LazyLoader`` recipe.  The CLI
-    reaches every layer this way, and the exact layers reach numpy and
-    the numpy layers this way, so a command executes only the layers it
-    runs.  A module already imported is returned as it is."""
+    reaches every module and json this way, and the other modules reach
+    numpy, the numpy layers and the modules only some commands run this
+    way, so a command executes only the code it runs.  A module already
+    imported is returned as it is."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)

@@ -15,25 +15,28 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import json
 import math
 import sys
 from pathlib import Path
 from typing import Optional
 
 from . import __version__, _lazy_module
-from .errors import ConfigError, ConvergenceError, ResourceCapError
+from .errors import ConfigError, ConvergenceError, ResourceCapError, _refuse_unknown
 
 # the fourier table's size before it is built: frequencies, and frequencies
 # times product terms (about 60-130 ns each, so some 8-17 s at the cap)
 _FOURIER_FREQUENCY_CAP = 2**20
 _FOURIER_PRODUCT_CAP = 2**27
 
-# every layer is loaded on first use, so a command executes only the layers
-# it runs: attractor never executes numpy, and padic executes padic alone.
+# every module is loaded on first use, so a command executes only the code
+# it runs: attractor never executes numpy, padic executes padic alone, and
+# json runs only for a config file or a JSON document built whole.
 # numberfields is not used here; it is registered with the others so that
 # every layer module is in sys.modules once this module is imported.
+json = _lazy_module("json")
 np = _lazy_module("numpy")
+core = _lazy_module("selfsim.core")
+polygons = _lazy_module("selfsim.polygons")
 compactsets = _lazy_module("selfsim.compactsets")
 numberfields = _lazy_module("selfsim.numberfields")
 padic = _lazy_module("selfsim.padic")
@@ -41,6 +44,8 @@ systems = _lazy_module("selfsim.systems")
 measures = _lazy_module("selfsim.measures")
 modelsets = _lazy_module("selfsim.modelsets")
 multicomponent = _lazy_module("selfsim.multicomponent")
+# an inline system's parser, run only when the config's system is a dict
+inline = _lazy_module("selfsim.inline")
 # the output layer's vectorized "%.17g", run by measure's CSV writer alone
 float17 = _lazy_module("selfsim.float17")
 
@@ -79,7 +84,7 @@ class ExperimentConfig:
     """Merged run parameters: system descriptor, numerics, output.
 
     ``system`` is a builtin name or an inline dict (see
-    ``system_from_spec``); every other field is checked for its type and
+    ``inline.system_from_spec``); every other field is checked for its type and
     range on construction, before any computation starts.  A number is an
     int or a float, not a bool; ``radii`` and ``centers`` are tuples of
     numbers (a center may be a tuple of coordinates).  The field names,
@@ -169,147 +174,7 @@ def build_config(config_path: Optional[str], defaults=None, **flags) -> Experime
 
 
 # ---------------------------------------------------------------------------
-# inline system descriptors
-
-
-def _refuse_unknown(spec, known, what: str) -> None:
-    """Refuse a dict ``spec`` with keys outside ``known``, naming them."""
-    unknown = set(spec) - set(known) if isinstance(spec, dict) else ()
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
-
-
-# the keys of each inline family kind, "kind" included
-_FAMILY_KEYS = {
-    "uniform": ("kind", "lo", "hi", "mass"),
-    "atoms": ("kind", "atoms"),
-    "point": ("kind", "location", "mass"),
-}
-
-
-def _finite(value, what: str) -> float:
-    """``value`` as a float, refused as a ConfigError unless it is finite."""
-    x = float(value)
-    if not math.isfinite(x):
-        raise ConfigError(f"{what} must be finite, got {x!r}")
-    return x
-
-
-def _family_from_spec(spec) -> object:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("family spec must be a dict with a 'kind'")
-    kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
-        raise ConfigError(f"unknown family kind {kind!r}")
-    _refuse_unknown(spec, _FAMILY_KEYS[kind], f"{kind!r} family spec")
-    try:
-        if kind == "uniform":
-            region = compactsets.IntervalSet.closed(
-                _finite(spec["lo"], "a uniform family's 'lo'"),
-                _finite(spec["hi"], "a uniform family's 'hi'"),
-            )
-            if not region.measure() > 0:
-                raise ConfigError(f"a uniform family needs hi above lo, got [{region.lo}, {region.hi}]")
-            mass = _finite(spec.get("mass", 1.0), "a uniform family's 'mass'")
-            return measures.UniformFamily(region, mass)
-        if kind == "atoms":
-            atoms = [
-                (_finite(loc, "an atom's location"), _finite(w, "an atom's weight"))
-                for loc, w in spec["atoms"]
-            ]
-            return measures.DiscreteMeasure(atoms)
-        atom = (  # kind == "point"
-            _finite(spec["location"], "a point family's 'location'"),
-            _finite(spec.get("mass", 1.0), "a point family's 'mass'"),
-        )
-        return measures.DiscreteMeasure([atom])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad {kind!r} family spec: {exc}")
-
-
-def _map_from_spec(spec, a: float):
-    """The map x -> a x + t of one ``maps`` entry; its own "a" overrides ``a``."""
-    _refuse_unknown(spec, ("t", "a"), "inline map")
-    a = _finite(spec.get("a", a), "a map's 'a'")
-    return compactsets.AffineMap(a, _finite(spec["t"], "a map's 't'"))
-
-
-def system_from_spec(spec: dict) -> systems.BuiltinSystem:
-    """Build a 1D system from an inline JSON descriptor.
-
-    Recognized keys: ``a`` (the shared contraction), ``maps`` (nested
-    per-component translation lists, each entry ``{"t": ...}`` with an
-    optional per-map ``"a"``), ``seeds`` (seed intervals as [lo, hi]
-    pairs), ``family`` (single-component measure spec), ``sigma`` and
-    ``m`` (multi-component entries and mass vector), and an optional
-    ``s`` cross-checked against the family masses.  Any other key, here,
-    in a map entry or in a family spec, is refused.  Every number must
-    be finite.
-    """
-    _refuse_unknown(spec, ("a", "maps", "seeds", "family", "sigma", "m", "s"), "inline system")
-    if "a" not in spec:
-        raise ConfigError("inline system needs the contraction 'a'")
-    try:
-        a = float(spec["a"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"the contraction 'a' must be a number: {exc}")
-    if not 0 < abs(a) < 1:
-        raise ConfigError(f"the contraction 'a' needs 0 < |a| < 1, got {a}")
-    ifs = seeds = None
-    if "maps" in spec:
-        try:
-            grid = [[[_map_from_spec(m, a) for m in cell] for cell in row] for row in spec["maps"]]
-            ifs = compactsets.IFSSystem(grid)
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ConfigError(f"bad inline maps: {exc}")
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        raw_seeds = spec.get("seeds")
-        if raw_seeds is None:
-            raw_seeds = [[-1.0, 1.0]] * ifs.n
-        try:
-            seeds = tuple(
-                compactsets.IntervalSet.closed(
-                    _finite(lo, "a seed's lo"), _finite(hi, "a seed's hi")
-                )
-                for lo, hi in raw_seeds
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad inline seeds: {exc}")
-        if len(seeds) != ifs.n:
-            raise ConfigError(f"expected {ifs.n} inline seeds, one per component, got {len(seeds)}")
-    family = _family_from_spec(spec["family"]) if "family" in spec else None
-    if family is not None and not abs(family.total_mass - 1.0) <= 1e-9:
-        raise ConfigError(f"a single family must have mass 1, got {family.total_mass}")
-    mc = None
-    if "sigma" in spec:
-        try:
-            sigma = [
-                [None if cell is None else _family_from_spec(cell) for cell in row]
-                for row in spec["sigma"]
-            ]
-            m = spec.get("m")
-            if m is not None:
-                m = [_finite(v, "the mass vector 'm'") for v in m]
-            mc = multicomponent.MCSystem(a, sigma, m=m)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad inline sigma or m: {exc}")
-        if "s" in spec:
-            try:
-                stated = np.array(spec["s"], dtype=float).reshape(mc.s.shape)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad stated s: {exc}")
-            if not np.isfinite(stated).all():
-                raise ConfigError(f"the stated 's' must be finite, got {spec['s']!r}")
-            bad = np.argwhere(np.abs(stated - mc.s) > 1e-9).tolist()
-            if bad:
-                raise ConfigError(f"stated s{bad[0]} disagrees with the family masses")
-    return systems.BuiltinSystem(
-        name="inline",
-        summary="inline system from config",
-        attractor_facets=lambda: dict(ifs=ifs, seeds=seeds),
-        measure_facets=lambda: dict(family=family, contraction=a, mc=mc),
-    )
+# systems
 
 
 def resolve_system(cfg: ExperimentConfig) -> systems.BuiltinSystem:
@@ -321,7 +186,7 @@ def resolve_system(cfg: ExperimentConfig) -> systems.BuiltinSystem:
     if isinstance(cfg.system, str):
         return systems.builtin(cfg.system)
     if isinstance(cfg.system, dict):
-        return system_from_spec(cfg.system)
+        return inline.system_from_spec(cfg.system)
     raise ConfigError("system must be a builtin name or an inline dict")
 
 
@@ -388,16 +253,17 @@ def _write_grid(g: measures.GridDensity, path_base: Path, fmt: str) -> Path:
 
 
 def _set_json(s) -> dict:
-    if isinstance(s, compactsets.IntervalSet):
+    # an interval set is tested first, so a line run never executes polygons
+    if isinstance(s, core.IntervalSet):
         return {"intervals": [[float(lo), float(hi)] for lo, hi in s.intervals]}
-    if isinstance(s, compactsets.ConvexPolygon):
+    if isinstance(s, polygons.ConvexPolygon):
         return {"vertices": [[float(x), float(y)] for x, y in s.vertices]}
     return {"parts": [_set_json(part) for part in s]}
 
 
 def _set_rows(s):
     """part,lo,hi rows for interval sets; part,x,y vertex rows for polygons."""
-    if isinstance(s, compactsets.IntervalSet):
+    if isinstance(s, core.IntervalSet):
         return "part,lo,hi", [(k, float(lo), float(hi)) for k, (lo, hi) in enumerate(s.intervals)]
     parts = s if isinstance(s, tuple) else (s,)
     return "part,x,y", [(k, float(x), float(y)) for k, p in enumerate(parts) for x, y in p.vertices]
@@ -660,41 +526,6 @@ def cmd_weyl(cfg: ExperimentConfig) -> None:
         )
 
 
-def _padic_closed_form_holds(comps, precision: int) -> bool:
-    """Whether each component i, at depth K, is 9 on b_i + 9Z, b = (1, 3, 0), else 0."""
-    return len(comps) == 3 and all(
-        c.precision == precision and all(w == 9 * (r % 9 == b) for r, w in enumerate(c.weights))
-        for c, b in zip(comps, (1, 3, 0))
-    )
-
-
-def _padic_json_blocks(precision: int, comps):
-    """The text of ``padic.json``, 4096 weights to a block, laid out as
-    ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` lays out
-
-        doc = {"precision": K, "components": [{"component": i + 1,
-               "mass": [num, den], "weights": [[num, den], ...]}, ...]}
-
-    without building it.  Each distinct weight is formatted once."""
-
-    def pair(num, den, pad):
-        return f"[\n{pad}  {num},\n{pad}  {den}\n{pad}]"
-
-    texts = {}  # (num, den) -> the weight's lines in the weights list
-    head = '{\n  "components": ['
-    for i, c in enumerate(comps):
-        mass = pair(c.mass.numerator, c.mass.denominator, " " * 6)
-        yield f'{head}\n    {{\n      "component": {i + 1},\n      "mass": {mass},\n      "weights": ['
-        head = ","
-        for lo in range(0, len(c.weights), 4096):
-            keys = [(w.numerator, w.denominator) for w in c.weights[lo : lo + 4096]]
-            for key in set(keys) - texts.keys():
-                texts[key] = " " * 8 + pair(*key, " " * 8)
-            yield ("," if lo else "") + "\n" + ",\n".join(map(texts.__getitem__, keys))
-        yield "\n      ]\n    }"
-    yield f'\n  ],\n  "precision": {precision}\n}}\n'
-
-
 @_command(
     "padic",
     ("--K", dict(dest="precision", metavar="K", type=int, help="coset depth (default 5)")),
@@ -707,12 +538,10 @@ def cmd_padic(cfg: ExperimentConfig) -> None:
     out_dir = _out_dir(cfg)
     if cfg.fmt == "csv":
         for i, c in enumerate(comps):
-            rows = [(r, w.numerator, w.denominator) for r, w in enumerate(c.weights)]
-            path = out_dir / f"padic_component_{i + 1}.csv"
-            _write_csv(path, "residue,weight_num,weight_den", _csv_lines(rows))
+            _write_csv(out_dir / f"padic_component_{i + 1}.csv", padic.CSV_HEADER, padic.csv_blocks(c))
     else:
-        _write_json(out_dir / "padic.json", blocks=_padic_json_blocks(precision, comps))
-    if _padic_closed_form_holds(comps, precision):
+        _write_json(out_dir / "padic.json", blocks=padic.json_blocks(precision, comps))
+    if padic.closed_form_holds(comps, precision):
         _echo("PASS: densities equal 9 on the residues 1, 3, 0 mod 9")
     else:
         _echo("FAIL: densities differ from the mod-9 closed form")

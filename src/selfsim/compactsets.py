@@ -1,542 +1,39 @@
-"""Compact subsets of R and R^2, Hausdorff distance, and IFS attractors.
+"""The attractor engine: IFS systems, their iteration and Hausdorff metrics.
 
-Two concrete representations are provided: ``IntervalSet`` (a finite union
-of closed intervals, endpoints exact or float) and ``ConvexPolygon`` (a
-convex region with exact or float vertices; plane sets that are not convex
-are handled as tuples of convex parts).  Both answer the same questions:
-``dim``, ``measure()``, ``bbox()`` (the least coordinate per axis, then
-the greatest), ``linear_image`` and ``affine``.  Affine maps act on both and
-expose their linear part as per-axis rows (1x1 on the line); a
-translation-family map realizes a whole compact family of translates at
-once via a Minkowski sum, and ``iterate_attractor`` drives the union map
-of an ``IFSSystem`` to its fixed point, stopping on the Hausdorff
+A translation-family map realizes a whole compact family of translates
+at once via a Minkowski sum, and ``iterate_attractor`` drives the union
+map of an ``IFSSystem`` to its fixed point, stopping on the Hausdorff
 distance between iterates (exact for intervals and for single convex
 polygons, a vertex-based lower bound for unions of polygons).
 ``verify_exact_fixed_point`` re-checks a candidate attractor in exact
-arithmetic.
+arithmetic.  The sets and maps themselves live in ``core``
+(``IntervalSet``, ``AffineMap``) and ``polygons`` (``ConvexPolygon``);
+a line region is always told apart first, so no 1D run executes
+``polygons``.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-import math
-from fractions import Fraction
-from functools import cmp_to_key
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
+from . import _lazy_module
+from .core import AffineMap, IntervalSet, _floats
 from .errors import ConvergenceError, ResourceCapError
-from .numberfields import QuadRat
 
-_FLOAT_MERGE_EPS = 1e-12
-
-ExactScalar = Union[int, Fraction, QuadRat]
-Scalar = Union[ExactScalar, float]
+# the plane's sets, executed by planar systems alone
+polygons = _lazy_module("selfsim.polygons")
 
 
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction, QuadRat)) and not isinstance(x, bool)
-
-
-def _check_finite(values, what: str) -> None:
-    """Refuse an infinite or nan float among the values; exact values are
-    never checked."""
-    for v in values:
-        if isinstance(v, float) and not math.isfinite(v):
-            raise ValueError(f"{what} must be finite, got {v}")
-
-
-def _sign_of(x) -> int:
-    if isinstance(x, QuadRat):
-        return x.sign()
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+def _is_region(s) -> bool:
+    """Whether ``s`` is one region, not a tuple of parts; an interval set
+    is tested first, so a line region never executes ``polygons``."""
+    return isinstance(s, IntervalSet) or isinstance(s, polygons.ConvexPolygon)
 
 
 # ---------------------------------------------------------------------------
-# intervals
-
-
-class IntervalSet:
-    """Finite union of closed intervals, kept sorted and disjoint.
-
-    Intervals that touch or overlap are merged on construction; the merge
-    tolerance is exactly zero when every endpoint is exact (int, Fraction,
-    QuadRat) and 1e-12 once any endpoint is a float.  Degenerate
-    single-point intervals are allowed.
-    """
-
-    __slots__ = ("intervals", "is_exact")
-    dim = 1
-
-    def __init__(self, intervals: Iterable[tuple]):
-        pairs = [(lo, hi) for lo, hi in intervals]
-        if not pairs:
-            raise ValueError("IntervalSet needs at least one interval")
-        exact = all(_is_exact(lo) and _is_exact(hi) for lo, hi in pairs)
-        if not exact:
-            pairs = [(float(lo), float(hi)) for lo, hi in pairs]
-            _check_finite(itertools.chain(*pairs), "an interval endpoint")
-        for lo, hi in pairs:
-            if _sign_of(hi - lo) < 0:
-                raise ValueError(f"interval with lo > hi: ({lo}, {hi})")
-        eps = 0 if exact else _FLOAT_MERGE_EPS
-        pairs.sort(key=cmp_to_key(
-            lambda p, q: _sign_of(p[0] - q[0]) or _sign_of(p[1] - q[1])
-        ))
-        merged = [pairs[0]]
-        for lo, hi in pairs[1:]:
-            cur_lo, cur_hi = merged[-1]
-            if _sign_of(lo - cur_hi - eps) <= 0:
-                if _sign_of(hi - cur_hi) > 0:
-                    merged[-1] = (cur_lo, hi)
-            else:
-                merged.append((lo, hi))
-        self.intervals = tuple(merged)
-        self.is_exact = exact
-
-    @classmethod
-    def point(cls, x) -> "IntervalSet":
-        return cls([(x, x)])
-
-    @classmethod
-    def closed(cls, lo, hi) -> "IntervalSet":
-        return cls([(lo, hi)])
-
-    @property
-    def lo(self):
-        return self.intervals[0][0]
-
-    @property
-    def hi(self):
-        return self.intervals[-1][1]
-
-    def bbox(self) -> tuple:
-        return (self.lo, self.hi)
-
-    def measure(self):
-        total = self.intervals[0][1] - self.intervals[0][0]
-        for lo, hi in self.intervals[1:]:
-            total = total + (hi - lo)
-        return total
-
-    def contains(self, x, eps=0) -> bool:
-        return any(
-            _sign_of(x - lo + eps) >= 0 and _sign_of(hi - x + eps) >= 0
-            for lo, hi in self.intervals
-        )
-
-    def translate(self, t) -> "IntervalSet":
-        if self.is_exact and _is_exact(t):
-            return IntervalSet([(lo + t, hi + t) for lo, hi in self.intervals])
-        tf = float(t)
-        return IntervalSet(
-            [(float(lo) + tf, float(hi) + tf) for lo, hi in self.intervals]
-        )
-
-    def linear_image(self, a) -> "IntervalSet":
-        if not (self.is_exact and _is_exact(a)):
-            a = float(a)
-            pairs = [(a * float(lo), a * float(hi)) for lo, hi in self.intervals]
-        else:
-            pairs = [(a * lo, a * hi) for lo, hi in self.intervals]
-        if _sign_of(a) >= 0:
-            return IntervalSet(pairs)
-        return IntervalSet([(hi, lo) for lo, hi in pairs])
-
-    def affine(self, a, t) -> "IntervalSet":
-        return self.linear_image(a).translate(t)
-
-    def minkowski(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(
-            [
-                (lo1 + lo2, hi1 + hi2)
-                for lo1, hi1 in self.intervals
-                for lo2, hi2 in other.intervals
-            ]
-        )
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(list(self.intervals) + list(other.intervals))
-
-    def as_float(self) -> "IntervalSet":
-        return IntervalSet([(float(lo), float(hi)) for lo, hi in self.intervals])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntervalSet):
-            return NotImplemented
-        if len(self.intervals) != len(other.intervals):
-            return False
-        return all(
-            _sign_of(a[0] - b[0]) == 0 and _sign_of(a[1] - b[1]) == 0
-            for a, b in zip(self.intervals, other.intervals)
-        )
-
-    def __hash__(self):
-        return hash(tuple((float(lo), float(hi)) for lo, hi in self.intervals))
-
-    def __repr__(self) -> str:
-        parts = ", ".join(f"[{lo}, {hi}]" for lo, hi in self.intervals)
-        return f"IntervalSet({parts})"
-
-
-# ---------------------------------------------------------------------------
-# convex polygons
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _vec_cross(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
-class ConvexPolygon:
-    """Convex region given by its vertices, stored counterclockwise.
-
-    Vertex coordinates may be exact (int, Fraction or QuadRat) or floats; every
-    operation stays in the coordinate ring of its inputs.  The vertex list
-    is canonicalized (CCW, collinear vertices dropped, started at the
-    lexicographically smallest vertex) so equal regions compare equal.
-    A single-vertex polygon stands for a point.
-    """
-
-    __slots__ = ("vertices", "is_exact")
-    dim = 2
-
-    def __init__(self, vertices: Iterable[tuple]):
-        verts = [tuple(v) for v in vertices]
-        if not verts:
-            raise ValueError("ConvexPolygon needs at least one vertex")
-        exact = all(_is_exact(x) and _is_exact(y) for x, y in verts)
-        if not exact:
-            verts = [(float(x), float(y)) for x, y in verts]
-            _check_finite(itertools.chain(*verts), "a polygon vertex")
-        # drop consecutive duplicates (cyclically)
-        deduped = []
-        for v in verts:
-            if not deduped or not _points_equal(deduped[-1], v):
-                deduped.append(v)
-        if len(deduped) > 1 and _points_equal(deduped[0], deduped[-1]):
-            deduped.pop()
-        verts = deduped
-        if len(verts) == 1:
-            self.vertices = (verts[0],)
-            self.is_exact = exact
-            return
-        if len(verts) == 2:
-            raise ValueError("degenerate two-vertex polygon (segment) unsupported")
-        if _sign_of(_twice_signed_area(verts)) < 0:
-            verts.reverse()
-        # drop collinear vertices
-        kept = []
-        n = len(verts)
-        for k in range(n):
-            prev, cur, nxt = verts[k - 1], verts[k], verts[(k + 1) % n]
-            if _sign_of(_cross(prev, cur, nxt)) != 0:
-                kept.append(cur)
-        if len(kept) < 3:
-            raise ValueError("polygon has no area; use a single vertex for points")
-        n = len(kept)
-        for k in range(n):
-            if _sign_of(_cross(kept[k - 1], kept[k], kept[(k + 1) % n])) < 0:
-                raise ValueError("vertices do not bound a convex polygon")
-        start = min(
-            range(n),
-            key=cmp_to_key(
-                lambda i, j: _sign_of(kept[i][0] - kept[j][0])
-                or _sign_of(kept[i][1] - kept[j][1])
-            ),
-        )
-        self.vertices = tuple(kept[start:] + kept[:start])
-        self.is_exact = exact
-
-    @classmethod
-    def point(cls, x, y) -> "ConvexPolygon":
-        return cls([(x, y)])
-
-    def measure(self):
-        if len(self.vertices) == 1:
-            return 0
-        doubled = _twice_signed_area(list(self.vertices))
-        return doubled / 2 if not _is_exact(doubled) else _halve_exact(doubled)
-
-    def contains(self, point, eps=0) -> bool:
-        if len(self.vertices) == 1:
-            v = self.vertices[0]
-            return abs(float(point[0]) - float(v[0])) <= eps and abs(
-                float(point[1]) - float(v[1])
-            ) <= eps
-        n = len(self.vertices)
-        for k in range(n):
-            c = _cross(self.vertices[k], self.vertices[(k + 1) % n], point)
-            if _sign_of(c + eps) < 0:
-                return False
-        return True
-
-    def translate(self, v) -> "ConvexPolygon":
-        verts = self.vertices
-        if not (self.is_exact and _is_exact(v[0]) and _is_exact(v[1])):
-            v = (float(v[0]), float(v[1]))
-            verts = [(float(x), float(y)) for x, y in verts]
-        return ConvexPolygon([(x + v[0], y + v[1]) for x, y in verts])
-
-    def linear_image(self, matrix) -> "ConvexPolygon":
-        return self.affine(matrix, (0, 0))
-
-    def affine(self, matrix, v) -> "ConvexPolygon":
-        (a, b), (c, d) = matrix
-        verts = self.vertices
-        if not (self.is_exact and all(_is_exact(p) for p in (a, b, c, d, *v))):
-            a, b, c, d = float(a), float(b), float(c), float(d)
-            v = (float(v[0]), float(v[1]))
-            verts = [(float(x), float(y)) for x, y in verts]
-        return ConvexPolygon(
-            [(a * x + b * y + v[0], c * x + d * y + v[1]) for x, y in verts]
-        )
-
-    def support(self, direction):
-        """Support function: max of <vertex, direction> over the polygon."""
-        best = None
-        for x, y in self.vertices:
-            val = x * direction[0] + y * direction[1]
-            if best is None or _sign_of(val - best) > 0:
-                best = val
-        return best
-
-    def minkowski(self, other: "ConvexPolygon") -> "ConvexPolygon":
-        if len(other.vertices) == 1:
-            return self.translate(other.vertices[0])
-        if len(self.vertices) == 1:
-            return other.translate(self.vertices[0])
-        p = _rotate_to_lowest(list(self.vertices))
-        q = _rotate_to_lowest(list(other.vertices))
-        n, m = len(p), len(q)
-        out = []
-        i = j = 0
-        while i < n or j < m:
-            pi, qj = p[i % n], q[j % m]
-            out.append((pi[0] + qj[0], pi[1] + qj[1]))
-            if i >= n:
-                j += 1
-            elif j >= m:
-                i += 1
-            else:
-                ep = _edge(p, i)
-                eq = _edge(q, j)
-                s = _sign_of(_vec_cross(ep, eq))
-                if s >= 0:
-                    i += 1
-                if s <= 0:
-                    j += 1
-        return ConvexPolygon(out)
-
-    def erode(self, other: "ConvexPolygon"):
-        """Points x with x + other contained in self; None when empty.
-
-        Computed as the intersection of the translates self - v over the
-        vertices v of ``other``, which is exact for convex polygons.  A
-        result that collapses to a single point is returned as a point
-        polygon; a result that is a segment (measure zero, no interior)
-        is reported as None like the empty set.
-        """
-        pts = None
-        for vx, vy in other.vertices:
-            shifted = [(x - vx, y - vy) for x, y in self.vertices]
-            if pts is None:
-                pts = shifted
-            else:
-                pts = _clip_points(pts, shifted)
-            if not pts:
-                return None
-        return _classify_region(pts)
-
-    def bbox(self) -> tuple:
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        return (min(xs), min(ys), max(xs), max(ys))
-
-    def as_float(self) -> "ConvexPolygon":
-        return ConvexPolygon([(float(x), float(y)) for x, y in self.vertices])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConvexPolygon):
-            return NotImplemented
-        if len(self.vertices) != len(other.vertices):
-            return False
-        return all(_points_equal(a, b) for a, b in zip(self.vertices, other.vertices))
-
-    def __hash__(self):
-        return hash(tuple((float(x), float(y)) for x, y in self.vertices))
-
-    def __repr__(self) -> str:
-        return f"ConvexPolygon({list(self.vertices)!r})"
-
-
-def _points_equal(a, b) -> bool:
-    return _sign_of(a[0] - b[0]) == 0 and _sign_of(a[1] - b[1]) == 0
-
-
-def _twice_signed_area(verts: list):
-    total = None
-    n = len(verts)
-    for k in range(n):
-        x0, y0 = verts[k]
-        x1, y1 = verts[(k + 1) % n]
-        term = x0 * y1 - x1 * y0
-        total = term if total is None else total + term
-    return total
-
-
-def _halve_exact(x):
-    return Fraction(x, 2) if isinstance(x, int) else x / 2
-
-
-def _rotate_to_lowest(verts: list) -> list:
-    start = min(
-        range(len(verts)),
-        key=cmp_to_key(
-            lambda i, j: _sign_of(verts[i][1] - verts[j][1])
-            or _sign_of(verts[i][0] - verts[j][0])
-        ),
-    )
-    return verts[start:] + verts[:start]
-
-
-def _edge(verts: list, k: int) -> tuple:
-    n = len(verts)
-    a, b = verts[k % n], verts[(k + 1) % n]
-    return (b[0] - a[0], b[1] - a[1])
-
-
-def _clip_points(pts: list, clipper_verts: list) -> list:
-    """Sutherland-Hodgman clip of a (possibly degenerate) convex point list
-    against a proper CCW convex polygon; returns the surviving point list."""
-    n = len(clipper_verts)
-    for k in range(n):
-        a, b = clipper_verts[k], clipper_verts[(k + 1) % n]
-        kept = []
-        m = len(pts)
-        for t in range(m):
-            cur, nxt = pts[t], pts[(t + 1) % m]
-            side_cur = _sign_of(_cross(a, b, cur))
-            side_nxt = _sign_of(_cross(a, b, nxt))
-            if side_cur >= 0:
-                kept.append(cur)
-            if side_cur * side_nxt < 0:
-                kept.append(_line_intersection(a, b, cur, nxt))
-        deduped = []
-        for p in kept:
-            if not any(_points_equal(p, q) for q in deduped):
-                deduped.append(p)
-        pts = deduped
-        if not pts:
-            return []
-    return pts
-
-
-def _classify_region(pts: list):
-    uniq = []
-    for p in pts:
-        if not any(_points_equal(p, q) for q in uniq):
-            uniq.append(p)
-    if not uniq:
-        return None
-    if len(uniq) == 1:
-        return ConvexPolygon([uniq[0]])
-    try:
-        return ConvexPolygon(uniq)
-    except ValueError:
-        return None  # collapsed to a segment: measure zero
-
-
-def _line_intersection(a, b, p, q):
-    # point of segment pq on the line through ab (caller guarantees crossing)
-    d1 = _cross(a, b, p)
-    d2 = _cross(a, b, q)
-    denom = d1 - d2
-    t = d1 / denom if not _is_exact(denom) else _exact_div(d1, denom)
-    return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-
-
-def _exact_div(num, den):
-    if isinstance(num, QuadRat) or isinstance(den, QuadRat):
-        return num / den
-    return Fraction(num) / Fraction(den)
-
-
-# ---------------------------------------------------------------------------
-# affine maps
-
-
-class AffineMap:
-    """x |-> a x + t with scalar a (1D) or a 2x2 matrix a (2D)."""
-
-    __slots__ = ("a", "t")
-
-    def __init__(self, a, t) -> None:
-        self.a, self.t = a, t
-        _check_finite(itertools.chain(*self.rows, self.translation), "an affine map entry")
-
-    @classmethod
-    def linear(cls, a) -> "AffineMap":
-        """The map x |-> a x, with a zero translation of the right shape."""
-        return cls(a, (0,) * len(a) if isinstance(a, (tuple, list)) else 0)
-
-    @property
-    def dim(self) -> int:
-        return 2 if isinstance(self.a, (tuple, list)) else 1
-
-    @property
-    def rows(self) -> tuple:
-        """The linear part as per-axis rows, x first (1x1 on the line)."""
-        return tuple(map(tuple, self.a)) if self.dim == 2 else ((self.a,),)
-
-    @property
-    def translation(self) -> tuple:
-        """The translation per axis, x first."""
-        return tuple(self.t) if self.dim == 2 else (self.t,)
-
-    @property
-    def factor(self) -> float:
-        """Lipschitz constant in the sup norm."""
-        return max(sum(abs(float(v)) for v in row) for row in self.rows)
-
-    def determinant(self):
-        if self.dim == 1:
-            return self.a
-        (a, b), (c, d) = self.a
-        return a * d - b * c
-
-    @property
-    def modulus(self):
-        """Inverse of |det|; the volume inflation of the inverse map."""
-        det = self.determinant()
-        if _sign_of(det) == 0:
-            raise ValueError("singular linear part has no modulus")
-        inv = 1 / float(det) if not _is_exact(det) else _exact_div(1, det)
-        return abs(inv)
-
-    def __call__(self, x):
-        if self.dim == 1:
-            return self.a * x + self.t
-        (a, b), (c, d) = self.a
-        return (a * x[0] + b * x[1] + self.t[0], c * x[0] + d * x[1] + self.t[1])
-
-    def as_float(self) -> "AffineMap":
-        return AffineMap(_floats(self.a), _floats(self.t))
-
-    def is_exact(self) -> bool:
-        return all(map(_is_exact, itertools.chain(*self.rows, self.translation)))
-
-
-def _floats(x):
-    """A scalar, or nested tuples of scalars, converted to floats."""
-    return tuple(map(_floats, x)) if isinstance(x, (tuple, list)) else float(x)
+# translation-family maps
 
 
 class TranslationFamilyMap:
@@ -563,12 +60,9 @@ class TranslationFamilyMap:
         return AffineMap.linear(self.a).is_exact() and self.family.is_exact
 
 
-MapLike = Union[AffineMap, TranslationFamilyMap]
-CompactSet = Union[IntervalSet, ConvexPolygon, tuple]
-
-
-def apply_affine(f: MapLike, S: CompactSet) -> CompactSet:
-    """Image of a compact set under an affine or translation-family map."""
+def apply_affine(f, S):
+    """Image of a compact set (a region or a tuple of parts) under an
+    ``AffineMap`` or a ``TranslationFamilyMap``."""
     if isinstance(S, (tuple, list)):
         parts = [apply_affine(f, part) for part in S]
         return tuple(itertools.chain.from_iterable(
@@ -625,7 +119,7 @@ def _dist_point_segment(p, a, b) -> float:
     return ((px - cx) ** 2 + (py - cy) ** 2) ** 0.5
 
 
-def _dist_point_polygon(p, poly: ConvexPolygon) -> float:
+def _dist_point_polygon(p, poly) -> float:
     verts = poly.vertices
     if len(verts) == 1:
         return _dist_point_segment(p, verts[0], verts[0])
@@ -638,12 +132,12 @@ def _dist_point_polygon(p, poly: ConvexPolygon) -> float:
 
 
 def _as_parts(S) -> tuple:
-    if isinstance(S, ConvexPolygon):
+    if isinstance(S, polygons.ConvexPolygon):
         return (S,)
     return tuple(S)
 
 
-def hausdorff_distance(U: CompactSet, V: CompactSet) -> float:
+def hausdorff_distance(U, V) -> float:
     """Hausdorff distance between two nonempty compact sets of equal dimension.
 
     1D unions of intervals are resolved through their endpoints and gap
@@ -684,7 +178,7 @@ def hausdorff_distance(U: CompactSet, V: CompactSet) -> float:
 class IFSSystem:
     """Square grid of map families: maps[i][j] send component j into i."""
 
-    def __init__(self, maps: Sequence[Sequence[Sequence[MapLike]]]):
+    def __init__(self, maps: Sequence[Sequence[Sequence]]):
         self.maps = tuple(tuple(tuple(cell) for cell in row) for row in maps)
         self.n = len(self.maps)
         if self.n == 0:
@@ -702,7 +196,7 @@ class IFSSystem:
             )
 
     @classmethod
-    def single(cls, maps: Sequence[MapLike]) -> "IFSSystem":
+    def single(cls, maps: Sequence) -> "IFSSystem":
         return cls([[list(maps)]])
 
     def as_float(self) -> "IFSSystem":
@@ -710,7 +204,7 @@ class IFSSystem:
             [[[f.as_float() for f in cell] for cell in row] for row in self.maps]
         )
 
-    def component_image(self, i: int, sets: Sequence[CompactSet]) -> CompactSet:
+    def component_image(self, i: int, sets: Sequence):
         pieces = []
         for j in range(self.n):
             for f in self.maps[i][j]:
@@ -728,9 +222,8 @@ class IFSSystem:
 
 
 def _normalize_seeds(system: IFSSystem, seeds) -> list:
-    if isinstance(seeds, (IntervalSet, ConvexPolygon)):
-        seeds = [seeds]
-    seeds = list(seeds)
+    # a tuple or list holds one seed per component; it is never a region
+    seeds = [seeds] if not isinstance(seeds, (tuple, list)) and _is_region(seeds) else list(seeds)
     if len(seeds) != system.n:
         raise ValueError(f"expected {system.n} seed sets, got {len(seeds)}")
     return seeds
@@ -767,7 +260,7 @@ def iterate_attractor(
         raise ValueError("tol must be positive")
     sysf = system.as_float()
     current = [
-        s.as_float() if isinstance(s, (IntervalSet, ConvexPolygon))
+        s.as_float() if _is_region(s)
         else tuple(p.as_float() for p in s)
         for s in _normalize_seeds(system, seeds)
     ]
@@ -814,7 +307,7 @@ def verify_exact_fixed_point(system: IFSSystem, candidate) -> FixedPointCheck:
     """
     sets = _normalize_seeds(system, candidate)
     for s in sets:
-        if not isinstance(s, (IntervalSet, ConvexPolygon)) or not s.is_exact:
+        if not _is_region(s) or not s.is_exact:
             raise ValueError("candidate sets must be exact IntervalSets or ConvexPolygons")
     for row in system.maps:
         for cell in row:

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 1,
-ConvergenceError -> 2, ResourceCapError -> 3.
+ConvergenceError -> 2, ResourceCapError -> 3.  ``_refuse_unknown`` is the
+one check of a config's and an inline system's keys.
 """
 
 
@@ -33,3 +34,10 @@ class ResourceCapError(SelfsimError):
 
 class CompatibilityError(ConfigError):
     """A component system's substitution matrix has no admissible mass vector."""
+
+
+def _refuse_unknown(spec, known, what: str) -> None:
+    """Refuse a dict ``spec`` with keys outside ``known``, naming them."""
+    unknown = set(spec) - set(known) if isinstance(spec, dict) else ()
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")

@@ -26,12 +26,15 @@ import functools
 import itertools
 import math
 import operator
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 import numpy as np
 
-from .compactsets import AffineMap, ConvexPolygon, IntervalSet, _check_finite
+from .core import AffineMap, IntervalSet, _check_finite
 from .errors import ConvergenceError, ResourceCapError
+
+if TYPE_CHECKING:  # a line run never executes the plane's sets
+    from .polygons import ConvexPolygon
 
 _ATOM_MERGE_EPS = 1e-12
 _LATTICE_SNAP_EPS = 1e-9

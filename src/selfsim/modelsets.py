@@ -17,12 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .compactsets import ConvexPolygon, IntervalSet
+from . import _lazy_module
+from .core import SQRT2, IntervalSet, QuadRat, _as_quadrat
 from .measures import GridDensity, _axes, _point
 from .numberfields import (
-    SQRT2,
-    QuadRat,
-    _as_quadrat,
     _certain_sign,
     _float_pair,
     _quad_sign,
@@ -31,6 +29,9 @@ from .numberfields import (
     enumerate_cyclo_box,
     enumerate_quad_range,
 )
+
+# the octagonal scheme's window, executed by planar systems alone
+polygons = _lazy_module("selfsim.polygons")
 
 
 def gram_covolume(rows) -> float:
@@ -127,7 +128,7 @@ def project_points(scheme: CutProjectScheme, window, radius) -> np.ndarray:
             ])
         return candidates[keep]
 
-    if not isinstance(window, ConvexPolygon):
+    if not isinstance(window, polygons.ConvexPolygon):
         raise TypeError("cyclo schemes use ConvexPolygon windows")
     xlo, ylo, xhi, yhi = (float(v) for v in window.bbox())
     star_bound = max(abs(xlo), abs(ylo), abs(xhi), abs(yhi)) + 1e-6
@@ -150,7 +151,7 @@ def project_points(scheme: CutProjectScheme, window, radius) -> np.ndarray:
     return candidates[keep]
 
 
-def _window_signs(window: ConvexPolygon, px, py, x_size, y_size) -> list:
+def _window_signs(window: polygons.ConvexPolygon, px, py, x_size, y_size) -> list:
     """Per edge, the certain signs of cross(a, b, x*) for the star points
     (px, py) with absolute terms (x_size, y_size).  A float window gives
     its eps=1e-12 verdict outright; a point window leaves every candidate
@@ -172,12 +173,12 @@ def _window_signs(window: ConvexPolygon, px, py, x_size, y_size) -> list:
                 (bxs + axs) * (y_size + ays) + (bys + ays) * (x_size + axs),
             ))
         else:
-            cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)  # compactsets._cross
+            cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)  # polygons._cross
             signs.append(np.where(cross + 1e-12 >= 0, 1, -1).astype(np.int8))
     return signs
 
 
-def _in_patch(row, window: ConvexPolygon, rsq: QuadRat) -> bool:
+def _in_patch(row, window: polygons.ConvexPolygon, rsq: QuadRat) -> bool:
     """The exact per-point test of the coefficient row of x: x in the
     closed disk |x|**2 <= rsq and x* in the window."""
     re, im, sre, sim = cyclo_exact(*row)
@@ -356,7 +357,7 @@ def maximal_translation_region(w_i, w_j, a):
         if float(lo) > float(hi):
             return None
         return IntervalSet([(lo, hi)])
-    if isinstance(w_i, ConvexPolygon) and isinstance(w_j, ConvexPolygon):
+    if isinstance(w_i, polygons.ConvexPolygon) and isinstance(w_j, polygons.ConvexPolygon):
         matrix = a if isinstance(a, tuple) else ((a, 0), (0, a))
         return w_i.erode(w_j.linear_image(matrix))
     raise TypeError("windows must both be IntervalSet or both ConvexPolygon")

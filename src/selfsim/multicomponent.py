@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .compactsets import IntervalSet, _is_exact
+from .core import IntervalSet, _is_exact
 from .errors import CompatibilityError
 from .measures import (
     DiscreteMeasure,

@@ -1,201 +1,30 @@
-"""Exact arithmetic in Q(sqrt2); lattice enumeration in Z[sqrt2] and the
-eighth cyclotomic ring Z[xi].
+"""Lattice enumeration in Z[sqrt2] and the eighth cyclotomic ring Z[xi].
 
-QuadRat(a, b, den) is the element (a + b*sqrt(2))/den of Q(sqrt2), kept in
-lowest terms with den > 0; den = 1 gives the elements of Z[sqrt2], which
-the enumeration passes as int64 coefficient rows (a, b).  The field
-automorphism `star` sends sqrt(2) to -sqrt(2).  An element of Z[xi],
-xi = exp(i*pi/4), is a coefficient row (c0, c1, c2, c3); its star map sends
-xi to xi**3, the internal-space embedding of the octagonal cut-and-project
-scheme, and `cyclo_exact` gives its physical and star coordinates in Q(sqrt2).
-
-All order comparisons are exact: the sign of a + b*sqrt(2) is decided from the
-signs of a, b and the integer comparison a**2 vs 2*b**2, never from floats.
+An element a + b*sqrt2 of Z[sqrt2] is passed as an int64 coefficient row
+(a, b), ``QuadRat(a, b)`` in exact form (the Q(sqrt2) arithmetic lives in
+``core``).  An element of Z[xi], xi = exp(i*pi/4), is a coefficient row
+(c0, c1, c2, c3); its star map sends xi to xi**3, the internal-space
+embedding of the octagonal cut-and-project scheme, and `cyclo_exact` gives
+its physical and star coordinates in Q(sqrt2).  The enumerators decide
+every membership exactly, filtering in float64 first; only the ``weyl``
+command runs them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import total_ordering
-from math import gcd
 from typing import Union
 
 from . import _lazy_module
+from .core import SQRT2, QuadRat, _as_quadrat
 from .errors import ResourceCapError
 
 # only the float-filtered enumeration below executes numpy
 np = _lazy_module("numpy")
 
-SQRT2 = math.sqrt(2.0)
-
 #: default cap on the number of candidate lattice points an enumeration may visit
 DEFAULT_ENUM_CAP = 20_000_000
-
-
-def _sign_quad(a: int, b: int) -> int:
-    """Exact sign of a + b*sqrt(2)."""
-    if a == 0 and b == 0:
-        return 0
-    if a >= 0 and b >= 0:
-        return 1
-    if a <= 0 and b <= 0:
-        return -1
-    # mixed signs: compare a**2 with 2*b**2
-    if a > 0:  # b < 0
-        return 1 if a * a > 2 * b * b else (-1 if a * a < 2 * b * b else 0)
-    # a < 0, b > 0
-    return -1 if a * a > 2 * b * b else (1 if a * a < 2 * b * b else 0)
-
-
-@total_ordering
-class QuadRat:
-    """(a + b*sqrt2)/den in Q(sqrt2), with integers a, b and den > 0 in
-    lowest terms; den = 1 gives the elements of Z[sqrt2].  Immutable: it
-    is hashed, so assigning a field raises AttributeError."""
-
-    __slots__ = ("a", "b", "den")
-
-    def __init__(self, a: int, b: int = 0, den: int = 1) -> None:
-        if den == 0:
-            raise ZeroDivisionError("QuadRat with zero denominator")
-        if den < 0:
-            a, b, den = -a, -b, -den
-        g = gcd(a, b, den)
-        if g > 1:
-            a, b, den = a // g, b // g, den // g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __repr__(self) -> str:
-        return f"QuadRat(a={self.a!r}, b={self.b!r}, den={self.den!r})"
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__, as assignment is refused
-        return QuadRat, (self.a, self.b, self.den)
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "QuadRat":
-        return cls(q.numerator, 0, q.denominator)
-
-    def star(self) -> "QuadRat":
-        """Galois conjugate: sqrt(2) -> -sqrt(2)."""
-        return QuadRat(self.a, -self.b, self.den)
-
-    def embed(self) -> float:
-        return (self.a + self.b * SQRT2) / self.den
-
-    def embed_star(self) -> float:
-        return (self.a - self.b * SQRT2) / self.den
-
-    def norm(self) -> Fraction:
-        """x * x.star(), a rational number."""
-        return Fraction(self.a * self.a - 2 * self.b * self.b, self.den * self.den)
-
-    def sign(self) -> int:
-        return _sign_quad(self.a, self.b)
-
-    def __add__(self, other: "QuadRatLike") -> "QuadRat":
-        other = _as_quadrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d, e = self.den, other.den
-        return QuadRat(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "QuadRatLike") -> "QuadRat":
-        other = _as_quadrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: "QuadRatLike") -> "QuadRat":
-        other = _as_quadrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self) -> "QuadRat":
-        return QuadRat(-self.a, -self.b, self.den)
-
-    def __mul__(self, other: "QuadRatLike") -> "QuadRat":
-        other = _as_quadrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return QuadRat(a * c + 2 * b * d, a * d + b * c, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "QuadRatLike") -> "QuadRat":
-        other = _as_quadrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, c, d = self.a, self.b, other.a, other.b
-        n = c * c - 2 * d * d
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        # (a + b sqrt2)/(c + d sqrt2) = (a + b sqrt2)(c - d sqrt2) / (c^2 - 2 d^2)
-        return QuadRat((a * c - 2 * b * d) * other.den, (b * c - a * d) * other.den,
-                       self.den * n)
-
-    def __rtruediv__(self, other: "QuadRatLike") -> "QuadRat":
-        other = _as_quadrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __abs__(self) -> "QuadRat":
-        return self if self.sign() >= 0 else -self
-
-    def __eq__(self, other: object) -> bool:
-        other = _as_quadrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.den == other.den
-
-    def __hash__(self) -> int:
-        # a rational element hashes like the equal int or Fraction
-        if self.b == 0:
-            return hash(Fraction(self.a, self.den))
-        return hash((self.a, self.b, self.den))
-
-    def __lt__(self, other: object) -> bool:
-        other = _as_quadrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() < 0
-
-    def __float__(self) -> float:
-        return self.embed()
-
-    def __str__(self) -> str:
-        text = f"{self.a}{self.b:+d}*sqrt2"
-        return f"({text})/{self.den}" if self.den != 1 else text
-
-
-QuadRatLike = Union[QuadRat, int, Fraction]
-
-
-def _as_quadrat(x: object):
-    if isinstance(x, QuadRat):
-        return x
-    if isinstance(x, int):
-        return QuadRat(x)
-    if isinstance(x, Fraction):
-        return QuadRat.from_fraction(x)
-    return NotImplemented
-
-
-# handy constants
-SILVER = QuadRat(1, 1)          # 1 + sqrt2, the silver mean
-SILVER_CONJ = QuadRat(1, -1)    # 1 - sqrt2 = -1/silver
-HALF_SQRT2 = QuadRat(0, 1, 2)   # sqrt2/2 = 1/sqrt2
 
 
 def cyclo_exact(c0: int, c1: int, c2: int, c3: int) -> tuple[QuadRat, QuadRat, QuadRat, QuadRat]:

@@ -14,6 +14,10 @@ exact fixed point of the matrix convolution step.  Every entry of that
 step is uniform on one coset mod 9, so the iteration runs on each
 component's nine coset masses mod 9, at a cost independent of K, and
 only the fixed point is lifted to 3^K weights.
+
+The padic command's files are laid out here too, streamed in blocks with
+each distinct weight formatted once (``csv_blocks``, ``json_blocks``),
+so no other command compiles them.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .errors import ConvergenceError, ResourceCapError
 
 SUBSTITUTION_COUNTS = ((1, 1, 1), (1, 1, 1), (0, 1, 2))
 DEFAULT_PRECISION = 5
-# weights per component at K = 12 (4-7 s to solve and write); only the lift grows with K
+# weights per component at K = 12 (2-3 s to solve and write); only the lift grows with K
 _LIFTED_WEIGHT_CAP = 3**12
 
 
@@ -45,14 +49,21 @@ class PadicDensity:
         if precision < 1:
             raise ValueError("precision must be at least 1")
         n = 3**precision
+        # each distinct weight object is checked and converted once: a lifted
+        # density repeats a few objects 3^K times.  The entry keeps the
+        # object alive, so its id cannot be reused by a later weight.
+        seen = {}
         ws = []
         for w in weights:
-            if isinstance(w, float) or not isinstance(w, (int, Fraction)):
-                raise ValueError("weights must be exact rationals")
-            w = Fraction(w)
-            if w < 0:
-                raise ValueError("weights must be nonnegative")
-            ws.append(w)
+            entry = seen.get(id(w))
+            if entry is None:
+                if isinstance(w, float) or not isinstance(w, (int, Fraction)):
+                    raise ValueError("weights must be exact rationals")
+                exact = w if type(w) is Fraction else Fraction(w)
+                if exact < 0:
+                    raise ValueError("weights must be nonnegative")
+                entry = seen[id(w)] = (w, exact)
+            ws.append(entry[1])
         if len(ws) != n:
             raise ValueError(f"need 3**{precision} = {n} weights, got {len(ws)}")
         self.precision = precision
@@ -325,3 +336,66 @@ def solve_padic_system(precision: int = DEFAULT_PRECISION, max_iter=None) -> tup
     raise ConvergenceError(
         f"coset convolution not stationary after {max_iter} steps"
     )
+
+
+# ---------------------------------------------------------------------------
+# output: the padic command's files, streamed
+
+# weights per streamed block of output text
+_BLOCK = 4096
+
+CSV_HEADER = "residue,weight_num,weight_den"
+
+
+def closed_form_holds(comps, precision: int) -> bool:
+    """Whether each component i, at depth K, is 9 on b_i + 9Z, b = (1, 3, 0), else 0."""
+    return len(comps) == 3 and all(
+        c.precision == precision and all(w == 9 * (r % 9 == b) for r, w in enumerate(c.weights))
+        for c, b in zip(comps, (1, 3, 0))
+    )
+
+
+def _weight_blocks(weights, layout, texts: dict):
+    """Per block of _BLOCK weights, its first index and the text of each
+    weight in it: ``texts`` maps (num, den) to ``layout(num, den)``, filled
+    the first time a value is seen, so each distinct weight is formatted
+    once."""
+    for lo in range(0, len(weights), _BLOCK):
+        keys = [(w.numerator, w.denominator) for w in weights[lo : lo + _BLOCK]]
+        for key in set(keys) - texts.keys():
+            texts[key] = layout(*key)
+        yield lo, map(texts.__getitem__, keys)
+
+
+def csv_blocks(density: PadicDensity):
+    """The data lines of one component's CSV file, ``residue,num,den`` per
+    weight, as bytes, _BLOCK lines to a block (the header is CSV_HEADER)."""
+    for lo, tails in _weight_blocks(density.weights, ",{},{}\n".format, {}):
+        yield "".join(map("{}{}".format, range(lo, lo + _BLOCK), tails)).encode()
+
+
+def json_blocks(precision: int, comps):
+    """The text of ``padic.json``, _BLOCK weights to a block, laid out as
+    ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` lays out
+
+        doc = {"precision": K, "components": [{"component": i + 1,
+               "mass": [num, den], "weights": [[num, den], ...]}, ...]}
+
+    without building it."""
+
+    def pair(num, den, pad):
+        return f"[\n{pad}  {num},\n{pad}  {den}\n{pad}]"
+
+    def weight(num, den):  # a weight's lines in the weights list
+        return " " * 8 + pair(num, den, " " * 8)
+
+    texts = {}
+    head = '{\n  "components": ['
+    for i, c in enumerate(comps):
+        mass = pair(c.mass.numerator, c.mass.denominator, " " * 6)
+        yield f'{head}\n    {{\n      "component": {i + 1},\n      "mass": {mass},\n      "weights": ['
+        head = ","
+        for lo, lines in _weight_blocks(c.weights, weight, texts):
+            yield ("," if lo else "") + "\n" + ",\n".join(lines)
+        yield "\n      ]\n    }"
+    yield f'\n  ],\n  "precision": {precision}\n}}\n'

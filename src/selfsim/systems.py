@@ -17,7 +17,9 @@ facets (scheme, window) likewise.  So ``builtin(name)`` followed by the
 attractor alone never loads numpy or the numpy layers ``measures``,
 ``modelsets`` and ``multicomponent``, ``measure`` never executes
 ``modelsets``, ``weyl`` never executes ``multicomponent``, and neither
-``measure``, ``fourier`` nor ``weyl`` builds a set-level IFS.
+``measure``, ``fourier`` nor ``weyl`` builds a set-level IFS or executes
+the attractor engine ``compactsets``, which only the attractor facets
+reach.  ``polygons`` runs for the planar builtin alone.
 """
 
 from __future__ import annotations
@@ -27,16 +29,13 @@ from fractions import Fraction
 from typing import Callable
 
 from . import _lazy_module
-from .compactsets import (
-    AffineMap,
-    ConvexPolygon,
-    IFSSystem,
-    IntervalSet,
-    TranslationFamilyMap,
-)
+from .core import HALF_SQRT2, AffineMap, IntervalSet, QuadRat
 from .errors import ConfigError
-from .numberfields import HALF_SQRT2, QuadRat
 
+# the attractor engine runs inside the attractor facets alone, and the
+# plane's sets for the planar builtin alone
+compactsets = _lazy_module("selfsim.compactsets")
+polygons = _lazy_module("selfsim.polygons")
 measures = _lazy_module("selfsim.measures")
 modelsets = _lazy_module("selfsim.modelsets")
 multicomponent = _lazy_module("selfsim.multicomponent")
@@ -51,11 +50,11 @@ WINDOW_1 = IntervalSet.closed(W_SPLIT, HALF_SQRT2)
 WINDOW_2 = IntervalSet.closed(-HALF_SQRT2, W_SPLIT)
 
 
-def octagon() -> ConvexPolygon:
+def octagon() -> polygons.ConvexPolygon:
     """Regular octagon of edge length 1 with exact vertices."""
     half = Fraction(1, 2)
     ha = QuadRat(1, 1, 2)  # (1 + sqrt2) / 2
-    return ConvexPolygon(
+    return polygons.ConvexPolygon(
         [
             (ha, half),
             (half, ha),
@@ -143,7 +142,9 @@ class BuiltinSystem:
 def _maps(a, T) -> list:
     """The set maps x -> a x + t of one entry: one per translation, or one
     translation-family map for a region."""
-    return [AffineMap(a, t) for t in T] if isinstance(T, tuple) else [TranslationFamilyMap(a, T)]
+    if isinstance(T, tuple):
+        return [AffineMap(a, t) for t in T]
+    return [compactsets.TranslationFamilyMap(a, T)]
 
 
 def _family(T, mass):
@@ -177,7 +178,7 @@ def _declared(
 
     def attractor_facets() -> dict:
         T = translations(sigma())
-        ifs = IFSSystem([[[] if t is None else _maps(a, t) for t in row] for row in T])
+        ifs = compactsets.IFSSystem([[[] if t is None else _maps(a, t) for t in row] for row in T])
         start = (IntervalSet.closed(-1.0, 1.0),) * len(T) if seeds is None else seeds(T)
         return dict(ifs=ifs, seeds=start, exact_attractor=exact_attractor)
 
@@ -206,7 +207,7 @@ def _point() -> BuiltinSystem:
         name="point",
         summary="one map halving toward the origin; attractor {0}",
         attractor_facets=lambda: dict(
-            ifs=IFSSystem.single([AffineMap(Fraction(1, 2), Fraction(0))]),
+            ifs=compactsets.IFSSystem.single([AffineMap(Fraction(1, 2), Fraction(0))]),
             seeds=(IntervalSet.closed(-1.0, 1.0),),
             exact_attractor=(IntervalSet.point(Fraction(0)),),
         ),

@@ -13,12 +13,11 @@ from fractions import Fraction
 import numpy as np
 
 from selfsim.compactsets import (
-    AffineMap,
-    IntervalSet,
     hausdorff_distance,
     iterate_attractor,
     verify_exact_fixed_point,
 )
+from selfsim.core import HALF_SQRT2, AffineMap, IntervalSet, QuadRat
 from selfsim.measures import (
     DiscreteMeasure,
     average_step,
@@ -46,7 +45,6 @@ from selfsim.multicomponent import (
     solve_mc_density,
     verify_nonoverlap,
 )
-from selfsim.numberfields import HALF_SQRT2, QuadRat
 from selfsim.padic import (
     SUBSTITUTION_COUNTS,
     PadicDensity,

@@ -22,11 +22,12 @@ import pytest
 
 import selfsim
 from selfsim import cli, float17, measures, modelsets, numberfields, padic
-from selfsim.cli import ExperimentConfig, _write_grid, build_config, main, system_from_spec
-from selfsim.compactsets import AffineMap, ConvexPolygon, IntervalSet
+from selfsim.cli import ExperimentConfig, _write_grid, build_config, main
+from selfsim.core import AffineMap, IntervalSet, QuadRat
 from selfsim.errors import ConfigError, ResourceCapError
 from selfsim.measures import GridDensity, fourier_hat
-from selfsim.numberfields import QuadRat
+from selfsim.inline import system_from_spec
+from selfsim.polygons import ConvexPolygon
 from selfsim.systems import builtin
 
 INF, NAN = math.inf, math.nan
@@ -522,13 +523,7 @@ class TestPadic:
     # K = 8 has 6,561 weights per component: a full block of 4,096, then a short one
     @pytest.mark.parametrize("source", ["solved-4", "solved-8", "fractions"])
     def test_streamed_json_is_the_whole_document_dump(self, source):
-        if source == "fractions":
-            weights = [Fraction(r % 5, 3 + r % 4) for r in range(9)]
-            comps = (padic.PadicDensity(2, weights), padic.PadicDensity(2, weights[::-1]))
-            precision = 2
-        else:
-            precision = int(source[-1])
-            comps = padic.solve_padic_system(precision)
+        precision, comps = padic_components(source)
         doc = {
             "precision": precision,
             "components": [
@@ -540,8 +535,25 @@ class TestPadic:
                 for i, c in enumerate(comps)
             ],
         }
-        streamed = "".join(cli._padic_json_blocks(precision, comps))
+        streamed = "".join(padic.json_blocks(precision, comps))
         assert streamed == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("source", ["solved-4", "solved-8", "fractions"])
+    def test_streamed_csv_is_the_row_layout(self, source):
+        _, comps = padic_components(source)
+        for c in comps:
+            rows = [(r, w.numerator, w.denominator) for r, w in enumerate(c.weights)]
+            assert b"".join(padic.csv_blocks(c)) == b"".join(cli._csv_lines(rows))
+
+
+def padic_components(source: str) -> tuple:
+    """Precision and densities: solved at K = 4 or 8, or two depth-2
+    densities of assorted fractions, one the other reversed."""
+    if source == "fractions":
+        weights = [Fraction(r % 5, 3 + r % 4) for r in range(9)]
+        return 2, (padic.PadicDensity(2, weights), padic.PadicDensity(2, weights[::-1]))
+    precision = int(source[-1])
+    return precision, padic.solve_padic_system(precision)
 
 
 
@@ -1169,11 +1181,13 @@ def fresh_modules(code: str, cwd, executed_only: bool = False) -> list:
     """Names in sys.modules after running ``code`` in a fresh interpreter
     against this checkout's src, however the code exits.  With
     ``executed_only``, a module registered by ``selfsim._lazy_module`` and
-    never used (still of the loader's lazy module type) is left out."""
+    never used (still of the loader's lazy module type) is left out.  The
+    names are listed before the script imports json to print them, so
+    json is among them only if the code imported it."""
     names = "(n for n, m in sys.modules.items() if type(m).__name__ != '_LazyModule')" \
         if executed_only else "sys.modules"
-    script = f"import json, sys\ntry:\n{textwrap.indent(code, '    ')}\nfinally:\n" \
-             f"    print(json.dumps(sorted({names})))"
+    script = f"import sys\ntry:\n{textwrap.indent(code, '    ')}\nfinally:\n" \
+             f"    names = sorted({names})\n    import json\n    print(json.dumps(names))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                          capture_output=True, text=True, check=True)
@@ -1231,7 +1245,40 @@ def test_padic_executes_only_its_own_layer(tmp_path):
         "selfsim.cli", "selfsim.errors", "selfsim.padic",
     ]
     assert "numpy" not in ran
+    assert "json" not in ran
     assert executed(ran, "numpy") == []
+
+
+# the selfsim modules each command executes, and so compiles where no
+# bytecode cache is written: the modules are cut along the commands, so a
+# line run executes neither the plane's polygons nor the inline parser,
+# measure, fourier and weyl not the attractor engine, and only weyl the
+# lattice enumerators (padic: test_padic_executes_only_its_own_layer)
+@pytest.mark.parametrize("args, modules", [
+    ((), ["cli", "errors"]),
+    (("attractor", "--system", "silver-max"), ["cli", "compactsets", "core", "errors", "systems"]),
+    (("attractor", "--system", "silver-mc-min"),
+     ["cli", "compactsets", "core", "errors", "systems"]),
+    (("attractor", "--system", "ammann-beenker"),
+     ["cli", "compactsets", "core", "errors", "polygons", "systems"]),
+    (("measure", "--system", "silver-max", "--grid-step", "1e-2"),
+     ["cli", "core", "errors", "float17", "measures", "systems"]),
+    (("measure", "--system", "silver-mc-max", "--grid-step", "1e-2", "--format", "json"),
+     ["cli", "core", "errors", "measures", "multicomponent", "systems"]),
+    (("fourier", "--system", "silver-max", "--terms", "5"),
+     ["cli", "core", "errors", "measures", "systems"]),
+    (("weyl", "--system", "silver", "--radii", "10"),
+     ["cli", "core", "errors", "measures", "modelsets", "numberfields", "systems"]),
+], ids=["import", "attractor", "attractor-mc", "attractor-planar", "measure", "measure-mc",
+        "fourier", "weyl"])
+def test_each_command_executes_only_the_modules_it_runs(args, modules, tmp_path):
+    code = "import selfsim.cli"
+    if args:
+        code += f"\nselfsim.cli.main({[*args, '--out', 'out']!r})"
+    ran = fresh_modules(code, tmp_path, executed_only=True)
+    assert [m[len("selfsim."):] for m in ran if m.startswith("selfsim.")] == modules
+    if not args:
+        assert "json" not in ran
 
 
 @pytest.mark.parametrize("args, skipped", [
@@ -1258,7 +1305,8 @@ def test_measure_and_weyl_build_no_attractor_facets(args, tmp_path):
     code = textwrap.dedent(f"""\
         import json
         import selfsim.cli
-        from selfsim.compactsets import ConvexPolygon, IFSSystem
+        from selfsim.compactsets import IFSSystem
+        from selfsim.polygons import ConvexPolygon
         built = []
         def spy(cls, name):
             real = getattr(cls, name)

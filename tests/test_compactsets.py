@@ -7,10 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selfsim.compactsets import (
-    AffineMap,
-    ConvexPolygon,
     IFSSystem,
-    IntervalSet,
     TranslationFamilyMap,
     apply_affine,
     hausdorff_distance,
@@ -18,9 +15,10 @@ from selfsim.compactsets import (
     verify_exact_fixed_point,
 )
 from selfsim.compactsets import _directed_1d
+from selfsim.core import HALF_SQRT2, AffineMap, IntervalSet, QuadRat
 from selfsim.errors import ConvergenceError
 from selfsim.measures import UniformFamily, raster_interval_set, raster_polygon, raster_region
-from selfsim.numberfields import HALF_SQRT2, QuadRat
+from selfsim.polygons import ConvexPolygon
 from selfsim.systems import builtin
 
 ALPHA = QuadRat(1, 1)

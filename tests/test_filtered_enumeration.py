@@ -20,15 +20,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selfsim import modelsets, numberfields
-from selfsim.compactsets import ConvexPolygon, IntervalSet
+from selfsim.core import SQRT2, IntervalSet, QuadRat
 from selfsim.modelsets import CutProjectScheme, project_points
-from selfsim.numberfields import (
-    SQRT2,
-    QuadRat,
-    cyclo_exact,
-    enumerate_cyclo_box,
-    enumerate_quad_range,
-)
+from selfsim.numberfields import cyclo_exact, enumerate_cyclo_box, enumerate_quad_range
+from selfsim.polygons import ConvexPolygon
 from selfsim.systems import builtin
 
 ALPHA = QuadRat(1, 1)

@@ -13,7 +13,7 @@ from scipy.spatial import ConvexHull, QhullError
 from scipy.stats import wasserstein_distance
 
 from selfsim import measures
-from selfsim.compactsets import AffineMap, ConvexPolygon, IntervalSet
+from selfsim.core import AffineMap, IntervalSet
 from selfsim.errors import ConvergenceError, ResourceCapError
 from selfsim.measures import (
     DiscreteMeasure,
@@ -40,6 +40,7 @@ from selfsim.measures import (
     solve_invariant_atoms,
 )
 from selfsim.multicomponent import _choose_step, solve_mc_density
+from selfsim.polygons import ConvexPolygon
 from selfsim.systems import builtin
 
 AC = 1.0 - math.sqrt(2.0)  # the contraction multiplier, about -0.4142

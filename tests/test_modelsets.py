@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfsim.compactsets import ConvexPolygon, IntervalSet
+from selfsim.core import HALF_SQRT2, SQRT2, IntervalSet, QuadRat
 from selfsim.measures import raster_interval_set, raster_polygon
 from selfsim.modelsets import (
     CutProjectScheme,
@@ -21,13 +21,8 @@ from selfsim.modelsets import (
     theoretical_density,
     weyl_average,
 )
-from selfsim.numberfields import (
-    HALF_SQRT2,
-    SQRT2,
-    QuadRat,
-    enumerate_cyclo_box,
-    enumerate_quad_range,
-)
+from selfsim.numberfields import enumerate_cyclo_box, enumerate_quad_range
+from selfsim.polygons import ConvexPolygon
 from selfsim.systems import builtin
 
 ALPHA = QuadRat(1, 1)  # 1 + sqrt2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
-from selfsim.compactsets import ConvexPolygon, IntervalSet
+from selfsim.core import HALF_SQRT2, IntervalSet, QuadRat
 from selfsim.errors import CompatibilityError, ConvergenceError
 from selfsim.measures import (
     DiscreteMeasure,
@@ -31,7 +31,7 @@ from selfsim.multicomponent import (
     solve_mc_density,
     verify_nonoverlap,
 )
-from selfsim.numberfields import HALF_SQRT2, QuadRat
+from selfsim.polygons import ConvexPolygon
 
 AC = 1.0 - math.sqrt(2.0)
 R = abs(AC)

@@ -6,15 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfsim import numberfields
+from selfsim.core import SILVER, SILVER_CONJ, SQRT2, QuadRat
 from selfsim.errors import ResourceCapError
 from selfsim.modelsets import CutProjectScheme
 from selfsim.numberfields import (
     _FILTER_TINY,
     _FILTER_ULPS,
-    SILVER,
-    SILVER_CONJ,
-    SQRT2,
-    QuadRat,
     cyclo_exact,
     enumerate_cyclo_box,
     enumerate_quad_range,

@@ -80,6 +80,25 @@ class TestPadicDensity:
         with pytest.raises(ValueError):
             PadicDensity(0, [])
 
+    def test_repeated_weight_objects_are_checked_once_each(self):
+        bad = Fraction(-1, 3)
+        # a bad object is refused wherever it sits, with the same message
+        with pytest.raises(ValueError, match="^weights must be nonnegative$"):
+            PadicDensity(2, [Fraction(1)] * 8 + [bad])
+        with pytest.raises(ValueError, match="^weights must be exact rationals$"):
+            PadicDensity(2, [1] * 8 + [0.5])
+        # weights made one at a time and dropped at once may share an id (a
+        # Fraction of an int subclass holds a copy, not the weight); each
+        # still reads its own value
+        class Big(int):
+            pass
+
+        d = PadicDensity(3, (Big(10**20 + r) for r in range(27)))
+        assert d.weights == tuple(Fraction(10**20 + r) for r in range(27))
+        assert all(type(w) is Fraction for w in d.weights)
+        one = Fraction(9)
+        assert all(w is one for w in PadicDensity(2, [one] * 9).weights)
+
     def test_equality_is_exact(self):
         u = PadicDensity(1, [Fraction(1, 3), 0, Fraction(8, 3)])
         v = PadicDensity(1, [Fraction(1, 3), 0, Fraction(8, 3)])

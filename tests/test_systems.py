@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from selfsim.compactsets import AffineMap, TranslationFamilyMap
+from selfsim.compactsets import TranslationFamilyMap
+from selfsim.core import AffineMap, QuadRat
 from selfsim.measures import DiscreteMeasure, UniformFamily
-from selfsim.numberfields import QuadRat
 from selfsim.systems import BUILTIN_NAMES, builtin
 
 AC = 1.0 - math.sqrt(2.0)
