@@ -4,9 +4,10 @@ Submodules cover exact arithmetic in Q(sqrt2), one number type that also
 holds Z[sqrt2], with interval sets and affine maps (``core``), convex
 polygons, compact-set iteration with Hausdorff metrics, the exact
 coordinates of cyclotomic coefficient rows and lattice enumeration,
-invariant measures (atomic and density form), multi-component systems,
-cut-and-project point sets with Weyl averages, and a 3-adic component
-system.  They are cut along the commands, so a command executes, and
+lattice grids with rasters, invariant measures (atomic and density form),
+multi-component systems, cut-and-project point sets with Weyl averages,
+and a 3-adic component system.  They, and the command bodies in
+``commands``, are cut along the commands, so a command executes, and
 without a bytecode cache compiles, only the code it runs.
 """
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _lazy_module
 from .core import SQRT2, IntervalSet, QuadRat, _as_quadrat
-from .measures import GridDensity, _axes, _point
+from .grids import GridDensity, _axes, _point
 from .numberfields import (
     _certain_sign,
     _float_pair,

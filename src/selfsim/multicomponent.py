@@ -19,19 +19,17 @@ import numpy as np
 
 from .core import IntervalSet, _is_exact
 from .errors import CompatibilityError
+from .grids import _axes, raster_interval_set, snap_to_lattice
 from .measures import (
     DiscreteMeasure,
     UniformFamily,
     _as_linear,
     _atoms,
-    _axes,
     _family_hat,
     add_grids,
     family_as_grid,
     grid_fixed_point,
     l1_distance,
-    raster_interval_set,
-    snap_to_lattice,
 )
 
 _CA_TOL = 1e-10

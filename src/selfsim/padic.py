@@ -23,6 +23,7 @@ so no other command compiles them.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -97,9 +98,15 @@ class PadicDensity:
 
     @property
     def mass(self) -> Fraction:
-        # summed over one common denominator: adding Fractions reduces by a gcd at each step
-        den = math.lcm(*{w.denominator for w in self.weights})
-        total = sum(w.numerator * (den // w.denominator) for w in self.weights)
+        # each distinct weight object (a lifted density repeats a few 3^K
+        # times) times its count, summed over one common denominator: adding
+        # Fractions reduces by a gcd at each step.  The weights hold every
+        # object, so no two of them share an id.
+        counts = Counter(map(id, self.weights))
+        distinct = dict(zip(map(id, self.weights), self.weights))
+        den = math.lcm(*{w.denominator for w in distinct.values()})
+        total = sum(n * distinct[k].numerator * (den // distinct[k].denominator)
+                    for k, n in counts.items())
         return Fraction(total, den * 3**self.precision)
 
     def support(self) -> frozenset:
@@ -348,9 +355,17 @@ CSV_HEADER = "residue,weight_num,weight_den"
 
 
 def closed_form_holds(comps, precision: int) -> bool:
-    """Whether each component i, at depth K, is 9 on b_i + 9Z, b = (1, 3, 0), else 0."""
+    """Whether each component i, at depth K, is 9 on b_i + 9Z, b = (1, 3, 0),
+    else 0.  Each residue class mod 9 is compared with its first weight,
+    which ``tuple.count`` does by identity before value: a solved density
+    repeats one object per class, so only nine weights per component are
+    compared as Fractions."""
+
+    def constant(ws, value) -> bool:
+        return not ws or ws[0] == value and ws.count(ws[0]) == len(ws)
+
     return len(comps) == 3 and all(
-        c.precision == precision and all(w == 9 * (r % 9 == b) for r, w in enumerate(c.weights))
+        c.precision == precision and all(constant(c.weights[s::9], 9 * (s == b)) for s in range(9))
         for c, b in zip(comps, (1, 3, 0))
     )
 
@@ -392,7 +407,8 @@ def json_blocks(precision: int, comps):
     texts = {}
     head = '{\n  "components": ['
     for i, c in enumerate(comps):
-        mass = pair(c.mass.numerator, c.mass.denominator, " " * 6)
+        m = c.mass
+        mass = pair(m.numerator, m.denominator, " " * 6)
         yield f'{head}\n    {{\n      "component": {i + 1},\n      "mass": {mass},\n      "weights": ['
         head = ","
         for lo, lines in _weight_blocks(c.weights, weight, texts):

@@ -16,7 +16,8 @@ the measure facets (family, contraction, mc) likewise, and the Weyl
 facets (scheme, window) likewise.  So ``builtin(name)`` followed by the
 attractor alone never loads numpy or the numpy layers ``measures``,
 ``modelsets`` and ``multicomponent``, ``measure`` never executes
-``modelsets``, ``weyl`` never executes ``multicomponent``, and neither
+``modelsets``, ``weyl`` executes neither ``measures`` nor
+``multicomponent`` (only the lattice grids of ``grids``), and neither
 ``measure``, ``fourier`` nor ``weyl`` builds a set-level IFS or executes
 the attractor engine ``compactsets``, which only the attractor facets
 reach.  ``polygons`` runs for the planar builtin alone.

@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 import selfsim
-from selfsim import cli, float17, measures, modelsets, numberfields, padic
+from selfsim import cli, float17, grids, measures, modelsets, numberfields, padic
+from selfsim.commands import fourier as fourier_command, output
 from selfsim.cli import ExperimentConfig, _write_grid, build_config, main
 from selfsim.core import AffineMap, IntervalSet, QuadRat
 from selfsim.errors import ConfigError, ResourceCapError
@@ -286,9 +287,9 @@ class TestFourier:
 
     def test_product_cap_admits_the_default_table_exactly(self, tmp_path, monkeypatch):
         # 501 frequencies of 40 terms
-        monkeypatch.setattr(cli, "_FOURIER_PRODUCT_CAP", 40 * 501 - 1)
+        monkeypatch.setattr(fourier_command, "_FOURIER_PRODUCT_CAP", 40 * 501 - 1)
         assert run("fourier", "--system", "silver-max", "--out", tmp_path).exit_code == 3
-        monkeypatch.setattr(cli, "_FOURIER_PRODUCT_CAP", 40 * 501)
+        monkeypatch.setattr(fourier_command, "_FOURIER_PRODUCT_CAP", 40 * 501)
         assert run("fourier", "--system", "silver-max", "--out", tmp_path).exit_code == 0
 
 
@@ -543,7 +544,7 @@ class TestPadic:
         _, comps = padic_components(source)
         for c in comps:
             rows = [(r, w.numerator, w.denominator) for r, w in enumerate(c.weights)]
-            assert b"".join(padic.csv_blocks(c)) == b"".join(cli._csv_lines(rows))
+            assert b"".join(padic.csv_blocks(c)) == b"".join(output._csv_lines(rows))
 
 
 def padic_components(source: str) -> tuple:
@@ -558,8 +559,8 @@ def padic_components(source: str) -> tuple:
 
 
 class NoGridAllocation:
-    """Stands in for numpy inside ``measures``: the array constructors
-    fail if called; everything else is numpy's."""
+    """Stands in for numpy inside ``grids`` and ``measures``: the array
+    constructors fail if called; everything else is numpy's."""
 
     def __getattr__(self, name):
         if name in ("arange", "empty", "full", "meshgrid", "zeros", "fft"):
@@ -577,7 +578,8 @@ class TestGridCellCap:
         ("measure", "--system", "silver-max", "--grid-step", 5e-324),
     ])
     def test_tiny_step_exits_before_any_grid(self, args, tmp_path, monkeypatch):
-        monkeypatch.setattr(measures, "np", NoGridAllocation())
+        for module in (grids, measures):
+            monkeypatch.setattr(module, "np", NoGridAllocation())
         result = run(*args, "--out", tmp_path)
         assert result.exit_code == 3
         assert result.stderr.startswith("error: a grid of about")
@@ -599,7 +601,8 @@ class TestGridCellCap:
         def started(*a, **k):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(measures, "np", NoGridAllocation())
+        for module in (grids, measures):
+            monkeypatch.setattr(module, "np", NoGridAllocation())
         monkeypatch.setattr(modelsets, "project_points", started)
         result = run(*args, "--out", tmp_path)
         assert result.exit_code == 1
@@ -610,8 +613,9 @@ class TestGridCellCap:
     def test_lowered_cap_refuses_the_default_step(self, tmp_path, monkeypatch):
         b = builtin("silver-max")
         raster = measures.family_as_grid(b.family, b.default_step)
-        monkeypatch.setattr(measures, "_GRID_CELL_CAP", raster.values.size - 1)
-        monkeypatch.setattr(measures, "np", NoGridAllocation())
+        monkeypatch.setattr(grids, "_GRID_CELL_CAP", raster.values.size - 1)
+        for module in (grids, measures):
+            monkeypatch.setattr(module, "np", NoGridAllocation())
         result = run("measure", "--system", "silver-max", "--out", tmp_path)
         assert result.exit_code == 3
         assert not list(tmp_path.iterdir())
@@ -621,7 +625,7 @@ class TestGridCellCap:
         far = GridDensity(10_000, 0.01, np.ones(10))
         wide = GridDensity(0, 0.01, np.ones(600))
         square = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-        monkeypatch.setattr(measures, "_GRID_CELL_CAP", 1000)
+        monkeypatch.setattr(grids, "_GRID_CELL_CAP", 1000)
         refused = [
             lambda: measures.raster_interval_set(IntervalSet.closed(0.0, 1.0), 1e-4, 1.0),
             lambda: measures.raster_polygon(square, 0.01, 1.0),
@@ -637,7 +641,7 @@ class TestGridCellCap:
         # the raster fits, but the iterates grow toward the wider attractor
         b = builtin("silver-max")
         raster = measures.family_as_grid(b.family, b.default_step)
-        monkeypatch.setattr(measures, "_GRID_CELL_CAP", raster.values.size + 8)
+        monkeypatch.setattr(grids, "_GRID_CELL_CAP", raster.values.size + 8)
         result = run("measure", "--system", "silver-max", "--out", tmp_path)
         assert result.exit_code == 3
         assert result.stderr.startswith("error: a grid of about")
@@ -814,6 +818,24 @@ class TestUsageErrors:
         assert result.exit_code == 1
         assert result.stderr == message + "\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args, out", [
+        (("measure", "--system", "silver-max", "--grid-step", "1e-2"), "file"),
+        (("attractor", "--system", "silver-max"), "file/sub"),
+        (("weyl", "--system", "silver", "--radii", "10"), "x" * 300),  # a name too long
+        (("fourier", "--system", "silver-max", "--terms", "5"), "file"),
+        (("padic", "--K", "4"), "file/sub"),
+    ], ids=["measure-file", "attractor-under-file", "weyl-name-too-long", "fourier-file",
+            "padic-under-file"])
+    def test_out_that_cannot_be_a_directory_exits_1(self, args, out, tmp_path):
+        (tmp_path / "file").write_text("kept\n")
+        result = run(*args, "--out", tmp_path / out)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith(f"error: cannot make output directory '{tmp_path / out}': ")
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     def test_help_exits_0(self):
         result = run("padic", "--help")
@@ -1242,7 +1264,8 @@ def test_padic_executes_only_its_own_layer(tmp_path):
     code = "import selfsim.cli\nselfsim.cli.main(['padic', '--K', '4'])"
     ran = fresh_modules(code, tmp_path, executed_only=True)
     assert [m for m in ran if m.startswith("selfsim.")] == [
-        "selfsim.cli", "selfsim.errors", "selfsim.padic",
+        "selfsim.cli", "selfsim.commands", "selfsim.commands.output", "selfsim.commands.padic",
+        "selfsim.errors", "selfsim.padic",
     ]
     assert "numpy" not in ran
     assert "json" not in ran
@@ -1252,23 +1275,33 @@ def test_padic_executes_only_its_own_layer(tmp_path):
 # the selfsim modules each command executes, and so compiles where no
 # bytecode cache is written: the modules are cut along the commands, so a
 # line run executes neither the plane's polygons nor the inline parser,
-# measure, fourier and weyl not the attractor engine, and only weyl the
-# lattice enumerators (padic: test_padic_executes_only_its_own_layer)
+# measure, fourier and weyl not the attractor engine, only weyl the lattice
+# enumerators, weyl not the solvers of measures (only the lattice grids), and
+# each command only its own body of selfsim.commands
+# (padic: test_padic_executes_only_its_own_layer)
 @pytest.mark.parametrize("args, modules", [
     ((), ["cli", "errors"]),
-    (("attractor", "--system", "silver-max"), ["cli", "compactsets", "core", "errors", "systems"]),
+    (("attractor", "--system", "silver-max"),
+     ["cli", "commands", "commands.attractor", "commands.output", "compactsets", "core", "errors",
+      "systems"]),
     (("attractor", "--system", "silver-mc-min"),
-     ["cli", "compactsets", "core", "errors", "systems"]),
+     ["cli", "commands", "commands.attractor", "commands.output", "compactsets", "core", "errors",
+      "systems"]),
     (("attractor", "--system", "ammann-beenker"),
-     ["cli", "compactsets", "core", "errors", "polygons", "systems"]),
+     ["cli", "commands", "commands.attractor", "commands.output", "compactsets", "core", "errors",
+      "polygons", "systems"]),
     (("measure", "--system", "silver-max", "--grid-step", "1e-2"),
-     ["cli", "core", "errors", "float17", "measures", "systems"]),
+     ["cli", "commands", "commands.measure", "commands.output", "core", "errors", "float17", "grids",
+      "measures", "systems"]),
     (("measure", "--system", "silver-mc-max", "--grid-step", "1e-2", "--format", "json"),
-     ["cli", "core", "errors", "measures", "multicomponent", "systems"]),
+     ["cli", "commands", "commands.measure", "commands.output", "core", "errors", "grids", "measures",
+      "multicomponent", "systems"]),
     (("fourier", "--system", "silver-max", "--terms", "5"),
-     ["cli", "core", "errors", "measures", "systems"]),
+     ["cli", "commands", "commands.fourier", "commands.output", "core", "errors", "grids", "measures",
+      "systems"]),
     (("weyl", "--system", "silver", "--radii", "10"),
-     ["cli", "core", "errors", "measures", "modelsets", "numberfields", "systems"]),
+     ["cli", "commands", "commands.output", "commands.weyl", "core", "errors", "grids", "modelsets",
+      "numberfields", "systems"]),
 ], ids=["import", "attractor", "attractor-mc", "attractor-planar", "measure", "measure-mc",
         "fourier", "weyl"])
 def test_each_command_executes_only_the_modules_it_runs(args, modules, tmp_path):

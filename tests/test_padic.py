@@ -347,6 +347,37 @@ def one_step(comps, precision):
     return tuple(out)
 
 
+class TestClosedFormCheck:
+    """The closed-form check and ``mass`` work once per distinct weight
+    object; a solved density repeats nine objects, ``closed_form`` makes a
+    fresh equal-valued one for every residue."""
+
+    @pytest.mark.parametrize("precision", [4, 5])
+    def test_equal_valued_distinct_objects(self, precision):
+        for comps in (closed_form(precision), solve_padic_system(precision)):
+            assert padic.closed_form_holds(comps, precision)
+            assert [c.mass for c in comps] == [1, 1, 1]
+        assert not padic.closed_form_holds(closed_form(precision), precision + 1)
+        assert not padic.closed_form_holds(closed_form(precision)[:2], precision)
+
+    @pytest.mark.parametrize("source", ["distinct", "solved"])
+    @pytest.mark.parametrize("component, residue, value", [
+        (0, 1 + 9 * 17, Fraction(10)),  # on the component's class
+        (1, 3**5 - 1, Fraction(1, 81)),  # off it
+        (2, 9 * 26, "shared"),  # the object of another class, zero there
+    ])
+    def test_one_perturbed_weight(self, source, component, residue, value):
+        precision = 5
+        comps = list(closed_form(precision) if source == "distinct" else solve_padic_system(precision))
+        weights = list(comps[component].weights)
+        # a weight object of a class whose value is 0, put where 9 belongs
+        weights[residue] = weights[residue + 1] if value == "shared" else value
+        comps[component] = PadicDensity(precision, weights)
+        assert not padic.closed_form_holds(tuple(comps), precision)
+        assert comps[component].mass == sum(weights, Fraction(0)) / 3**precision
+        assert comps[component].mass != 1
+
+
 class TestSolve:
     def test_closed_form_at_default_precision(self):
         comps = solve_padic_system()
