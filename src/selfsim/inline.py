@@ -8,6 +8,7 @@ the way.  Only a run whose system is such a dict executes this module.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 from . import _lazy_module
 from .core import AffineMap, IntervalSet
@@ -36,6 +37,17 @@ def _finite(value, what: str) -> float:
     return x
 
 
+@contextmanager
+def _refusing(prefix: str, errors=(KeyError, TypeError, ValueError)):
+    """Report ``errors`` raised in the block as a prefixed ConfigError: a
+    descriptor's own faults, or a library constructor's ValueError alone,
+    so that a fault inside the library shows as a traceback."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(f"{prefix}{exc}")
+
+
 def _family_from_spec(spec) -> object:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("family spec must be a dict with a 'kind'")
@@ -43,36 +55,34 @@ def _family_from_spec(spec) -> object:
     if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
         raise ConfigError(f"unknown family kind {kind!r}")
     _refuse_unknown(spec, _FAMILY_KEYS[kind], f"{kind!r} family spec")
-    try:
-        if kind == "uniform":
-            region = IntervalSet.closed(
-                _finite(spec["lo"], "a uniform family's 'lo'"),
-                _finite(spec["hi"], "a uniform family's 'hi'"),
-            )
-            if not region.measure() > 0:
-                raise ConfigError(f"a uniform family needs hi above lo, got [{region.lo}, {region.hi}]")
+    bad = f"bad {kind!r} family spec: "
+    if kind == "uniform":
+        with _refusing(bad):
+            lo, hi = (_finite(spec[key], f"a uniform family's {key!r}") for key in ("lo", "hi"))
+        with _refusing(bad, ValueError):
+            region = IntervalSet.closed(lo, hi)
+        if not region.measure() > 0:
+            raise ConfigError(f"a uniform family needs hi above lo, got [{region.lo}, {region.hi}]")
+        with _refusing(bad):
             mass = _finite(spec.get("mass", 1.0), "a uniform family's 'mass'")
+        with _refusing(bad, ValueError):
             return measures.UniformFamily(region, mass)
+    with _refusing(bad):
         if kind == "atoms":
-            atoms = [
-                (_finite(loc, "an atom's location"), _finite(w, "an atom's weight"))
-                for loc, w in spec["atoms"]
-            ]
-            return measures.DiscreteMeasure(atoms)
-        atom = (  # kind == "point"
-            _finite(spec["location"], "a point family's 'location'"),
-            _finite(spec.get("mass", 1.0), "a point family's 'mass'"),
-        )
-        return measures.DiscreteMeasure([atom])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad {kind!r} family spec: {exc}")
+            atoms = [(_finite(loc, "an atom's location"), _finite(w, "an atom's weight"))
+                     for loc, w in spec["atoms"]]
+        else:  # kind == "point"
+            atoms = [(_finite(spec["location"], "a point family's 'location'"),
+                      _finite(spec.get("mass", 1.0), "a point family's 'mass'"))]
+    with _refusing(bad, ValueError):
+        return measures.DiscreteMeasure(atoms)
 
 
-def _map_from_spec(spec, a: float):
-    """The map x -> a x + t of one ``maps`` entry; its own "a" overrides ``a``."""
+def _map_from_spec(spec, a: float) -> tuple:
+    """(a, t) of one ``maps`` entry's x -> a x + t; its own "a" overrides ``a``."""
     _refuse_unknown(spec, ("t", "a"), "inline map")
     a = _finite(spec.get("a", a), "a map's 'a'")
-    return AffineMap(a, _finite(spec["t"], "a map's 't'"))
+    return a, _finite(spec["t"], "a map's 't'")
 
 
 def system_from_spec(spec: dict) -> BuiltinSystem:
@@ -90,33 +100,26 @@ def system_from_spec(spec: dict) -> BuiltinSystem:
     _refuse_unknown(spec, ("a", "maps", "seeds", "family", "sigma", "m", "s"), "inline system")
     if "a" not in spec:
         raise ConfigError("inline system needs the contraction 'a'")
-    try:
+    with _refusing("the contraction 'a' must be a number: ", (TypeError, ValueError)):
         a = float(spec["a"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"the contraction 'a' must be a number: {exc}")
     if not 0 < abs(a) < 1:
         raise ConfigError(f"the contraction 'a' needs 0 < |a| < 1, got {a}")
     ifs = seeds = None
     if "maps" in spec:
-        try:
+        with (_refusing("bad inline maps: ", (KeyError, TypeError, AttributeError)),
+              _refusing("", ValueError)):
             grid = [[[_map_from_spec(m, a) for m in cell] for cell in row] for row in spec["maps"]]
-            ifs = compactsets.IFSSystem(grid)
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ConfigError(f"bad inline maps: {exc}")
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        with _refusing("", ValueError):
+            ifs = compactsets.IFSSystem(
+                [[[AffineMap(*m) for m in cell] for cell in row] for row in grid])
         raw_seeds = spec.get("seeds")
         if raw_seeds is None:
             raw_seeds = [[-1.0, 1.0]] * ifs.n
-        try:
-            seeds = tuple(
-                IntervalSet.closed(
-                    _finite(lo, "a seed's lo"), _finite(hi, "a seed's hi")
-                )
-                for lo, hi in raw_seeds
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad inline seeds: {exc}")
+        with _refusing("bad inline seeds: ", (TypeError, ValueError)):
+            ends = [(_finite(lo, "a seed's lo"), _finite(hi, "a seed's hi"))
+                    for lo, hi in raw_seeds]
+        with _refusing("bad inline seeds: ", ValueError):
+            seeds = tuple(IntervalSet.closed(lo, hi) for lo, hi in ends)
         if len(seeds) != ifs.n:
             raise ConfigError(f"expected {ifs.n} inline seeds, one per component, got {len(seeds)}")
     family = _family_from_spec(spec["family"]) if "family" in spec else None
@@ -124,22 +127,20 @@ def system_from_spec(spec: dict) -> BuiltinSystem:
         raise ConfigError(f"a single family must have mass 1, got {family.total_mass}")
     mc = None
     if "sigma" in spec:
-        try:
-            sigma = [
-                [None if cell is None else _family_from_spec(cell) for cell in row]
-                for row in spec["sigma"]
-            ]
+        prefix = "bad inline sigma or m: "
+        with _refusing(prefix, (TypeError, ValueError)):
+            rows = [list(row) for row in spec["sigma"]]
+        sigma = [[None if cell is None else _family_from_spec(cell) for cell in row]
+                 for row in rows]
+        with _refusing(prefix, (TypeError, ValueError)):
             m = spec.get("m")
             if m is not None:
                 m = [_finite(v, "the mass vector 'm'") for v in m]
+        with _refusing(prefix, ValueError):
             mc = multicomponent.MCSystem(a, sigma, m=m)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad inline sigma or m: {exc}")
         if "s" in spec:
-            try:
+            with _refusing("bad stated s: ", (TypeError, ValueError)):
                 stated = np.array(spec["s"], dtype=float).reshape(mc.s.shape)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad stated s: {exc}")
             if not np.isfinite(stated).all():
                 raise ConfigError(f"the stated 's' must be finite, got {spec['s']!r}")
             bad = np.argwhere(np.abs(stated - mc.s) > 1e-9).tolist()

@@ -17,18 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _lazy_module
-from .core import SQRT2, IntervalSet, QuadRat, _as_quadrat
+from . import _lazy_module, numberfields
+from .core import IntervalSet, QuadRat, _as_quadrat
 from .grids import GridDensity, _axes, _point
-from .numberfields import (
-    _certain_sign,
-    _float_pair,
-    _quad_sign,
-    _settle,
-    cyclo_exact,
-    enumerate_cyclo_box,
-    enumerate_quad_range,
-)
+from .numberfields import _certain_sign, _embed, _float_pair, _form_signs, _linear_forms, _parts
+from .numberfields import _settle, enumerate_cyclo_box, enumerate_quad_range
 
 # the octagonal scheme's window, executed by planar systems alone
 polygons = _lazy_module("selfsim.polygons")
@@ -45,34 +38,26 @@ def gram_covolume(rows) -> float:
 
 
 class CutProjectScheme:
-    """Ring embedded on both sides: kind "quad" is Z[sqrt2] in R x R,
-    kind "cyclo" is Z[xi] (eighth root of unity) in C x C.  Ring elements
-    are int64 coefficient rows: (a, b) for a + b*sqrt2, (c0, c1, c2, c3)
-    for c0 + c1*xi + c2*xi^2 + c3*xi^3."""
+    """Ring embedded on both sides, declared by its integer matrices in
+    ``numberfields``: kind "quad" is Z[sqrt2] in R x R (``SILVER_FORMS``),
+    kind "cyclo" is Z[xi] (eighth root of unity) in C x C
+    (``OCTAGONAL_FORMS``).  Ring elements are int64 coefficient rows: (a, b)
+    for a + b*sqrt2, (c0, c1, c2, c3) for c0 + c1*xi + c2*xi^2 + c3*xi^3."""
 
     def __init__(self, kind: str):
         if kind not in ("quad", "cyclo"):
             raise ValueError(f"unknown scheme kind: {kind!r}")
         self.kind = kind
-        self.phys_dim = self.internal_dim = 1 if kind == "quad" else 2
-        rank = 2 * self.phys_dim
+        self.forms = numberfields.SILVER_FORMS if kind == "quad" else numberfields.OCTAGONAL_FORMS
+        rank = len(self.forms[0])
+        self.phys_dim = self.internal_dim = rank // 2
         self.covolume = gram_covolume(self.coordinates(np.eye(rank, dtype=np.int64)))
 
     def coordinates(self, rows) -> np.ndarray:
         """Physical then internal coordinates of the (N, k) coefficient
-        rows, one row of 2d floats each: a + b*sqrt2 and a - b*sqrt2 on the
-        line; in the plane, with u = c1 + c3, v = c1 - c3 and s = sqrt2/2,
-        re(x) = c0 + v*s, im(x) = c2 + u*s, re(x*) = c0 - v*s and
-        im(x*) = u*s - c2, each the float of its exact value in
-        ``cyclo_exact`` bit for bit."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if self.kind == "quad":
-            a, b = rows.T
-            bs = b * SQRT2
-            return np.stack([a + bs, a - bs], axis=1)
-        c0, c1, c2, c3 = rows.T
-        vs, us = (c1 - c3) * (SQRT2 / 2.0), (c1 + c3) * (SQRT2 / 2.0)
-        return np.stack([c0 + vs, c2 + us, c0 - vs, us - c2], axis=1)
+        rows, one row of 2d floats each, the float of each exact coordinate
+        (``numberfields.exact_coordinates``) bit for bit."""
+        return numberfields.coordinates(self.forms, rows)
 
     @classmethod
     def silver(cls) -> "CutProjectScheme":
@@ -85,108 +70,63 @@ class CutProjectScheme:
 
 def project_points(scheme: CutProjectScheme, window, radius) -> np.ndarray:
     """All ring elements within the closed ball of the given radius whose
-    star image lies in the window, sorted by physical position: the kept
-    rows of the enumerator's (N, k) int64 coefficient array.
-
-    Ball and window membership are both decided exactly: the radius is
-    taken at its binary-float value and windows with exact endpoints or
-    vertices keep their boundary points.  The candidates come from
-    ``enumerate_quad_range`` / ``enumerate_cyclo_box``; the disk test and
-    every window endpoint or edge test is evaluated on their coefficient
-    arrays in float64, and a sign is taken from floats only where the value
-    exceeds 16 ulps of the sum of its absolute terms (the bound is derived
-    in ``numberfields``).  Candidates inside that margin go through the
-    exact per-point test on their coefficient row: ``IntervalSet.contains``
-    with eps=0 of the ``QuadRat`` a - b*sqrt2, or the ``QuadRat`` disk and
-    ``ConvexPolygon.contains`` with eps=0 of the coordinates that
-    ``cyclo_exact`` gives.  Float windows keep the eps=1e-12 test, evaluated
-    as the same float expression.
-    """
+    star image lies in the window: the kept rows of the enumerator's sorted
+    (N, k) int64 coefficient array, from the scheme's entry into the walk
+    of ``numberfields`` over the ball's box and the window's bounds.  The
+    radius is taken at its binary-float value, and exact windows keep their
+    boundary points: the disk and each window end or edge are filtered in
+    float64 as ``numberfields`` derives, with its one exact test
+    ``_in_patch`` inside the margin.  Float windows keep the eps=1e-12 test
+    of ``contains``, evaluated as the same float expression."""
     if not 0 < float(radius) < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
+    d = scheme.phys_dim
+    window_type = IntervalSet if d == 1 else polygons.ConvexPolygon
+    if not isinstance(window, window_type):
+        raise TypeError(f"{scheme.kind} schemes use {window_type.__name__} windows")
     r = Fraction(radius)
-    if scheme.kind == "quad":
-        if not isinstance(window, IntervalSet):
-            raise TypeError("quad schemes use IntervalSet windows")
-        star_lo = float(window.lo) - 1e-6
-        star_hi = float(window.hi) + 1e-6
-        candidates = enumerate_quad_range(-r, r, star_lo, star_hi)
-        a, b = candidates.T
-        if window.is_exact:
-            # lo <= a - b*sqrt2 <= hi for some interval of the window
-            verdict = np.maximum.reduce([
-                np.minimum(_quad_sign(a, -b, lo), -_quad_sign(a, -b, hi))
-                for lo, hi in window.intervals
-            ])
-            keep = _settle(verdict, lambda i: window.contains(
-                QuadRat(int(a[i]), -int(b[i])), eps=0))
-        else:
-            star = a - b * SQRT2  # x.embed_star(), bit for bit
-            keep = np.logical_or.reduce([
-                ((star - lo) + 1e-12 >= 0) & ((hi - star) + 1e-12 >= 0)
-                for lo, hi in window.intervals
-            ])
-        return candidates[keep]
-
-    if not isinstance(window, polygons.ConvexPolygon):
-        raise TypeError("cyclo schemes use ConvexPolygon windows")
-    xlo, ylo, xhi, yhi = (float(v) for v in window.bbox())
-    star_bound = max(abs(xlo), abs(ylo), abs(xhi), abs(yhi)) + 1e-6
-    candidates = enumerate_cyclo_box(r, star_bound)
-    c0, c1, c2, c3 = candidates.T
-    # the star floats (px, py) are float() of re(x*) and im(x*) from
-    # cyclo_exact, bit for bit, and x and x* have the same absolute terms
-    re, im, px, py = scheme.coordinates(candidates).T
-    s = SQRT2 / 2.0
-    x_size, y_size = np.abs(c0) + np.abs(c1 - c3) * s, np.abs(c2) + np.abs(c1 + c3) * s
+    ends = [float(v) for v in window.bbox()]
+    if d == 1:
+        candidates = enumerate_quad_range(-r, r, ends[0] - 1e-6, ends[1] + 1e-6)
+    else:
+        candidates = enumerate_cyclo_box(r, max(map(abs, ends)) + 1e-6)
+    p, q = _parts(scheme.forms, candidates)
+    den = scheme.forms[2]
+    x, size = _embed(p, q, den), _embed(np.abs(p[:, :d]), np.abs(q[:, :d]), den)
     rsq = QuadRat(r.numerator**2, 0, r.denominator**2)
     rv, rs = _float_pair(rsq)
-    signs = [_certain_sign(rv - (re * re + im * im), rs + (x_size * x_size + y_size * y_size))]
-    signs += _window_signs(window, px, py, x_size, y_size)
+    disk = _certain_sign(rv - (x[:, :d] ** 2).sum(axis=1), rs + (size**2).sum(axis=1))
     keep = _settle(
-        np.minimum.reduce(signs),
-        lambda i: _in_patch(candidates[i].tolist(), window, rsq),
+        np.minimum(disk, _window_signs(scheme, window, candidates, x[:, d:])),
+        lambda i: numberfields._in_patch(scheme.forms, candidates[i].tolist(), (), window, rsq),
     )
-    # the candidates arrive sorted by physical position
     return candidates[keep]
 
 
-def _window_signs(window: polygons.ConvexPolygon, px, py, x_size, y_size) -> list:
-    """Per edge, the certain signs of cross(a, b, x*) for the star points
-    (px, py) with absolute terms (x_size, y_size).  A float window gives
-    its eps=1e-12 verdict outright; a point window leaves every candidate
-    to the exact test."""
-    verts = window.vertices
-    n = len(verts)
-    if n == 1:
-        return [np.zeros(len(px), dtype=np.int8)]
-    signs = []
-    for k in range(n):
-        (ax, ay), (bx, by) = verts[k], verts[(k + 1) % n]
+def _window_signs(scheme: CutProjectScheme, window, rows, star) -> np.ndarray:
+    """+1 or -1 per candidate row whose star point is certainly in or out
+    of the window, 0 where the exact test decides.  The window is a union
+    of pieces, each bounded by half-spaces n.(x* - o) >= 0: an interval's
+    two ends, a polygon's edges.  A float window gives its verdict
+    outright; a point window leaves every candidate to the exact test."""
+    if window.dim == 1:
+        pieces = [[((1,), (lo,)), ((-1,), (hi,))] for lo, hi in window.intervals]
+    elif len(verts := window.vertices) > 1:
+        pieces = [[((ay - by, bx - ax), (ax, ay))
+                   for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1])]]
+    else:
+        return np.zeros(len(rows), dtype=np.int8)
+    verdicts = []
+    for half_spaces in pieces:
         if window.is_exact:
-            # cross(a, b, x*) = ex * (py - ay) - ey * (px - ax), e = b - a
-            (axv, axs), (ayv, ays) = _float_pair(ax), _float_pair(ay)
-            (bxv, bxs), (byv, bys) = _float_pair(bx), _float_pair(by)
-            ex, ey = bxv - axv, byv - ayv
-            signs.append(_certain_sign(
-                ex * (py - ayv) - ey * (px - axv),
-                (bxs + axs) * (y_size + ays) + (bys + ays) * (x_size + axs),
-            ))
+            signs = _form_signs(rows, _linear_forms(scheme.forms, half_spaces, scheme.phys_dim))
         else:
-            cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)  # polygons._cross
-            signs.append(np.where(cross + 1e-12 >= 0, 1, -1).astype(np.int8))
-    return signs
-
-
-def _in_patch(row, window: polygons.ConvexPolygon, rsq: QuadRat) -> bool:
-    """The exact per-point test of the coefficient row of x: x in the
-    closed disk |x|**2 <= rsq and x* in the window."""
-    re, im, sre, sim = cyclo_exact(*row)
-    if re * re + im * im > rsq:
-        return False
-    if window.is_exact:
-        return window.contains((sre, sim), eps=0)
-    return window.contains((float(sre), float(sim)), eps=1e-12)
+            # IntervalSet.contains and polygons._cross, as floats go
+            signs = [np.where(sum(t * (star[:, j] - c) for j, (t, c) in enumerate(zip(n, o)))
+                              + 1e-12 >= 0, 1, -1).astype(np.int8)
+                     for n, o in half_spaces]
+        verdicts.append(np.minimum.reduce(signs))
+    return np.maximum.reduce(verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,20 @@
-"""Lattice enumeration in Z[sqrt2] and the eighth cyclotomic ring Z[xi].
+"""The cut-and-project lattices of Z[sqrt2] and of the eighth cyclotomic
+ring Z[xi], xi = exp(i*pi/4), and one float-filtered enumeration of both.
 
-An element a + b*sqrt2 of Z[sqrt2] is passed as an int64 coefficient row
-(a, b), ``QuadRat(a, b)`` in exact form (the Q(sqrt2) arithmetic lives in
-``core``).  An element of Z[xi], xi = exp(i*pi/4), is a coefficient row
-(c0, c1, c2, c3); its star map sends xi to xi**3, the internal-space
-embedding of the octagonal cut-and-project scheme, and `cyclo_exact` gives
-its physical and star coordinates in Q(sqrt2).  The enumerators decide
-every membership exactly, filtering in float64 first; only the ``weyl``
-command runs them.
+A scheme is declared by integer matrices (P, Q, den): coordinate j of an
+int64 coefficient row c, physical ones first, is (P[j].c + Q[j].c*sqrt2)/den.
+``SILVER_FORMS`` sends the row (a, b) of a + b*sqrt2 to a +- b*sqrt2;
+``OCTAGONAL_FORMS`` sends the row (c0, c1, c2, c3) of x = c0 + c1*xi +
+c2*xi^2 + c3*xi^3 to re(x), im(x), re(x*), im(x*), the star map sending xi
+to xi**3: with u = c1 + c3 and v = c1 - c3, c0 +- v/sqrt2, c2 + u/sqrt2 and
+u/sqrt2 - c2.  Every membership test, here and in ``modelsets``, is decided
+exactly, filtering in float64 first; only the ``weyl`` command runs them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
 from . import _lazy_module
 from .core import SQRT2, QuadRat, _as_quadrat
@@ -26,52 +26,86 @@ np = _lazy_module("numpy")
 #: default cap on the number of candidate lattice points an enumeration may visit
 DEFAULT_ENUM_CAP = 20_000_000
 
+SILVER_FORMS = (((1, 0), (1, 0)), ((0, 1), (0, -1)), 1)
+OCTAGONAL_FORMS = (
+    ((2, 0, 0, 0), (0, 0, 2, 0), (2, 0, 0, 0), (0, 0, -2, 0)),
+    ((0, 1, 0, -1), (0, 1, 0, 1), (0, -1, 0, 1), (0, 1, 0, 1)),
+    2,
+)
+
+
+def _parts(forms, rows) -> tuple:
+    """The int64 arrays P.c and Q.c of the (N, k) coefficient rows."""
+    P, Q, _ = forms
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(P[0]))
+    return rows @ np.array(P, dtype=np.int64).T, rows @ np.array(Q, dtype=np.int64).T
+
+
+def coordinates(forms, rows) -> np.ndarray:
+    """Physical then internal coordinates of the (N, k) coefficient rows:
+    the float of each exact one, bit for bit (den = 2 only scales)."""
+    return _embed(*_parts(forms, rows), forms[2])
+
+
+def _embed(p, q, den) -> np.ndarray:
+    """(p + q*sqrt2)/den, with one temporary; on |p| and |q|, the size the
+    filter scales."""
+    x = q * SQRT2
+    x += p
+    x /= den
+    return x
+
+
+def exact_coordinates(forms, row) -> tuple:
+    """The exact coordinates of one coefficient row, as QuadRats."""
+    return tuple(QuadRat(*(sum(a * c for a, c in zip(u, row)) for u in pq), forms[2])
+                 for pq in zip(*forms[:2]))
+
 
 def cyclo_exact(c0: int, c1: int, c2: int, c3: int) -> tuple[QuadRat, QuadRat, QuadRat, QuadRat]:
-    """Exact coordinates of x = c0 + c1*xi + c2*xi^2 + c3*xi^3 in Z[xi],
-    xi = exp(i*pi/4): re(x), im(x), re(x*) and im(x*), where the star map
-    sends xi to xi^3.  With u = c1 + c3 and v = c1 - c3 they are
-    c0 + v/sqrt2, c2 + u/sqrt2, c0 - v/sqrt2 and u/sqrt2 - c2."""
-    u, v = c1 + c3, c1 - c3
-    return (QuadRat(2 * c0, v, 2), QuadRat(2 * c2, u, 2),
-            QuadRat(2 * c0, -v, 2), QuadRat(-2 * c2, u, 2))
+    """Exact coordinates of x = c0 + c1*xi + c2*xi^2 + c3*xi^3 in Z[xi]:
+    re(x), im(x), re(x*) and im(x*), the star map sending xi to xi^3."""
+    return exact_coordinates(OCTAGONAL_FORMS, (c0, c1, c2, c3))
 
 
 # ---------------------------------------------------------------------------
-# lattice enumeration
+# the filter
 #
 # Candidates are int64 coefficient arrays, generated and tested in chunks of
 # at most _CHUNK.  Every membership test is the sign of an expression in
 # Q(sqrt2), read first from a float64 evaluation: the sign is certain where
 # |value| exceeds an error bound, and the few candidates inside that margin
-# are decided by the exact QuadRat code (a filtered predicate after Shewchuk,
-# "Adaptive precision floating-point arithmetic and fast robust geometric
-# predicates", 1997).
+# go to the one exact QuadRat test, `_in_patch` (a filtered predicate after
+# Shewchuk, "Adaptive precision floating-point arithmetic and fast robust
+# geometric predicates", 1997).
+#
+# The forms.  A box side, a window's interval end or polygon edge is a
+# half-space n.(x - o) >= 0 over coordinates x, and so a Q(sqrt2)-linear form
+# L.c + M.c*sqrt2 - K >= 0 in c (`_linear_forms`), whose sign `_quad_sign`
+# reads (`_form_signs`).  The disk of `modelsets.project_points` is the one
+# quadratic test.
 #
 # The bound.  Count as one rounding each int -> float conversion, each use of
 # the float SQRT2 for sqrt(2), and each arithmetic operation.  The float of an
-# exact constant (_float_pair) is at most 6 roundings deep, and every tested
-# expression here and in modelsets at most 9 along any path from its exact
-# inputs.  Its error is then at most gamma_9 = 9u/(1 - 9u), u = 2**-53, times
-# its ``size``: the same expression evaluated on the absolute values of its
-# terms (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
-# section 3.1).  ``size`` is a float of the same depth, so the exact size is
-# at most size * (1 + gamma_9), and 16u * size covers both.  Constants of
-# magnitude outside [2**-500, 2**500] get size inf (never certain), so nothing
-# overflows; a final product can still underflow, losing at most 2**-1075,
-# which the absolute term 2**-1000 covers.
+# exact constant (_float_pair) is at most 6 roundings deep.  A form, taken as
+# L.c + M.c*SQRT2 - K, is at most 3 deep along its integer terms and 7 along
+# K; a coordinate (P.c + Q.c*SQRT2)/den is at most 4 deep, so the disk's
+# rsq - sum of x_j**2 at most 7.  Every tested expression is thus at most 9
+# deep along any path from its exact inputs, and its error at most
+# gamma_9 = 9u/(1 - 9u), u = 2**-53, times its ``size``: the same expression
+# on the absolute values of its terms (Higham, "Accuracy and Stability of
+# Numerical Algorithms", 2nd ed., section 3.1).  ``size`` is a float of the
+# same depth, so the exact size is at most size * (1 + gamma_9), and
+# 16u * size covers both.  Constants of magnitude outside [2**-500, 2**500]
+# get size inf (never certain), so nothing overflows; a final product can
+# still underflow, losing at most 2**-1075, which 2**-1000 covers.
 
 _FILTER_ULPS = 16 * 2.0**-53
 _FILTER_TINY = 2.0**-1000
 _FILTER_RANGE = (2.0**-500, 2.0**500)
-# the candidate ranges come from float arithmetic with slack of about one
-# unit, and coefficients must stay exact in int64 and float64
+# coefficients must stay exact in int64 and float64
 _COEFF_LIMIT = 2**50
-_CHUNK = 1 << 16
-
-
-def _frac(x: Union[int, float, Fraction]) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+_CHUNK = 1 << 13
 
 
 def _float_pair(c) -> tuple[float, float]:
@@ -96,9 +130,44 @@ def _certain_sign(value, size) -> np.ndarray:
 
 
 def _quad_sign(a, b, c) -> np.ndarray:
-    """Certain signs of a + b*sqrt2 - c for int64 arrays a, b and an exact c."""
+    """Certain signs of a + b*sqrt2 - c for integer arrays a, b (exact as
+    floats) and an exact c."""
     cv, cs = _float_pair(c)
     return _certain_sign(a + b * SQRT2 - cv, np.abs(a) + np.abs(b) * SQRT2 + cs)
+
+
+def _linear_forms(forms, half_spaces, first: int = 0) -> list:
+    """Each half-space (n, o), n.(x - o) >= 0 over the coordinates x_first,
+    x_first+1, ... of a coefficient row c, as (L, M, K): integer rows L, M
+    and an exact K with n.(x - o) = (L.c + M.c*sqrt2 - K)/D for some D > 0."""
+    P, Q, den = forms
+    out = []
+    for n, o in half_spaces:
+        terms = [(j, _as_quadrat(t), x) for j, (t, x) in enumerate(zip(n, o), first) if t != 0]
+        D = math.lcm(*(t.den for _, t, _ in terms))
+        L, M = [0] * len(P), [0] * len(P)
+        for j, t, _ in terms:
+            # (A + B*sqrt2)(p + q*sqrt2) = A p + 2 B q + (B p + A q)*sqrt2
+            A, B = t.a * (D // t.den), t.b * (D // t.den)
+            for i, (p, q) in enumerate(zip(P[j], Q[j])):
+                L[i] += A * p + 2 * B * q
+                M[i] += B * p + A * q
+        out.append((L, M, D * den * sum((t * x for _, t, x in terms), QuadRat(0))))
+    return out
+
+
+def _form_signs(rows, linear_forms) -> list:
+    """The certain signs of each (L, M, K) form on the (N, k) int64 rows,
+    with L.c and M.c summed in float64: exact below 2**53, and a form whose
+    absolute terms could reach that is left undecided."""
+    cmax = int(np.abs(rows).max(initial=0))
+    fits = [(sum(map(abs, L)) + sum(map(abs, M))) * cmax < 2**53 for L, M, _ in linear_forms]
+    zero = [0] * rows.shape[1]
+    f = rows.T.astype(np.float64)
+    A = np.array([L if ok else zero for ok, (L, _, _) in zip(fits, linear_forms)], float) @ f
+    B = np.array([M if ok else zero for ok, (_, M, _) in zip(fits, linear_forms)], float) @ f
+    return [_quad_sign(a, b, K) if ok else np.zeros(len(a), dtype=np.int8)
+            for ok, a, b, (_, _, K) in zip(fits, A, B, linear_forms)]
 
 
 def _settle(verdict, exact) -> np.ndarray:
@@ -110,6 +179,26 @@ def _settle(verdict, exact) -> np.ndarray:
     return keep
 
 
+def _in_patch(forms, row, box=(), window=None, rsq=None) -> bool:
+    """The one exact test of a coefficient row: each coordinate x_j in the
+    closed box[j] = (lo, hi) and, given a window, x in the disk |x|**2 <= rsq
+    and x* in the window (eps=0, or on floats eps=1e-12 if it is float)."""
+    x = exact_coordinates(forms, row)
+    if not all(lo <= t <= hi for t, (lo, hi) in zip(x, box)):
+        return False
+    if window is None:
+        return True
+    d = len(x) // 2
+    if sum((t * t for t in x[:d]), QuadRat(0)) > rsq:
+        return False
+    star = x[d:] if window.is_exact else tuple(map(float, x[d:]))
+    return window.contains(star if d > 1 else star[0], eps=0 if window.is_exact else 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the walk
+
+
 def _check_coefficients(bound) -> None:
     if bound > _COEFF_LIMIT:
         raise ResourceCapError(f"enumeration reaches coefficients beyond {_COEFF_LIMIT}")
@@ -117,13 +206,10 @@ def _check_coefficients(bound) -> None:
 
 def _chunks(n_rows: int, rows_of, max_candidates: int):
     """Walk the candidates of rows 0 .. n_rows - 1, at most _CHUNK rows and
-    _CHUNK candidates at a time.
-
-    ``rows_of(rows)`` gives each row's candidate count and a tuple of
-    per-row arrays; yields (offsets, those arrays per candidate), the offset
-    being a candidate's index within its row.  Raises ResourceCapError once
-    more than max_candidates are counted.
-    """
+    _CHUNK candidates at a time.  ``rows_of(rows)`` gives each row's
+    candidate count and a tuple of per-row arrays; yields (offsets, those
+    arrays per candidate), the offset being a candidate's index within its
+    row.  Raises ResourceCapError once more than max_candidates are counted."""
     visited = 0
     for first in range(0, n_rows, _CHUNK):
         counts, data = rows_of(np.arange(first, min(first + _CHUNK, n_rows)))
@@ -138,145 +224,115 @@ def _chunks(n_rows: int, rows_of, max_candidates: int):
             yield k - ends[row] + counts[row], tuple(x[row] for x in data)
 
 
-def _in_range(a: int, b: int, plo, phi, slo, shi) -> bool:
-    x = QuadRat(a, b)
-    return plo <= x <= phi and slo <= x.star() <= shi
+def _enumerate_box(forms, lo, hi, max_candidates: int) -> np.ndarray:
+    """All coefficient rows c with lo[j] <= x_j(c) <= hi[j] for every
+    coordinate j (exact bounds, at most 2**50 in magnitude), sorted.  Each
+    row of P has one nonzero entry, in a column where Q is zero.  The walk
+    runs over the other, outer, coefficients in the box that the inverse of
+    the float embedding bounds; per outer row, each inner coefficient gets
+    the range its coordinates' bounds leave, widened by their float error.
+    The box test decides every candidate; the kept rows are sorted once."""
+    P, Q, den = np.array(forms[0]), np.array(forms[1]), forms[2]
+    k = len(P)
+    flo, fhi = np.array([float(t) for t in lo]), np.array([float(t) for t in hi])
+    inv = np.linalg.inv((P + Q * SQRT2) / den)
+    centre, spread = inv @ ((flo + fhi) / 2), np.abs(inv) @ ((fhi - flo) / 2)
+    outer, inner = np.flatnonzero(Q.any(axis=0)), np.flatnonzero(P.any(axis=0))
+    start = np.ceil(centre[outer] - spread[outer] - 1).astype(np.int64)
+    widths = np.floor(centre[outer] + spread[outer] + 1).astype(np.int64) - start + 1
+    strides = np.cumprod(np.concatenate([widths[1:], [1]])[::-1])[::-1]
+    # coordinate j bounds inner[col[j]]: den*lo_j - q_j*sqrt2 <= p_j*c <= den*hi_j - q_j*sqrt2
+    col = np.abs(P[:, inner]).argmax(axis=1)
+    p = P[np.arange(k), inner[col]]
+    bounds = np.stack([den * flo, den * fhi])
+
+    def rows_of(rows):
+        t = start + rows[:, None] // strides % widths
+        qs = (t @ Q[:, outer].T) * SQRT2
+        ends = (bounds[:, None, :] - qs) / p
+        # each end's float is within 4u of (|den*bound| + |q*sqrt2|)/|p|
+        slack = (np.abs(bounds).max(axis=0) + np.abs(qs)) / np.abs(p) * 2.0**-50
+        low, high = np.ceil(ends.min(axis=0) - slack), np.floor(ends.max(axis=0) + slack)
+        first = np.stack([low[:, col == r].max(axis=1) for r in range(len(inner))], axis=1)
+        last = np.stack([high[:, col == r].min(axis=1) for r in range(len(inner))], axis=1)
+        n = np.maximum(last - first + 1, 0).astype(np.int64)
+        return n.prod(axis=1), (t, first.astype(np.int64), np.maximum(n, 1))
+
+    unit = np.eye(k, dtype=int)
+    box_forms = _linear_forms(forms, [(e, lo) for e in unit.tolist()]
+                              + [(e, hi) for e in (-unit).tolist()])
+    box = tuple(zip(lo, hi))
+    parts = [np.empty((0, k), dtype=np.int64)]
+    for offset, (t, first, n) in _chunks(math.prod(widths.tolist()), rows_of, max_candidates):
+        chunk = np.empty((len(offset), k), dtype=np.int64)
+        chunk[:, outer] = t
+        for r in reversed(range(len(inner))):
+            chunk[:, inner[r]] = first[:, r] + offset % n[:, r]
+            offset = offset // n[:, r]
+        keep = _settle(np.minimum.reduce(_form_signs(chunk, box_forms)),
+                       lambda i: _in_patch(forms, chunk[i].tolist(), box))
+        parts.append(chunk[keep])
+    # the kept rows as columns, sorted by physical coordinates made a chunk
+    # at a time, then coefficients; each column is permuted in place
+    cols = np.concatenate([part.T for part in parts], axis=1)
+    del parts
+    phys = np.empty((k // 2, cols.shape[1]))
+    for at in range(0, cols.shape[1], _CHUNK):
+        phys[:, at:at + _CHUNK] = coordinates(forms, cols[:, at:at + _CHUNK].T)[:, :k // 2].T
+    order = np.lexsort([*cols[::-1], *phys[::-1]])
+    del phys
+    for c in cols:
+        c[:] = c[order]
+    del order
+    return np.ascontiguousarray(cols.T)
+
+
+def _refuse_over(estimate: float, max_candidates: int) -> None:
+    if estimate > max_candidates:
+        raise ResourceCapError(f"enumeration would visit more than {max_candidates} candidates")
 
 
 def enumerate_quad_range(phys_lo, phys_hi, star_lo, star_hi,
                          max_candidates: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """All x in Z[sqrt2] with embed(x) in [phys_lo, phys_hi] and
-    embed_star(x) in [star_lo, star_hi], as an (N, 2) int64 array of
-    coefficient rows (a, b), one per element a + b*sqrt2 (``QuadRat(*row)``).
-    Bounds may be int, float or Fraction and are honoured exactly.  Sorted
-    by physical embedding.
-
-    The four bound tests run on int64 arrays in float64; a sign is taken
-    from floats only where the value exceeds 16 ulps of the sum of its
-    absolute terms (see the bound above), and the candidates inside that
-    margin are decided by exact QuadRat comparison.  Raises
-    ResourceCapError when the estimated candidate count exceeds
-    max_candidates or a coefficient would exceed 2**50.
-    """
-    phys_lo, phys_hi = _frac(phys_lo), _frac(phys_hi)
-    star_lo, star_hi = _frac(star_lo), _frac(star_hi)
-    if phys_lo > phys_hi or star_lo > star_hi:
+    embed_star(x) in [star_lo, star_hi] (int, float or Fraction bounds,
+    honoured exactly), as an (N, 2) int64 array of rows (a, b), one per
+    element a + b*sqrt2, sorted by embed(x), then coefficients: the silver
+    scheme's entry into the one walk.  Raises ResourceCapError when the
+    estimated candidate count exceeds max_candidates or a coefficient would
+    exceed 2**50."""
+    bounds = [Fraction(t) for t in (phys_lo, star_lo, phys_hi, star_hi)]
+    if bounds[0] > bounds[2] or bounds[1] > bounds[3]:
         return np.empty((0, 2), dtype=np.int64)
     # exactly, before a float of the bounds can overflow
-    _check_coefficients(max(map(abs, (phys_lo, phys_hi, star_lo, star_hi))))
-    plo, phi = QuadRat.from_fraction(phys_lo), QuadRat.from_fraction(phys_hi)
-    slo, shi = QuadRat.from_fraction(star_lo), QuadRat.from_fraction(star_hi)
-
-    # 2a = x + x*  gives the complete integer range for a
-    a_min = math.ceil(float(phys_lo + star_lo) / 2 - 1e-9)
-    a_max = math.floor(float(phys_hi + star_hi) / 2 + 1e-9)
-    # the b-range intersects both constraints, so the narrower one rules
-    b_per_a = min(float(star_hi - star_lo), float(phys_hi - phys_lo)) / SQRT2 + 4
-    if (a_max - a_min + 1) * b_per_a > max_candidates:
-        raise ResourceCapError(
-            f"enumeration would visit more than {max_candidates} candidates")
-
-    f_star_lo, f_star_hi = float(star_lo), float(star_hi)
-    f_phys_lo, f_phys_hi = float(phys_lo), float(phys_hi)
-
-    def rows_of(rows):
-        a = a_min + rows
-        # star constraint: a - b*sqrt2 in [star_lo, star_hi]; physical
-        # constraint: a + b*sqrt2 in [phys_lo, phys_hi]
-        b_lo = np.maximum((a - f_star_hi) / SQRT2, (f_phys_lo - a) / SQRT2)
-        b_hi = np.minimum((a - f_star_lo) / SQRT2, (f_phys_hi - a) / SQRT2)
-        start = np.ceil(b_lo - 1e-6).astype(np.int64) - 1
-        stop = np.floor(b_hi + 1e-6).astype(np.int64) + 1
-        return np.maximum(stop - start + 1, 0), (a, start)
-
-    found = [np.empty((0, 2), dtype=np.int64)]
-    for offset, (a, start) in _chunks(a_max - a_min + 1, rows_of, max_candidates):
-        b = start + offset
-        verdict = np.minimum.reduce([
-            _quad_sign(a, b, plo), -_quad_sign(a, b, phi),
-            _quad_sign(a, -b, slo), -_quad_sign(a, -b, shi),
-        ])
-        keep = _settle(verdict, lambda i: _in_range(int(a[i]), int(b[i]), plo, phi, slo, shi))
-        found.append(np.stack([a[keep], b[keep]], axis=1))
-    rows = np.concatenate(found)
-    a, b = rows.T
-    return rows[np.lexsort((b, a, a + b * SQRT2))]  # (embed(), a, b), as floats go
-
-
-def _in_box(row, pq: QuadRat, sq: QuadRat) -> bool:
-    return all(-q <= t <= q for t, q in zip(cyclo_exact(*row), (pq, pq, sq, sq)))
+    _check_coefficients(max(map(abs, bounds)))
+    # a rough count before any work: 2a = x + x* gives the rows of a, and
+    # the narrower of the two constraints bounds each row's b-range
+    phys_lo, star_lo, phys_hi, star_hi = bounds
+    n_a = (math.floor(float(phys_hi + star_hi) / 2 + 1e-9)
+           - math.ceil(float(phys_lo + star_lo) / 2 - 1e-9) + 1)
+    _refuse_over(n_a * (min(float(star_hi - star_lo), float(phys_hi - phys_lo)) / SQRT2 + 4),
+                 max_candidates)
+    return _enumerate_box(SILVER_FORMS, bounds[:2], bounds[2:], max_candidates)
 
 
 def enumerate_cyclo_box(phys_bound, star_bound,
                         max_candidates: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """All x in Z[xi] whose physical embedding lies in the sup-norm box
-    [-phys_bound, phys_bound]^2 and whose star image lies in
-    [-star_bound, star_bound]^2, as an (N, 4) int64 array of coefficient
-    rows (c0, c1, c2, c3), one per element c0 + c1*xi + c2*xi^2 + c3*xi^3.
-    Membership is decided exactly.
-
-    With u = c1 + c3 and v = c1 - c3, the coordinates are
-    re = c0 + v/sqrt2, im = c2 + u/sqrt2 and, for the star image,
-    c0 - v/sqrt2 and u/sqrt2 - c2.  The eight box tests run on int64
-    arrays in float64; a sign is taken from floats only where the value
-    exceeds 16 ulps of the sum of its absolute terms, and the candidates
-    inside that margin are decided by exact QuadRat comparison of those
-    coordinates (``cyclo_exact``).  Sorted by physical position, then
-    coefficients.  Raises ResourceCapError when the
-    estimated candidate count exceeds max_candidates or a coefficient would
-    exceed 2**50.
-    """
-    P, S = _frac(phys_bound), _frac(star_bound)
+    """All x in Z[xi] with x in the sup-norm box [-phys_bound, phys_bound]^2
+    and x* in [-star_bound, star_bound]^2, decided exactly, as an (N, 4)
+    int64 array of rows (c0, c1, c2, c3), sorted by physical position, then
+    coefficients: the octagonal scheme's entry into the one walk.  Raises
+    ResourceCapError as ``enumerate_quad_range`` does."""
+    P, S = Fraction(phys_bound), Fraction(star_bound)
     if P < 0 or S < 0:
         return np.empty((0, 4), dtype=np.int64)
     # exactly, before a float of the bounds can overflow
     _check_coefficients(max(P, S))
-    pq = QuadRat.from_fraction(P)
-    sq = QuadRat.from_fraction(S)
-    fP, fS = float(P), float(S)
-    uv_bound = (fP + fS) / SQRT2 * 2  # |c1 +- c3| <= (P+S)*sqrt2/2, doubled for slack
-
-    # rough candidate count before any work: a (u, v) row's c0 and c2 ranges
-    # meet the physical and the star box, so each is at most 2*min(P, S) wide
-    n_uv = (2 * math.floor(uv_bound) + 1) ** 2 / 2
-    n_c = (2 * math.floor(min(fP, fS)) + 3) ** 2
-    if n_uv * n_c > max_candidates:
-        raise ResourceCapError(
-            f"enumeration would visit more than {max_candidates} candidates")
-    _check_coefficients(uv_bound + fP + fS)
-
-    s = SQRT2 / 2.0
-    lo = math.ceil(-uv_bound - 1e-9)
-    width = math.floor(uv_bound + 1e-9) + 1 - lo
-
-    def rows_of(rows):
-        u = lo + rows // width
-        v = lo + rows % width
-        # re(x) = c0 + v*s, re(x*) = c0 - v*s; im(x) = c2 + u*s, im(x*) = u*s - c2
-        c0_lo = np.maximum(-fP - v * s, -fS + v * s) - 0.5
-        c0_hi = np.minimum(fP - v * s, fS + v * s) + 0.5
-        c2_lo = np.maximum(-fP - u * s, u * s - fS) - 0.5
-        c2_hi = np.minimum(fP - u * s, u * s + fS) + 0.5
-        c0 = np.ceil(c0_lo - 1e-9).astype(np.int64)
-        c2 = np.ceil(c2_lo - 1e-9).astype(np.int64)
-        n0 = np.maximum(np.floor(c0_hi + 1e-9).astype(np.int64) + 1 - c0, 0)
-        n2 = np.maximum(np.floor(c2_hi + 1e-9).astype(np.int64) + 1 - c2, 0)
-        counts = np.where((u + v) % 2 == 0, n0 * n2, 0)
-        return counts, (u, v, c0, c2, np.maximum(n2, 1))
-
-    found = [np.empty((0, 4), dtype=np.int64)]
-    for offset, (u, v, c0, c2, n2) in _chunks(width * width, rows_of, max_candidates):
-        c0 = c0 + offset // n2
-        c2 = c2 + offset % n2
-        # twice each coordinate is an element 2c + w*sqrt2 of Z[sqrt2]
-        signs = []
-        for x2, w, bound in ((2 * c0, v, P), (2 * c2, u, P), (2 * c0, -v, S), (-2 * c2, u, S)):
-            signs.append(_quad_sign(x2, w, -2 * bound))
-            signs.append(-_quad_sign(x2, w, 2 * bound))
-        chunk = np.stack([c0, (u + v) // 2, c2, (u - v) // 2], axis=1)
-        keep = _settle(np.minimum.reduce(signs), lambda i: _in_box(chunk[i].tolist(), pq, sq))
-        found.append(chunk[keep])
-    rows = np.concatenate(found)
-    c0, c1, c2, c3 = rows.T
-    # (re(x), im(x), c0, c1, c2, c3), as floats go
-    return rows[np.lexsort((c3, c2, c1, c0, c2 + (c1 + c3) * s, c0 + (c1 - c3) * s))]
+    # a rough count before any work: |c1 +- c3| <= (P + S)*sqrt2/2, doubled
+    # for slack, and a (c1 + c3, c1 - c3) row's c0 and c2 ranges meet the
+    # physical and the star box, so each is at most 2*min(P, S) wide
+    uv_bound = (float(P) + float(S)) / SQRT2 * 2
+    _refuse_over((2 * math.floor(uv_bound) + 1) ** 2 / 2
+                 * (2 * math.floor(min(float(P), float(S))) + 3) ** 2, max_candidates)
+    _check_coefficients(uv_bound + float(P) + float(S))
+    return _enumerate_box(OCTAGONAL_FORMS, [-P, -P, -S, -S], [P, P, S, S], max_candidates)

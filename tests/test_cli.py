@@ -21,7 +21,9 @@ import numpy as np
 import pytest
 
 import selfsim
-from selfsim import cli, float17, grids, measures, modelsets, numberfields, padic
+from selfsim import (
+    cli, compactsets, float17, grids, measures, modelsets, multicomponent, numberfields, padic,
+)
 from selfsim.commands import fourier as fourier_command, output
 from selfsim.cli import ExperimentConfig, _write_grid, build_config, main
 from selfsim.core import AffineMap, IntervalSet, QuadRat
@@ -911,6 +913,25 @@ class TestInlineSystems:
         assert result.stderr == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("owner, name, spec", [
+        (IntervalSet, "closed", {"a": 0.5, "family": {"kind": "uniform", "lo": 0, "hi": 1}}),
+        (measures, "UniformFamily", {"a": 0.5, "family": {"kind": "uniform", "lo": 0, "hi": 1}}),
+        (measures, "DiscreteMeasure", {"a": 0.5, "family": {"kind": "point", "location": 0}}),
+        (compactsets, "IFSSystem", {"a": 0.5, "maps": [[[{"t": 0}]]]}),
+        (IntervalSet, "closed", {"a": 0.5, "maps": [[[{"t": 0}]]], "seeds": [[0, 1]]}),
+        (multicomponent, "MCSystem", {"a": 0.5, "sigma": [[{"kind": "point", "location": 0}]]}),
+    ], ids=["interval", "uniform", "discrete", "ifs", "seeds", "mc"])
+    def test_an_internal_fault_in_a_constructor_is_not_a_config_error(
+        self, owner, name, spec, monkeypatch
+    ):
+        # only the descriptor's own faults are configuration errors
+        def broken(*args, **kwargs):
+            raise TypeError("internal fault")
+
+        monkeypatch.setattr(owner, name, broken)
+        with pytest.raises(TypeError, match="^internal fault$"):
+            system_from_spec(spec)
+
     def test_expanding_inline_maps_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"system": {"a": 1.5, "maps": [[[{"t": 0.0}]]]}}))
@@ -1506,3 +1527,39 @@ assert calls["cli._write_grid"] == 1, calls
 """
     modules = fresh_modules(code, tmp_path)
     assert executed(modules, "numpy")
+
+
+@pytest.mark.parametrize("system, radius, enumerator", [
+    ("silver", "40", "enumerate_quad_range"),
+    ("ammann-beenker", "5", "enumerate_cyclo_box"),
+])
+def test_tracer_contract_over_weyl(system, radius, enumerator, tmp_path):
+    # the traced benchmark counts weyl's lattice points by the rows that the
+    # wrapped enumeration and projection return; a second tracer, installed
+    # first, records those rows as the functions return them
+    code = f"""\
+import selfsim.cli
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+from layers import install_all, summarize
+from tracing import Tracer
+returned = {{}}
+def record(span, args, kwargs, result):
+    returned[span.name] = returned.get(span.name, 0) + result.shape[0]
+recorder = Tracer()
+for module, func in (("numberfields", {enumerator!r}), ("modelsets", "project_points")):
+    assert recorder.install("selfsim." + module, func, record) > 0, func
+tracer = Tracer()
+install_all(tracer)
+selfsim.cli.main.main(["weyl", "--system", {system!r}, "--radii", {radius!r}, "--out", "out"],
+                      standalone_mode=False)
+summary = summarize(tracer)
+calls = summary["calls"]
+for name in ("numberfields." + {enumerator!r}, "modelsets.project_points",
+             "modelsets.weyl_average"):
+    assert calls[name] == 1, calls
+candidates = returned["numberfields." + {enumerator!r}]
+assert summary["numberfields.candidates"] == candidates > 0, (summary, returned)
+kept = returned["modelsets.project_points"]
+assert summary["modelsets.points_kept"] == kept > 0, (summary, returned)
+"""
+    fresh_modules(code, tmp_path)

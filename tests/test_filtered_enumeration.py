@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from selfsim import modelsets, numberfields
+from selfsim import numberfields
 from selfsim.core import SQRT2, IntervalSet, QuadRat
 from selfsim.modelsets import CutProjectScheme, project_points
 from selfsim.numberfields import cyclo_exact, enumerate_cyclo_box, enumerate_quad_range
@@ -125,9 +125,15 @@ def exact_calls(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    spy(numberfields, "_in_range")
-    spy(numberfields, "_in_box")
-    spy(modelsets, "_in_patch")
+    # the one exact test, counted by the role it plays: the line or plane
+    # enumerator's box test, or project_points' disk and window test
+    original = numberfields._in_patch
+
+    def in_patch(forms, row, box=(), window=None, rsq=None):
+        calls["window" if window is not None else ("line box", "plane box")[len(row) == 4]] += 1
+        return original(forms, row, box, window, rsq)
+
+    monkeypatch.setattr(numberfields, "_in_patch", in_patch)
     spy(IntervalSet, "contains")
     return calls
 
@@ -150,7 +156,7 @@ class TestBoundaryCases:
         # the next float up, while the floats put it one ulp below
         lo = nudged(1 - SQRT2, 1)
         got = quads(enumerate_quad_range(-3, 3, lo, 1))
-        assert exact_calls["_in_range"] > 0
+        assert exact_calls["line box"] > 0
         assert ALPHA in got
         assert got == exact_quad_range(-3, 3, lo, 1)
 
@@ -160,14 +166,14 @@ class TestBoundaryCases:
         # floats put it one ulp outside
         bound = nudged(SQRT2 - 1, -1)
         got = cyclos(enumerate_cyclo_box(bound, Fraction(11, 4)))
-        assert exact_calls["_in_box"] > 0
+        assert exact_calls["plane box"] > 0
         assert (1, -1, 0, 1) in got
         assert got == exact_cyclo_box(bound, Fraction(11, 4))
 
     def test_box_bounds_through_lattice_points(self, exact_calls):
         # 2 + xi^2 sits at (2, 1), its star image at (2, -1)
         got = cyclos(enumerate_cyclo_box(2, 2))
-        assert exact_calls["_in_box"] > 0
+        assert exact_calls["plane box"] > 0
         assert (2, 0, 1, 0) in got
         assert got == exact_cyclo_box(2, 2)
 
@@ -194,7 +200,7 @@ class TestBoundaryCases:
         # |x| = radius exactly; for 3 xi the floats put |x|**2 above 9
         window = square(Fraction(radius))
         got = cyclos(project_points(OCTAGONAL, window, radius))
-        assert exact_calls["_in_patch"] > 0
+        assert exact_calls["window"] > 0
         assert on_circle in got
         assert got == exact_project(OCTAGONAL, window, radius)
 
@@ -205,7 +211,7 @@ class TestBoundaryCases:
         assert star_point((1, 0, -1, 1)) == (t, t)
         window = square(t)
         got = cyclos(project_points(OCTAGONAL, window, 6))
-        assert exact_calls["_in_patch"] > 0
+        assert exact_calls["window"] > 0
         assert sum(t in map(abs, star_point(x)) for x in got) > 4
         assert got == exact_project(OCTAGONAL, window, 6)
 
@@ -215,9 +221,21 @@ class TestBoundaryCases:
         corners = [(0, 0, 0, 0), (4, 4, 0, 0), (0, 0, 3, 0)]
         window = ConvexPolygon([star_point(c) for c in corners])
         got = cyclos(project_points(OCTAGONAL, window, 5))
-        assert exact_calls["_in_patch"] > 0
+        assert exact_calls["window"] > 0
         assert (2, 2, 0, 0) in got
         assert got == exact_project(OCTAGONAL, window, 5)
+
+    def test_window_edges_too_large_for_the_filter(self, exact_calls):
+        # vertices with 2**52 denominators give edge forms whose integer
+        # terms could pass 2**53, so the filter leaves them to the exact test;
+        # no lattice point lies on the circle of radius 6.5, so each kept
+        # point was decided there
+        t = nudged(SQRT2 / 2 + 0.1, 1)
+        window = ConvexPolygon([(t, t), (-t, t / 3), (-t, -t), (Fraction(2, 7), -2 * t)])
+        got = cyclos(project_points(OCTAGONAL, window, 6.5))
+        assert len(got) > 10
+        assert exact_calls["window"] >= len(got)
+        assert got == exact_project(OCTAGONAL, window, 6.5)
 
     @pytest.mark.parametrize("as_float", [False, True])
     def test_point_window_at_a_lattice_image(self, exact_calls, as_float):
@@ -225,7 +243,7 @@ class TestBoundaryCases:
         if as_float:
             window = window.as_float()
         got = cyclos(project_points(OCTAGONAL, window, 3))
-        assert exact_calls["_in_patch"] > 0
+        assert exact_calls["window"] > 0
         assert got == [(1, 1, 0, 0)] == exact_project(OCTAGONAL, window, 3)
 
     def test_builtin_windows_need_no_exact_test(self, exact_calls):

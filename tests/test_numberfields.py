@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -295,6 +296,40 @@ class TestEnumeration:
             enumerate_cyclo_box(46, star)
         with pytest.raises(ResourceCapError, match="would visit"):
             enumerate_cyclo_box(704, star)
+
+    @pytest.mark.parametrize("enumerate_, admitted, refused", [
+        (lambda r: enumerate_quad_range(-r, r, -1 / SQRT2 - 1e-6, 1 / SQRT2 + 1e-6),
+         3_999_997, 3_999_998),
+        (lambda r: enumerate_cyclo_box(r, (1 + SQRT2) / 2 + 1e-6), 445, 446),
+    ], ids=["line", "plane"])
+    def test_estimates_refuse_from_fixed_radii(self, monkeypatch, enumerate_, admitted, refused):
+        # the builtin windows' patches: the rough counts decide, before any
+        # candidate is made, which radii the cap refuses
+        def no_work(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(numberfields, "_chunks", no_work)
+        with pytest.raises(AssertionError, match="started"):
+            enumerate_(admitted)
+        with pytest.raises(ResourceCapError, match="would visit"):
+            enumerate_(refused)
+
+    def test_peak_memory_is_a_small_multiple_of_the_result(self):
+        # the kept rows are gathered column by column, each chunk freed as it
+        # is copied: beside the result live one chunk's temporaries, or the
+        # sort keys and order
+        half = Fraction(1 / SQRT2)
+        star = Fraction((1 + SQRT2) / 2)
+        for enumerate_, args in ((enumerate_quad_range, (-150_000, 150_000, -half, half)),
+                                 (enumerate_cyclo_box, (130, star))):
+            tracemalloc.start()
+            try:
+                rows = enumerate_(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(rows) >= 50_000
+            assert peak <= 3 * rows.nbytes, (enumerate_.__name__, peak, rows.nbytes)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 12))
