@@ -5,10 +5,10 @@ holds Z[sqrt2], with interval sets and affine maps (``core``), convex
 polygons, compact-set iteration with Hausdorff metrics, the exact
 coordinates of cyclotomic coefficient rows and lattice enumeration,
 lattice grids with rasters, invariant measures (atomic and density form),
-multi-component systems, cut-and-project point sets with Weyl averages,
-and a 3-adic component system.  They, and the command bodies in
-``commands``, are cut along the commands, so a command executes, and
-without a bytecode cache compiles, only the code it runs.
+multi-component systems, substitution rules, cut-and-project point sets
+with Weyl averages, and a 3-adic component system.  They, and the command
+bodies in ``commands``, are cut along the commands, so a command
+executes, and without a bytecode cache compiles, only the code it runs.
 """
 
 import importlib.util

@@ -2,10 +2,11 @@
 
 A scheme embeds a ring of algebraic integers as a lattice in physical x
 internal space; a model set collects the ring elements whose star image
-falls in a compact window.  Substitution tilings provide an independent
-route to the same point sets, used as a cross-check.  The Weyl harness
-averages an internal-space density over enumerated patches and compares
-against the volume-theoretic limit.
+falls in a compact window.  Substitution tilings (``substitutions``)
+provide an independent route to the same point sets, and
+``crosscheck_modelset`` compares the two.  The Weyl harness averages an
+internal-space density over enumerated patches and compares against the
+volume-theoretic limit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _lazy_module, numberfields
-from .core import IntervalSet, QuadRat, _as_quadrat
+from .core import IntervalSet, QuadRat
 from .grids import GridDensity, _axes, _point
 from .numberfields import _certain_sign, _embed, _float_pair, _form_signs, _linear_forms, _parts
 from .numberfields import _settle, enumerate_cyclo_box, enumerate_quad_range
@@ -130,114 +131,7 @@ def _window_signs(scheme: CutProjectScheme, window, rows, star) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# substitution systems
-
-
-class SubstitutionRule:
-    """Letter replacement rule with exact tile lengths.
-
-    The lengths must solve the inflation equation: one factor Q with
-    Q * len(t) = sum of the image letters' lengths, for every letter.
-    """
-
-    def __init__(self, alphabet: Sequence[str], images: dict, lengths: dict):
-        self.alphabet = tuple(alphabet)
-        self.images = {t: str(images[t]) for t in self.alphabet}
-        self.lengths = {t: lengths[t] for t in self.alphabet}
-        for t in self.alphabet:
-            if not self.images[t]:
-                raise ValueError(f"letter {t!r} has an empty image")
-            if any(u not in self.alphabet for u in self.images[t]):
-                raise ValueError(f"image of {t!r} uses letters outside the alphabet")
-            if float(self.lengths[t]) <= 0:
-                raise ValueError(f"tile length of {t!r} must be positive")
-        first = self.alphabet[0]
-        q = self._image_length(first) / _as_exact(self.lengths[first])
-        for t in self.alphabet:
-            if self._image_length(t) != q * _as_exact(self.lengths[t]):
-                raise ValueError(
-                    f"lengths do not solve the inflation equation at letter {t!r}"
-                )
-        self.inflation = q
-
-    def _image_length(self, t: str) -> QuadRat:
-        total = _as_exact(0)
-        for u in self.images[t]:
-            total = total + _as_exact(self.lengths[u])
-        return total
-
-    def expand(self, word: str) -> str:
-        return "".join(self.images[t] for t in word)
-
-
-def _as_exact(x) -> QuadRat:
-    q = _as_quadrat(x)
-    if q is NotImplemented:
-        raise TypeError(f"tile lengths must be exact scalars, got {type(x).__name__}")
-    return q
-
-
-class SubstitutionOrbit:
-    """Tile coordinates of a finite patch of the 2-sided fixed point."""
-
-    __slots__ = ("positions", "left_word", "right_word", "lo", "hi")
-
-    def __init__(self, positions: dict, left_word: str, right_word: str, lo, hi) -> None:
-        self.positions, self.left_word, self.right_word = positions, left_word, right_word
-        self.lo, self.hi = lo, hi
-
-    def all_positions(self) -> list:
-        merged = [p for pts in self.positions.values() for p in pts]
-        merged.sort(key=float)
-        return merged
-
-
-def substitution_orbit(
-    rule: SubstitutionRule,
-    seed: tuple,
-    generations: int,
-    endpoint: str = "left",
-) -> SubstitutionOrbit:
-    """Expand a legal 2-letter seed about the origin and coordinatize.
-
-    The right seed letter's tile starts at 0 and the left one ends at 0.
-    Legality (image of the left letter ends with it, image of the right
-    letter starts with it) makes each generation extend the previous.
-    Returns per-letter tile endpoints, left or right per the flag, in
-    exact arithmetic.
-    """
-    if endpoint not in ("left", "right"):
-        raise ValueError("endpoint must be 'left' or 'right'")
-    left, right = seed
-    if left not in rule.alphabet or right not in rule.alphabet:
-        raise ValueError("seed letters must belong to the alphabet")
-    if not rule.images[left].endswith(left):
-        raise ValueError(f"illegal seed: image of {left!r} does not end with it")
-    if not rule.images[right].startswith(right):
-        raise ValueError(f"illegal seed: image of {right!r} does not start with it")
-    if generations < 0:
-        raise ValueError("generations must be nonnegative")
-    left_word, right_word = left, right
-    for _ in range(generations):
-        left_word = rule.expand(left_word)
-        right_word = rule.expand(right_word)
-    positions = {t: [] for t in rule.alphabet}
-    total = 0
-    for t in left_word:
-        total = rule.lengths[t] + total
-    lo = -total
-    pos = lo
-    for t in left_word + right_word:
-        length = rule.lengths[t]
-        positions[t].append(pos if endpoint == "left" else pos + length)
-        pos = pos + length
-    return SubstitutionOrbit(
-        positions={t: tuple(v) for t, v in positions.items()},
-        left_word=left_word,
-        right_word=right_word,
-        lo=lo,
-        hi=pos,
-    )
+# cross-checks against substitution tilings
 
 
 class CrosscheckReport:
@@ -278,29 +172,7 @@ def crosscheck_modelset(left_points, right_points, radius) -> CrosscheckReport:
 
 
 # ---------------------------------------------------------------------------
-# translation regions, densities, Weyl averages
-
-
-def maximal_translation_region(w_i, w_j, a):
-    """Largest region of translations b with A W_j + b inside W_i.
-
-    Intervals: the exact interval [min W_i - min A W_j, max W_i - max A W_j],
-    or a singleton when the widths agree; None when A W_j is too wide.
-    Polygons: the erosion W_i minus the A-image of W_j (None when empty).
-    The interval formula uses the windows' hulls, so it is intended for
-    single-interval windows.
-    """
-    if isinstance(w_i, IntervalSet) and isinstance(w_j, IntervalSet):
-        image = w_j.linear_image(a)
-        lo = w_i.lo - image.lo
-        hi = w_i.hi - image.hi
-        if float(lo) > float(hi):
-            return None
-        return IntervalSet([(lo, hi)])
-    if isinstance(w_i, polygons.ConvexPolygon) and isinstance(w_j, polygons.ConvexPolygon):
-        matrix = a if isinstance(a, tuple) else ((a, 0), (0, a))
-        return w_i.erode(w_j.linear_image(matrix))
-    raise TypeError("windows must both be IntervalSet or both ConvexPolygon")
+# densities, Weyl averages
 
 
 def theoretical_density(scheme: CutProjectScheme, window) -> float:

@@ -108,6 +108,10 @@ class MCSystem:
             self.m = mass_vector(s)
         else:
             self.m = np.asarray([float(x) for x in m], dtype=float)
+            if len(self.m) != self.n:
+                raise ValueError(
+                    f"mass vector m has {len(self.m)} entries but sigma is {self.n} x {self.n}"
+                )
             gap = np.max(np.abs(s @ self.m - self.m))
             if gap > _CA_TOL * max(1.0, float(np.abs(self.m).max())):
                 raise CompatibilityError(

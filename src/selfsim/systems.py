@@ -8,7 +8,10 @@ look up the facet they need and refuse cleanly when a system does not
 carry it.  The 3-adic component system has no facet: the padic command
 builds it itself.  A builtin with a measure is declared once, as its
 compact family of contractions (``_declared``): its IFS, translation
-families, mass vector and exact offsets are all derived from it.
+families, mass vector and exact offsets are all derived from it.  The
+two coupled silver builtins derive that family in turn from their
+substitution rule and windows (``_substituted``), and only they execute
+``substitutions``.
 
 Every facet is built on first use, in three groups: the attractor
 facets (ifs, seeds, exact_attractor) on the first read of any of them,
@@ -30,7 +33,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import _lazy_module
-from .core import HALF_SQRT2, AffineMap, IntervalSet, QuadRat
+from .core import HALF_SQRT2, SILVER_CONJ, AffineMap, IntervalSet, QuadRat
 from .errors import ConfigError
 
 # the attractor engine runs inside the attractor facets alone, and the
@@ -40,10 +43,7 @@ polygons = _lazy_module("selfsim.polygons")
 measures = _lazy_module("selfsim.measures")
 modelsets = _lazy_module("selfsim.modelsets")
 multicomponent = _lazy_module("selfsim.multicomponent")
-
-AC_EXACT = QuadRat(1, -1)  # 1 - sqrt2, the internal contraction multiplier
-AC = float(AC_EXACT)
-R = abs(AC)
+substitutions = _lazy_module("selfsim.substitutions")
 
 W_SPLIT = QuadRat(-2, 1, 2)  # 1/sqrt2 - 1, where the two windows meet
 WINDOW = IntervalSet.closed(-HALF_SQRT2, HALF_SQRT2)
@@ -157,7 +157,7 @@ def _family(T, mass):
 
 
 def _declared(
-    name, summary, a, sigma, m=None, seeds=None, exact_attractor=None, **options
+    name, summary, a, sigma, seeds=None, exact_attractor=None, **options
 ) -> BuiltinSystem:
     """The builtin whose compact family of contractions x -> a x + t is
     ``sigma()``, declared once.
@@ -169,9 +169,10 @@ def _declared(
     facets and of the measure facets, which are derived from it: the
     set-level IFS, with ``seeds(translations)`` for the grid of the T
     (default [-1, 1] per component) and ``exact_attractor``; and
-    ``family`` and ``contraction`` for one component, else ``mc`` with
-    mass vector ``m``, whose exact offsets are the translations when every
-    entry is finite.  ``options`` go to ``BuiltinSystem``.
+    ``family`` and ``contraction`` for one component, else ``mc``, whose
+    mass vector is the measures of the components of ``exact_attractor``
+    and whose exact offsets are the translations when every entry is
+    finite.  ``options`` go to ``BuiltinSystem``.
     """
 
     def translations(entries) -> list:
@@ -191,12 +192,40 @@ def _declared(
         T = translations(entries)
         finite = all(isinstance(t, tuple) for row in T for t in row if t is not None)
         offsets = T if finite else None
+        m = [float(w.measure()) for w in exact_attractor]
         return dict(mc=multicomponent.MCSystem(a, families, m=m, exact_offsets=offsets))
 
     return BuiltinSystem(
         name=name, summary=summary, attractor_facets=attractor_facets,
         measure_facets=measure_facets, **options
     )
+
+
+def _substituted(name, summary, rule, windows, maximal, **options) -> BuiltinSystem:
+    """The coupled builtin of a substitution rule and its windows, one per
+    letter, which solve W_i = U_j (lambda* W_j + D*_ij) for the rule's
+    starred displacement sets D*_ij (``substitutions.displacements``).
+    Entry [i][j] is None where the image of j holds no i (no edge of the
+    substitution graph), else it carries mass |D_ij| |lambda*| by atoms
+    at D*_ij or, when ``maximal``, over the largest region of t with
+    lambda* W_j + t inside W_i, one translation where that is a point.
+    The windows are the exact attractor, and their measures the mass vector.
+    """
+    lam = rule.inflation.star()
+    r = float(abs(lam))
+
+    def entry(w_i, w_j, d) -> tuple:
+        if not maximal:
+            return tuple(t.star() for t in d), len(d) * r
+        region = substitutions.maximal_translation_region(w_i, w_j, lam)
+        return ((region.lo,) if region.lo == region.hi else region), len(d) * r
+
+    def sigma() -> list:
+        table = substitutions.displacements(rule)
+        return [[entry(w_i, w_j, d) if d else None for w_j, d in zip(windows, row)]
+                for w_i, row in zip(windows, table)]
+
+    return _declared(name, summary, lam, sigma, exact_attractor=windows, **options)
 
 
 _ZERO = QuadRat(0)
@@ -218,7 +247,7 @@ def _point() -> BuiltinSystem:
 def _silver_min() -> BuiltinSystem:
     return _declared(
         "silver-min", "three equal atoms on the symmetric window",
-        AC_EXACT, lambda: [[((AC_EXACT, _ZERO, -AC_EXACT), 1.0)]],
+        SILVER_CONJ, lambda: [[((SILVER_CONJ, _ZERO, -SILVER_CONJ), 1.0)]],
         exact_attractor=(WINDOW,),
     )
 
@@ -226,27 +255,22 @@ def _silver_min() -> BuiltinSystem:
 def _silver_max() -> BuiltinSystem:
     return _declared(
         "silver-max", "translations uniform over the largest admissible interval",
-        AC_EXACT, lambda: [[(IntervalSet.closed(AC_EXACT, -AC_EXACT), 1.0)]],
+        SILVER_CONJ, lambda: [[(IntervalSet.closed(SILVER_CONJ, -SILVER_CONJ), 1.0)]],
         exact_attractor=(WINDOW,),
     )
 
 
 def _silver_mc_min() -> BuiltinSystem:
-    return _declared(
+    return _substituted(
         "silver-mc-min", "two coupled windows, one atom per tiling translation",
-        AC_EXACT, lambda: [[((_ZERO, _SHIFT), 2 * R), ((_ZERO,), R)],
-                           [((AC_EXACT,), R), None]],
-        m=(1.0, R), exact_attractor=(WINDOW_1, WINDOW_2), default_step=5e-4,
+        substitutions.SILVER_RULE, (WINDOW_1, WINDOW_2), False, default_step=5e-4,
     )
 
 
 def _silver_mc_max() -> BuiltinSystem:
-    return _declared(
+    return _substituted(
         "silver-mc-max", "two coupled windows with the widest translation families",
-        AC_EXACT, lambda: [[(IntervalSet.closed(_ZERO, _SHIFT), 2 * R),
-                            (IntervalSet.closed(AC_EXACT, -AC_EXACT), R)],
-                           [((AC_EXACT,), R), None]],
-        m=(1.0, R), exact_attractor=(WINDOW_1, WINDOW_2), default_step=5e-4,
+        substitutions.SILVER_RULE, (WINDOW_1, WINDOW_2), True, default_step=5e-4,
     )
 
 
@@ -262,7 +286,7 @@ def _ammann_beenker() -> BuiltinSystem:
     window = octagon()
     return _declared(
         "ammann-beenker", "octagonal window in the plane, maximal translation family",
-        ((AC_EXACT, _ZERO), (_ZERO, AC_EXACT)),
+        ((SILVER_CONJ, _ZERO), (_ZERO, SILVER_CONJ)),
         lambda: [[(window.linear_image(((_SHIFT, _ZERO), (_ZERO, _SHIFT))), 1.0)]],
         weyl_facets=lambda: dict(scheme=modelsets.CutProjectScheme.octagonal(), window=window),
         seeds=lambda T: (T[0][0].as_float(),),  # the translation region, as floats

@@ -32,11 +32,8 @@ from selfsim.measures import (
 )
 from selfsim.modelsets import (
     CutProjectScheme,
-    SubstitutionRule,
     crosscheck_modelset,
-    maximal_translation_region,
     project_points,
-    substitution_orbit,
     weyl_average,
 )
 from selfsim.multicomponent import (
@@ -51,6 +48,12 @@ from selfsim.padic import (
     padic_window,
     solve_padic_system,
 )
+from selfsim.substitutions import (
+    SILVER_RULE,
+    SubstitutionRule,
+    maximal_translation_region,
+    substitution_orbit,
+)
 from selfsim.systems import builtin, octagon
 
 AC = 1.0 - math.sqrt(2.0)
@@ -60,9 +63,6 @@ W = IntervalSet.closed(-HALF_SQRT2, HALF_SQRT2)
 W1 = IntervalSet.closed(HALF_SQRT2 - 1, HALF_SQRT2)
 W2 = IntervalSet.closed(-HALF_SQRT2, HALF_SQRT2 - 1)
 
-SILVER_RULE = SubstitutionRule(
-    ("a", "b"), {"a": "aba", "b": "a"}, {"a": QuadRat(1, 1), "b": 1}
-)
 TERNARY_RULE = SubstitutionRule(
     ("a", "b", "c"), {"a": "ab", "b": "abc", "c": "abcc"}, {"a": 1, "b": 2, "c": 3}
 )

@@ -992,6 +992,8 @@ class TestInlineSystems:
             ({"a": 0.0, "family": {"kind": "point", "location": 0.0}}, "needs 0 < |a| < 1"),
             ({"a": 0.5, "family": {"kind": "uniform", "lo": 0, "hi": 1, "mass": 0.5}}, "mass 1"),
             ({"a": 0.5, "family": {"kind": "atoms", "atoms": [[0, 0.5], [1, 0.4]]}}, "mass 1"),
+            ({"a": 0.5, "sigma": [[{"kind": "point", "location": 0}]], "m": [1.0, 2.0]},
+             "bad inline sigma or m: mass vector m has 2 entries but sigma is 1 x 1"),
         ],
     )
     def test_inline_configuration_faults_are_config_errors(self, spec, message, tmp_path):
@@ -1297,8 +1299,9 @@ def test_padic_executes_only_its_own_layer(tmp_path):
 # bytecode cache is written: the modules are cut along the commands, so a
 # line run executes neither the plane's polygons nor the inline parser,
 # measure, fourier and weyl not the attractor engine, only weyl the lattice
-# enumerators, weyl not the solvers of measures (only the lattice grids), and
-# each command only its own body of selfsim.commands
+# enumerators, weyl not the solvers of measures (only the lattice grids), only
+# the coupled silver builtins the substitution layer their families come from,
+# and each command only its own body of selfsim.commands
 # (padic: test_padic_executes_only_its_own_layer)
 @pytest.mark.parametrize("args, modules", [
     ((), ["cli", "errors"]),
@@ -1307,7 +1310,7 @@ def test_padic_executes_only_its_own_layer(tmp_path):
       "systems"]),
     (("attractor", "--system", "silver-mc-min"),
      ["cli", "commands", "commands.attractor", "commands.output", "compactsets", "core", "errors",
-      "systems"]),
+      "substitutions", "systems"]),
     (("attractor", "--system", "ammann-beenker"),
      ["cli", "commands", "commands.attractor", "commands.output", "compactsets", "core", "errors",
       "polygons", "systems"]),
@@ -1316,7 +1319,7 @@ def test_padic_executes_only_its_own_layer(tmp_path):
       "measures", "systems"]),
     (("measure", "--system", "silver-mc-max", "--grid-step", "1e-2", "--format", "json"),
      ["cli", "commands", "commands.measure", "commands.output", "core", "errors", "grids", "measures",
-      "multicomponent", "systems"]),
+      "multicomponent", "substitutions", "systems"]),
     (("fourier", "--system", "silver-max", "--terms", "5"),
      ["cli", "commands", "commands.fourier", "commands.output", "core", "errors", "grids", "measures",
       "systems"]),

@@ -12,17 +12,22 @@ from selfsim.core import HALF_SQRT2, SQRT2, IntervalSet, QuadRat
 from selfsim.measures import raster_interval_set, raster_polygon
 from selfsim.modelsets import (
     CutProjectScheme,
-    SubstitutionRule,
     crosscheck_modelset,
     gram_covolume,
-    maximal_translation_region,
     project_points,
-    substitution_orbit,
     theoretical_density,
     weyl_average,
 )
 from selfsim.numberfields import enumerate_cyclo_box, enumerate_quad_range
+from selfsim.padic import SUBSTITUTION_COUNTS
 from selfsim.polygons import ConvexPolygon
+from selfsim.substitutions import (
+    SILVER_RULE,
+    SubstitutionRule,
+    displacements,
+    maximal_translation_region,
+    substitution_orbit,
+)
 from selfsim.systems import builtin
 
 ALPHA = QuadRat(1, 1)  # 1 + sqrt2
@@ -31,9 +36,6 @@ W1 = IntervalSet.closed(W_LO_1, HALF_SQRT2)
 W2 = IntervalSet.closed(-HALF_SQRT2, W_LO_1)
 W = IntervalSet.closed(-HALF_SQRT2, HALF_SQRT2)
 
-SILVER_RULE = SubstitutionRule(
-    ("a", "b"), {"a": "aba", "b": "a"}, {"a": ALPHA, "b": 1}
-)
 TERNARY_RULE = SubstitutionRule(
     ("a", "b", "c"), {"a": "ab", "b": "abc", "c": "abcc"}, {"a": 1, "b": 2, "c": 3}
 )
@@ -233,6 +235,20 @@ class TestSubstitution:
         with pytest.raises(ValueError):
             substitution_orbit(SILVER_RULE, ("b", "a"), 2)
 
+    def test_silver_displacements(self):
+        # a -> aba puts a at 0 and 2 + sqrt2, b at 1 + sqrt2; b -> a puts a at 0
+        assert displacements(SILVER_RULE) == [
+            [(QuadRat(0), QuadRat(2, 1)), (QuadRat(0),)],
+            [(QuadRat(1, 1),), ()],
+        ]
+
+    def test_padic_counts_are_the_ternary_substitution_matrix(self):
+        # entry [i][j] counts letter i in the image of letter j
+        letters = TERNARY_RULE.alphabet
+        counts = [[TERNARY_RULE.images[j].count(i) for j in letters] for i in letters]
+        assert counts == [list(row) for row in SUBSTITUTION_COUNTS]
+        assert [[len(d) for d in row] for row in displacements(TERNARY_RULE)] == counts
+
 
 class TestCrosscheck:
     def test_silver_radius_50(self):
@@ -305,10 +321,16 @@ class TestMaximalRegion:
         assert region == IntervalSet.point(QuadRat(1, -1))
 
     def test_silver_w2_w2_nonempty_by_the_interval_formula(self):
-        # the literal formula gives [2 alpha*, sqrt2 - 2]; the shipped
-        # silver-system config keeps this entry empty instead
+        # the literal formula gives [2 alpha*, sqrt2 - 2]; silver-mc-max keeps
+        # this entry empty all the same, as the image of b holds no b
         region = maximal_translation_region(W2, W2, QuadRat(1, -1))
         assert region == IntervalSet.closed(QuadRat(2, -2), QuadRat(-2, 1))
+
+    def test_silver_w_w_is_the_silver_max_region(self):
+        region = maximal_translation_region(W, W, QuadRat(1, -1))
+        assert region == IntervalSet.closed(QuadRat(1, -1), QuadRat(-1, 1))
+        (((declared,),),) = builtin("silver-max").ifs.maps
+        assert declared.family == region
 
     def test_too_wide_image_gives_none(self):
         region = maximal_translation_region(W2, W, QuadRat(1, -1))

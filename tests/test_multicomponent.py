@@ -146,6 +146,13 @@ class TestMCSystem:
         system = MCSystem(QuadRat(1, -1), sigma)
         assert np.allclose(system.m, [1.0, R], atol=1e-9)
 
+    @pytest.mark.parametrize("m", [(1.0,), (1.0, R, R)])
+    def test_mass_vector_of_the_wrong_length(self, m):
+        sigma = [[atoms(0.0, float(QuadRat(2, -1))), atoms(0.0)], [atoms(AC), None]]
+        message = f"^mass vector m has {len(m)} entries but sigma is 2 x 2$"
+        with pytest.raises(ValueError, match=message):
+            MCSystem(QuadRat(1, -1), sigma, m=m)
+
     def test_incompatible_mass_vector(self):
         shift = QuadRat(2, -1)
         sigma = [[atoms(0.0, float(shift)), atoms(0.0)], [atoms(AC), None]]

@@ -5,8 +5,9 @@ import math
 import pytest
 
 from selfsim.compactsets import TranslationFamilyMap
-from selfsim.core import AffineMap, QuadRat
+from selfsim.core import AffineMap, IntervalSet, QuadRat
 from selfsim.measures import DiscreteMeasure, UniformFamily
+from selfsim.substitutions import maximal_translation_region
 from selfsim.systems import BUILTIN_NAMES, builtin
 
 AC = 1.0 - math.sqrt(2.0)
@@ -68,3 +69,18 @@ def test_maps_and_measure_facets_describe_one_family(name):
 def test_planar_contraction_is_exact():
     b = builtin("ammann-beenker")
     assert b.contraction == ((QuadRat(1, -1), ZERO), (ZERO, QuadRat(1, -1)))
+
+
+def test_silver_mc_max_follows_the_edges_of_the_substitution_graph():
+    b = builtin("silver-mc-max")
+    w1, w2 = b.exact_attractor
+    lam = QuadRat(1, -1)
+    # (b, b): the region of t with lam W2 + t inside W2 is nonempty, but the
+    # image of b (a -> aba, b -> a) holds no b, so the entry stays empty
+    assert maximal_translation_region(w2, w2, lam) is not None
+    assert b.mc.sigma[1][1] is None and b.ifs.maps[1][1] == ()
+    # (b, a): the region is the one point 1 - sqrt2, so a one-atom entry
+    assert maximal_translation_region(w2, w1, lam) == IntervalSet.point(lam)
+    assert list(b.mc.sigma[1][0].atoms) == [(float(lam), R)]
+    (f,) = b.ifs.maps[1][0]
+    assert type(f) is AffineMap and f.t == lam
