@@ -9,21 +9,22 @@ k >= 2; at precision K all depths beyond K collapse onto a single tail
 residue, so the realized set carries slightly more measure than the
 window itself, and ``window_measure_bounds`` reports the gap.
 
+A density stores its weights as their shortest 3-power period, so one
+that is constant on the cosets mod 9 holds nine values at every K.
+
 The solver reproduces the invariant density vector of the system as an
 exact fixed point of the matrix convolution step.  Every entry of that
 step is uniform on one coset mod 9, so the iteration runs on each
-component's nine coset masses mod 9, at a cost independent of K, and
-only the fixed point is lifted to 3^K weights.
+component's nine coset masses mod 9, and the fixed point is that
+period: the solve costs the same at every K.
 
 The padic command's files are laid out here too, streamed in blocks with
-each distinct weight formatted once (``csv_blocks``, ``json_blocks``),
-so no other command compiles them.
+each period entry formatted once (``csv_blocks``, ``json_blocks``), so
+no other command compiles them.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,7 +32,8 @@ from .errors import ConvergenceError, ResourceCapError
 
 SUBSTITUTION_COUNTS = ((1, 1, 1), (1, 1, 1), (0, 1, 2))
 DEFAULT_PRECISION = 5
-# weights per component at K = 12 (2-3 s to solve and write); only the lift grows with K
+# weights per component written at K = 12 (0.4-0.9 s to solve and write as CSV,
+# 0.15-0.3 s as JSON); the solve costs the same at every K, only the files grow
 _LIFTED_WEIGHT_CAP = 3**12
 
 
@@ -39,36 +41,37 @@ class PadicDensity:
     """Rational density on depth-``precision`` cosets of the 3-adics.
 
     ``weights[r]`` is the constant density value on r + 3^K Z_3, so the
-    total mass is (sum of weights) / 3^K, an exact Fraction.  Weights
-    must be nonnegative ints or Fractions; floats are refused to keep
-    every later comparison exact.
+    total mass is (sum of weights) / 3^K, an exact Fraction.  The density
+    stores ``period``, the shortest period of the weights of length 3^k
+    (k <= K), and ``weights`` repeats it 3^(K-k) times.  The constructor
+    takes any period of length 3^k, the full 3^K weights being the
+    longest, and reduces it to the shortest, which is unique: so equal
+    densities store equal periods.  Weights must be nonnegative ints or
+    Fractions; floats are refused to keep every later comparison exact.
     """
 
-    __slots__ = ("precision", "weights")
+    __slots__ = ("precision", "period")
 
     def __init__(self, precision: int, weights: Sequence):
         if precision < 1:
             raise ValueError("precision must be at least 1")
-        n = 3**precision
-        # each distinct weight object is checked and converted once: a lifted
-        # density repeats a few objects 3^K times.  The entry keeps the
-        # object alive, so its id cannot be reused by a later weight.
-        seen = {}
         ws = []
         for w in weights:
-            entry = seen.get(id(w))
-            if entry is None:
-                if isinstance(w, float) or not isinstance(w, (int, Fraction)):
-                    raise ValueError("weights must be exact rationals")
-                exact = w if type(w) is Fraction else Fraction(w)
-                if exact < 0:
-                    raise ValueError("weights must be nonnegative")
-                entry = seen[id(w)] = (w, exact)
-            ws.append(entry[1])
-        if len(ws) != n:
-            raise ValueError(f"need 3**{precision} = {n} weights, got {len(ws)}")
+            if isinstance(w, float) or not isinstance(w, (int, Fraction)):
+                raise ValueError("weights must be exact rationals")
+            exact = w if type(w) is Fraction else Fraction(w)
+            if exact < 0:
+                raise ValueError("weights must be nonnegative")
+            ws.append(exact)
+        n = len(ws)
+        if not n or 3**precision % n:
+            raise ValueError(f"need 3**k weights for some k <= {precision}, got {n}")
+        # a third of the length is a period when each third repeats the first
+        while n % 3 == 0 and ws[: 2 * n // 3] == ws[n // 3 :]:
+            n //= 3
+            del ws[n:]
         self.precision = precision
-        self.weights = tuple(ws)
+        self.period = tuple(ws)
 
     @classmethod
     def point(cls, residue: int, precision: int) -> "PadicDensity":
@@ -81,7 +84,7 @@ class PadicDensity:
     @classmethod
     def uniform(cls, precision: int, mass=1) -> "PadicDensity":
         """Constant density of the given total mass on all of Z_3."""
-        return cls(precision, [Fraction(mass)] * 3**precision)
+        return cls(precision, [Fraction(mass)])
 
     @classmethod
     def on_residues(cls, residues, precision: int, mass=1) -> "PadicDensity":
@@ -97,28 +100,24 @@ class PadicDensity:
         return cls(precision, ws)
 
     @property
+    def weights(self) -> tuple:
+        return self.period * (3**self.precision // len(self.period))
+
+    @property
     def mass(self) -> Fraction:
-        # each distinct weight object (a lifted density repeats a few 3^K
-        # times) times its count, summed over one common denominator: adding
-        # Fractions reduces by a gcd at each step.  The weights hold every
-        # object, so no two of them share an id.
-        counts = Counter(map(id, self.weights))
-        distinct = dict(zip(map(id, self.weights), self.weights))
-        den = math.lcm(*{w.denominator for w in distinct.values()})
-        total = sum(n * distinct[k].numerator * (den // distinct[k].denominator)
-                    for k, n in counts.items())
-        return Fraction(total, den * 3**self.precision)
+        return sum(self.period) / len(self.period)
 
     def support(self) -> frozenset:
-        return frozenset(r for r, w in enumerate(self.weights) if w)
+        n, m = 3**self.precision, len(self.period)
+        return frozenset(r for s, w in enumerate(self.period) if w for r in range(s, n, m))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PadicDensity):
             return NotImplemented
-        return self.precision == other.precision and self.weights == other.weights
+        return self.precision == other.precision and self.period == other.period
 
     def __hash__(self) -> int:
-        return hash((self.precision, self.weights))
+        return hash((self.precision, self.period))
 
     def __repr__(self) -> str:
         nonzero = len(self.support())
@@ -309,12 +308,13 @@ def solve_padic_system(precision: int = DEFAULT_PRECISION, max_iter=None) -> tup
     it, times w, at 3s + c to component i for each entry (j, c, w) of
     row i of ``_entry_table``; the mass vector is (1, 1, 1).  Iteration
     starts from unit point masses at 0 and stops as soon as a step
-    reproduces the previous iterate exactly.  The fixed point is lifted
-    to weight 9 times its coset mass on every residue mod 3^K.  Returns
-    the three component densities at ``precision``.  Raises
-    ResourceCapError, before any work, when the 3^K weights per
-    component exceed ``_LIFTED_WEIGHT_CAP``, and ConvergenceError after
-    ``max_iter`` steps (default ``precision``) without a fixed point.
+    reproduces the previous iterate exactly.  Each component's density
+    at ``precision`` is handed the fixed point as its period mod 9:
+    weight 9 times its mass on each coset mod 9.  Returns the three
+    densities.  Raises ResourceCapError, before any work, when the 3^K
+    weights per component exceed ``_LIFTED_WEIGHT_CAP``, and
+    ConvergenceError after ``max_iter`` steps (default ``precision``)
+    without a fixed point.
     """
     if precision < 4:
         raise ValueError("precision must be at least 4")
@@ -337,8 +337,7 @@ def solve_padic_system(precision: int = DEFAULT_PRECISION, max_iter=None) -> tup
                     acc[(3 * s + c) % 9] += w * x
             new.append(acc)
         if step and new == masses:
-            repeats = 3 ** (precision - 2)
-            return tuple(PadicDensity(precision, [9 * x for x in m] * repeats) for m in new)
+            return tuple(PadicDensity(precision, [9 * x for x in m]) for m in new)
         masses = new
     raise ConvergenceError(
         f"coset convolution not stationary after {max_iter} steps"
@@ -356,36 +355,27 @@ CSV_HEADER = "residue,weight_num,weight_den"
 
 def closed_form_holds(comps, precision: int) -> bool:
     """Whether each component i, at depth K, is 9 on b_i + 9Z, b = (1, 3, 0),
-    else 0.  Each residue class mod 9 is compared with its first weight,
-    which ``tuple.count`` does by identity before value: a solved density
-    repeats one object per class, so only nine weights per component are
-    compared as Fractions."""
-
-    def constant(ws, value) -> bool:
-        return not ws or ws[0] == value and ws.count(ws[0]) == len(ws)
-
+    else 0: whether its period is the nine weights 9 [s = b_i], s mod 9."""
     return len(comps) == 3 and all(
-        c.precision == precision and all(constant(c.weights[s::9], 9 * (s == b)) for s in range(9))
+        c.precision == precision and c.period == tuple(9 * (s == b) for s in range(9))
         for c, b in zip(comps, (1, 3, 0))
     )
 
 
-def _weight_blocks(weights, layout, texts: dict):
-    """Per block of _BLOCK weights, its first index and the text of each
-    weight in it: ``texts`` maps (num, den) to ``layout(num, den)``, filled
-    the first time a value is seen, so each distinct weight is formatted
-    once."""
-    for lo in range(0, len(weights), _BLOCK):
-        keys = [(w.numerator, w.denominator) for w in weights[lo : lo + _BLOCK]]
-        for key in set(keys) - texts.keys():
-            texts[key] = layout(*key)
-        yield lo, map(texts.__getitem__, keys)
+def _weight_blocks(density: PadicDensity, layout):
+    """Per block of _BLOCK weights, its first residue and the text of each
+    weight in it: each period entry is laid out once, by ``layout(num,
+    den)``, and residue r takes the text of entry r mod the period."""
+    texts = [layout(w.numerator, w.denominator) for w in density.period]
+    m, n = len(texts), 3**density.precision
+    for lo in range(0, n, _BLOCK):
+        yield lo, [texts[r % m] for r in range(lo, min(lo + _BLOCK, n))]
 
 
 def csv_blocks(density: PadicDensity):
     """The data lines of one component's CSV file, ``residue,num,den`` per
     weight, as bytes, _BLOCK lines to a block (the header is CSV_HEADER)."""
-    for lo, tails in _weight_blocks(density.weights, ",{},{}\n".format, {}):
+    for lo, tails in _weight_blocks(density, ",{},{}\n".format):
         yield "".join(map("{}{}".format, range(lo, lo + _BLOCK), tails)).encode()
 
 
@@ -404,14 +394,13 @@ def json_blocks(precision: int, comps):
     def weight(num, den):  # a weight's lines in the weights list
         return " " * 8 + pair(num, den, " " * 8)
 
-    texts = {}
     head = '{\n  "components": ['
     for i, c in enumerate(comps):
         m = c.mass
         mass = pair(m.numerator, m.denominator, " " * 6)
         yield f'{head}\n    {{\n      "component": {i + 1},\n      "mass": {mass},\n      "weights": ['
         head = ","
-        for lo, lines in _weight_blocks(c.weights, weight, texts):
+        for lo, lines in _weight_blocks(c, weight):
             yield ("," if lo else "") + "\n" + ",\n".join(lines)
         yield "\n      ]\n    }"
     yield f'\n  ],\n  "precision": {precision}\n}}\n'

@@ -153,10 +153,16 @@ def maximal_translation_region(w_i, w_j, a):
     Intervals: the exact interval [min W_i - min A W_j, max W_i - max A W_j],
     or a singleton when the widths agree; None when A W_j is too wide.
     Polygons: the erosion W_i minus the A-image of W_j (None when empty).
-    The interval formula uses the windows' hulls, so it is intended for
-    single-interval windows.
+    The interval formula holds for a single-interval W_i, so a W_i of
+    several intervals is refused; W_j may have several, as its hull lies
+    in an interval exactly when W_j does.
     """
     if isinstance(w_i, IntervalSet) and isinstance(w_j, IntervalSet):
+        if len(w_i.intervals) > 1:
+            raise ValueError(
+                f"target window W_i has {len(w_i.intervals)} intervals; "
+                "the interval formula needs a single one"
+            )
         image = w_j.linear_image(a)
         lo = w_i.lo - image.lo
         hi = w_i.hi - image.hi

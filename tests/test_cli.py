@@ -480,7 +480,7 @@ class TestPadic:
         assert "K must be at least 4" in result.stderr
 
     def test_depth_over_cost_cap(self, tmp_path, monkeypatch):
-        # the coset table and the lift fail if called, so K = 13 cannot start
+        # the coset table and the densities fail if called, so K = 13 cannot start
         def started(*args):
             raise RuntimeError("solve started")
 

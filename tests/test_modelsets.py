@@ -332,6 +332,16 @@ class TestMaximalRegion:
         (((declared,),),) = builtin("silver-max").ifs.maps
         assert declared.family == region
 
+    def test_only_the_target_window_must_be_one_interval(self):
+        # the hull [0, 3] of the target would give [0, 3], though b = 3/2
+        # puts the image of the point in the gap (1, 2)
+        gapped = IntervalSet([(0, 1), (2, 3)])
+        with pytest.raises(ValueError, match="target window W_i has 2 intervals"):
+            maximal_translation_region(gapped, IntervalSet.point(0), Fraction(1, 2))
+        # a source A W_j + b lies in an interval exactly when its hull does
+        region = maximal_translation_region(IntervalSet.closed(0, 4), gapped, Fraction(1, 2))
+        assert region == IntervalSet.closed(0, Fraction(5, 2))
+
     def test_too_wide_image_gives_none(self):
         region = maximal_translation_region(W2, W, QuadRat(1, -1))
         assert region is None

@@ -49,6 +49,19 @@ def weights9():
     return st.lists(st.integers(min_value=0, max_value=81), min_size=9, max_size=9)
 
 
+def periods():
+    """A nonnegative Fraction period of length 3^k, k <= 2, with a depth
+    K >= k; repeated values make shorter periods inside it likely."""
+    value = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(9)]) | st.fractions(
+        min_value=0, max_value=50, max_denominator=30
+    )
+    return st.integers(0, 2).flatmap(
+        lambda k: st.tuples(
+            st.lists(value, min_size=3**k, max_size=3**k), st.integers(max(k, 1), 8)
+        )
+    )
+
+
 class TestPadicDensity:
     def test_uniform_mass(self):
         assert PadicDensity.uniform(3).mass == 1
@@ -74,6 +87,10 @@ class TestPadicDensity:
         with pytest.raises(ValueError):
             PadicDensity(1, [1, 2])  # wrong length
         with pytest.raises(ValueError):
+            PadicDensity(1, [1] * 9)  # a period longer than 3^K
+        with pytest.raises(ValueError):
+            PadicDensity(1, [])
+        with pytest.raises(ValueError):
             PadicDensity(1, [1, -1, 0])
         with pytest.raises(ValueError):
             PadicDensity(1, [0.5, 0.5, 0.5])
@@ -82,20 +99,22 @@ class TestPadicDensity:
 
     def test_repeated_weight_objects_are_checked_once_each(self):
         bad = Fraction(-1, 3)
-        # a bad object is refused wherever it sits, with the same message
+        # a bad weight is refused wherever it sits, with the same message
         with pytest.raises(ValueError, match="^weights must be nonnegative$"):
             PadicDensity(2, [Fraction(1)] * 8 + [bad])
         with pytest.raises(ValueError, match="^weights must be exact rationals$"):
             PadicDensity(2, [1] * 8 + [0.5])
         # weights made one at a time and dropped at once may share an id (a
-        # Fraction of an int subclass holds a copy, not the weight); each
-        # still reads its own value
+        # Fraction of an int subclass holds a copy, not the weight); each is
+        # converted on its own and reads its own value
         class Big(int):
             pass
 
         d = PadicDensity(3, (Big(10**20 + r) for r in range(27)))
         assert d.weights == tuple(Fraction(10**20 + r) for r in range(27))
         assert all(type(w) is Fraction for w in d.weights)
+        # a Fraction weight is kept as given, not copied: nine of one are the
+        # period of one weight, repeated
         one = Fraction(9)
         assert all(w is one for w in PadicDensity(2, [one] * 9).weights)
 
@@ -104,6 +123,29 @@ class TestPadicDensity:
         v = PadicDensity(1, [Fraction(1, 3), 0, Fraction(8, 3)])
         assert u == v and hash(u) == hash(v)
         assert u != PadicDensity(1, [Fraction(1, 3), Fraction(8, 3), 0])
+
+    def test_stores_the_shortest_period(self):
+        assert PadicDensity(3, [1, 2, 3] * 9).period == (1, 2, 3)
+        assert PadicDensity(3, [1, 2, 3, 1, 2, 3, 1, 2, 4]).period == (1, 2, 3, 1, 2, 3, 1, 2, 4)
+        assert PadicDensity.uniform(4, 2).period == (2,)
+        assert PadicDensity(2, [5] * 3) == PadicDensity(2, [5]) == PadicDensity.uniform(2, 5)
+        assert PadicDensity(2, [5]) != PadicDensity(3, [5])
+
+    @settings(max_examples=60)
+    @given(periods())
+    def test_a_period_is_the_density_it_repeats(self, case):
+        period, precision = case
+        repeats = 3**precision // len(period)
+        short = PadicDensity(precision, period)
+        full = PadicDensity(precision, period * repeats)
+        assert short == full and hash(short) == hash(full)
+        assert short.weights == full.weights == tuple(period) * repeats
+        assert short.mass == full.mass == sum(period, Fraction(0)) / len(period)
+        assert short.support() == full.support()
+        assert b"".join(padic.csv_blocks(short)) == b"".join(padic.csv_blocks(full))
+        assert "".join(padic.json_blocks(precision, (short,))) == "".join(
+            padic.json_blocks(precision, (full,))
+        )
 
 
 class TestWindowResidues:
@@ -348,9 +390,10 @@ def one_step(comps, precision):
 
 
 class TestClosedFormCheck:
-    """The closed-form check and ``mass`` work once per distinct weight
-    object; a solved density repeats nine objects, ``closed_form`` makes a
-    fresh equal-valued one for every residue."""
+    """The closed-form check and ``mass`` read each density's period: a
+    solved density is handed its nine weights mod 9, ``closed_form`` all
+    3^K, a fresh equal-valued Fraction for every residue, and both store
+    the same nine."""
 
     @pytest.mark.parametrize("precision", [4, 5])
     def test_equal_valued_distinct_objects(self, precision):
@@ -364,13 +407,13 @@ class TestClosedFormCheck:
     @pytest.mark.parametrize("component, residue, value", [
         (0, 1 + 9 * 17, Fraction(10)),  # on the component's class
         (1, 3**5 - 1, Fraction(1, 81)),  # off it
-        (2, 9 * 26, "shared"),  # the object of another class, zero there
+        (2, 9 * 26, "shared"),  # the weight of the next class, zero there
     ])
     def test_one_perturbed_weight(self, source, component, residue, value):
         precision = 5
         comps = list(closed_form(precision) if source == "distinct" else solve_padic_system(precision))
         weights = list(comps[component].weights)
-        # a weight object of a class whose value is 0, put where 9 belongs
+        # the weight of a class whose value is 0, put where 9 belongs
         weights[residue] = weights[residue + 1] if value == "shared" else value
         comps[component] = PadicDensity(precision, weights)
         assert not padic.closed_form_holds(tuple(comps), precision)
@@ -404,6 +447,12 @@ class TestSolve:
         for c in solve_padic_system():
             for r in range(9, 3**5):
                 assert c.weights[r] == c.weights[r - 9]
+
+    def test_deepest_admitted_depth_stores_nine_weights(self):
+        comps = solve_padic_system(12)
+        assert [len(c.period) for c in comps] == [9, 9, 9]
+        assert padic.closed_form_holds(comps, 12)
+        assert [c.mass for c in comps] == [1, 1, 1]
 
     def test_rejects_shallow_precision(self):
         with pytest.raises(ValueError):
@@ -445,18 +494,18 @@ class TestSolve:
         assert solve_padic_system(5) == closed_form(5)
 
     def test_cost_cap_admits_depth_twelve_only(self, monkeypatch):
-        # checked without an oversized solve: the lift at K = 12 is stubbed
-        # to stop the run, and K = 13 must be refused before any work
-        class Lifted(Exception):
+        # K = 12 reaches its densities (stubbed here to stop the run), and
+        # K = 13 must be refused before any work
+        class Reached(Exception):
             pass
 
-        def lift(*args, **kwargs):
-            raise Lifted
+        def reached(*args, **kwargs):
+            raise Reached
 
         assert padic._LIFTED_WEIGHT_CAP == 3**12
-        monkeypatch.setattr(padic, "PadicDensity", lift)
-        with pytest.raises(Lifted):
+        monkeypatch.setattr(padic, "PadicDensity", reached)
+        with pytest.raises(Reached):
             solve_padic_system(12)
-        monkeypatch.setattr(padic, "_entry_table", lift)
+        monkeypatch.setattr(padic, "_entry_table", reached)
         with pytest.raises(ResourceCapError):
             solve_padic_system(13)
