@@ -21,8 +21,8 @@ import numpy as np
 from . import _lazy_module, numberfields
 from .core import IntervalSet, QuadRat
 from .grids import GridDensity, _axes, _point
-from .numberfields import _certain_sign, _embed, _float_pair, _form_signs, _linear_forms, _parts
-from .numberfields import _settle, enumerate_cyclo_box, enumerate_quad_range
+from .numberfields import _disk_signs, _form_signs, _linear_forms
+from .numberfields import enumerate_cyclo_box, enumerate_quad_range
 
 # the octagonal scheme's window, executed by planar systems alone
 polygons = _lazy_module("selfsim.polygons")
@@ -51,7 +51,7 @@ class CutProjectScheme:
         self.kind = kind
         self.forms = numberfields.SILVER_FORMS if kind == "quad" else numberfields.OCTAGONAL_FORMS
         rank = len(self.forms[0])
-        self.phys_dim = self.internal_dim = rank // 2
+        self.phys_dim = rank // 2
         self.covolume = gram_covolume(self.coordinates(np.eye(rank, dtype=np.int64)))
 
     def coordinates(self, rows) -> np.ndarray:
@@ -75,10 +75,10 @@ def project_points(scheme: CutProjectScheme, window, radius) -> np.ndarray:
     (N, k) int64 coefficient array, from the scheme's entry into the walk
     of ``numberfields`` over the ball's box and the window's bounds.  The
     radius is taken at its binary-float value, and exact windows keep their
-    boundary points: the disk and each window end or edge are filtered in
-    float64 as ``numberfields`` derives, with its one exact test
-    ``_in_patch`` inside the margin.  Float windows keep the eps=1e-12 test
-    of ``contains``, evaluated as the same float expression."""
+    boundary points: a row is kept when the exact signs ``numberfields``
+    gives for the disk and for the window are both >= 0.  Float windows keep
+    the eps=1e-12 test of ``contains``, evaluated as the same float
+    expression."""
     if not 0 < float(radius) < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     d = scheme.phys_dim
@@ -91,42 +91,38 @@ def project_points(scheme: CutProjectScheme, window, radius) -> np.ndarray:
         candidates = enumerate_quad_range(-r, r, ends[0] - 1e-6, ends[1] + 1e-6)
     else:
         candidates = enumerate_cyclo_box(r, max(map(abs, ends)) + 1e-6)
-    p, q = _parts(scheme.forms, candidates)
-    den = scheme.forms[2]
-    x, size = _embed(p, q, den), _embed(np.abs(p[:, :d]), np.abs(q[:, :d]), den)
     rsq = QuadRat(r.numerator**2, 0, r.denominator**2)
-    rv, rs = _float_pair(rsq)
-    disk = _certain_sign(rv - (x[:, :d] ** 2).sum(axis=1), rs + (size**2).sum(axis=1))
-    keep = _settle(
-        np.minimum(disk, _window_signs(scheme, window, candidates, x[:, d:])),
-        lambda i: numberfields._in_patch(scheme.forms, candidates[i].tolist(), (), window, rsq),
-    )
+    keep = (_disk_signs(scheme.forms, candidates, rsq) >= 0) & (
+        _window_signs(scheme, window, candidates) >= 0)
     return candidates[keep]
 
 
-def _window_signs(scheme: CutProjectScheme, window, rows, star) -> np.ndarray:
-    """+1 or -1 per candidate row whose star point is certainly in or out
-    of the window, 0 where the exact test decides.  The window is a union
-    of pieces, each bounded by half-spaces n.(x* - o) >= 0: an interval's
-    two ends, a polygon's edges.  A float window gives its verdict
-    outright; a point window leaves every candidate to the exact test."""
+def _window_signs(scheme: CutProjectScheme, window, rows) -> np.ndarray:
+    """The sign per candidate row of its star point's membership in the
+    window: >= 0 inside (0 on the boundary of an exact window), -1 outside.
+    The window is a union of pieces, each bounded by half-spaces
+    n.(x* - o) >= 0: an interval's two ends, a polygon's edges, a point's
+    four axis half-spaces.  An exact window gives the exact signs of
+    ``numberfields``; a float window its eps=1e-12 float test."""
+    d = scheme.phys_dim
     if window.dim == 1:
         pieces = [[((1,), (lo,)), ((-1,), (hi,))] for lo, hi in window.intervals]
     elif len(verts := window.vertices) > 1:
         pieces = [[((ay - by, bx - ax), (ax, ay))
                    for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1])]]
     else:
-        return np.zeros(len(rows), dtype=np.int8)
-    verdicts = []
-    for half_spaces in pieces:
-        if window.is_exact:
-            signs = _form_signs(rows, _linear_forms(scheme.forms, half_spaces, scheme.phys_dim))
-        else:
-            # IntervalSet.contains and polygons._cross, as floats go
-            signs = [np.where(sum(t * (star[:, j] - c) for j, (t, c) in enumerate(zip(n, o)))
-                              + 1e-12 >= 0, 1, -1).astype(np.int8)
-                     for n, o in half_spaces]
-        verdicts.append(np.minimum.reduce(signs))
+        pieces = [[(n, verts[0]) for n in ((1, 0), (-1, 0), (0, 1), (0, -1))]]
+    if window.is_exact:
+        verdicts = [np.minimum.reduce(_form_signs(rows, _linear_forms(scheme.forms, sides, d)))
+                    for sides in pieces]
+    else:
+        # IntervalSet.contains and polygons._cross, as floats go; a point's
+        # |x* - v| <= eps is its two pairs of axis half-spaces
+        star = scheme.coordinates(rows)[:, d:]
+        verdicts = [np.minimum.reduce([
+            np.where(sum(t * (star[:, j] - c) for j, (t, c) in enumerate(zip(n, o)))
+                     + 1e-12 >= 0, 1, -1).astype(np.int8) for n, o in sides])
+            for sides in pieces]
     return np.maximum.reduce(verdicts)
 
 

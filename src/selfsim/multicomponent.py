@@ -93,6 +93,8 @@ class MCSystem:
         self.a = a
         self.sigma = tuple(tuple(row) for row in sigma)
         self.n = len(self.sigma)
+        if self.n == 0:
+            raise ValueError("empty system: sigma has no components")
         for row in self.sigma:
             if len(row) != self.n:
                 raise ValueError("sigma must be square")

@@ -7,8 +7,10 @@ int64 coefficient row c, physical ones first, is (P[j].c + Q[j].c*sqrt2)/den.
 ``OCTAGONAL_FORMS`` sends the row (c0, c1, c2, c3) of x = c0 + c1*xi +
 c2*xi^2 + c3*xi^3 to re(x), im(x), re(x*), im(x*), the star map sending xi
 to xi**3: with u = c1 + c3 and v = c1 - c3, c0 +- v/sqrt2, c2 + u/sqrt2 and
-u/sqrt2 - c2.  Every membership test, here and in ``modelsets``, is decided
-exactly, filtering in float64 first; only the ``weyl`` command runs them.
+u/sqrt2 - c2.  Every membership test of an exact region (the enumerator's
+box, and the disk and windows of ``modelsets``) is the exact sign of a
+Q(sqrt2) expression in these coordinates: read in float64, and evaluated
+exactly inside the rounding margin.  Only the ``weyl`` command runs them.
 """
 
 from __future__ import annotations
@@ -74,16 +76,17 @@ def cyclo_exact(c0: int, c1: int, c2: int, c3: int) -> tuple[QuadRat, QuadRat, Q
 # Candidates are int64 coefficient arrays, generated and tested in chunks of
 # at most _CHUNK.  Every membership test is the sign of an expression in
 # Q(sqrt2), read first from a float64 evaluation: the sign is certain where
-# |value| exceeds an error bound, and the few candidates inside that margin
-# go to the one exact QuadRat test, `_in_patch` (a filtered predicate after
-# Shewchuk, "Adaptive precision floating-point arithmetic and fast robust
-# geometric predicates", 1997).
+# |value| exceeds an error bound, and for the few candidates inside that
+# margin the same expression is evaluated exactly in QuadRat (a filtered
+# predicate after Shewchuk, "Adaptive precision floating-point arithmetic
+# and fast robust geometric predicates", 1997).  So each test returns exact
+# signs, 0 for a point on the boundary, and a closed set keeps signs >= 0.
 #
 # The forms.  A box side, a window's interval end or polygon edge is a
 # half-space n.(x - o) >= 0 over coordinates x, and so a Q(sqrt2)-linear form
 # L.c + M.c*sqrt2 - K >= 0 in c (`_linear_forms`), whose sign `_quad_sign`
-# reads (`_form_signs`).  The disk of `modelsets.project_points` is the one
-# quadratic test.
+# reads (`_form_signs`).  The disk |x|**2 <= rsq of
+# `modelsets.project_points` is the one quadratic test (`_disk_signs`).
 #
 # The bound.  Count as one rounding each int -> float conversion, each use of
 # the float SQRT2 for sqrt(2), and each arithmetic operation.  The float of an
@@ -157,42 +160,43 @@ def _linear_forms(forms, half_spaces, first: int = 0) -> list:
 
 
 def _form_signs(rows, linear_forms) -> list:
-    """The certain signs of each (L, M, K) form on the (N, k) int64 rows,
-    with L.c and M.c summed in float64: exact below 2**53, and a form whose
-    absolute terms could reach that is left undecided."""
+    """The exact sign of each (L, M, K) form on the (N, k) int64 rows, one
+    int8 array per form.  L.c and M.c are summed in float64, exact below
+    2**53; where the float value's sign is not certain, or the form's
+    absolute terms could reach 2**53, the same form is evaluated exactly."""
     cmax = int(np.abs(rows).max(initial=0))
     fits = [(sum(map(abs, L)) + sum(map(abs, M))) * cmax < 2**53 for L, M, _ in linear_forms]
     zero = [0] * rows.shape[1]
     f = rows.T.astype(np.float64)
     A = np.array([L if ok else zero for ok, (L, _, _) in zip(fits, linear_forms)], float) @ f
     B = np.array([M if ok else zero for ok, (_, M, _) in zip(fits, linear_forms)], float) @ f
-    return [_quad_sign(a, b, K) if ok else np.zeros(len(a), dtype=np.int8)
-            for ok, a, b, (_, _, K) in zip(fits, A, B, linear_forms)]
+    out = []
+    for ok, a, b, (L, M, K) in zip(fits, A, B, linear_forms):
+        signs = _quad_sign(a, b, K) if ok else np.zeros(len(a), dtype=np.int8)
+        margin = np.flatnonzero(signs == 0)
+        if len(margin):
+            # L.c and M.c as Python ints
+            c = rows[margin].astype(object)
+            for i, l, m in zip(margin.tolist(), c @ np.array(L, object), c @ np.array(M, object)):
+                signs[i] = (QuadRat(l, m) - K).sign()
+        out.append(signs)
+    return out
 
 
-def _settle(verdict, exact) -> np.ndarray:
-    """Mask of kept candidates: verdict +1 keeps, -1 drops and 0 asks
-    exact(i), the exact test of candidate i."""
-    keep = verdict > 0
-    for i in np.flatnonzero(verdict == 0).tolist():
-        keep[i] = exact(i)
-    return keep
-
-
-def _in_patch(forms, row, box=(), window=None, rsq=None) -> bool:
-    """The one exact test of a coefficient row: each coordinate x_j in the
-    closed box[j] = (lo, hi) and, given a window, x in the disk |x|**2 <= rsq
-    and x* in the window (eps=0, or on floats eps=1e-12 if it is float)."""
-    x = exact_coordinates(forms, row)
-    if not all(lo <= t <= hi for t, (lo, hi) in zip(x, box)):
-        return False
-    if window is None:
-        return True
-    d = len(x) // 2
-    if sum((t * t for t in x[:d]), QuadRat(0)) > rsq:
-        return False
-    star = x[d:] if window.is_exact else tuple(map(float, x[d:]))
-    return window.contains(star if d > 1 else star[0], eps=0 if window.is_exact else 1e-12)
+def _disk_signs(forms, rows, rsq) -> np.ndarray:
+    """The exact sign of rsq - |x|**2 on the (N, k) coefficient rows, x the
+    physical coordinates and rsq exact: read in float64 where certain, and
+    evaluated exactly inside the margin."""
+    P, Q, den = forms
+    d = len(P) // 2
+    p, q = _parts((P[:d], Q[:d], den), rows)
+    x, size = _embed(p, q, den), _embed(np.abs(p), np.abs(q), den)
+    rv, rs = _float_pair(rsq)
+    signs = _certain_sign(rv - (x**2).sum(axis=1), rs + (size**2).sum(axis=1))
+    for i in np.flatnonzero(signs == 0).tolist():
+        exact = [QuadRat(a, b, den) for a, b in zip(p[i].tolist(), q[i].tolist())]
+        signs[i] = (rsq - sum((t * t for t in exact), QuadRat(0))).sign()
+    return signs
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +235,7 @@ def _enumerate_box(forms, lo, hi, max_candidates: int) -> np.ndarray:
     runs over the other, outer, coefficients in the box that the inverse of
     the float embedding bounds; per outer row, each inner coefficient gets
     the range its coordinates' bounds leave, widened by their float error.
-    The box test decides every candidate; the kept rows are sorted once."""
+    The box signs decide every candidate; the kept rows are sorted once."""
     P, Q, den = np.array(forms[0]), np.array(forms[1]), forms[2]
     k = len(P)
     flo, fhi = np.array([float(t) for t in lo]), np.array([float(t) for t in hi])
@@ -261,7 +265,6 @@ def _enumerate_box(forms, lo, hi, max_candidates: int) -> np.ndarray:
     unit = np.eye(k, dtype=int)
     box_forms = _linear_forms(forms, [(e, lo) for e in unit.tolist()]
                               + [(e, hi) for e in (-unit).tolist()])
-    box = tuple(zip(lo, hi))
     parts = [np.empty((0, k), dtype=np.int64)]
     for offset, (t, first, n) in _chunks(math.prod(widths.tolist()), rows_of, max_candidates):
         chunk = np.empty((len(offset), k), dtype=np.int64)
@@ -269,9 +272,7 @@ def _enumerate_box(forms, lo, hi, max_candidates: int) -> np.ndarray:
         for r in reversed(range(len(inner))):
             chunk[:, inner[r]] = first[:, r] + offset % n[:, r]
             offset = offset // n[:, r]
-        keep = _settle(np.minimum.reduce(_form_signs(chunk, box_forms)),
-                       lambda i: _in_patch(forms, chunk[i].tolist(), box))
-        parts.append(chunk[keep])
+        parts.append(chunk[np.minimum.reduce(_form_signs(chunk, box_forms)) >= 0])
     # the kept rows as columns, sorted by physical coordinates made a chunk
     # at a time, then coefficients; each column is permuted in place
     cols = np.concatenate([part.T for part in parts], axis=1)

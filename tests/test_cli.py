@@ -1006,6 +1006,19 @@ class TestInlineSystems:
             assert result.exit_code == 1
             assert result.stderr.startswith("error:") and message in result.stderr
 
+    @pytest.mark.parametrize("spec", [{"a": 0.5, "sigma": []}, {"a": 0.5, "sigma": [], "m": []}])
+    def test_empty_coupled_system_is_refused_by_name(self, spec, tmp_path):
+        message = "bad inline sigma or m: empty system: sigma has no components"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            system_from_spec(spec)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": spec}))
+        for command in ("measure", "fourier"):
+            result = run(command, "--config", cfg, "--out", tmp_path / "out")
+            assert result.exit_code == 1
+            assert result.stderr == f"error: {message}\n"
+            assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "command, config",
         [

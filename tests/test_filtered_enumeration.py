@@ -8,18 +8,19 @@ the exact disk and window tests one candidate at a time.  The cases put
 lattice points exactly on the ball boundary and on window edges and
 endpoints, or within a few ulps of them, where floats alone get the sign
 wrong; the ``exact_calls`` fixture shows that those cases reach the exact
-fallback.
+stage of their test.  ``TestExactSigns`` checks the signs themselves.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from selfsim import numberfields
+from selfsim import modelsets, numberfields
 from selfsim.core import SQRT2, IntervalSet, QuadRat
 from selfsim.modelsets import CutProjectScheme, project_points
 from selfsim.numberfields import cyclo_exact, enumerate_cyclo_box, enumerate_quad_range
@@ -113,28 +114,37 @@ def exact_project(scheme, window, radius):
 
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """Counts of the exact per-candidate tests the float filter falls back on."""
+    """Counts of the exact decisions the float filter falls back on, by the
+    role of the test that takes them: the line or plane enumerator's box,
+    or project_points' window and disk.  Each exact decision is one QuadRat
+    sign taken inside that test; the float stage takes none."""
     calls = Counter()
+    roles = []
+    sign = QuadRat.sign
 
-    def spy(owner, name):
+    def counted_sign(self):
+        if roles:
+            calls[roles[-1]] += 1
+        return sign(self)
+
+    def in_role(owner, name, role_of):
+        # each role's test, patched where its caller looks it up
         original = getattr(owner, name)
 
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
+        def counted(*args):
+            roles.append(role_of(*args))
+            try:
+                return original(*args)
+            finally:
+                roles.pop()
 
         monkeypatch.setattr(owner, name, counted)
 
-    # the one exact test, counted by the role it plays: the line or plane
-    # enumerator's box test, or project_points' disk and window test
-    original = numberfields._in_patch
-
-    def in_patch(forms, row, box=(), window=None, rsq=None):
-        calls["window" if window is not None else ("line box", "plane box")[len(row) == 4]] += 1
-        return original(forms, row, box, window, rsq)
-
-    monkeypatch.setattr(numberfields, "_in_patch", in_patch)
-    spy(IntervalSet, "contains")
+    monkeypatch.setattr(QuadRat, "sign", counted_sign)
+    in_role(numberfields, "_form_signs",
+            lambda rows, forms: ("line box", "plane box")[rows.shape[1] == 4])
+    in_role(modelsets, "_form_signs", lambda rows, forms: "window")
+    in_role(modelsets, "_disk_signs", lambda forms, rows, rsq: "disk")
     return calls
 
 
@@ -181,14 +191,14 @@ class TestBoundaryCases:
         # alpha* sits exactly on the lower endpoint of [alpha*, 0], 0 on the upper
         window = IntervalSet.closed(QuadRat(1, -1), QuadRat(0, 0))
         got = quads(project_points(SILVER, window, 3))
-        assert exact_calls["contains"] > 0
+        assert exact_calls["window"] > 0
         assert ALPHA in got and QuadRat(0, 0) in got
         assert got == exact_project(SILVER, window, 3)
 
     def test_window_endpoint_a_few_ulps_from_a_lattice_image(self, exact_calls):
         window = IntervalSet.closed(nudged(1 - SQRT2, 1), 0)
         got = quads(project_points(SILVER, window, 3))
-        assert exact_calls["contains"] > 0
+        assert exact_calls["window"] > 0
         assert ALPHA in got
         assert got == exact_project(SILVER, window, 3)
 
@@ -200,7 +210,7 @@ class TestBoundaryCases:
         # |x| = radius exactly; for 3 xi the floats put |x|**2 above 9
         window = square(Fraction(radius))
         got = cyclos(project_points(OCTAGONAL, window, radius))
-        assert exact_calls["window"] > 0
+        assert exact_calls["disk"] > 0
         assert on_circle in got
         assert got == exact_project(OCTAGONAL, window, radius)
 
@@ -227,9 +237,8 @@ class TestBoundaryCases:
 
     def test_window_edges_too_large_for_the_filter(self, exact_calls):
         # vertices with 2**52 denominators give edge forms whose integer
-        # terms could pass 2**53, so the filter leaves them to the exact test;
-        # no lattice point lies on the circle of radius 6.5, so each kept
-        # point was decided there
+        # terms could pass 2**53, so the filter leaves them to the exact stage;
+        # each kept point had its edge signs decided there
         t = nudged(SQRT2 / 2 + 0.1, 1)
         window = ConvexPolygon([(t, t), (-t, t / 3), (-t, -t), (Fraction(2, 7), -2 * t)])
         got = cyclos(project_points(OCTAGONAL, window, 6.5))
@@ -243,7 +252,11 @@ class TestBoundaryCases:
         if as_float:
             window = window.as_float()
         got = cyclos(project_points(OCTAGONAL, window, 3))
-        assert exact_calls["window"] > 0
+        if as_float:
+            # decided by its float test, as every float window is
+            assert exact_calls["window"] == 0
+        else:
+            assert exact_calls["window"] > 0
         assert got == [(1, 1, 0, 0)] == exact_project(OCTAGONAL, window, 3)
 
     def test_builtin_windows_need_no_exact_test(self, exact_calls):
@@ -316,7 +329,8 @@ class TestProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.lists(cyclo_elements, min_size=3, max_size=3),
+        st.one_of(st.lists(cyclo_elements, min_size=3, max_size=3),
+                  cyclo_elements.map(lambda c: [c])),
         st.one_of(
             st.integers(1, 4),
             cyclo_elements.map(lambda c: math.hypot(*map(float, cyclo_exact(*c)[:2]))).filter(
@@ -325,7 +339,8 @@ class TestProperties:
         st.booleans(),
     )
     def test_cyclo_project(self, corners, radius, as_float):
-        # triangles of lattice star images: their edges pass through more of them
+        # triangles of lattice star images, whose edges pass through more of
+        # them, and points at lattice star images, whose axes do too
         try:
             window = ConvexPolygon([star_point(c) for c in corners])
         except ValueError:  # collinear corners
@@ -334,3 +349,71 @@ class TestProperties:
             window = window.as_float()
         got = cyclos(project_points(OCTAGONAL, window, radius))
         assert got == exact_project(OCTAGONAL, window, radius)
+
+
+# ---------------------------------------------------------------------------
+# the signs themselves: exact on every row, inside the float margin too
+
+FORMS = {"quad": numberfields.SILVER_FORMS, "cyclo": numberfields.OCTAGONAL_FORMS}
+
+
+@st.composite
+def rows_and_bound(draw):
+    """Coefficient rows of one scheme and a point o of its coordinate space,
+    each coordinate of o on that of one of the rows or a few ulps from it
+    (or a small fraction), so that some rows lie on a bound or next to it."""
+    forms = FORMS[draw(st.sampled_from(sorted(FORMS)))]
+    k = len(forms[0])
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=k, max_size=k),
+                         min_size=1, max_size=6))
+    coords = [numberfields.exact_coordinates(forms, row) for row in rows]
+    o = [draw(st.one_of(st.builds(near, st.sampled_from([xs[j] for xs in coords]), ulps),
+                        st.fractions(-6, 6, max_denominator=12)))
+         for j in range(k)]
+    return forms, rows, coords, o
+
+
+def near(x, ulps: int):
+    """x itself, or the float ``ulps`` steps from float(x), exactly."""
+    return x if ulps == 0 else nudged(float(x), ulps)
+
+
+coefficients = st.one_of(
+    st.builds(QuadRat, small, small, st.integers(1, 4)),
+    # a 2**52 denominator: terms too large for the float stage
+    st.builds(lambda k: nudged(0.5, k), st.integers(1, 3)),
+)
+
+
+class TestExactSigns:
+    @settings(max_examples=60, deadline=None)
+    @given(rows_and_bound(), st.data())
+    def test_form_signs(self, case, data):
+        forms, rows, coords, o = case
+        k = len(forms[0])
+        first = data.draw(st.integers(0, k - 1))
+        n = data.draw(st.lists(st.one_of(st.just(0), coefficients),
+                               min_size=k - first, max_size=k - first))
+        assume(any(t != 0 for t in n))
+        (got,) = numberfields._form_signs(
+            np.array(rows, dtype=np.int64),
+            numberfields._linear_forms(forms, [(n, o[first:])], first))
+        want = [sum((t * (x - c) for t, x, c in zip(n, xs[first:], o[first:])), QuadRat(0)).sign()
+                for xs in coords]
+        assert got.tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows_and_bound(), st.data())
+    def test_disk_signs(self, case, data):
+        forms, rows, coords, _ = case
+        d = len(forms[0]) // 2
+        norms = [sum((t * t for t in xs[:d]), QuadRat(0)) for xs in coords]
+        # on the circle through a row, a few ulps off it, or a rational square
+        rsq = data.draw(st.one_of(
+            st.sampled_from(norms),
+            st.builds(near, st.sampled_from(norms), ulps),
+            st.builds(lambda x, n: QuadRat.from_fraction(nudged(math.sqrt(float(x)), n) ** 2),
+                      st.sampled_from(norms), ulps),
+        ))
+        got = numberfields._disk_signs(forms, np.array(rows, dtype=np.int64), rsq)
+        assert got.tolist() == [(rsq - norm).sign() for norm in norms]
