@@ -5,7 +5,6 @@ lattice grids of ``grids`` and never the solvers of ``measures``."""
 from __future__ import annotations
 
 import math
-import sys
 
 from .. import _lazy_module
 from ..errors import ConfigError, ResourceCapError
@@ -24,18 +23,11 @@ def run(cfg, b) -> None:
     step = cfg.grid_step if cfg.grid_step is not None else b.weyl_step
     grids.check_grid_step(step, b.window, "window")
     d = b.scheme.phys_dim
-    for r in radii:
-        if modelsets._ball_volume(r, d) < sys.float_info.min:
-            raise ConfigError(f"radius {r!r} is too small: its ball volume underflows")
-    centers = []
-    for c in cfg.centers:
-        # a number shifts along the first axis
-        c = c if isinstance(c, tuple) else (c,) + (0.0,) * (d - 1)
-        if len(c) != d:
-            raise ConfigError(f"a Weyl center must be a number or a list of {d}, got {list(c)}")
-        centers.append(grids._point(c))
-    norms = [math.hypot(*grids._axes(c)) for c in centers]
-    reach = max(r + n for r in radii for n in norms)
+    try:
+        radii, centers = modelsets.weyl_balls(radii, cfg.centers, d)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    reach = max(r + math.hypot(*c) for r in radii for c in centers)
     if reach == math.inf:
         raise ResourceCapError("a Weyl ball reaches beyond the largest float")
     patch_radius = int(math.ceil(reach)) + 4  # margin so the rim is populated

@@ -40,17 +40,14 @@ def gram_covolume(rows) -> float:
 
 class CutProjectScheme:
     """Ring embedded on both sides, declared by its integer matrices in
-    ``numberfields``: kind "quad" is Z[sqrt2] in R x R (``SILVER_FORMS``),
-    kind "cyclo" is Z[xi] (eighth root of unity) in C x C
-    (``OCTAGONAL_FORMS``).  Ring elements are int64 coefficient rows: (a, b)
-    for a + b*sqrt2, (c0, c1, c2, c3) for c0 + c1*xi + c2*xi^2 + c3*xi^3."""
+    ``numberfields``: Z[sqrt2] in R x R (``SILVER_FORMS``), or Z[xi] (eighth
+    root of unity) in C x C (``OCTAGONAL_FORMS``).  Ring elements are int64
+    coefficient rows: (a, b) for a + b*sqrt2, (c0, c1, c2, c3) for
+    c0 + c1*xi + c2*xi^2 + c3*xi^3."""
 
-    def __init__(self, kind: str):
-        if kind not in ("quad", "cyclo"):
-            raise ValueError(f"unknown scheme kind: {kind!r}")
-        self.kind = kind
-        self.forms = numberfields.SILVER_FORMS if kind == "quad" else numberfields.OCTAGONAL_FORMS
-        rank = len(self.forms[0])
+    def __init__(self, forms):
+        self.forms = forms
+        rank = len(forms[0])
         self.phys_dim = rank // 2
         self.covolume = gram_covolume(self.coordinates(np.eye(rank, dtype=np.int64)))
 
@@ -62,11 +59,11 @@ class CutProjectScheme:
 
     @classmethod
     def silver(cls) -> "CutProjectScheme":
-        return cls("quad")
+        return cls(numberfields.SILVER_FORMS)
 
     @classmethod
     def octagonal(cls) -> "CutProjectScheme":
-        return cls("cyclo")
+        return cls(numberfields.OCTAGONAL_FORMS)
 
 
 def project_points(scheme: CutProjectScheme, window, radius) -> np.ndarray:
@@ -84,14 +81,14 @@ def project_points(scheme: CutProjectScheme, window, radius) -> np.ndarray:
     d = scheme.phys_dim
     window_type = IntervalSet if d == 1 else polygons.ConvexPolygon
     if not isinstance(window, window_type):
-        raise TypeError(f"{scheme.kind} schemes use {window_type.__name__} windows")
+        raise TypeError(f"{d}D schemes use {window_type.__name__} windows")
     r = Fraction(radius)
     ends = [float(v) for v in window.bbox()]
     if d == 1:
         candidates = enumerate_quad_range(-r, r, ends[0] - 1e-6, ends[1] + 1e-6)
     else:
         candidates = enumerate_cyclo_box(r, max(map(abs, ends)) + 1e-6)
-    rsq = QuadRat(r.numerator**2, 0, r.denominator**2)
+    rsq = QuadRat.from_fraction(r * r)
     keep = (_disk_signs(scheme.forms, candidates, rsq) >= 0) & (
         _window_signs(scheme, window, candidates) >= 0)
     return candidates[keep]
@@ -113,8 +110,7 @@ def _window_signs(scheme: CutProjectScheme, window, rows) -> np.ndarray:
     else:
         pieces = [[(n, verts[0]) for n in ((1, 0), (-1, 0), (0, 1), (0, -1))]]
     if window.is_exact:
-        verdicts = [np.minimum.reduce(_form_signs(rows, _linear_forms(scheme.forms, sides, d)))
-                    for sides in pieces]
+        verdicts = [_form_signs(rows, _linear_forms(scheme.forms, sides, d)) for sides in pieces]
     else:
         # IntervalSet.contains and polygons._cross, as floats go; a point's
         # |x* - v| <= eps is its two pairs of axis half-spaces
@@ -201,6 +197,21 @@ def _ball_volume(r: float, d: int) -> float:
     return (2 * r, math.pi * r * r)[d - 1]
 
 
+def weyl_balls(radii: Sequence, centers: Sequence, d: int) -> tuple:
+    """The radii as floats and the centres as d-coordinate float tuples, a
+    number shifting along the first axis.  Raises ValueError for a radius
+    whose ball volume underflows and for a centre of the wrong length."""
+    radii = [float(r) for r in radii]
+    for r in radii:
+        if _ball_volume(r, d) < sys.float_info.min:
+            raise ValueError(f"radius {r!r} is too small: its ball volume underflows")
+    out = [_axes(c) if np.ndim(c) else (float(c),) + (0.0,) * (d - 1) for c in centers]
+    for c, axes in zip(centers, out):
+        if len(axes) != d:
+            raise ValueError(f"a Weyl center must be a number or a list of {d}, got {list(c)}")
+    return radii, out
+
+
 def weyl_average(
     scheme: CutProjectScheme,
     points: np.ndarray,
@@ -215,36 +226,27 @@ def weyl_average(
     shifts along the first axis; the default is the origin), sums g(x*)
     over points in the closed ball B_r(a) and divides by its volume
     (length 2r in 1D, area pi r^2 in 2D); the limit column holds
-    mass(g)/covolume.  Each row's center is the coordinate tuple in the
-    plane and a number on the line.  The points must come from the window
-    supporting g; each requested ball must fit in the enumerated patch,
-    and have a volume of at least the smallest normal float.
+    mass(g)/covolume.  A point is in the ball when the exact disk sign of
+    ``numberfields``, r and a taken at their float values, is >= 0.  Each
+    row's center is the coordinate tuple in the plane and a number on the
+    line.  The points must come from the window supporting g; each ball
+    must fit in the enumerated patch, and pass ``weyl_balls``.
     """
     if len(points) == 0:
         raise ValueError("no points to average over")
     d = scheme.phys_dim
+    radii, centers = weyl_balls(radii, centers, d)
     coords = scheme.coordinates(points)
     pos, star = coords[:, :d], coords[:, d:]
     patch = float(np.max(np.hypot.reduce(np.abs(pos), axis=1)))
     limit = g.mass / scheme.covolume
     rows = []
     for r in radii:
-        r = float(r)
-        vol = _ball_volume(r, d)
-        if vol < sys.float_info.min:
-            raise ValueError(f"radius {r!r}: its ball volume is below the smallest normal float")
-        for center in centers:
-            c = _axes(center)
-            if np.ndim(center) == 0:
-                c += (0.0,) * (d - 1)
-            if len(c) != d:
-                raise ValueError(f"center {center} needs {d} coordinates")
+        vol, rsq = _ball_volume(r, d), QuadRat.from_fraction(Fraction(r) ** 2)
+        for c in centers:
             if math.hypot(*c) + r > patch + 1e-9:
-                raise ValueError(
-                    f"ball of radius {r} at {center} exceeds the enumerated patch"
-                )
-            mask = np.hypot.reduce(np.abs(pos - c), axis=1) <= r + 1e-12
-            values = g.sample(star[mask].T).tolist()
-            avg = math.fsum(values) / vol
+                raise ValueError(f"ball of radius {r} at {_point(c)} exceeds the enumerated patch")
+            inside = star[_disk_signs(scheme.forms, points, rsq, c) >= 0]
+            avg = math.fsum(g.sample(inside.T).tolist()) / vol
             rows.append(WeylRow(r, _point(c), avg, limit, abs(avg - limit)))
     return rows

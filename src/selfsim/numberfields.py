@@ -85,15 +85,16 @@ def cyclo_exact(c0: int, c1: int, c2: int, c3: int) -> tuple[QuadRat, QuadRat, Q
 # The forms.  A box side, a window's interval end or polygon edge is a
 # half-space n.(x - o) >= 0 over coordinates x, and so a Q(sqrt2)-linear form
 # L.c + M.c*sqrt2 - K >= 0 in c (`_linear_forms`), whose sign `_quad_sign`
-# reads (`_form_signs`).  The disk |x|**2 <= rsq of
-# `modelsets.project_points` is the one quadratic test (`_disk_signs`).
+# reads (`_form_signs`).  The disk |x - c|**2 <= rsq of the patch and of each
+# Weyl ball in `modelsets` is the one quadratic test (`_disk_signs`).
 #
 # The bound.  Count as one rounding each int -> float conversion, each use of
 # the float SQRT2 for sqrt(2), and each arithmetic operation.  The float of an
-# exact constant (_float_pair) is at most 6 roundings deep.  A form, taken as
-# L.c + M.c*SQRT2 - K, is at most 3 deep along its integer terms and 7 along
-# K; a coordinate (P.c + Q.c*SQRT2)/den is at most 4 deep, so the disk's
-# rsq - sum of x_j**2 at most 7.  Every tested expression is thus at most 9
+# exact constant (_float_pair) is at most 6 roundings deep, of a float (a
+# disk centre) 0.  A form, taken as L.c + M.c*SQRT2 - K, is at most 3 deep
+# along its integer terms and 7 along K; a coordinate (P.c + Q.c*SQRT2)/den
+# at most 4, x_j - c_j 5, so the disk's rsq - sum of (x_j - c_j)**2 at most 8
+# along x and 7 along rsq.  Every tested expression is thus at most 9
 # deep along any path from its exact inputs, and its error at most
 # gamma_9 = 9u/(1 - 9u), u = 2**-53, times its ``size``: the same expression
 # on the absolute values of its terms (Higham, "Accuracy and Stability of
@@ -159,42 +160,43 @@ def _linear_forms(forms, half_spaces, first: int = 0) -> list:
     return out
 
 
-def _form_signs(rows, linear_forms) -> list:
-    """The exact sign of each (L, M, K) form on the (N, k) int64 rows, one
-    int8 array per form.  L.c and M.c are summed in float64, exact below
-    2**53; where the float value's sign is not certain, or the form's
-    absolute terms could reach 2**53, the same form is evaluated exactly."""
+def _form_signs(rows, linear_forms) -> np.ndarray:
+    """The least exact sign over the (L, M, K) forms on the (N, k) int64
+    rows, one form at a time.  L.c and M.c are summed in float64, exact
+    below 2**53; where the float sign is not certain, or the form's absolute
+    terms could reach 2**53, a row not yet outside is evaluated exactly."""
     cmax = int(np.abs(rows).max(initial=0))
-    fits = [(sum(map(abs, L)) + sum(map(abs, M))) * cmax < 2**53 for L, M, _ in linear_forms]
-    zero = [0] * rows.shape[1]
-    f = rows.T.astype(np.float64)
-    A = np.array([L if ok else zero for ok, (L, _, _) in zip(fits, linear_forms)], float) @ f
-    B = np.array([M if ok else zero for ok, (_, M, _) in zip(fits, linear_forms)], float) @ f
-    out = []
-    for ok, a, b, (L, M, K) in zip(fits, A, B, linear_forms):
-        signs = _quad_sign(a, b, K) if ok else np.zeros(len(a), dtype=np.int8)
-        margin = np.flatnonzero(signs == 0)
+    f = rows.astype(np.float64)
+    least = np.ones(len(rows), dtype=np.int8)
+    for L, M, K in linear_forms:
+        if (sum(map(abs, L)) + sum(map(abs, M))) * cmax < 2**53:
+            signs = _quad_sign(f @ np.array(L, float), f @ np.array(M, float), K)
+        else:
+            signs = np.zeros(len(rows), dtype=np.int8)
+        margin = np.flatnonzero((signs == 0) & (least >= 0))
         if len(margin):
             # L.c and M.c as Python ints
             c = rows[margin].astype(object)
             for i, l, m in zip(margin.tolist(), c @ np.array(L, object), c @ np.array(M, object)):
                 signs[i] = (QuadRat(l, m) - K).sign()
-        out.append(signs)
-    return out
+        np.minimum(least, signs, out=least)
+    return least
 
 
-def _disk_signs(forms, rows, rsq) -> np.ndarray:
-    """The exact sign of rsq - |x|**2 on the (N, k) coefficient rows, x the
-    physical coordinates and rsq exact: read in float64 where certain, and
-    evaluated exactly inside the margin."""
+def _disk_signs(forms, rows, rsq, centre=None) -> np.ndarray:
+    """The exact sign of rsq - |x - c|**2 on the (N, k) coefficient rows, x
+    the physical coordinates, rsq exact and the centre c (by default the
+    origin) at its float value: read in float64 where certain, else exactly."""
     P, Q, den = forms
     d = len(P) // 2
+    c = [Fraction(float(t)) for t in centre] if centre is not None else [Fraction(0)] * d
     p, q = _parts((P[:d], Q[:d], den), rows)
-    x, size = _embed(p, q, den), _embed(np.abs(p), np.abs(q), den)
+    cv, cs = np.array([_float_pair(t) for t in c]).T
+    x, size = _embed(p, q, den) - cv, _embed(np.abs(p), np.abs(q), den) + cs
     rv, rs = _float_pair(rsq)
     signs = _certain_sign(rv - (x**2).sum(axis=1), rs + (size**2).sum(axis=1))
     for i in np.flatnonzero(signs == 0).tolist():
-        exact = [QuadRat(a, b, den) for a, b in zip(p[i].tolist(), q[i].tolist())]
+        exact = [QuadRat(a, b, den) - t for a, b, t in zip(p[i].tolist(), q[i].tolist(), c)]
         signs[i] = (rsq - sum((t * t for t in exact), QuadRat(0))).sign()
     return signs
 
@@ -272,7 +274,7 @@ def _enumerate_box(forms, lo, hi, max_candidates: int) -> np.ndarray:
         for r in reversed(range(len(inner))):
             chunk[:, inner[r]] = first[:, r] + offset % n[:, r]
             offset = offset // n[:, r]
-        parts.append(chunk[np.minimum.reduce(_form_signs(chunk, box_forms)) >= 0])
+        parts.append(chunk[_form_signs(chunk, box_forms) >= 0])
     # the kept rows as columns, sorted by physical coordinates made a chunk
     # at a time, then coefficients; each column is permuted in place
     cols = np.concatenate([part.T for part in parts], axis=1)

@@ -97,10 +97,8 @@ class ConvexPolygon:
 
     def contains(self, point, eps=0) -> bool:
         if len(self.vertices) == 1:
-            v = self.vertices[0]
-            return abs(float(point[0]) - float(v[0])) <= eps and abs(
-                float(point[1]) - float(v[1])
-            ) <= eps
+            return all(_sign_of(x - v + eps) >= 0 and _sign_of(v - x + eps) >= 0
+                       for x, v in zip(point, self.vertices[0]))
         n = len(self.vertices)
         for k in range(n):
             c = _cross(self.vertices[k], self.vertices[(k + 1) % n], point)

@@ -438,6 +438,15 @@ class TestConvexPolygon:
         assert w.contains((ALPHA / 2, Fraction(1, 2)))
         assert not w.contains((2, 0))
 
+    def test_point_contains_exactly(self):
+        # a one-vertex polygon compares exactly, as IntervalSet.contains does
+        p = ConvexPolygon.point(Fraction(1, 3), 0)
+        assert p.contains((Fraction(1, 3), 0))
+        assert not p.contains((Fraction(1, 3) + Fraction(1, 10**30), 0))
+        assert p.contains((Fraction(1, 3) + Fraction(1, 10**30), 0), eps=Fraction(1, 10**30))
+        assert ConvexPolygon.point(ALPHA, 0).contains((ALPHA, 0))
+        assert not ConvexPolygon.point(ALPHA, 0).contains((Fraction(2.414213562373095), 0))
+
     def test_affine_orientation_flip(self):
         sq = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
         flipped = sq.linear_image(((-1, 0), (0, 1)))

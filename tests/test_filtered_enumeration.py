@@ -90,7 +90,7 @@ def exact_project(scheme, window, radius):
     """The enumerator's candidates, then the exact ball and window tests
     one point at a time (float windows keep their eps=1e-12 test)."""
     r = Fraction(radius)
-    if scheme.kind == "quad":
+    if scheme.phys_dim == 1:
         lo, hi = float(window.lo) - 1e-6, float(window.hi) + 1e-6
         candidates = quads(enumerate_quad_range(-r, r, lo, hi))
         if window.is_exact:
@@ -116,8 +116,9 @@ def exact_project(scheme, window, radius):
 def exact_calls(monkeypatch):
     """Counts of the exact decisions the float filter falls back on, by the
     role of the test that takes them: the line or plane enumerator's box,
-    or project_points' window and disk.  Each exact decision is one QuadRat
-    sign taken inside that test; the float stage takes none."""
+    project_points' window, or the disk of its patch or of a Weyl ball.
+    Each exact decision is one QuadRat sign taken inside that test; the
+    float stage takes none."""
     calls = Counter()
     roles = []
     sign = QuadRat.sign
@@ -131,10 +132,10 @@ def exact_calls(monkeypatch):
         # each role's test, patched where its caller looks it up
         original = getattr(owner, name)
 
-        def counted(*args):
-            roles.append(role_of(*args))
+        def counted(*args, **kwargs):
+            roles.append(role_of(*args, **kwargs))
             try:
-                return original(*args)
+                return original(*args, **kwargs)
             finally:
                 roles.pop()
 
@@ -144,7 +145,7 @@ def exact_calls(monkeypatch):
     in_role(numberfields, "_form_signs",
             lambda rows, forms: ("line box", "plane box")[rows.shape[1] == 4])
     in_role(modelsets, "_form_signs", lambda rows, forms: "window")
-    in_role(modelsets, "_disk_signs", lambda forms, rows, rsq: "disk")
+    in_role(modelsets, "_disk_signs", lambda forms, rows, rsq, centre=None: "disk")
     return calls
 
 
@@ -389,16 +390,19 @@ class TestExactSigns:
     @settings(max_examples=60, deadline=None)
     @given(rows_and_bound(), st.data())
     def test_form_signs(self, case, data):
+        # the least sign over one to three half-spaces through the same point
         forms, rows, coords, o = case
         k = len(forms[0])
         first = data.draw(st.integers(0, k - 1))
-        n = data.draw(st.lists(st.one_of(st.just(0), coefficients),
-                               min_size=k - first, max_size=k - first))
-        assume(any(t != 0 for t in n))
-        (got,) = numberfields._form_signs(
+        normal = st.lists(st.one_of(st.just(0), coefficients),
+                          min_size=k - first, max_size=k - first)
+        normals = data.draw(st.lists(normal.filter(lambda n: any(t != 0 for t in n)),
+                                     min_size=1, max_size=3))
+        got = numberfields._form_signs(
             np.array(rows, dtype=np.int64),
-            numberfields._linear_forms(forms, [(n, o[first:])], first))
-        want = [sum((t * (x - c) for t, x, c in zip(n, xs[first:], o[first:])), QuadRat(0)).sign()
+            numberfields._linear_forms(forms, [(n, o[first:]) for n in normals], first))
+        want = [min(sum((t * (x - c) for t, x, c in zip(n, xs[first:], o[first:])),
+                        QuadRat(0)).sign() for n in normals)
                 for xs in coords]
         assert got.tolist() == want
 
@@ -407,7 +411,14 @@ class TestExactSigns:
     def test_disk_signs(self, case, data):
         forms, rows, coords, _ = case
         d = len(forms[0]) // 2
-        norms = [sum((t * t for t in xs[:d]), QuadRat(0)) for xs in coords]
+        # the origin, or a float centre on or next to the rows' coordinates
+        centre = data.draw(st.one_of(st.none(), st.lists(
+            st.one_of(st.builds(lambda x, k: float(nudged(float(x), k)),
+                                st.sampled_from([x for xs in coords for x in xs[:d]]), ulps),
+                      st.fractions(-6, 6, max_denominator=12).map(float)),
+            min_size=d, max_size=d)))
+        c = [Fraction(0)] * d if centre is None else list(map(Fraction, centre))
+        norms = [sum(((x - t) * (x - t) for x, t in zip(xs, c)), QuadRat(0)) for xs in coords]
         # on the circle through a row, a few ulps off it, or a rational square
         rsq = data.draw(st.one_of(
             st.sampled_from(norms),
@@ -415,5 +426,21 @@ class TestExactSigns:
             st.builds(lambda x, n: QuadRat.from_fraction(nudged(math.sqrt(float(x)), n) ** 2),
                       st.sampled_from(norms), ulps),
         ))
-        got = numberfields._disk_signs(forms, np.array(rows, dtype=np.int64), rsq)
+        got = numberfields._disk_signs(forms, np.array(rows, dtype=np.int64), rsq, centre)
         assert got.tolist() == [(rsq - norm).sign() for norm in norms]
+
+    @pytest.mark.parametrize("forms", sorted(FORMS.values()))
+    @pytest.mark.parametrize("coordinate", [1e-300, 5e-324, 2.0**600])
+    def test_disk_signs_about_centres_the_filter_cannot_size(self, forms, coordinate):
+        # a centre coordinate outside [2**-500, 2**500] leaves every row to
+        # the exact stage, whose sign is still exact
+        d = len(forms[0]) // 2
+        rows = np.array([[1] * len(forms[0]), [0] * len(forms[0])], dtype=np.int64)
+        centre = (coordinate,) + (0.5,) * (d - 1)
+        c = list(map(Fraction, centre))
+        xs = numberfields.exact_coordinates(forms, rows[0].tolist())[:d]
+        rsq = sum(((x - t) * (x - t) for x, t in zip(xs, c)), QuadRat(0))
+        got = numberfields._disk_signs(forms, rows, rsq, centre)
+        assert got[0] == 0
+        origin = sum(((0 - t) * (0 - t) for t in c), QuadRat(0))
+        assert got[1] == (rsq - origin).sign()

@@ -18,7 +18,7 @@ from selfsim.modelsets import (
     theoretical_density,
     weyl_average,
 )
-from selfsim.numberfields import enumerate_cyclo_box, enumerate_quad_range
+from selfsim.numberfields import enumerate_cyclo_box, enumerate_quad_range, exact_coordinates
 from selfsim.padic import SUBSTITUTION_COUNTS
 from selfsim.polygons import ConvexPolygon
 from selfsim.substitutions import (
@@ -104,10 +104,6 @@ class TestScheme:
     def test_degenerate_basis_rejected(self):
         with pytest.raises(ValueError):
             gram_covolume([[1, 1], [2, 2]])
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            CutProjectScheme("cubic")
 
 
 # up to the enumerators' coefficient limit, where int64 and float64 stay exact
@@ -454,6 +450,120 @@ class TestWeyl:
             g = raster_polygon(b.window, 0.05, float(b.window.measure()))
         with pytest.raises(ValueError, match=f"radius {radius!r}"):
             weyl_average(b.scheme, points, g, (3.0, radius))
+
+
+@pytest.fixture(scope="module", params=["silver", "ammann-beenker"])
+def ball_patch(request):
+    """A builtin's scheme, a patch of its model set and its rastered window
+    indicator, with a centre away from the origin inside the patch."""
+    b = builtin(request.param)
+    if b.scheme.phys_dim == 1:
+        g = raster_interval_set(b.window.as_float(), 1e-3, float(b.window.measure()))
+        return b.scheme, project_points(b.scheme, b.window, 210), g, (0.25,)
+    g = raster_polygon(b.window, 0.05, float(b.window.measure()))
+    return b.scheme, project_points(b.scheme, b.window, 12), g, (0.25, -0.5)
+
+
+def exact_distances(scheme, points, center) -> list:
+    """|x - center|**2 of each point's physical coordinates x, in QuadRat,
+    the centre taken at its binary-float value."""
+    d = scheme.phys_dim
+    c = [Fraction(t) for t in center]
+    return [sum(((x - t) * (x - t) for x, t in zip(exact_coordinates(scheme.forms, row)[:d], c)),
+                QuadRat(0)) for row in points.tolist()]
+
+
+def average_over(scheme, points, g, r, inside) -> float:
+    """The ball average of g over the points the boolean mask keeps."""
+    star = scheme.coordinates(points)[:, scheme.phys_dim:]
+    vol = 2 * r if scheme.phys_dim == 1 else math.pi * r * r
+    return math.fsum(g.sample(star[inside].T).tolist()) / vol
+
+
+def oracle_average(scheme, points, g, r, center) -> float:
+    """The average over the ball B_r(center), its points chosen one at a
+    time by the exact test |x - center|**2 <= r**2."""
+    rsq = QuadRat.from_fraction(Fraction(r) ** 2)
+    inside = np.array([t <= rsq for t in exact_distances(scheme, points, center)], dtype=bool)
+    return average_over(scheme, points, g, r, inside)
+
+
+class TestWeylBalls:
+    def test_point_just_outside_the_ball_is_excluded(self, ball_patch):
+        # a window point whose distance from the centre exceeds the radius
+        # by ~5e-13: a float test with an absolute slack of 1e-12 keeps it
+        scheme, points, g, center = ball_patch
+        d = scheme.phys_dim
+        star = scheme.coordinates(points)[:, d:]
+        dist = exact_distances(scheme, points, center)
+        k = min((i for i in range(len(points)) if g.sample(star[i:i + 1].T)[0] > 0.5),
+                key=lambda i: abs(float(dist[i]) - 9))
+        r = math.sqrt(float(dist[k])) - 5e-13
+        assert QuadRat.from_fraction(Fraction(r) ** 2) < dist[k]
+        pos = scheme.coordinates(points)[:, :d]
+        slack = np.hypot.reduce(np.abs(pos - center), axis=1) <= r + 1e-12
+        assert slack[k]
+        (row,) = weyl_average(scheme, points, g, (r,), centers=(center,))
+        assert row.average == oracle_average(scheme, points, g, r, center)
+        assert row.average != average_over(scheme, points, g, r, slack)
+
+    @pytest.mark.parametrize("center", [100.0, -100.0])
+    def test_origin_on_the_line_ball_boundary_stays_in(self, center):
+        b = builtin("silver")
+        points = project_points(b.scheme, b.window, 210)
+        g = raster_interval_set(b.window.as_float(), 1e-3, float(b.window.measure()))
+        (row,) = weyl_average(b.scheme, points, g, (100.0,), centers=(center,))
+        origin = points.tolist().index([0, 0])
+        assert exact_distances(b.scheme, points[origin:origin + 1], (center,)) == [10000]
+        without = np.array([t < 10000 for t in exact_distances(b.scheme, points, (center,))])
+        assert row.average == oracle_average(b.scheme, points, g, 100.0, (center,))
+        assert row.average > average_over(b.scheme, points, g, 100.0, without)
+
+    def test_planar_point_on_the_circle_stays_in(self):
+        # 1 sits at distance 5 from (-2, -4), and its star image 1 is in the window
+        b = builtin("ammann-beenker")
+        points = project_points(b.scheme, b.window, 12)
+        g = raster_polygon(b.window, 0.05, float(b.window.measure()))
+        center = (-2.0, -4.0)
+        (row,) = weyl_average(b.scheme, points, g, (5.0,), centers=(center,))
+        assert [1, 0, 0, 0] in points.tolist()
+        without = np.array([t < 25 for t in exact_distances(b.scheme, points, center)])
+        assert row.average == oracle_average(b.scheme, points, g, 5.0, center)
+        assert row.average > average_over(b.scheme, points, g, 5.0, without)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_selection_agrees_with_the_exact_oracle(self, ball_patch, data):
+        # radii on, or a few ulps from, the distance of a patch point
+        scheme, points, g, center = ball_patch
+        d = scheme.phys_dim
+        c = data.draw(st.one_of(st.just(center), st.tuples(*[st.floats(-2, 2)] * d)))
+        near = [t for t in map(approx, exact_distances(scheme, points, c)) if 0.25 < t < 36]
+        r = data.draw(st.one_of(
+            st.floats(0.5, 6),
+            st.builds(nudged_sqrt, st.sampled_from(near), st.integers(-2, 2)),
+        ))
+        (row,) = weyl_average(scheme, points, g, (r,), centers=(c,))
+        assert row.average == oracle_average(scheme, points, g, r, c)
+
+    def test_center_of_the_wrong_length_is_named(self, ball_patch):
+        scheme, points, g, _ = ball_patch
+        d = scheme.phys_dim
+        with pytest.raises(ValueError, match=f"a Weyl center must be a number or a list of {d}"):
+            weyl_average(scheme, points, g, (3.0,), centers=((0.0,) * (d + 1),))
+
+
+def approx(t: QuadRat) -> float:
+    """A float near t, whose denominator may be too large for a float."""
+    return float(Fraction(t.a, t.den)) + float(Fraction(t.b, t.den)) * SQRT2
+
+
+def nudged_sqrt(t: float, ulps: int) -> float:
+    """The float sqrt of t, moved ``ulps`` steps."""
+    r = math.sqrt(t)
+    for _ in range(abs(ulps)):
+        r = math.nextafter(r, math.copysign(math.inf, ulps))
+    return r
 
 
 class TestPatchInvariants:
