@@ -8,25 +8,20 @@ from ..core import IntervalSet
 from ..errors import ConfigError
 from .output import _csv_lines, _echo, _out_dir, _write_csv, _write_json
 
-polygons = _lazy_module("selfsim.polygons")
 compactsets = _lazy_module("selfsim.compactsets")
 
 
 def _set_json(s) -> dict:
-    # an interval set is tested first, so a line run never executes polygons
     if isinstance(s, IntervalSet):
         return {"intervals": [[float(lo), float(hi)] for lo, hi in s.intervals]}
-    if isinstance(s, polygons.ConvexPolygon):
-        return {"vertices": [[float(x), float(y)] for x, y in s.vertices]}
-    return {"parts": [_set_json(part) for part in s]}
+    return {"vertices": [[float(x), float(y)] for x, y in s.vertices]}
 
 
 def _set_rows(s):
-    """part,lo,hi rows for interval sets; part,x,y vertex rows for polygons."""
+    """part,lo,hi rows for interval sets; part,x,y vertex rows, part 0, for a polygon."""
     if isinstance(s, IntervalSet):
         return "part,lo,hi", [(k, float(lo), float(hi)) for k, (lo, hi) in enumerate(s.intervals)]
-    parts = s if isinstance(s, tuple) else (s,)
-    return "part,x,y", [(k, float(x), float(y)) for k, p in enumerate(parts) for x, y in p.vertices]
+    return "part,x,y", [(0, float(x), float(y)) for x, y in s.vertices]
 
 
 def run(cfg, b) -> None:

@@ -1,21 +1,19 @@
 """The attractor engine: IFS systems, their iteration and Hausdorff metrics.
 
-A translation-family map realizes a whole compact family of translates
-at once via a Minkowski sum, and ``iterate_attractor`` drives the union
-map of an ``IFSSystem`` to its fixed point, stopping on the Hausdorff
-distance between iterates (exact for intervals and for single convex
-polygons, a vertex-based lower bound for unions of polygons).
+A compact set is one ``IntervalSet`` (``core``) on the line and one
+``ConvexPolygon`` (``polygons``) in the plane, where each component has
+one incoming map.  A translation-family map realizes a compact family
+of translates at once via a Minkowski sum, and ``iterate_attractor``
+drives the union map of an ``IFSSystem`` to its fixed point, stopping on
+the Hausdorff distance between iterates, exact up to float rounding.
 ``verify_exact_fixed_point`` re-checks a candidate attractor in exact
-arithmetic.  The sets and maps themselves live in ``core``
-(``IntervalSet``, ``AffineMap``) and ``polygons`` (``ConvexPolygon``);
-a line region is always told apart first, so no 1D run executes
-``polygons``.
+arithmetic.  An interval set is always tested first, so no 1D run
+executes ``polygons``.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 from typing import Sequence
 
 from . import _lazy_module
@@ -24,12 +22,6 @@ from .errors import ConvergenceError, ResourceCapError
 
 # the plane's sets, executed by planar systems alone
 polygons = _lazy_module("selfsim.polygons")
-
-
-def _is_region(s) -> bool:
-    """Whether ``s`` is one region, not a tuple of parts; an interval set
-    is tested first, so a line region never executes ``polygons``."""
-    return isinstance(s, IntervalSet) or isinstance(s, polygons.ConvexPolygon)
 
 
 # ---------------------------------------------------------------------------
@@ -61,13 +53,8 @@ class TranslationFamilyMap:
 
 
 def apply_affine(f, S):
-    """Image of a compact set (a region or a tuple of parts) under an
-    ``AffineMap`` or a ``TranslationFamilyMap``."""
-    if isinstance(S, (tuple, list)):
-        parts = [apply_affine(f, part) for part in S]
-        return tuple(itertools.chain.from_iterable(
-            p if isinstance(p, tuple) else (p,) for p in parts
-        ))
+    """Image of a compact set (an ``IntervalSet`` or a ``ConvexPolygon``)
+    under an ``AffineMap`` or a ``TranslationFamilyMap``."""
     if isinstance(f, TranslationFamilyMap):
         return S.linear_image(f.a).minkowski(f.family)
     return S.affine(f.a, f.t)
@@ -120,55 +107,34 @@ def _dist_point_segment(p, a, b) -> float:
 
 
 def _dist_point_polygon(p, poly) -> float:
-    verts = poly.vertices
-    if len(verts) == 1:
-        return _dist_point_segment(p, verts[0], verts[0])
     if poly.contains(p, eps=0.0):
         return 0.0
-    n = len(verts)
-    return min(
-        _dist_point_segment(p, verts[k], verts[(k + 1) % n]) for k in range(n)
-    )
-
-
-def _as_parts(S) -> tuple:
-    if isinstance(S, polygons.ConvexPolygon):
-        return (S,)
-    return tuple(S)
+    verts, n = poly.vertices, len(poly.vertices)
+    return min(_dist_point_segment(p, verts[k], verts[(k + 1) % n]) for k in range(n))
 
 
 def hausdorff_distance(U, V) -> float:
-    """Hausdorff distance between two nonempty compact sets of equal dimension.
+    """Hausdorff distance between two IntervalSets or two ConvexPolygons.
 
     1D unions of intervals are resolved through their endpoints and gap
-    midpoints (where the distance-to-set function peaks), so the result is
-    exact up to float rounding.  2D sets are compared through the vertices
-    of their convex parts.  The distance to a convex set is a convex
-    function, so over a convex polygon it peaks at a vertex (Schneider,
-    *Convex Bodies*, 1.8): for two convex polygons the result is exact up
-    to float rounding.  For unions of parts it is a lower bound, because
-    the distance to a union is not convex and can peak away from the
-    vertices.
+    midpoints (where the distance-to-set function peaks).  In the plane
+    the distance to a convex set is a convex function, so over a convex
+    polygon it peaks at a vertex (Schneider, *Convex Bodies*, 1.8): each
+    direction is the largest distance from a vertex of one polygon to the
+    other.  Both are exact up to float rounding.
     """
-    if isinstance(U, IntervalSet) != isinstance(V, IntervalSet):
-        raise TypeError("cannot mix 1D and 2D compact sets")
-    if isinstance(U, IntervalSet):
+    if isinstance(U, IntervalSet) and isinstance(V, IntervalSet):
         up = [(float(lo), float(hi)) for lo, hi in U.intervals]
         vp = [(float(lo), float(hi)) for lo, hi in V.intervals]
         return max(_directed_1d(up, vp), _directed_1d(vp, up))
-    uparts = [p.as_float() for p in _as_parts(U)]
-    vparts = [p.as_float() for p in _as_parts(V)]
-    if not uparts or not vparts:
-        raise ValueError("empty compact set")
-
-    def directed(parts_a, parts_b):
-        return max(
-            min(_dist_point_polygon(p, q) for q in parts_b)
-            for part in parts_a
-            for p in part.vertices
-        )
-
-    return max(directed(uparts, vparts), directed(vparts, uparts))
+    if not (isinstance(U, polygons.ConvexPolygon) and isinstance(V, polygons.ConvexPolygon)):
+        raise TypeError("hausdorff_distance compares two IntervalSets or two ConvexPolygons, "
+                        f"not a {type(U).__name__} with a {type(V).__name__}")
+    u, v = U.as_float(), V.as_float()
+    return max(
+        max(_dist_point_polygon(p, v) for p in u.vertices),
+        max(_dist_point_polygon(p, u) for p in v.vertices),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +152,12 @@ class IFSSystem:
         for i, row in enumerate(self.maps):
             if len(row) != self.n:
                 raise ValueError("maps must form an n x n grid")
-            if not any(cell for cell in row):
+            incoming = [f for cell in row for f in cell]
+            if not incoming:
                 raise ValueError(f"component {i} has no incoming maps")
+            if len(incoming) > 1 and any(AffineMap.linear(f.a).dim == 2 for f in incoming):
+                raise ValueError(f"plane component {i} has {len(incoming)} incoming maps; a plane "
+                                 "compact set is one convex polygon, so it takes one")
         factors = [f.factor for row in self.maps for cell in row for f in cell]
         self.contraction_bound = max(factors)
         if self.contraction_bound >= 1.0:
@@ -205,34 +175,20 @@ class IFSSystem:
         )
 
     def component_image(self, i: int, sets: Sequence):
-        pieces = []
-        for j in range(self.n):
-            for f in self.maps[i][j]:
-                pieces.append(apply_affine(f, sets[j]))
-        first = pieces[0]
-        if isinstance(first, IntervalSet):
-            out = first
-            for piece in pieces[1:]:
-                out = out.union(piece)
-            return out
-        flat = []
-        for piece in pieces:
-            flat.extend(_as_parts(piece))
-        return flat[0] if len(flat) == 1 else tuple(flat)
+        """The union of component ``i``'s images; a plane component has one."""
+        pieces = [apply_affine(f, sets[j]) for j in range(self.n) for f in self.maps[i][j]]
+        out = pieces[0]
+        for piece in pieces[1:]:
+            out = out.union(piece)
+        return out
 
 
 def _normalize_seeds(system: IFSSystem, seeds) -> list:
-    # a tuple or list holds one seed per component; it is never a region
-    seeds = [seeds] if not isinstance(seeds, (tuple, list)) and _is_region(seeds) else list(seeds)
+    # a tuple or list holds one set per component; anything else is one set
+    seeds = list(seeds) if isinstance(seeds, (tuple, list)) else [seeds]
     if len(seeds) != system.n:
         raise ValueError(f"expected {system.n} seed sets, got {len(seeds)}")
     return seeds
-
-
-def _piece_count(S) -> int:
-    if isinstance(S, IntervalSet):
-        return len(S.intervals)
-    return len(_as_parts(S))
 
 
 def iterate_attractor(
@@ -251,23 +207,19 @@ def iterate_attractor(
     when max_iter is exhausted.  ``on_iterate(k, sets, delta)``, when
     given, is called after every step (used for convergence logs).
 
-    Iterates are stored exactly as finite unions, so seeds whose images
-    overlap (a hull interval works well) keep the representation small;
-    scattered seeds can fragment into exponentially many pieces, which is
-    caught by the ``max_pieces`` cap.
+    A line iterate is a finite union of intervals: seeds whose images
+    overlap (a hull interval works well) keep it small, while scattered
+    seeds can fragment it into exponentially many, caught by the
+    ``max_pieces`` cap.  A plane iterate is one convex polygon.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     sysf = system.as_float()
-    current = [
-        s.as_float() if _is_region(s)
-        else tuple(p.as_float() for p in s)
-        for s in _normalize_seeds(system, seeds)
-    ]
+    current = [s.as_float() for s in _normalize_seeds(system, seeds)]
     delta = None
     for k in range(1, max_iter + 1):
         new = [sysf.component_image(i, current) for i in range(sysf.n)]
-        if sum(_piece_count(s) for s in new) > max_pieces:
+        if sum(len(s.intervals) if isinstance(s, IntervalSet) else 1 for s in new) > max_pieces:
             raise ResourceCapError(
                 f"iterate fragmented past {max_pieces} pieces at step {k}; "
                 "use a connected seed such as the hull"
@@ -302,18 +254,14 @@ def verify_exact_fixed_point(system: IFSSystem, candidate) -> FixedPointCheck:
 
     Every map parameter and every candidate endpoint or vertex must be
     exact; the verdict compares each component with the union of its
-    images with a merge tolerance of exactly zero.  A plane component is
-    one convex polygon, so an image of several polygon parts fails.
+    images with a merge tolerance of exactly zero.
     """
     sets = _normalize_seeds(system, candidate)
     for s in sets:
-        if not _is_region(s) or not s.is_exact:
+        if getattr(s, "is_exact", None) is not True:
             raise ValueError("candidate sets must be exact IntervalSets or ConvexPolygons")
-    for row in system.maps:
-        for cell in row:
-            for f in cell:
-                if not f.is_exact():
-                    raise ValueError("system maps must have exact parameters")
+    if not all(f.is_exact() for row in system.maps for cell in row for f in cell):
+        raise ValueError("system maps must have exact parameters")
     mismatches = []
     for i in range(system.n):
         image = system.component_image(i, sets)

@@ -49,6 +49,23 @@ def _sign_quad(a: int, b: int) -> int:
     return -1 if a * a > 2 * b * b else (1 if a * a < 2 * b * b else 0)
 
 
+def _embed(a: int, b: int, den: int) -> float:
+    """(a + b*sqrt2)/den as a float; OverflowError out of float range.
+
+    Where the float expression overflows, sqrt2 is taken to k bits: a
+    nonzero a + b*sqrt2 has a nonzero integer norm, so it is at least
+    1/(|a| + |b|*sqrt2) in size, and the quotient moves by under 2**-64
+    of itself, within 1 ulp once rounded."""
+    try:
+        x = (a + b * SQRT2) / den
+        if math.isfinite(x):
+            return x
+    except OverflowError:
+        pass
+    k = 64 + b.bit_length() + (abs(a) + 2 * abs(b)).bit_length()
+    return ((a << k) + b * math.isqrt(2 << 2 * k)) / (den << k)
+
+
 @total_ordering
 class QuadRat:
     """(a + b*sqrt2)/den in Q(sqrt2), with integers a, b and den > 0 in
@@ -88,10 +105,10 @@ class QuadRat:
         return QuadRat(self.a, -self.b, self.den)
 
     def embed(self) -> float:
-        return (self.a + self.b * SQRT2) / self.den
+        return _embed(self.a, self.b, self.den)
 
     def embed_star(self) -> float:
-        return (self.a - self.b * SQRT2) / self.den
+        return _embed(self.a, -self.b, self.den)
 
     def norm(self) -> Fraction:
         """x * x.star(), a rational number."""

@@ -3,8 +3,8 @@
 ``ConvexPolygon`` answers the questions ``IntervalSet`` answers on the
 line (``dim``, ``measure()``, ``bbox()``, ``linear_image``, ``affine``),
 plus Minkowski sums and erosion, by exact Sutherland-Hodgman clipping.
-Plane sets that are not convex are handled as tuples of convex parts.
-Only planar systems execute this module.
+A plane compact set is one convex polygon.  Only planar systems execute
+this module.
 """
 
 from __future__ import annotations

@@ -369,6 +369,19 @@ class TestIterateAttractor:
         with pytest.raises(ValueError):
             IFSSystem.single([AffineMap(1.2, 0.0)])
 
+    def test_plane_component_takes_one_map(self):
+        half = ((Fraction(1, 2), 0), (0, Fraction(1, 2)))
+        f, g = AffineMap(half, (0, 0)), AffineMap(half, (1, 0))
+        with pytest.raises(ValueError, match="plane component 0 has 2 incoming maps"):
+            IFSSystem.single([f, g])
+        # one map from each component into component 1
+        with pytest.raises(ValueError, match="plane component 1 has 2 incoming maps"):
+            IFSSystem([[[f], []], [[f], [g]]])
+        fam = TranslationFamilyMap(half, ConvexPolygon([(0, 0), (1, 0), (0, 1)]))
+        with pytest.raises(ValueError, match="plane component 0 has 2 incoming maps"):
+            IFSSystem.single([fam, f])
+        assert IFSSystem([[[f], []], [[g], []]]).n == 2
+
 
 class TestVerifyExactFixedPoint:
     def test_silver_attractor_verifies(self):
@@ -390,6 +403,11 @@ class TestVerifyExactFixedPoint:
     def test_rejects_float_candidate(self):
         with pytest.raises(ValueError):
             verify_exact_fixed_point(silver_two_component_system(), (W1.as_float(), W2))
+
+    def test_rejects_a_candidate_that_is_not_a_set(self):
+        # a map has an is_exact method, which must not pass for the flag
+        with pytest.raises(ValueError, match="candidate sets must be exact"):
+            verify_exact_fixed_point(silver_two_component_system(), (AffineMap(ALPHA_CONJ, 0), W2))
 
     def test_planar_octagon_verifies(self):
         b = builtin("ammann-beenker")
@@ -639,9 +657,12 @@ class TestHausdorff2D:
         assert hausdorff_distance(p, q) == pytest.approx(ref, rel=1e-12)
         assert hausdorff_distance(q, p) == pytest.approx(ref, rel=1e-12)
 
-    def test_union_of_parts(self):
+    def test_a_tuple_of_parts_is_refused_by_type(self):
+        # a plane compact set is one polygon; a union of parts has no
+        # exact vertex-based distance, so it is not taken at all
         a = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-        b = a.translate((5, 0))
-        # sup over the union of distance-to-a is taken on b's right edge
-        d = hausdorff_distance((a, b), a)
-        assert d == pytest.approx(5.0, abs=1e-12)
+        parts = (a, a.translate((5, 0)))
+        with pytest.raises(TypeError, match="not a tuple with a ConvexPolygon"):
+            hausdorff_distance(parts, a)
+        with pytest.raises(TypeError, match="not a ConvexPolygon with a tuple"):
+            hausdorff_distance(a, parts)

@@ -1,9 +1,10 @@
+import decimal
 import math
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selfsim import numberfields
@@ -23,6 +24,13 @@ ALPHA = SILVER  # 1 + sqrt2
 UNITS = {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
          (-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)}
 ZERO = (0, 0, 0, 0)
+
+
+def high_precision(a, b, den) -> float:
+    """(a + b*sqrt2)/den to 1,500 digits, then rounded to a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1500
+        return float((decimal.Decimal(a) + decimal.Decimal(b) * decimal.Decimal(2).sqrt()) / den)
 
 
 def quads(rows) -> list:
@@ -186,6 +194,34 @@ class TestQuadRat:
         assert x.norm() == p * p - 2 * q * q
         assert x.sign() == exact_sign(p, q)
         assert (x < y) == (exact_sign(p - r, q - s) < 0)
+
+    @given(st.integers(-(2**1200), 2**1200), st.integers(2**1100, 2**1200))
+    @example(2**1100 + 1, 2**1101)  # 0.5
+    def test_float_of_a_huge_rational_rounds_as_a_fraction(self, a, den):
+        assert float(QuadRat(a, 0, den)).hex() == float(Fraction(a, den)).hex()
+
+    @given(st.integers(-(2**1300), 2**1300), st.integers(-(2**1300), 2**1300),
+           st.integers(2**1250, 2**1350))
+    def test_float_of_huge_terms_is_within_one_ulp(self, a, b, den):
+        q = QuadRat(a, b, den)
+        # in lowest terms a field still leaves the float range, so the float
+        # expression overflows; below it, that expression is kept bit for bit
+        assume(max(abs(q.a), abs(q.b), q.den).bit_length() > 1024)
+        for x, ref in ((q.embed(), high_precision(a, b, den)),
+                       (q.embed_star(), high_precision(a, -b, den))):
+            assert abs(x - ref) <= math.ulp(ref)
+
+    @given(st.integers(860, 1600), st.integers(-(2**40), 2**40), st.integers(1, 2**60))
+    def test_float_after_cancelling_huge_terms_is_within_one_ulp(self, n, t, den):
+        # p + q*sqrt2 = (1 + sqrt2)**n, so p - q*sqrt2 is tiny; from n = 860,
+        # p over any den stays past 2**1024 in lowest terms, so the float
+        # expression overflows
+        p, q = 1, 0
+        for _ in range(n):
+            p, q = p + 2 * q, p + q
+        ref = high_precision(p + t, -q, den)
+        for x in (QuadRat(p + t, -q, den).embed(), QuadRat(p + t, q, den).embed_star()):
+            assert abs(x - ref) <= math.ulp(ref)
 
     @given(st.integers(-(2**50), 2**50), st.integers(-(2**50), 2**50), st.integers(1, 2**50))
     def test_float_is_the_float_expression_bit_for_bit(self, a, b, d):
