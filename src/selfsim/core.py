@@ -28,6 +28,8 @@ from typing import Iterable, Union
 
 SQRT2 = math.sqrt(2.0)
 _FLOAT_MERGE_EPS = 1e-12
+_FILTER_ULPS = 16 * 2.0**-53
+_FILTER_TINY = 2.0**-1000
 
 
 # ---------------------------------------------------------------------------
@@ -50,15 +52,16 @@ def _sign_quad(a: int, b: int) -> int:
 
 
 def _embed(a: int, b: int, den: int) -> float:
-    """(a + b*sqrt2)/den as a float; OverflowError out of float range.
-
-    Where the float expression overflows, sqrt2 is taken to k bits: a
-    nonzero a + b*sqrt2 has a nonzero integer norm, so it is at least
-    1/(|a| + |b|*sqrt2) in size, and the quotient moves by under 2**-64
-    of itself, within 1 ulp once rounded."""
+    """(a + b*sqrt2)/den as a float of the same sign; OverflowError out of
+    float range.  The float expression is kept beyond its error bound, the
+    one the filter of ``numberfields`` uses.  Inside that band, and where it
+    overflows, sqrt2 is taken to k bits: a nonzero a + b*sqrt2 has a
+    nonzero integer norm, so it is at least 1/(|a| + |b|*sqrt2) in size,
+    and the quotient moves by under 2**-64 of itself, within 1 ulp."""
     try:
         x = (a + b * SQRT2) / den
-        if math.isfinite(x):
+        # an infinite x has an infinite size, so it is never kept
+        if abs(x) > _FILTER_ULPS * ((abs(a) + abs(b) * SQRT2) / den) + _FILTER_TINY:
             return x
     except OverflowError:
         pass

@@ -53,8 +53,8 @@ class CutProjectScheme:
 
     def coordinates(self, rows) -> np.ndarray:
         """Physical then internal coordinates of the (N, k) coefficient
-        rows, one row of 2d floats each, the float of each exact coordinate
-        (``numberfields.exact_coordinates``) bit for bit."""
+        rows, one row of 2d floats each, as ``numberfields.coordinates``
+        gives them."""
         return numberfields.coordinates(self.forms, rows)
 
     @classmethod
@@ -71,11 +71,10 @@ def project_points(scheme: CutProjectScheme, window, radius) -> np.ndarray:
     star image lies in the window: the kept rows of the enumerator's sorted
     (N, k) int64 coefficient array, from the scheme's entry into the walk
     of ``numberfields`` over the ball's box and the window's bounds.  The
-    radius is taken at its binary-float value, and exact windows keep their
-    boundary points: a row is kept when the exact signs ``numberfields``
-    gives for the disk and for the window are both >= 0.  Float windows keep
-    the eps=1e-12 test of ``contains``, evaluated as the same float
-    expression."""
+    radius and a float window are taken at their binary-float values, and
+    the window keeps its boundary points: a row is kept when the exact
+    signs ``numberfields`` gives for the disk and for the window are both
+    >= 0."""
     if not 0 < float(radius) < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     d = scheme.phys_dim
@@ -95,31 +94,25 @@ def project_points(scheme: CutProjectScheme, window, radius) -> np.ndarray:
 
 
 def _window_signs(scheme: CutProjectScheme, window, rows) -> np.ndarray:
-    """The sign per candidate row of its star point's membership in the
-    window: >= 0 inside (0 on the boundary of an exact window), -1 outside.
-    The window is a union of pieces, each bounded by half-spaces
-    n.(x* - o) >= 0: an interval's two ends, a polygon's edges, a point's
-    four axis half-spaces.  An exact window gives the exact signs of
-    ``numberfields``; a float window its eps=1e-12 float test."""
+    """The exact sign per candidate row of its star point's membership in
+    the window: >= 0 inside (0 on the boundary), -1 outside.  The window
+    is a union of pieces, each bounded by half-spaces n.(x* - o) >= 0: an
+    interval's two ends, a polygon's edges, a point's four axis
+    half-spaces, read exactly: a float at its binary value."""
     d = scheme.phys_dim
     if window.dim == 1:
-        pieces = [[((1,), (lo,)), ((-1,), (hi,))] for lo, hi in window.intervals]
-    elif len(verts := window.vertices) > 1:
+        pieces = [[((1,), (_exact(lo),)), ((-1,), (_exact(hi),))] for lo, hi in window.intervals]
+    elif len(verts := [tuple(map(_exact, v)) for v in window.vertices]) > 1:
         pieces = [[((ay - by, bx - ax), (ax, ay))
                    for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1])]]
     else:
         pieces = [[(n, verts[0]) for n in ((1, 0), (-1, 0), (0, 1), (0, -1))]]
-    if window.is_exact:
-        verdicts = [_form_signs(rows, _linear_forms(scheme.forms, sides, d)) for sides in pieces]
-    else:
-        # IntervalSet.contains and polygons._cross, as floats go; a point's
-        # |x* - v| <= eps is its two pairs of axis half-spaces
-        star = scheme.coordinates(rows)[:, d:]
-        verdicts = [np.minimum.reduce([
-            np.where(sum(t * (star[:, j] - c) for j, (t, c) in enumerate(zip(n, o)))
-                     + 1e-12 >= 0, 1, -1).astype(np.int8) for n, o in sides])
-            for sides in pieces]
-    return np.maximum.reduce(verdicts)
+    return np.maximum.reduce(
+        [_form_signs(rows, _linear_forms(scheme.forms, sides, d)) for sides in pieces])
+
+
+def _exact(x):  # a float at its binary value
+    return x if isinstance(x, QuadRat) else Fraction(x)
 
 
 # ---------------------------------------------------------------------------

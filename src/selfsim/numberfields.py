@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from . import _lazy_module
-from .core import SQRT2, QuadRat, _as_quadrat
+from .core import _FILTER_TINY, _FILTER_ULPS, SQRT2, QuadRat, _as_quadrat
 from .errors import ResourceCapError
 
 # only the float-filtered enumeration below executes numpy
@@ -45,7 +45,8 @@ def _parts(forms, rows) -> tuple:
 
 def coordinates(forms, rows) -> np.ndarray:
     """Physical then internal coordinates of the (N, k) coefficient rows:
-    the float of each exact one, bit for bit (den = 2 only scales)."""
+    ``QuadRat.embed`` of each, bit for bit outside its cancellation band
+    (den = 2 only scales)."""
     return _embed(*_parts(forms, rows), forms[2])
 
 
@@ -102,10 +103,9 @@ def cyclo_exact(c0: int, c1: int, c2: int, c3: int) -> tuple[QuadRat, QuadRat, Q
 # same depth, so the exact size is at most size * (1 + gamma_9), and
 # 16u * size covers both.  Constants of magnitude outside [2**-500, 2**500]
 # get size inf (never certain), so nothing overflows; a final product can
-# still underflow, losing at most 2**-1075, which 2**-1000 covers.
+# still underflow, losing at most 2**-1075, which 2**-1000 covers (core's
+# _FILTER_ULPS and _FILTER_TINY, which also bound the float of a QuadRat).
 
-_FILTER_ULPS = 16 * 2.0**-53
-_FILTER_TINY = 2.0**-1000
 _FILTER_RANGE = (2.0**-500, 2.0**500)
 # coefficients must stay exact in int64 and float64
 _COEFF_LIMIT = 2**50

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selfsim import modelsets, numberfields
@@ -88,28 +88,31 @@ def exact_cyclo_box(phys_bound, star_bound):
 
 def exact_project(scheme, window, radius):
     """The enumerator's candidates, then the exact ball and window tests
-    one point at a time (float windows keep their eps=1e-12 test)."""
+    one point at a time (a float window read at its binary value)."""
     r = Fraction(radius)
+    window = exact_window(window)
     if scheme.phys_dim == 1:
         lo, hi = float(window.lo) - 1e-6, float(window.hi) + 1e-6
         candidates = quads(enumerate_quad_range(-r, r, lo, hi))
-        if window.is_exact:
-            return [x for x in candidates if window.contains(x.star(), eps=0)]
-        return [x for x in candidates if window.contains(x.embed_star(), eps=1e-12)]
+        return [x for x in candidates if window.contains(x.star(), eps=0)]
     star_bound = max(abs(float(v)) for v in window.bbox()) + 1e-6
     rsq = QuadRat(r.numerator**2, 0, r.denominator**2)
     out = []
     for row in cyclos(enumerate_cyclo_box(r, star_bound)):
         re, im, sre, sim = cyclo_exact(*row)
-        if re * re + im * im > rsq:
-            continue
-        if window.is_exact:
-            inside = window.contains((sre, sim), eps=0)
-        else:
-            inside = window.contains((float(sre), float(sim)), eps=1e-12)
-        if inside:
+        if re * re + im * im <= rsq and window.contains((sre, sim), eps=0):
             out.append(row)
     return out
+
+
+def exact_window(window):
+    """The window with each float end or vertex replaced by its exact
+    binary value."""
+    if window.is_exact:
+        return window
+    if window.dim == 1:
+        return IntervalSet([(Fraction(lo), Fraction(hi)) for lo, hi in window.intervals])
+    return ConvexPolygon([(Fraction(x), Fraction(y)) for x, y in window.vertices])
 
 
 @pytest.fixture
@@ -249,16 +252,14 @@ class TestBoundaryCases:
 
     @pytest.mark.parametrize("as_float", [False, True])
     def test_point_window_at_a_lattice_image(self, exact_calls, as_float):
+        # read at its binary value, the float of an irrational star image is
+        # no lattice image: the one within an ulp of it is left out, exactly
         window = ConvexPolygon.point(*star_point((1, 1, 0, 0)))
         if as_float:
             window = window.as_float()
         got = cyclos(project_points(OCTAGONAL, window, 3))
-        if as_float:
-            # decided by its float test, as every float window is
-            assert exact_calls["window"] == 0
-        else:
-            assert exact_calls["window"] > 0
-        assert got == [(1, 1, 0, 0)] == exact_project(OCTAGONAL, window, 3)
+        assert exact_calls["window"] > 0
+        assert got == ([] if as_float else [(1, 1, 0, 0)]) == exact_project(OCTAGONAL, window, 3)
 
     def test_builtin_windows_need_no_exact_test(self, exact_calls):
         # no lattice image lies on the octagon or on the ends of [-1/sqrt2, 1/sqrt2]
@@ -386,6 +387,23 @@ coefficients = st.one_of(
 )
 
 
+@st.composite
+def disk_cases(draw):
+    """Rows of one scheme, a disk centre (None for the origin, or floats on
+    or next to the rows' coordinates, or small fractions), and how to take
+    rsq from the squared distance of row i: on its circle, ``k`` ulps off
+    it, or the square of a float ``k`` ulps from its root."""
+    forms, rows, coords, _ = draw(rows_and_bound())
+    d = len(forms[0]) // 2
+    centre = draw(st.one_of(st.none(), st.lists(
+        st.one_of(st.builds(lambda x, k: float(nudged(float(x), k)),
+                            st.sampled_from([x for xs in coords for x in xs[:d]]), ulps),
+                  st.fractions(-6, 6, max_denominator=12).map(float)),
+        min_size=d, max_size=d)))
+    kind = draw(st.sampled_from(["on", "near", "square"]))
+    return forms, rows, centre, draw(st.integers(0, len(rows) - 1)), kind, draw(ulps)
+
+
 class TestExactSigns:
     @settings(max_examples=60, deadline=None)
     @given(rows_and_bound(), st.data())
@@ -407,25 +425,22 @@ class TestExactSigns:
         assert got.tolist() == want
 
     @settings(max_examples=60, deadline=None)
-    @given(rows_and_bound(), st.data())
-    def test_disk_signs(self, case, data):
-        forms, rows, coords, _ = case
+    @given(disk_cases())
+    # the row sqrt2 about a centre at fl(sqrt2): the float of the squared
+    # distance (sqrt2 - fl(sqrt2))**2 once came out negative here
+    @example((numberfields.SILVER_FORMS, [[0, 1]], [SQRT2], 0, "square", 0))
+    def test_disk_signs(self, case):
+        forms, rows, centre, i, kind, k = case
         d = len(forms[0]) // 2
-        # the origin, or a float centre on or next to the rows' coordinates
-        centre = data.draw(st.one_of(st.none(), st.lists(
-            st.one_of(st.builds(lambda x, k: float(nudged(float(x), k)),
-                                st.sampled_from([x for xs in coords for x in xs[:d]]), ulps),
-                      st.fractions(-6, 6, max_denominator=12).map(float)),
-            min_size=d, max_size=d)))
+        coords = [numberfields.exact_coordinates(forms, row) for row in rows]
         c = [Fraction(0)] * d if centre is None else list(map(Fraction, centre))
         norms = [sum(((x - t) * (x - t) for x, t in zip(xs, c)), QuadRat(0)) for xs in coords]
-        # on the circle through a row, a few ulps off it, or a rational square
-        rsq = data.draw(st.one_of(
-            st.sampled_from(norms),
-            st.builds(near, st.sampled_from(norms), ulps),
-            st.builds(lambda x, n: QuadRat.from_fraction(nudged(math.sqrt(float(x)), n) ** 2),
-                      st.sampled_from(norms), ulps),
-        ))
+        if kind == "on":
+            rsq = norms[i]
+        elif kind == "near":
+            rsq = near(norms[i], k)
+        else:
+            rsq = QuadRat.from_fraction(nudged(math.sqrt(float(norms[i])), k) ** 2)
         got = numberfields._disk_signs(forms, np.array(rows, dtype=np.int64), rsq, centre)
         assert got.tolist() == [(rsq - norm).sign() for norm in norms]
 

@@ -32,6 +32,7 @@ from selfsim.multicomponent import (
     verify_nonoverlap,
 )
 from selfsim.polygons import ConvexPolygon
+from selfsim.systems import builtin
 
 AC = 1.0 - math.sqrt(2.0)
 R = abs(AC)
@@ -179,6 +180,14 @@ class TestSolveMCDensity:
         lo2, hi2 = sol.components[1].support()
         assert lo1 > float(W1X.lo) - 2 * h and hi1 < float(W1X.hi) + 2 * h
         assert lo2 > float(W2X.lo) - 2 * h and hi2 < float(W2X.hi) + 2 * h
+
+    @pytest.mark.parametrize("step", [1e-5, 1.5e-5, 3e-5])
+    def test_fine_steps_converge_on_the_builtin(self, step):
+        # steps once reported to stop with "cannot renormalize a zero-mass
+        # density", the one-cell starting spike missing every node
+        sol = solve_mc_density(builtin("silver-mc-max").mc, step)
+        assert abs(sol.components[0].mass - 1.0) < 1e-6
+        assert abs(sol.components[1].mass - R) < 1e-6
 
     def test_second_component_is_shifted_contraction_of_first(self):
         # at the fixed point omega_2 = r delta_{a} * A.omega_1, i.e.

@@ -229,6 +229,35 @@ class TestQuadRat:
         if math.gcd(a, b, d) == 1:  # in lowest terms, so stored as given
             assert float(QuadRat(a, b, d)).hex() == ((a + b * SQRT2) / d).hex()
 
+    def test_float_of_a_tiny_square_keeps_its_sign(self):
+        # (sqrt2 - fl(sqrt2))**2, whose float expression is -8.9e-16
+        q = QuadRat(81129638414606687241655851819561, -57367317478181011198301559586816,
+                    20282409603651670423947251286016)
+        ref = 9.3456560008331402e-33
+        t = QuadRat(0, 1) - Fraction(SQRT2)
+        assert q == t * t
+        assert 0 < float(q) and abs(float(q) - ref) <= math.ulp(ref)
+
+    @given(st.integers(1, 120), st.integers(1, 2**40), st.integers(-2, 2), st.integers(-2, 2),
+           st.integers(1, 2**60), st.sampled_from([1, -1]))
+    def test_float_near_cancellation_keeps_its_sign(self, n, scale, da, db, den, sign):
+        # a + b*sqrt2 = sign*(scale*(p - q*sqrt2) + da + db*sqrt2), where
+        # p + q*sqrt2 = (1 + sqrt2)**n, so p**2 - 2*q**2 = +-1 and
+        # p - q*sqrt2 is tiny: the terms cancel to the shift, or to nothing
+        p, q = 1, 0
+        for _ in range(n):
+            p, q = p + 2 * q, p + q
+        x = QuadRat(sign * (scale * p + da), sign * (db - scale * q), den)
+        value = (x.a + x.b * SQRT2) / x.den
+        size = (abs(x.a) + abs(x.b) * SQRT2) / x.den
+        if x != 0:
+            assert math.copysign(1, float(x)) == x.sign()
+        if abs(value) > _FILTER_ULPS * size + _FILTER_TINY:
+            assert float(x).hex() == value.hex()
+        else:
+            ref = high_precision(x.a, x.b, x.den)
+            assert abs(float(x) - ref) <= math.ulp(ref)
+
 
 class TestCycloExact:
     def test_star_sends_xi_to_xi_cubed(self):
